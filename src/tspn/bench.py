@@ -1,8 +1,8 @@
 """Random-scene generation, the method-comparison harness, and file formats.
 
 Scenes are seeded and fully reproducible: fixed seeds give byte-identical
-serializations. The harness times each (config, seed, method) cell with a
-monotonic clock, audits trajectory coverage before recording a row, and
+serializations. The harness times each (config, seed, method) cell with
+``time.perf_counter``, audits trajectory coverage before recording a row, and
 aggregates mean/std per method and scene size.
 """
 
@@ -20,7 +20,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ContractError
-from .geom import Point3, Region, Sampled, Scene, SceneObject, Shell, Sphere, Tour, Visit, tour_length
+from .geom import (
+    GridIndex,
+    Point3,
+    Region,
+    Sampled,
+    Scene,
+    SceneObject,
+    Shell,
+    Sphere,
+    Tour,
+    Visit,
+    tour_length,
+)
 from .planner import (
     SimulationOracle,
     alpha_fat_baseline,
@@ -71,10 +83,13 @@ def generate_scene(config: SceneConfig) -> Scene:
     diameters = rng.uniform(config.d_min, config.d_max, size=n)
     centers: list[np.ndarray] = []
     if config.disjoint:
+        # Only centers the grid returns can lie within d_max of a candidate.
+        grid = GridIndex(config.d_max)
         rejections = 0
         while len(centers) < n:
             c = rng.uniform(0.0, config.cube_edge, size=3)
-            if all(np.linalg.norm(c - e) > config.d_max for e in centers):
+            if all(np.linalg.norm(c - centers[j]) > config.d_max for j in grid.near(c)):
+                grid.insert(len(centers), c)
                 centers.append(c)
                 rejections = 0
             else:
@@ -289,7 +304,7 @@ def _run_cell(
         seed=seed,
     )
     scene = generate_scene(scene_cfg)
-    t0 = time.monotonic()
+    t0 = time.perf_counter()
     if method == "center-visit":
         tour = center_visit(start, scene, tsp) if config.disjoint else plan_nondisjoint(start, scene, tsp)
     elif method == "alpha-fat":
@@ -307,7 +322,7 @@ def _run_cell(
         )
     else:
         raise ContractError(f"unknown method {method!r}; choose from {METHODS}")
-    runtime = time.monotonic() - t0
+    runtime = time.perf_counter() - t0
     valid = missed_objects(tour, scene) == []
     return ComparisonRow(
         method=method,

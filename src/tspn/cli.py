@@ -18,6 +18,7 @@ import numpy as np
 
 from .bench import (
     SceneConfig,
+    _shape_to_json,
     generate_scene,
     report_aggregates_csv,
     report_rows_csv,
@@ -28,7 +29,7 @@ from .bench import (
     tour_to_json,
 )
 from .errors import TspnError
-from .geom import Point3, Sampled, Shell, Sphere
+from .geom import Point3, Sphere
 from .planner import (
     SimulationOracle,
     alpha_fat_baseline,
@@ -160,28 +161,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _region_to_json(obj_id: str, region) -> dict:
-    s = region.shape
-    if isinstance(s, Sphere):
-        shape = {"kind": "sphere", "diameter_m": float(s.diameter)}
-    elif isinstance(s, Shell):
-        shape = {
-            "kind": "shell",
-            "inner_diameter_m": float(s.inner_diameter),
-            "outer_diameter_m": float(s.outer_diameter),
-        }
-    else:
-        assert isinstance(s, Sampled)
-        shape = {
-            "kind": "sampled",
-            "points_m": [[float(v) for v in row] for row in s.points],
-            "normals": [[float(v) for v in row] for row in s.normals],
-            "d_min_m": float(s.d_min),
-            "d_max_m": float(s.d_max),
-        }
     return {
         "id": obj_id,
         "center_m": [region.center.x, region.center.y, region.center.z],
-        "shape": shape,
+        "shape": _shape_to_json(region),
     }
 
 

@@ -158,16 +158,27 @@ def _validate_region(region: Region) -> None:
     raise InvalidRegionError(f"unknown shape {type(s).__name__}")
 
 
-def farthest_pair_distance(points: np.ndarray) -> float:
-    """Max pairwise Euclidean distance, chunked to bound memory."""
+def _farthest_pair(points: np.ndarray) -> tuple[float, int, int]:
+    """(squared distance, i, j) of the first farthest pair in row-major order.
+
+    Chunked to bound memory; ties keep the earliest (i, j).
+    """
     n = points.shape[0]
-    best = 0.0
+    best = (0.0, 0, 0)
     step = 512
     for i in range(0, n, step):
         block = points[i : i + step]
         d2 = np.sum((block[:, None, :] - points[None, :, :]) ** 2, axis=2)
-        best = max(best, float(np.sqrt(d2.max())))
+        bi, bj = divmod(int(np.argmax(d2)), n)
+        val = float(d2[bi, bj])
+        if val > best[0]:
+            best = (val, i + bi, bj)
     return best
+
+
+def farthest_pair_distance(points: np.ndarray) -> float:
+    """Max pairwise Euclidean distance."""
+    return math.sqrt(_farthest_pair(points)[0])
 
 
 def touch_tolerance(region: Region, d_min_global: float | None = None) -> float:
@@ -287,6 +298,103 @@ def regions_intersect(a: Region, b: Region) -> bool:
     return False
 
 
+# --------------------------------------------------------------------------- neighbour index
+
+_NEIGHBOUR_CELLS = tuple(
+    (dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+)
+
+
+class GridIndex:
+    """Uniform hash grid over points: integer cell -> indices of its points.
+
+    Every point within ``radius`` of a query point ``p`` lies in the 27
+    cells around ``p``'s own (spatial hashing, Teschner et al., VMV 2003).
+    The cell edge is ``radius`` plus a relative 1e-9, so float rounding of
+    the cell keys cannot push such a point two cells away.
+    """
+
+    def __init__(self, radius: float):
+        self.cell = radius * (1.0 + 1e-9)
+        self._cells: dict[tuple[int, int, int], list[int]] = {}
+
+    def _key(self, p) -> tuple[int, int, int]:
+        h = self.cell
+        return (math.floor(p[0] / h), math.floor(p[1] / h), math.floor(p[2] / h))
+
+    def insert(self, index: int, p) -> None:
+        self._cells.setdefault(self._key(p), []).append(index)
+
+    def near(self, p) -> list[int]:
+        """Indices of the points in the 27 cells around ``p``, unordered."""
+        x, y, z = self._key(p)
+        cells = self._cells
+        out: list[int] = []
+        for dx, dy, dz in _NEIGHBOUR_CELLS:
+            hit = cells.get((x + dx, y + dy, z + dz))
+            if hit:
+                out.extend(hit)
+        return out
+
+
+def _near_pairs(points: np.ndarray, radius: float):
+    """Per point i: candidates j > i for being within ``radius``, ascending, and their distances.
+
+    Yields (i, js, distances) for every i with at least one candidate.
+    """
+    grid = GridIndex(radius)
+    for i in range(len(points)):
+        grid.insert(i, points[i])
+    for i in range(len(points)):
+        near = np.array(grid.near(points[i]))
+        near = np.sort(near[near > i])
+        if near.size:
+            yield i, near, np.linalg.norm(points[near] - points[i], axis=1)
+
+
+def region_reach(region: Region) -> float:
+    """Radius about the center holding the region plus its touch tolerance.
+
+    Two regions whose centers are farther apart than the sum of their
+    reaches never intersect.
+    """
+    return region.d_max / 2.0 * (1.0 + EPS_TOL) + EPS_TOL + touch_tolerance(region)
+
+
+def intersecting_pairs(regions) -> list[tuple[int, int]]:
+    """Every index pair (i, j), i < j, of intersecting regions, ascending.
+
+    Broad phase: a grid with cell edge twice the largest reach, then a
+    center-distance filter ``<= reach_i + reach_j``. Narrow phase:
+    ``regions_intersect`` on the survivors, in ascending (i, j) order.
+    """
+    if len(regions) < 2:
+        return []
+    centers = np.array([(r.center.x, r.center.y, r.center.z) for r in regions], dtype=float)
+    reach = np.array([region_reach(r) for r in regions])
+    pairs: list[tuple[int, int]] = []
+    for i, near, dist in _near_pairs(centers, 2.0 * float(reach.max())):
+        for j in near[dist <= reach[i] + reach[near]].tolist():
+            if regions_intersect(regions[i], regions[j]):
+                pairs.append((i, j))
+    return pairs
+
+
+def closest_pair_within(points: np.ndarray, radius: float) -> tuple[int, int] | None:
+    """Closest pair (i, j), i < j, of points at most ``radius`` apart, or None.
+
+    Ties on distance go to the smallest i, then the smallest j: the
+    row-major argmin of the dense distance matrix.
+    """
+    best: tuple[float, int, int] | None = None
+    for i, near, dist in _near_pairs(points, radius):
+        k = int(np.argmin(dist))
+        cand = (float(dist[k]), i, int(near[k]))
+        if cand[0] <= radius and (best is None or cand < best):
+            best = cand
+    return None if best is None else (best[1], best[2])
+
+
 def max_diameter_segment(region: Region) -> tuple[Point3, Point3]:
     """Endpoints of a farthest pair of the region.
 
@@ -300,18 +408,7 @@ def max_diameter_segment(region: Region) -> tuple[Point3, Point3]:
         off = np.array([rad, 0.0, 0.0])
         return Point3.from_array(c - off), Point3.from_array(c + off)
     pts = s.points
-    n = pts.shape[0]
-    best = (-1.0, 0, 0)
-    step = 512
-    for i in range(0, n, step):
-        block = pts[i : i + step]
-        d2 = np.sum((block[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        k = int(np.argmax(d2))
-        bi, bj = divmod(k, n)
-        val = float(d2[bi, bj])
-        if val > best[0]:
-            best = (val, i + bi, bj)
-    i, j = best[1], best[2]
+    _, i, j = _farthest_pair(pts)
     if i > j:
         i, j = j, i
     return Point3.from_array(pts[i]), Point3.from_array(pts[j])

@@ -25,10 +25,12 @@ from .geom import (
     Tour,
     Visit,
     closest_point_on_region,
+    closest_pair_within,
+    intersecting_pairs,
     max_diameter_segment,
     region_contains,
-    regions_intersect,
     touch_tolerance,
+    waypoints_array,
 )
 from .tsp import TspConfig, solve_order
 
@@ -110,21 +112,28 @@ def maximal_independent_set(scene: Scene) -> MisResult:
     """Keep the smallest-d_max region, drop everything it intersects, repeat.
 
     Ties on d_max break by ascending object id. Every removed object is
-    assigned to the keeper that removed it.
+    assigned to the keeper that removed it; a keeper's removals are
+    recorded in that same order.
     """
-    remaining = sorted(scene.objects, key=lambda o: (o.region.d_max, o.id))
+    objs = scene.objects
+    order = sorted(range(len(objs)), key=lambda k: (objs[k].region.d_max, objs[k].id))
+    rank = {k: r for r, k in enumerate(order)}
+    neighbours: list[list[int]] = [[] for _ in objs]
+    for i, j in intersecting_pairs([o.region for o in objs]):
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    decided = [False] * len(objs)
     kept: list[str] = []
     assignment: dict[str, str] = {}
-    while remaining:
-        head = remaining[0]
-        kept.append(head.id)
-        survivors = []
-        for other in remaining[1:]:
-            if regions_intersect(head.region, other.region):
-                assignment[other.id] = head.id
-            else:
-                survivors.append(other)
-        remaining = survivors
+    for k in order:
+        if decided[k]:
+            continue
+        decided[k] = True
+        kept.append(objs[k].id)
+        for j in sorted(neighbours[k], key=rank.__getitem__):
+            if not decided[j]:
+                decided[j] = True
+                assignment[objs[j].id] = objs[k].id
     return MisResult(kept=tuple(kept), assignment=assignment)
 
 
@@ -421,11 +430,9 @@ class NondisjointPlan:
     patched_ids: tuple[str, ...]
 
 
-def _first_containing_index(
-    waypoints: list[np.ndarray], region: Region, tol: float
-) -> int | None:
+def _first_containing_index(arr: np.ndarray, region: Region, tol: float) -> int | None:
+    """Index of the first waypoint row of ``arr`` (W, 3) inside the region."""
     c = region.center.as_array()
-    arr = np.array(waypoints)
     dists = np.linalg.norm(arr - c, axis=1)
     shape = region.shape
     if isinstance(shape, Sphere):
@@ -504,29 +511,28 @@ def plan_nondisjoint_detailed(
 
     # Patch any object the trajectory still misses (rare: detours are
     # budget-capped, so grazing contacts can slip through discretization).
+    arr = np.array(waypoints)
     patched: list[str] = []
     for obj in scene.objects:
         tol = touch_tolerance(obj.region, scene.d_min_global)
-        if _first_containing_index(waypoints, obj.region, tol) is not None:
+        if _first_containing_index(arr, obj.region, tol) is not None:
             continue
-        arr = np.array(waypoints)
         c = obj.region.center.as_array()
         near = int(np.argmin(np.linalg.norm(arr - c, axis=1)))
         q = closest_point_on_region(obj.region, Point3.from_array(arr[near])).as_array()
-        back = arr[near].copy()
-        waypoints = waypoints[: near + 1] + [q, back] + waypoints[near + 1 :]
+        arr = np.insert(arr, near + 1, [q, arr[near]], axis=0)
         patched.append(obj.id)
 
     visits = []
     for obj in scene.objects:
         tol = touch_tolerance(obj.region, scene.d_min_global)
-        idx = _first_containing_index(waypoints, obj.region, tol)
+        idx = _first_containing_index(arr, obj.region, tol)
         if idx is None:
             raise ContractError(f"object {obj.id!r} left untouched after patching")
         visits.append(Visit(object_id=obj.id, waypoint_index=idx))
 
     tour = Tour(
-        waypoints=tuple(Point3.from_array(w) for w in waypoints),
+        waypoints=tuple(Point3.from_array(w) for w in arr),
         closed=False,
         visits=tuple(visits),
     )
@@ -599,16 +605,13 @@ def plan_online(
     if not (0 < d_min <= d_max):
         raise ContractError("need 0 < d_min <= d_max")
     pts = [c for _, c in centers]
-    if len(pts) > 1:
-        arr = np.array([[p.x, p.y, p.z] for p in pts])
-        diff = np.linalg.norm(arr[:, None, :] - arr[None, :, :], axis=2)
-        diff[np.diag_indices(len(pts))] = np.inf
-        i, j = np.unravel_index(int(np.argmin(diff)), diff.shape)
-        if diff[i, j] <= d_max:
-            raise ContractError(
-                f"centers {centers[i][0]!r} and {centers[j][0]!r} closer than d_max; "
-                "online planning assumes disjoint outer balls"
-            )
+    close = closest_pair_within(np.array([[p.x, p.y, p.z] for p in pts]), d_max)
+    if close is not None:
+        i, j = close
+        raise ContractError(
+            f"centers {centers[i][0]!r} and {centers[j][0]!r} closer than d_max; "
+            "online planning assumes disjoint outer balls"
+        )
     step = d_min / 10.0
     order = _rotate_to_nearest(solve_order(pts, tsp), pts, start)
     pos = start.as_array()
@@ -807,12 +810,7 @@ class BoundReport:
 
 
 def scene_is_disjoint(scene: Scene) -> bool:
-    objs = scene.objects
-    for i in range(len(objs)):
-        for j in range(i + 1, len(objs)):
-            if regions_intersect(objs[i].region, objs[j].region):
-                return False
-    return True
+    return not intersecting_pairs([o.region for o in scene.objects])
 
 
 def validate_bounds(
@@ -868,10 +866,10 @@ def validate_bounds(
 
 def missed_objects(tour: Tour, scene: Scene) -> list[str]:
     """Ids of scene objects no tour waypoint touches (within tolerance)."""
-    waypoints = [p.as_array() for p in tour.waypoints]
+    arr = waypoints_array(tour)
     missed = []
     for obj in scene.objects:
         tol = touch_tolerance(obj.region, scene.d_min_global)
-        if _first_containing_index(waypoints, obj.region, tol) is None:
+        if _first_containing_index(arr, obj.region, tol) is None:
             missed.append(obj.id)
     return missed

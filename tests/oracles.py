@@ -146,3 +146,67 @@ def manual_sobel(image: np.ndarray) -> list[tuple[int, int, float, float]]:
                     gy += ky[dr + 1][dc + 1] * v
             out.append((r, c, gx, gy))
     return out
+
+
+def brute_intersecting_pairs(regions, intersect) -> list[tuple[int, int]]:
+    """Every (i, j), i < j, with ``intersect(regions[i], regions[j])``: all pairs tested."""
+    pairs = []
+    for i in range(len(regions)):
+        for j in range(i + 1, len(regions)):
+            if intersect(regions[i], regions[j]):
+                pairs.append((i, j))
+    return pairs
+
+
+def greedy_mis(objects, intersect) -> tuple[tuple[str, ...], dict[str, str]]:
+    """Quadratic greedy independent set over scene objects.
+
+    Keeps the smallest (d_max, id) object, assigns every remaining object
+    it intersects to it (in sorted order), and repeats on the survivors.
+    """
+    remaining = sorted(objects, key=lambda o: (o.region.d_max, o.id))
+    kept: list[str] = []
+    assignment: dict[str, str] = {}
+    while remaining:
+        head = remaining[0]
+        kept.append(head.id)
+        survivors = []
+        for other in remaining[1:]:
+            if intersect(head.region, other.region):
+                assignment[other.id] = head.id
+            else:
+                survivors.append(other)
+        remaining = survivors
+    return tuple(kept), assignment
+
+
+def rejection_sample_disjoint(seed: int, n: int, d_min: float, d_max: float, cube_edge: float,
+                              limit: int = 10_000) -> tuple[np.ndarray, list[np.ndarray], int]:
+    """Reference disjoint-scene sampler checking each candidate against every center.
+
+    Draws the diameters, then uniform centers, rejecting a candidate within
+    d_max of any placed center. Returns (diameters, centers, placed); it
+    stops with ``placed < n`` after ``limit`` consecutive rejections.
+    """
+    rng = np.random.default_rng(seed)
+    diameters = rng.uniform(d_min, d_max, size=n)
+    centers: list[np.ndarray] = []
+    rejections = 0
+    while len(centers) < n:
+        c = rng.uniform(0.0, cube_edge, size=3)
+        if all(np.linalg.norm(c - e) > d_max for e in centers):
+            centers.append(c)
+            rejections = 0
+        else:
+            rejections += 1
+            if rejections >= limit:
+                break
+    return diameters, centers, len(centers)
+
+
+def dense_closest_pair(points: np.ndarray) -> tuple[int, int, float]:
+    """Row-major argmin of the dense distance matrix with the diagonal masked."""
+    diff = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+    diff[np.diag_indices(len(points))] = np.inf
+    i, j = np.unravel_index(int(np.argmin(diff)), diff.shape)
+    return int(i), int(j), float(diff[i, j])

@@ -1,0 +1,184 @@
+"""Grid-indexed neighbour queries against the brute-force references."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from tspn import CapacityError, Point3, Region, Sampled, Scene, SceneObject, Shell, Sphere
+from tspn.bench import SceneConfig, generate_scene, scene_to_json
+from tspn.geom import closest_pair_within, intersecting_pairs, region_reach, regions_intersect
+from tspn.planner import maximal_independent_set, scene_is_disjoint
+
+from oracles import (
+    brute_intersecting_pairs,
+    dense_closest_pair,
+    fibonacci_directions,
+    greedy_mis,
+    rejection_sample_disjoint,
+)
+
+SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def sampled_region(center, radii) -> Region:
+    radii = np.asarray(radii, dtype=float)
+    dirs = fibonacci_directions(len(radii))
+    c = np.asarray(center, dtype=float)
+    return Region(
+        center=Point3(*c),
+        shape=Sampled(points=c + dirs * radii[:, None], normals=dirs,
+                      d_min=2.0 * float(radii.min()), d_max=2.0 * float(radii.max())),
+    )
+
+
+@st.composite
+def shapes(draw):
+    kind = draw(st.sampled_from(("sphere", "shell", "sampled")))
+    d_out = draw(st.floats(1.0, 6.0))
+    if kind == "sphere":
+        return Sphere(d_out)
+    if kind == "shell":
+        return Shell(draw(st.floats(0.2, 1.0)) * d_out, d_out)
+    fractions = draw(st.lists(st.floats(0.3, 1.0), min_size=8, max_size=24))
+    return [f * d_out / 2.0 for f in fractions]
+
+
+def make_region(center, shape) -> Region:
+    if isinstance(shape, list):
+        return sampled_region(center, shape)
+    return Region(center=Point3(*center), shape=shape)
+
+
+@st.composite
+def region_lists(draw, max_n=10):
+    """Mixed regions on a coarse lattice (coincident and touching centers are
+    common), plus optional regions placed exactly at the summed reach."""
+    coord = st.integers(0, 6).map(lambda k: k * 1.5)
+    regions = [
+        make_region((draw(coord), draw(coord), draw(coord)), draw(shapes()))
+        for _ in range(draw(st.integers(0, max_n)))
+    ]
+    for _ in range(draw(st.integers(0, 2)) if regions else 0):
+        base = regions[draw(st.integers(0, len(regions) - 1))]
+        shape = draw(shapes())
+        reach = region_reach(base) + region_reach(make_region((0.0, 0.0, 0.0), shape))
+        axis = draw(st.integers(0, 2))
+        c = base.center.as_array()
+        c[axis] += reach
+        regions.append(make_region(tuple(c), shape))
+    return regions
+
+
+def scene_of(regions) -> Scene:
+    objs = tuple(SceneObject(id=f"r{k:02d}", region=r) for k, r in enumerate(regions))
+    if not objs:
+        return Scene(objects=(), d_min_global=1.0, d_max_global=1.0)
+    return Scene(
+        objects=objs,
+        d_min_global=min(r.d_min for r in regions),
+        d_max_global=max(r.d_max for r in regions),
+    )
+
+
+# ------------------------------------------------------------------ intersecting pairs
+
+
+@SETTINGS
+@given(region_lists())
+def test_intersecting_pairs_match_brute_force(regions):
+    expected = brute_intersecting_pairs(regions, regions_intersect)
+    assert intersecting_pairs(regions) == expected
+    assert scene_is_disjoint(scene_of(regions)) == (not expected)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_intersecting_pairs_tiny_scenes(n):
+    regions = [Region(center=Point3(1.0, 2.0, 3.0), shape=Sphere(2.0)) for _ in range(n)]
+    expected = [(0, 1)] if n == 2 else []  # coincident centers intersect
+    assert intersecting_pairs(regions) == expected
+    assert brute_intersecting_pairs(regions, regions_intersect) == expected
+
+
+def test_spheres_exactly_at_summed_reach_do_not_intersect():
+    a = Region(center=Point3(0.0, 0.0, 0.0), shape=Sphere(2.0))
+    b = Region(center=Point3(region_reach(a) * 2.0, 0.0, 0.0), shape=Sphere(2.0))
+    assert intersecting_pairs([a, b]) == []
+    touching = Region(center=Point3(2.0, 0.0, 0.0), shape=Sphere(2.0))
+    assert intersecting_pairs([a, b, touching]) == [(0, 2), (1, 2)]
+
+
+def test_intersecting_pairs_on_generated_overlap_scene():
+    scene = generate_scene(SceneConfig(n_objects=150, d_min=5.4, d_max=8.2, cube_edge=60.0,
+                                       disjoint=False, overlap_rate=0.35, seed=4))
+    regions = [o.region for o in scene.objects]
+    pairs = intersecting_pairs(regions)
+    assert pairs and pairs == brute_intersecting_pairs(regions, regions_intersect)
+
+
+# ------------------------------------------------------------------ maximal independent set
+
+
+@SETTINGS
+@given(region_lists(max_n=12))
+def test_mis_matches_greedy_reference(regions):
+    scene = scene_of(regions)
+    kept, assignment = greedy_mis(scene.objects, regions_intersect)
+    mis = maximal_independent_set(scene)
+    assert mis.kept == kept
+    assert list(mis.assignment.items()) == list(assignment.items())
+
+
+def test_mis_matches_greedy_reference_on_generated_scene():
+    scene = generate_scene(SceneConfig(n_objects=200, d_min=5.4, d_max=8.2, cube_edge=70.0,
+                                       disjoint=False, overlap_rate=0.35, seed=9))
+    kept, assignment = greedy_mis(scene.objects, regions_intersect)
+    mis = maximal_independent_set(scene)
+    assert mis.kept == kept
+    assert list(mis.assignment.items()) == list(assignment.items())
+
+
+# ------------------------------------------------------------------ disjoint scene sampling
+
+
+def reference_scene_json(config: SceneConfig, diameters, centers) -> str:
+    objects = tuple(
+        SceneObject(id=f"obj-{i:03d}",
+                    region=Region(center=Point3.from_array(centers[i]), shape=Sphere(float(diameters[i]))))
+        for i in range(config.n_objects)
+    )
+    return scene_to_json(Scene(objects=objects, d_min_global=config.d_min,
+                               d_max_global=config.d_max, cube_edge=config.cube_edge))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 60),
+       cube=st.sampled_from([40.0, 60.0, 100.0]), d_max=st.floats(2.0, 9.0))
+def test_generate_scene_matches_reference_sampler(seed, n, cube, d_max):
+    config = SceneConfig(n_objects=n, d_min=1.0, d_max=d_max, cube_edge=cube, seed=seed)
+    diameters, centers, placed = rejection_sample_disjoint(seed, n, 1.0, d_max, cube)
+    assert placed == n
+    assert scene_to_json(generate_scene(config)) == reference_scene_json(config, diameters, centers)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_generate_scene_capacity_error_matches_reference_sampler(seed):
+    config = SceneConfig(n_objects=30, d_min=5.4, d_max=8.2, cube_edge=12.0, seed=seed)
+    _, _, placed = rejection_sample_disjoint(seed, 30, 5.4, 8.2, 12.0)
+    assert placed < 30
+    with pytest.raises(CapacityError) as err:
+        generate_scene(config)
+    assert err.value.placed == placed
+
+
+# ------------------------------------------------------------------ closest pair
+
+
+@SETTINGS
+@given(st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=2, max_size=30),
+       st.floats(0.5, 4.0))
+def test_closest_pair_within_matches_dense_argmin(cells, radius):
+    points = np.array(cells, dtype=float) * 1.25  # lattice: many distance ties
+    i, j, d = dense_closest_pair(points)
+    assert closest_pair_within(points, radius) == ((i, j) if d <= radius else None)

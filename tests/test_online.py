@@ -140,3 +140,23 @@ def test_online_deterministic_given_seed():
     assert [(p.x, p.y, p.z) for p in a1[0].waypoints] == [
         (p.x, p.y, p.z) for p in a2[0].waypoints
     ]
+
+
+def test_close_centers_rejected_naming_the_closest_pair():
+    # (b, c) are 3 m apart, (a, d) 3.5 m: both within d_max, (b, c) is closest.
+    centers = [("a", Point3(0, 0, 0)), ("b", Point3(20, 0, 0)),
+               ("c", Point3(20, 3, 0)), ("d", Point3(0, 3.5, 0))]
+    oracle = SimulationOracle(centers, 2.0, 4.0, diameters={oid: 4.0 for oid, _ in centers})
+    with pytest.raises(ContractError) as err:
+        plan_online(Point3(0, 0, 0), centers, 2.0, 4.0, oracle)
+    assert str(err.value) == (
+        "centers 'b' and 'c' closer than d_max; online planning assumes disjoint outer balls"
+    )
+
+
+def test_close_centers_tie_names_the_first_pair_in_input_order():
+    centers = [("p", Point3(10, 0, 0)), ("q", Point3(0, 0, 0)),
+               ("r", Point3(10, 4, 0)), ("s", Point3(0, 4, 0))]
+    oracle = SimulationOracle(centers, 2.0, 4.0, diameters={oid: 4.0 for oid, _ in centers})
+    with pytest.raises(ContractError, match="centers 'p' and 'r' closer than d_max"):
+        plan_online(Point3(0, 0, 0), centers, 2.0, 4.0, oracle)
