@@ -12,9 +12,7 @@ import csv
 import io
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,23 +164,56 @@ def _shape_to_json(region: Region) -> dict:
     }
 
 
-def _shape_from_json(obj: dict):
-    kind = obj["kind"]
+def _field(doc, key: str, path: str = ""):
+    """``doc[key]``; a missing key, or a ``doc`` that is no JSON object, is named by its path."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ContractError(f"{path}{key}: missing")
+    return doc[key]
+
+
+def _list(doc, key: str) -> list:
+    v = _field(doc, key)
+    if not isinstance(v, list):
+        raise ContractError(f"{key}: expected a list, got {json.dumps(v)}")
+    return v
+
+
+# The types json.loads gives numbers; bool is not among them.
+_NUMBERS = frozenset((int, float))
+
+
+def _number(doc, key: str, path: str = "") -> float:
+    v = _field(doc, key, path)
+    if type(v) not in _NUMBERS:
+        raise ContractError(f"{path}{key}: expected a number, got {json.dumps(v)}")
+    return float(v)
+
+
+def _point(v, name: str, index: int | None = None) -> Point3:
+    """A JSON ``[x, y, z]`` as a Point3; anything else names the field (``name[index]``)."""
+    if not (type(v) is list and len(v) == 3 and _NUMBERS.issuperset(map(type, v))):
+        where = name if index is None else f"{name}[{index}]"
+        raise ContractError(f"{where}: expected 3 numbers, got {json.dumps(v)}")
+    return Point3(*v)
+
+
+def _shape_from_json(obj, path: str):
+    kind = _field(obj, "kind", path)
     if kind == "sphere":
-        return Sphere(diameter=float(obj["diameter_m"]))
+        return Sphere(diameter=_number(obj, "diameter_m", path))
     if kind == "shell":
         return Shell(
-            inner_diameter=float(obj["inner_diameter_m"]),
-            outer_diameter=float(obj["outer_diameter_m"]),
+            inner_diameter=_number(obj, "inner_diameter_m", path),
+            outer_diameter=_number(obj, "outer_diameter_m", path),
         )
     if kind == "sampled":
         return Sampled(
-            points=np.array(obj["points_m"], dtype=float),
-            normals=np.array(obj["normals"], dtype=float),
-            d_min=float(obj["d_min_m"]),
-            d_max=float(obj["d_max_m"]),
+            points=np.array(_field(obj, "points_m", path), dtype=float),
+            normals=np.array(_field(obj, "normals", path), dtype=float),
+            d_min=_number(obj, "d_min_m", path),
+            d_max=_number(obj, "d_max_m", path),
         )
-    raise ContractError(f"unknown shape kind {kind!r}")
+    raise ContractError(f"{path}kind: unknown shape kind {kind!r}")
 
 
 def scene_to_json(scene: Scene) -> str:
@@ -203,19 +234,21 @@ def scene_to_json(scene: Scene) -> str:
 
 
 def scene_from_json(text: str) -> Scene:
+    """Parse a scene document; malformed fields raise ContractError naming their path."""
     doc = json.loads(text)
-    objects = tuple(
-        SceneObject(
-            id=o["id"],
-            region=Region(center=Point3(*o["center_m"]), shape=_shape_from_json(o["shape"])),
+    objects = []
+    for i, o in enumerate(_list(doc, "objects")):
+        at = f"objects[{i}]."
+        region = Region(
+            center=_point(_field(o, "center_m", at), at + "center_m"),
+            shape=_shape_from_json(_field(o, "shape", at), at + "shape."),
         )
-        for o in doc["objects"]
-    )
+        objects.append(SceneObject(id=_field(o, "id", at), region=region))
     return Scene(
-        objects=objects,
-        d_min_global=float(doc["d_min_m"]),
-        d_max_global=float(doc["d_max_m"]),
-        cube_edge=float(doc["cube_edge_m"]),
+        objects=tuple(objects),
+        d_min_global=_number(doc, "d_min_m"),
+        d_max_global=_number(doc, "d_max_m"),
+        cube_edge=_number(doc, "cube_edge_m"),
     )
 
 
@@ -231,13 +264,19 @@ def tour_to_json(tour: Tour) -> str:
 
 
 def tour_from_json(text: str) -> Tour:
+    """Parse a trajectory document; malformed fields raise ContractError naming their path."""
     doc = json.loads(text)
     return Tour(
-        waypoints=tuple(Point3(*w) for w in doc["waypoints_m"]),
+        waypoints=tuple(
+            _point(w, "waypoints_m", i) for i, w in enumerate(_list(doc, "waypoints_m"))
+        ),
         closed=False,
         visits=tuple(
-            Visit(object_id=v["object_id"], waypoint_index=int(v["waypoint_index"]))
-            for v in doc["visits"]
+            Visit(
+                object_id=_field(v, "object_id", f"visits[{i}]."),
+                waypoint_index=int(_number(v, "waypoint_index", f"visits[{i}].")),
+            )
+            for i, v in enumerate(_list(doc, "visits"))
         ),
     )
 
@@ -308,7 +347,7 @@ def _run_cell(
     if method == "center-visit":
         tour = center_visit(start, scene, tsp) if config.disjoint else plan_nondisjoint(start, scene, tsp)
     elif method == "alpha-fat":
-        tour = alpha_fat_baseline(start, scene, samples_per_region=samples_per_region, tsp=tsp)
+        tour = alpha_fat_baseline(start, scene, samples_per_region=samples_per_region)
     elif method == "online":
         centers = [(obj.id, obj.region.center) for obj in scene.objects]
         oracle = SimulationOracle(
@@ -341,14 +380,11 @@ def run_comparison(
     start: Point3 | None = None,
     samples_per_region: int = 108,
     tsp: TspConfig | None = None,
-    max_threads: int | None = None,
 ) -> ComparisonReport:
     """Plan every (config, seed, method) cell and aggregate lengths/runtimes.
 
     Scene seeds are ``config.seed + k`` for k in range(seeds). Coverage is
-    audited before a row is recorded; failures mark the row invalid. Set
-    ``max_threads`` (or the TSPN_THREADS environment variable) above 1 to
-    fan cells out across a thread pool.
+    audited before a row is recorded; failures mark the row invalid.
     """
     for m in methods:
         if m not in METHODS:
@@ -359,24 +395,13 @@ def run_comparison(
         start = Point3(0.0, 0.0, 0.0)
     if tsp is None:
         tsp = TspConfig()
-    if max_threads is None:
-        max_threads = int(os.environ.get("TSPN_THREADS", "1"))
 
-    cells = [
-        (config, config.seed + k, method)
+    rows = [
+        _run_cell(config, config.seed + k, method, start, samples_per_region, tsp)
         for config in configs
         for k in range(seeds)
         for method in methods
     ]
-    if max_threads > 1:
-        with ThreadPoolExecutor(max_workers=max_threads) as pool:
-            rows = list(
-                pool.map(
-                    lambda c: _run_cell(c[0], c[1], c[2], start, samples_per_region, tsp), cells
-                )
-            )
-    else:
-        rows = [_run_cell(c, s, m, start, samples_per_region, tsp) for c, s, m in cells]
 
     groups: dict[tuple[str, int], list[ComparisonRow]] = {}
     for row in rows:

@@ -184,7 +184,7 @@ def _cmd_gen_scene(args) -> int:
 
 def _cmd_plan(args) -> int:
     scene = _read_scene(args.scene)
-    cfg = TspConfig(solver=args.solver, seed=args.seed)
+    cfg = TspConfig(solver=args.solver)
     detail = plan_nondisjoint_detailed(_parse_point(args.start), scene, cfg)
     _write(args.out, tour_to_json(detail.tour))
     return 0
@@ -192,10 +192,7 @@ def _cmd_plan(args) -> int:
 
 def _cmd_baseline(args) -> int:
     scene = _read_scene(args.scene)
-    cfg = TspConfig(seed=args.seed)
-    tour = alpha_fat_baseline(
-        _parse_point(args.start), scene, samples_per_region=args.samples, tsp=cfg
-    )
+    tour = alpha_fat_baseline(_parse_point(args.start), scene, samples_per_region=args.samples)
     _write(args.out, tour_to_json(tour))
     return 0
 
@@ -219,7 +216,6 @@ def _cmd_online(args) -> int:
         scene.d_min_global,
         scene.d_max_global,
         oracle,
-        TspConfig(seed=args.seed),
     )
     _write(args.out, tour_to_json(tour))
     if args.outcomes:

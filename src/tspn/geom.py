@@ -194,29 +194,51 @@ def touch_tolerance(region: Region, d_min_global: float | None = None) -> float:
     return EXACT_TOUCH_FRACTION * base
 
 
-def region_contains(region: Region, p: Point3, tol: float | None = None) -> bool:
-    """True if ``p`` lies in the region solid within tolerance."""
+def _boundary_radii(shape: Sampled, center: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """Radius of the boundary sample nearest in direction to each row of ``units`` (k, 3).
+
+    This is the star-shaped boundary's radius along each unit direction.
+    """
+    offsets = shape.points - center
+    radii = np.linalg.norm(offsets, axis=1)
+    dirs = offsets / radii[:, None]
+    return radii[np.argmax(dirs @ units.T, axis=0)]
+
+
+def contains(region: Region, points: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Boolean mask of the rows of ``points`` (k, 3) inside the region solid within ``tol``.
+
+    ``tol`` defaults to ``touch_tolerance(region)``. Spheres and shells
+    test the distance to the center against the ball interval. Sampled
+    regions accept anything within the nearest boundary sample's radius,
+    reject anything beyond the farthest one's, and test the rest radially
+    against the boundary sample nearest in direction (star-shaped).
+    """
     if tol is None:
         tol = touch_tolerance(region)
     c = region.center.as_array()
-    v = p.as_array() - c
-    r = float(np.linalg.norm(v))
+    v = points - c
+    # np.linalg.norm(v, axis=1) to the bit, without its per-call overhead.
+    r = np.sqrt(np.add.reduce(v * v, axis=1))
     s = region.shape
-    if isinstance(s, Sphere):
-        return r <= s.diameter / 2.0 + tol
-    if isinstance(s, Shell):
-        return s.inner_diameter / 2.0 - tol <= r <= s.outer_diameter / 2.0 + tol
+    if not isinstance(s, Sampled):
+        r_in, r_out = _ball_intervals(region)
+        inside = r <= r_out + tol
+        if r_in - tol > 0.0:  # otherwise every r >= 0 clears the inner bound
+            inside &= r >= r_in - tol
+        return inside
     radii = np.linalg.norm(s.points - c, axis=1)
-    inner = float(radii.min())
-    if r <= inner + tol:
-        return True
-    if r > float(radii.max()) + tol:
-        return False
-    # Star-shaped radial test against the nearest-direction boundary sample.
-    u = v / r
-    dirs = (s.points - c) / radii[:, None]
-    idx = int(np.argmax(dirs @ u))
-    return r <= radii[idx] + tol
+    inside = r <= radii.min() + tol
+    radial = ~inside & (r <= radii.max() + tol)
+    if radial.any():
+        q = v[radial] / r[radial, None]
+        inside[radial] = r[radial] <= _boundary_radii(s, c, q) + tol
+    return inside
+
+
+def region_contains(region: Region, p: Point3, tol: float | None = None) -> bool:
+    """True if ``p`` lies in the region solid within tolerance (see ``contains``)."""
+    return bool(contains(region, p.as_array()[None, :], tol)[0])
 
 
 def closest_point_on_region(region: Region, p: Point3) -> Point3:
@@ -227,25 +249,21 @@ def closest_point_on_region(region: Region, p: Point3) -> Point3:
     bounding sphere. Sampled regions answer with their nearest boundary
     sample (ties broken by lowest index).
     """
-    c = region.center.as_array()
     s = region.shape
     if isinstance(s, Sampled):
         if s.points.shape[0] == 0:
             raise InvalidRegionError("sampled region has no boundary points")
         d2 = np.sum((s.points - p.as_array()) ** 2, axis=1)
         return Point3.from_array(s.points[int(np.argmin(d2))])
-    v = p.as_array() - c
-    r = float(np.linalg.norm(v))
-    if isinstance(s, Sphere):
-        rad = s.diameter / 2.0
-        if r <= rad:
-            return p
-        return Point3.from_array(c + v * (rad / r))
-    r_in = s.inner_diameter / 2.0
-    r_out = s.outer_diameter / 2.0
-    if r_in <= r <= r_out:
+    q = p.as_array()
+    if contains(region, q[None, :], tol=0.0)[0]:
         return p
-    if r > r_out:
+    c = region.center.as_array()
+    v = q - c
+    r = float(np.linalg.norm(v))
+    r_in, r_out = _ball_intervals(region)
+    # Outside the solid: past the outer sphere, or in a shell's hole.
+    if r > r_in:
         return Point3.from_array(c + v * (r_out / r))
     if r == 0.0:
         # Center of the hole: any inner-sphere point is closest; fix +x.
@@ -282,19 +300,10 @@ def regions_intersect(a: Region, b: Region) -> bool:
             return False
         return True
     for first, second in ((a, b), (b, a)):
-        if not isinstance(first.shape, Sampled):
-            continue
-        tol = touch_tolerance(second)
-        pts = first.shape.points
-        if isinstance(second.shape, (Sphere, Shell)):
-            dists = np.linalg.norm(pts - second.center.as_array(), axis=1)
-            r_in, r_out = _ball_intervals(second)
-            if np.any((dists >= r_in - tol) & (dists <= r_out + tol)):
-                return True
-            continue
-        for i in range(pts.shape[0]):
-            if region_contains(second, Point3.from_array(pts[i]), tol=tol):
-                return True
+        if isinstance(first.shape, Sampled) and contains(
+            second, first.shape.points, touch_tolerance(second)
+        ).any():
+            return True
     return False
 
 
@@ -488,10 +497,9 @@ class Tour:
 
 def tour_length(tour: Tour) -> float:
     """Sum of consecutive edge lengths, plus the closing edge if closed."""
-    pts = tour.waypoints
-    if len(pts) <= 1:
+    if len(tour.waypoints) <= 1:
         return 0.0
-    arr = np.array([[p.x, p.y, p.z] for p in pts], dtype=float)
+    arr = waypoints_array(tour)
     total = float(np.sum(np.linalg.norm(np.diff(arr, axis=0), axis=1)))
     if tour.closed:
         total += float(np.linalg.norm(arr[-1] - arr[0]))
@@ -499,5 +507,5 @@ def tour_length(tour: Tour) -> float:
 
 
 def waypoints_array(tour: Tour) -> np.ndarray:
-    """(n, 3) array view of the tour's waypoints."""
-    return np.array([[p.x, p.y, p.z] for p in tour.waypoints], dtype=float)
+    """(n, 3) array of the tour's waypoints; (0, 3) for an empty tour."""
+    return np.array([[p.x, p.y, p.z] for p in tour.waypoints], dtype=float).reshape(-1, 3)

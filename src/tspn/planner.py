@@ -24,12 +24,14 @@ from .geom import (
     Sphere,
     Tour,
     Visit,
+    _boundary_radii,
     closest_point_on_region,
     closest_pair_within,
+    contains,
     intersecting_pairs,
     max_diameter_segment,
-    region_contains,
     touch_tolerance,
+    tour_length,
     waypoints_array,
 )
 from .tsp import TspConfig, solve_order
@@ -179,13 +181,6 @@ def _polyline_length(pts: np.ndarray, close: bool = False) -> float:
     return total
 
 
-def _sampled_radius_for_direction(shape: Sampled, center: np.ndarray, u: np.ndarray) -> float:
-    dirs = shape.points - center
-    radii = np.linalg.norm(dirs, axis=1)
-    dirs = dirs / radii[:, None]
-    return float(radii[int(np.argmax(dirs @ u))])
-
-
 def _trace_perimeter(
     region: Region, plane_point: np.ndarray, axis_dir: np.ndarray, perimeter_step: float
 ) -> np.ndarray | None:
@@ -207,36 +202,25 @@ def _trace_perimeter(
             np.cos(thetas)[:, None] * e1 + np.sin(thetas)[:, None] * e2
         )
         return ring
-    # Sampled boundary: solve || p - c || = boundary_radius(dir(p - c)) per
-    # angle by bisection on the in-plane radius (star-shaped assumption).
+    # Sampled boundary: bisect the in-plane radius along every angle at
+    # once (star-shaped assumption). A ray whose final ``lo`` is still 0
+    # never entered the region.
     d_hi = region.d_max / 2.0
     n_seg = max(16, int(math.ceil(2.0 * math.pi * d_hi / perimeter_step)))
     thetas = np.linspace(0.0, 2.0 * math.pi, n_seg, endpoint=False)
-    pts = []
+    rays = np.cos(thetas)[:, None] * e1 + np.sin(thetas)[:, None] * e2
     base = c + h_axial * axis_dir
-    for th in thetas:
-        w = math.cos(th) * e1 + math.sin(th) * e2
-        lo, hi = 0.0, d_hi * 1.5
-        hit = None
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            p = base + mid * w
-            v = p - c
-            r = float(np.linalg.norm(v))
-            if r < 1e-12:
-                lo = mid
-                continue
-            r_b = _sampled_radius_for_direction(shape, c, v / r)
-            if r <= r_b:
-                lo = mid
-                hit = p
-            else:
-                hi = mid
-        if hit is not None:
-            pts.append(hit)
-    if len(pts) < 3:
+    lo = np.zeros(n_seg)
+    hi = np.full(n_seg, d_hi * 1.5)
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        inside = contains(region, base + mid[:, None] * rays, tol=0.0)
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    hit = lo > 0.0
+    if np.count_nonzero(hit) < 3:
         return None
-    return np.array(pts)
+    return base + lo[hit, None] * rays[hit]
 
 
 def _boundary_normal(region: Region, p: np.ndarray) -> np.ndarray:
@@ -430,33 +414,10 @@ class NondisjointPlan:
     patched_ids: tuple[str, ...]
 
 
-def _first_containing_index(arr: np.ndarray, region: Region, tol: float) -> int | None:
-    """Index of the first waypoint row of ``arr`` (W, 3) inside the region."""
-    c = region.center.as_array()
-    dists = np.linalg.norm(arr - c, axis=1)
-    shape = region.shape
-    if isinstance(shape, Sphere):
-        hits = np.nonzero(dists <= shape.diameter / 2.0 + tol)[0]
-        return int(hits[0]) if hits.size else None
-    if isinstance(shape, Shell):
-        hits = np.nonzero(
-            (dists >= shape.inner_diameter / 2.0 - tol)
-            & (dists <= shape.outer_diameter / 2.0 + tol)
-        )[0]
-        return int(hits[0]) if hits.size else None
-    candidates = np.nonzero(dists <= region.d_max / 2.0 + tol)[0]
-    for i in candidates:
-        if region_contains(region, Point3.from_array(arr[i]), tol=tol):
-            return int(i)
-    return None
-
-
 def plan_nondisjoint_detailed(
     start: Point3,
     scene: Scene,
     tsp: TspConfig | None = None,
-    perimeter_step: float | None = None,
-    spike_spacing: float | None = None,
 ) -> NondisjointPlan:
     """Center-visit over a maximal independent set, with detours spliced in.
 
@@ -493,13 +454,7 @@ def plan_nondisjoint_detailed(
         if neighbor_count.get(visit.object_id, 0) == 0:
             continue
         owner = by_id[visit.object_id].region
-        plan = build_detour(
-            owner,
-            scene.d_min_global,
-            perimeter_step=perimeter_step,
-            spike_spacing=spike_spacing,
-            owner_id=visit.object_id,
-        )
+        plan = build_detour(owner, scene.d_min_global, owner_id=visit.object_id)
         detours.append(plan)
         if len(plan.stitched) == 0:
             continue
@@ -515,7 +470,7 @@ def plan_nondisjoint_detailed(
     patched: list[str] = []
     for obj in scene.objects:
         tol = touch_tolerance(obj.region, scene.d_min_global)
-        if _first_containing_index(arr, obj.region, tol) is not None:
+        if contains(obj.region, arr, tol).any():
             continue
         c = obj.region.center.as_array()
         near = int(np.argmin(np.linalg.norm(arr - c, axis=1)))
@@ -526,10 +481,10 @@ def plan_nondisjoint_detailed(
     visits = []
     for obj in scene.objects:
         tol = touch_tolerance(obj.region, scene.d_min_global)
-        idx = _first_containing_index(arr, obj.region, tol)
-        if idx is None:
+        hits = np.flatnonzero(contains(obj.region, arr, tol))
+        if not hits.size:
             raise ContractError(f"object {obj.id!r} left untouched after patching")
-        visits.append(Visit(object_id=obj.id, waypoint_index=idx))
+        visits.append(Visit(object_id=obj.id, waypoint_index=int(hits[0])))
 
     tour = Tour(
         waypoints=tuple(Point3.from_array(w) for w in arr),
@@ -671,10 +626,7 @@ def _region_surface_samples(region: Region, n: int) -> np.ndarray:
     shape = region.shape
     if isinstance(shape, (Sphere, Shell)):
         return c + dirs * (region.d_max / 2.0)
-    radii = np.array(
-        [_sampled_radius_for_direction(shape, c, dirs[i]) for i in range(n)]
-    )
-    return c + dirs * radii[:, None]
+    return c + dirs * _boundary_radii(shape, c, dirs)[:, None]
 
 
 def _mst_adjacency(pts: np.ndarray, root: int) -> list[list[int]]:
@@ -720,7 +672,6 @@ def alpha_fat_baseline(
     start: Point3,
     scene: Scene,
     samples_per_region: int = 108,
-    tsp: TspConfig | None = None,
 ) -> Tour:
     """Greedy surface-representative baseline.
 
@@ -735,8 +686,6 @@ def alpha_fat_baseline(
     """
     if samples_per_region < 4:
         raise ContractError("samples_per_region must be >= 4")
-    if tsp is None:
-        tsp = TspConfig()
     if len(scene) == 0:
         return Tour(waypoints=(start,), closed=False)
     n = len(scene)
@@ -823,10 +772,8 @@ def validate_bounds(
     count bound only applies to pairwise-disjoint scenes; overlapping
     scenes are flagged not-applicable rather than failed.
     """
-    from .geom import tour_length as _tl
-
     n = len(scene)
-    length = _tl(tour)
+    length = tour_length(tour)
     d_min = scene.d_min_global
     bound = region_count_bound(d_min, length)
     disjoint = scene_is_disjoint(scene)
@@ -867,9 +814,8 @@ def validate_bounds(
 def missed_objects(tour: Tour, scene: Scene) -> list[str]:
     """Ids of scene objects no tour waypoint touches (within tolerance)."""
     arr = waypoints_array(tour)
-    missed = []
-    for obj in scene.objects:
-        tol = touch_tolerance(obj.region, scene.d_min_global)
-        if _first_containing_index(arr, obj.region, tol) is None:
-            missed.append(obj.id)
-    return missed
+    return [
+        obj.id
+        for obj in scene.objects
+        if not contains(obj.region, arr, touch_tolerance(obj.region, scene.d_min_global)).any()
+    ]

@@ -24,7 +24,6 @@ class TspConfig:
     solver: str = "heuristic"
     exact_max_n: int = 12
     two_opt_max_passes: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         if self.solver not in ("exact", "heuristic"):

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from tspn.geom import Sampled, Shell, Sphere
+
 
 def brute_closest_sample(samples: np.ndarray, p) -> np.ndarray:
     """Plain-python scan for the boundary sample nearest to p."""
@@ -210,3 +212,86 @@ def dense_closest_pair(points: np.ndarray) -> tuple[int, int, float]:
     diff[np.diag_indices(len(points))] = np.inf
     i, j = np.unravel_index(int(np.argmin(diff)), diff.shape)
     return int(i), int(j), float(diff[i, j])
+
+
+# --------------------------------------------------------------------------- scalar containment
+# The point-at-a-time containment paths that ``geom.contains`` replaced.
+# They take the distance to the center with numpy's 1-D norm and look up
+# the boundary radius once per direction.
+
+
+def scalar_region_contains(region, p: np.ndarray, tol: float) -> bool:
+    """One point against one region, with the 1-D norm."""
+    c = region.center.as_array()
+    v = np.asarray(p, dtype=float) - c
+    r = float(np.linalg.norm(v))
+    s = region.shape
+    if isinstance(s, Sphere):
+        return r <= s.diameter / 2.0 + tol
+    if isinstance(s, Shell):
+        return s.inner_diameter / 2.0 - tol <= r <= s.outer_diameter / 2.0 + tol
+    radii = np.linalg.norm(s.points - c, axis=1)
+    if r <= float(radii.min()) + tol:
+        return True
+    if r > float(radii.max()) + tol:
+        return False
+    return r <= scalar_boundary_radius(s, c, v / r) + tol
+
+
+def scalar_boundary_radius(shape, center: np.ndarray, u: np.ndarray) -> float:
+    """Radius of the boundary sample nearest in direction to the unit vector ``u``."""
+    dirs = shape.points - center
+    radii = np.linalg.norm(dirs, axis=1)
+    dirs = dirs / radii[:, None]
+    return float(radii[int(np.argmax(dirs @ u))])
+
+
+def per_direction_surface_samples(region, dirs: np.ndarray) -> np.ndarray:
+    """Sampled boundary points along each direction, one radius lookup per direction."""
+    c = region.center.as_array()
+    radii = np.array([scalar_boundary_radius(region.shape, c, dirs[i]) for i in range(len(dirs))])
+    return c + dirs * radii[:, None]
+
+
+def loop_regions_intersect(a, b, touch_tolerance) -> bool:
+    """Sampled-pair intersection: boundary samples tested one at a time, both ways."""
+    for first, second in ((a, b), (b, a)):
+        if not isinstance(first.shape, Sampled):
+            continue
+        tol = touch_tolerance(second)
+        if any(scalar_region_contains(second, q, tol) for q in first.shape.points):
+            return True
+    return False
+
+
+def scalar_trace_perimeter(region, plane_point, axis_dir, perimeter_step, plane_basis):
+    """Sampled-boundary ring of one cutting plane, bisected one angle at a time."""
+    c = region.center.as_array()
+    e1, e2 = plane_basis(axis_dir)
+    h_axial = float((plane_point - c) @ axis_dir)
+    d_hi = region.d_max / 2.0
+    n_seg = max(16, int(math.ceil(2.0 * math.pi * d_hi / perimeter_step)))
+    base = c + h_axial * axis_dir
+    pts = []
+    for th in np.linspace(0.0, 2.0 * math.pi, n_seg, endpoint=False):
+        w = math.cos(th) * e1 + math.sin(th) * e2
+        lo, hi = 0.0, d_hi * 1.5
+        hit = None
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            p = base + mid * w
+            v = p - c
+            r = float(np.linalg.norm(v))
+            if r < 1e-12:
+                lo = mid
+                continue
+            if r <= scalar_boundary_radius(region.shape, c, v / r):
+                lo = mid
+                hit = p
+            else:
+                hi = mid
+        if hit is not None:
+            pts.append(hit)
+    if len(pts) < 3:
+        return None
+    return np.array(pts)

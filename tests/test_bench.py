@@ -138,15 +138,6 @@ def test_csv_headers_and_shape():
     assert len(agg_csv.splitlines()) == 2
 
 
-def test_thread_pool_matches_sequential_lengths():
-    cfg = SceneConfig(n_objects=8, seed=50, **CAR)
-    seq = run_comparison([cfg], ["center-visit", "online"], seeds=3, max_threads=1)
-    par = run_comparison([cfg], ["center-visit", "online"], seeds=3, max_threads=4)
-    assert [(r.method, r.seed, r.length_m) for r in seq.rows] == [
-        (r.method, r.seed, r.length_m) for r in par.rows
-    ]
-
-
 def test_unknown_method_rejected():
     cfg = SceneConfig(n_objects=3, seed=1, **CAR)
     with pytest.raises(ContractError):

@@ -183,3 +183,57 @@ def test_help_available_for_every_subcommand(capsys):
         assert code == 0
         out = capsys.readouterr().out
         assert "usage" in out
+
+
+def _malformed_exits_1(capsys, argv, message):
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
+def test_malformed_scene_and_trajectory_name_the_field(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    assert run(["gen-scene", "--n", "3", "--dmin", "4", "--dmax", "6",
+                "--disjoint", "--seed", "2", "--out", str(scene)]) == 0
+    traj = tmp_path / "traj.json"
+    assert run(["plan", "--scene", str(scene), "--seed", "2", "--out", str(traj)]) == 0
+    good_scene, good_traj = json.loads(scene.read_text()), json.loads(traj.read_text())
+    out = str(tmp_path / "t.json")
+
+    doc = json.loads(json.dumps(good_scene))
+    doc["objects"][0]["center_m"] = [1.0, 2.0]
+    scene.write_text(json.dumps(doc))
+    _malformed_exits_1(capsys, ["plan", "--scene", str(scene), "--seed", "1", "--out", out],
+                       "objects[0].center_m: expected 3 numbers, got [1.0, 2.0]")
+
+    doc = json.loads(json.dumps(good_scene))
+    del doc["d_max_m"]
+    scene.write_text(json.dumps(doc))
+    _malformed_exits_1(capsys, ["plan", "--scene", str(scene), "--seed", "1", "--out", out],
+                       "d_max_m: missing")
+
+    doc = json.loads(json.dumps(good_scene))
+    doc["objects"][2]["shape"]["diameter_m"] = None
+    scene.write_text(json.dumps(doc))
+    _malformed_exits_1(capsys, ["mis", "--scene", str(scene), "--out", out],
+                       "objects[2].shape.diameter_m: expected a number, got null")
+
+    scene.write_text(json.dumps(good_scene))
+    doc = json.loads(json.dumps(good_traj))
+    doc["waypoints_m"][1] = [0.5, "x", 1.0]
+    traj.write_text(json.dumps(doc))
+    _malformed_exits_1(capsys, ["validate", "--scene", str(scene), "--traj", str(traj)],
+                       'waypoints_m[1]: expected 3 numbers, got [0.5, "x", 1.0]')
+
+    doc = json.loads(json.dumps(good_traj))
+    doc["waypoints_m"][1] = [0.5, 1.0]
+    traj.write_text(json.dumps(doc))
+    _malformed_exits_1(capsys, ["validate", "--scene", str(scene), "--traj", str(traj)],
+                       "waypoints_m[1]: expected 3 numbers, got [0.5, 1.0]")
+
+    doc = json.loads(json.dumps(good_traj))
+    doc["visits"] = {"object_id": "obj-000"}
+    traj.write_text(json.dumps(doc))
+    _malformed_exits_1(capsys, ["validate", "--scene", str(scene), "--traj", str(traj)],
+                       'visits: expected a list, got {"object_id": "obj-000"}')

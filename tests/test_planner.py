@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 
-from tspn import Point3, Region, Scene, SceneObject, Sphere, TspConfig, tour_length
+from tspn import Point3, Region, Scene, SceneObject, Sphere, Tour, TspConfig, tour_length
+from tspn.geom import waypoints_array
 from tspn.planner import (
     BoundReport,
     ONLINE_PACKING_ALPHA,
@@ -252,3 +253,12 @@ def test_alpha_fat_touches_every_region():
     tour = alpha_fat_baseline(Point3(0, 0, 0), scene, samples_per_region=32)
     assert missed_objects(tour, scene) == []
     assert sorted(v.object_id for v in tour.visits) == sorted(o.id for o in scene.objects)
+
+
+def test_empty_tour_misses_every_object():
+    rng = np.random.default_rng(15)
+    scene = disjoint_sphere_scene(rng, 5, 4.0, 6.0)
+    empty = Tour(waypoints=())
+    assert waypoints_array(empty).shape == (0, 3)
+    assert tour_length(empty) == 0.0
+    assert missed_objects(empty, scene) == [o.id for o in scene.objects]
