@@ -189,12 +189,12 @@ def _number(doc, key: str, path: str = "") -> float:
     return float(v)
 
 
-def _point(v, name: str, index: int | None = None) -> Point3:
-    """A JSON ``[x, y, z]`` as a Point3; anything else names the field (``name[index]``)."""
+def _point(v, name: str, index: int | None = None) -> list:
+    """A JSON ``[x, y, z]``, checked; anything else names the field (``name[index]``)."""
     if not (type(v) is list and len(v) == 3 and _NUMBERS.issuperset(map(type, v))):
         where = name if index is None else f"{name}[{index}]"
         raise ContractError(f"{where}: expected 3 numbers, got {json.dumps(v)}")
-    return Point3(*v)
+    return v
 
 
 def _shape_from_json(obj, path: str):
@@ -240,7 +240,7 @@ def scene_from_json(text: str) -> Scene:
     for i, o in enumerate(_list(doc, "objects")):
         at = f"objects[{i}]."
         region = Region(
-            center=_point(_field(o, "center_m", at), at + "center_m"),
+            center=Point3(*_point(_field(o, "center_m", at), at + "center_m")),
             shape=_shape_from_json(_field(o, "shape", at), at + "shape."),
         )
         objects.append(SceneObject(id=_field(o, "id", at), region=region))
@@ -255,7 +255,7 @@ def scene_from_json(text: str) -> Scene:
 def tour_to_json(tour: Tour) -> str:
     doc = {
         "length_m": tour_length(tour),
-        "waypoints_m": [[p.x, p.y, p.z] for p in tour.waypoints],
+        "waypoints_m": tour.waypoints.tolist(),
         "visits": [
             {"object_id": v.object_id, "waypoint_index": v.waypoint_index} for v in tour.visits
         ],
@@ -266,10 +266,9 @@ def tour_to_json(tour: Tour) -> str:
 def tour_from_json(text: str) -> Tour:
     """Parse a trajectory document; malformed fields raise ContractError naming their path."""
     doc = json.loads(text)
+    waypoints = [_point(w, "waypoints_m", i) for i, w in enumerate(_list(doc, "waypoints_m"))]
     return Tour(
-        waypoints=tuple(
-            _point(w, "waypoints_m", i) for i, w in enumerate(_list(doc, "waypoints_m"))
-        ),
+        waypoints=np.array(waypoints, dtype=float).reshape(-1, 3),
         closed=False,
         visits=tuple(
             Visit(

@@ -223,7 +223,7 @@ def _cmd_online(args) -> int:
             {
                 "object_id": o.object_id,
                 "realized_diameter_m": o.realized_diameter,
-                "detected_at_m": [o.detected_at.x, o.detected_at.y, o.detected_at.z],
+                "detected_at_m": o.detected_at.tolist(),
             }
             for o in outcomes
         ]
@@ -251,17 +251,13 @@ def _cmd_detour(args) -> int:
     )
     doc = {
         "owner_id": plan.owner_id,
-        "axis_m": [[p.x, p.y, p.z] for p in plan.axis],
+        "axis_m": plan.axis.tolist(),
         "length_m": plan.length,
-        "perimeters_m": [[[q.x, q.y, q.z] for q in ring] for ring in plan.perimeters],
+        "perimeters_m": [ring.tolist() for ring in plan.perimeters],
         "spikes_m": [
-            {
-                "c_in_m": [s.c_in.x, s.c_in.y, s.c_in.z],
-                "c_out_m": [s.c_out.x, s.c_out.y, s.c_out.z],
-            }
-            for s in plan.spikes
+            {"c_in_m": c_in.tolist(), "c_out_m": c_out.tolist()} for c_in, c_out in plan.spikes
         ],
-        "stitched_m": [[p.x, p.y, p.z] for p in plan.stitched],
+        "stitched_m": plan.stitched.tolist(),
     }
     _write(args.out, json.dumps(doc, indent=2) + "\n")
     return 0

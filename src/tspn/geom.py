@@ -1,5 +1,9 @@
 """Core 3D primitives: points, diameter-bounded regions, scenes and tours.
 
+``Point3`` is a position a user gives: a start pose or a region center.
+Every point a planner makes (waypoints, touch points, detour curves) is a
+row of a float64 ``(k, 3)`` array.
+
 Regions come in three shapes. ``Sphere`` and ``Shell`` are exact solids
 (a ball, and the solid between two concentric spheres). ``Sampled`` is a
 non-convex region represented by a boundary point cloud with outward
@@ -241,8 +245,8 @@ def region_contains(region: Region, p: Point3, tol: float | None = None) -> bool
     return bool(contains(region, p.as_array()[None, :], tol)[0])
 
 
-def closest_point_on_region(region: Region, p: Point3) -> Point3:
-    """Point of the region minimizing distance to ``p``.
+def closest_point_on_region(region: Region, p: np.ndarray) -> np.ndarray:
+    """Point (3,) of the region minimizing distance to the point ``p`` (3,).
 
     Spheres and shells are solids: a point already inside is returned
     unchanged, otherwise ``p`` is projected radially onto the nearest
@@ -253,22 +257,21 @@ def closest_point_on_region(region: Region, p: Point3) -> Point3:
     if isinstance(s, Sampled):
         if s.points.shape[0] == 0:
             raise InvalidRegionError("sampled region has no boundary points")
-        d2 = np.sum((s.points - p.as_array()) ** 2, axis=1)
-        return Point3.from_array(s.points[int(np.argmin(d2))])
-    q = p.as_array()
-    if contains(region, q[None, :], tol=0.0)[0]:
+        d2 = np.sum((s.points - p) ** 2, axis=1)
+        return s.points[int(np.argmin(d2))]
+    if contains(region, p[None, :], tol=0.0)[0]:
         return p
     c = region.center.as_array()
-    v = q - c
+    v = p - c
     r = float(np.linalg.norm(v))
     r_in, r_out = _ball_intervals(region)
     # Outside the solid: past the outer sphere, or in a shell's hole.
     if r > r_in:
-        return Point3.from_array(c + v * (r_out / r))
+        return c + v * (r_out / r)
     if r == 0.0:
         # Center of the hole: any inner-sphere point is closest; fix +x.
-        return Point3.from_array(c + np.array([r_in, 0.0, 0.0]))
-    return Point3.from_array(c + v * (r_in / r))
+        return c + np.array([r_in, 0.0, 0.0])
+    return c + v * (r_in / r)
 
 
 def _ball_intervals(region: Region) -> tuple[float, float]:
@@ -379,7 +382,7 @@ def intersecting_pairs(regions) -> list[tuple[int, int]]:
     """
     if len(regions) < 2:
         return []
-    centers = np.array([(r.center.x, r.center.y, r.center.z) for r in regions], dtype=float)
+    centers = points_array(r.center for r in regions)
     reach = np.array([region_reach(r) for r in regions])
     pairs: list[tuple[int, int]] = []
     for i, near, dist in _near_pairs(centers, 2.0 * float(reach.max())):
@@ -404,8 +407,8 @@ def closest_pair_within(points: np.ndarray, radius: float) -> tuple[int, int] | 
     return None if best is None else (best[1], best[2])
 
 
-def max_diameter_segment(region: Region) -> tuple[Point3, Point3]:
-    """Endpoints of a farthest pair of the region.
+def max_diameter_segment(region: Region) -> np.ndarray:
+    """Endpoints (2, 3) of a farthest pair of the region.
 
     Spheres and shells return the antipodal pair along world +x (a fixed
     deterministic choice). Sampled regions scan all boundary pairs.
@@ -415,12 +418,9 @@ def max_diameter_segment(region: Region) -> tuple[Point3, Point3]:
     if isinstance(s, (Sphere, Shell)):
         rad = region.d_max / 2.0
         off = np.array([rad, 0.0, 0.0])
-        return Point3.from_array(c - off), Point3.from_array(c + off)
-    pts = s.points
-    _, i, j = _farthest_pair(pts)
-    if i > j:
-        i, j = j, i
-    return Point3.from_array(pts[i]), Point3.from_array(pts[j])
+        return np.array([c - off, c + off])
+    _, i, j = _farthest_pair(s.points)
+    return s.points[[min(i, j), max(i, j)]]
 
 
 @dataclass(frozen=True)
@@ -465,7 +465,7 @@ class Scene:
         for obj in self.objects:
             if obj.id == object_id:
                 return obj
-        raise KeyError(object_id)
+        raise ContractError(f"no object with id {object_id!r}")
 
 
 @dataclass(frozen=True)
@@ -476,16 +476,27 @@ class Visit:
 
 @dataclass(frozen=True, eq=False)
 class Tour:
-    """Ordered waypoints with per-object visit annotations."""
+    """Ordered waypoints with per-object visit annotations.
 
-    waypoints: tuple[Point3, ...]
+    ``waypoints`` is stored as a read-only float64 ``(k, 3)`` copy of what
+    is given (``k = 0`` allowed); a shape other than ``(k, 3)`` or a
+    non-finite coordinate raises ``ContractError``.
+    """
+
+    waypoints: np.ndarray
     closed: bool = False
     visits: tuple[Visit, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "waypoints", tuple(self.waypoints))
+        w = np.array(self.waypoints, dtype=float)
+        if w.ndim != 2 or w.shape[1] != 3:
+            raise ContractError(f"waypoints must have shape (k, 3), got {w.shape}")
+        if not np.isfinite(w).all():
+            raise ContractError("non-finite waypoint coordinate")
+        w.flags.writeable = False
+        object.__setattr__(self, "waypoints", w)
         object.__setattr__(self, "visits", tuple(self.visits))
-        n = len(self.waypoints)
+        n = len(w)
         for v in self.visits:
             if not (0 <= v.waypoint_index < n):
                 raise ContractError(f"visit index {v.waypoint_index} out of range")
@@ -495,17 +506,21 @@ class Tour:
         return tour_length(self)
 
 
-def tour_length(tour: Tour) -> float:
-    """Sum of consecutive edge lengths, plus the closing edge if closed."""
-    if len(tour.waypoints) <= 1:
+def points_array(points) -> np.ndarray:
+    """(n, 3) float array of the user-given ``Point3`` positions in ``points``."""
+    return np.array([(p.x, p.y, p.z) for p in points], dtype=float).reshape(-1, 3)
+
+
+def polyline_length(points: np.ndarray, closed: bool = False) -> float:
+    """Sum of the edge lengths of a (k, 3) polyline, plus the closing edge if ``closed``."""
+    if len(points) < 2:
         return 0.0
-    arr = waypoints_array(tour)
-    total = float(np.sum(np.linalg.norm(np.diff(arr, axis=0), axis=1)))
-    if tour.closed:
-        total += float(np.linalg.norm(arr[-1] - arr[0]))
+    total = float(np.sum(np.linalg.norm(np.diff(points, axis=0), axis=1)))
+    if closed:
+        total += float(np.linalg.norm(points[-1] - points[0]))
     return total
 
 
-def waypoints_array(tour: Tour) -> np.ndarray:
-    """(n, 3) array of the tour's waypoints; (0, 3) for an empty tour."""
-    return np.array([[p.x, p.y, p.z] for p in tour.waypoints], dtype=float).reshape(-1, 3)
+def tour_length(tour: Tour) -> float:
+    """Sum of consecutive edge lengths, plus the closing edge if closed."""
+    return polyline_length(tour.waypoints, tour.closed)

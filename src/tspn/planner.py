@@ -30,9 +30,10 @@ from .geom import (
     contains,
     intersecting_pairs,
     max_diameter_segment,
+    points_array,
+    polyline_length,
     touch_tolerance,
     tour_length,
-    waypoints_array,
 )
 from .tsp import TspConfig, solve_order
 
@@ -65,11 +66,12 @@ def online_tour_lower_bound(n_objects: int, d_min_global: float) -> float:
 # --------------------------------------------------------------------------- center visit
 
 
-def _rotate_to_nearest(order: list[int], points: list[Point3], start: Point3) -> list[int]:
-    """Rotate a cyclic visiting order so it begins nearest the start pose."""
+def _rotate_to_nearest(order: list[int], points: np.ndarray, start: Point3) -> list[int]:
+    """Rotate a cyclic visiting order over ``points`` (n, 3) to begin nearest the start pose."""
     if not order:
         return order
-    dists = [start.distance_to(points[i]) for i in order]
+    s = (start.x, start.y, start.z)
+    dists = [math.dist(s, points[i]) for i in order]
     k = int(np.argmin(dists))
     return order[k:] + order[:k]
 
@@ -83,20 +85,17 @@ def center_visit(start: Point3, scene: Scene, tsp: TspConfig | None = None) -> T
     """
     if tsp is None:
         tsp = TspConfig()
+    waypoints = [start.as_array()]
     if len(scene) == 0:
-        return Tour(waypoints=(start,), closed=False)
-    centers = [obj.region.center for obj in scene.objects]
+        return Tour(waypoints=waypoints, closed=False)
+    centers = points_array(obj.region.center for obj in scene.objects)
     order = _rotate_to_nearest(solve_order(centers, tsp), centers, start)
-    waypoints = [start]
     visits = []
-    last = start
     for idx in order:
         obj = scene.objects[idx]
-        q = closest_point_on_region(obj.region, last)
-        waypoints.append(q)
+        waypoints.append(closest_point_on_region(obj.region, waypoints[-1]))
         visits.append(Visit(object_id=obj.id, waypoint_index=len(waypoints) - 1))
-        last = q
-    return Tour(waypoints=tuple(waypoints), closed=False, visits=tuple(visits))
+    return Tour(waypoints=waypoints, closed=False, visits=tuple(visits))
 
 
 # --------------------------------------------------------------------------- independent set
@@ -142,24 +141,27 @@ def maximal_independent_set(scene: Scene) -> MisResult:
 # --------------------------------------------------------------------------- detour
 
 
-@dataclass(frozen=True)
-class Spike:
-    """Out-and-back probe segment crossing the region boundary."""
-
-    c_in: Point3
-    c_out: Point3
-
-
 @dataclass(frozen=True, eq=False)
 class DetourPlan:
-    """Perimeter curves plus spikes around one region, stitched into a path."""
+    """Perimeter curves plus spikes around one region, stitched into a path.
+
+    Every point set is a read-only float64 array: ``axis`` (2, 3) holds the
+    farthest-pair endpoints, each ring of ``perimeters`` is (k, 3),
+    ``spikes`` is (m, 2, 3) with one (inner tip, outer tip) pair per
+    out-and-back probe across the boundary, and ``stitched`` (k, 3) is the
+    path, at least one point long.
+    """
 
     owner_id: str
-    axis: tuple[Point3, Point3]
-    perimeters: tuple[tuple[Point3, ...], ...]
-    spikes: tuple[Spike, ...]
-    stitched: tuple[Point3, ...]
+    axis: np.ndarray
+    perimeters: tuple[np.ndarray, ...]
+    spikes: np.ndarray
+    stitched: np.ndarray
     length: float
+
+    def __post_init__(self):
+        for points in (self.axis, self.spikes, self.stitched, *self.perimeters):
+            points.flags.writeable = False
 
 
 def _plane_basis(axis_dir: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,15 +172,6 @@ def _plane_basis(axis_dir: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(axis_dir, e1)
     return e1, e2
-
-
-def _polyline_length(pts: np.ndarray, close: bool = False) -> float:
-    if len(pts) < 2:
-        return 0.0
-    total = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
-    if close:
-        total += float(np.linalg.norm(pts[-1] - pts[0]))
-    return total
 
 
 def _trace_perimeter(
@@ -279,21 +272,12 @@ def build_detour(
     if perimeter_step <= 0 or spike_spacing <= 0:
         raise ContractError("perimeter_step and spike_spacing must be positive")
 
-    a_pt, b_pt = max_diameter_segment(owner)
-    a = a_pt.as_array()
-    b = b_pt.as_array()
+    axis = max_diameter_segment(owner)
+    a, b = axis
     ab = b - a
     ab_len = float(np.linalg.norm(ab))
-    tol = touch_tolerance(owner, d_min_global)
-    if ab_len < tol:
-        return DetourPlan(
-            owner_id=owner_id,
-            axis=(a_pt, b_pt),
-            perimeters=(),
-            spikes=(),
-            stitched=(a_pt,),
-            length=0.0,
-        )
+    if ab_len < touch_tolerance(owner, d_min_global):
+        return _point_detour(owner_id, axis)
     axis_dir = ab / ab_len
     d = d_min_global
     budget = detour_length_limit(owner.d_max, d)
@@ -313,16 +297,9 @@ def build_detour(
         mid = _trace_perimeter(owner, a + 0.5 * ab, axis_dir, perimeter_step)
         rings = [mid] if mid is not None else []
     if not rings:
-        return DetourPlan(
-            owner_id=owner_id,
-            axis=(a_pt, b_pt),
-            perimeters=(),
-            spikes=(),
-            stitched=(a_pt,),
-            length=0.0,
-        )
+        return _point_detour(owner_id, axis)
 
-    ring_lens = [_polyline_length(r, close=True) for r in rings]
+    ring_lens = [polyline_length(r, closed=True) for r in rings]
 
     # Endpoint spikes along the boundary normals at a and b give the
     # stitched path polar reach; include them when the budget allows.
@@ -361,10 +338,10 @@ def build_detour(
                 progressing = True
 
     stitched: list[np.ndarray] = []
-    spikes: list[Spike] = []
+    spikes: list[tuple[np.ndarray, np.ndarray]] = []
     if with_poles:
         stitched.extend([a_out, a_in])
-        spikes.append(Spike(Point3.from_array(a_in), Point3.from_array(a_out)))
+        spikes.append((a_in, a_out))
     for j, ring in enumerate(rings):
         anchor_idx = set(_arc_positions(ring, counts[j])) if counts[j] > 0 else set()
         for k in range(len(ring)):
@@ -383,21 +360,32 @@ def build_detour(
                 c_in = p - 0.5 * d * n_hat
                 c_out = p + 0.5 * d * n_hat
                 stitched.extend([c_in, c_out, p])
-                spikes.append(Spike(Point3.from_array(c_in), Point3.from_array(c_out)))
+                spikes.append((c_in, c_out))
         stitched.append(ring[0])  # close the loop
     if with_poles:
         stitched.extend([b_in, b_out])
-        spikes.append(Spike(Point3.from_array(b_in), Point3.from_array(b_out)))
+        spikes.append((b_in, b_out))
 
-    arr = np.array(stitched)
-    length = _polyline_length(arr)
+    path = np.array(stitched)
     return DetourPlan(
         owner_id=owner_id,
-        axis=(a_pt, b_pt),
-        perimeters=tuple(tuple(Point3.from_array(q) for q in ring) for ring in rings),
-        spikes=tuple(spikes),
-        stitched=tuple(Point3.from_array(q) for q in arr),
-        length=length,
+        axis=axis,
+        perimeters=tuple(rings),
+        spikes=np.array(spikes).reshape(-1, 2, 3),
+        stitched=path,
+        length=polyline_length(path),
+    )
+
+
+def _point_detour(owner_id: str, axis: np.ndarray) -> DetourPlan:
+    """The detour of a region with no perimeter to walk: its first axis endpoint."""
+    return DetourPlan(
+        owner_id=owner_id,
+        axis=axis,
+        perimeters=(),
+        spikes=np.empty((0, 2, 3)),
+        stitched=axis[:1],
+        length=0.0,
     )
 
 
@@ -446,27 +434,24 @@ def plan_nondisjoint_detailed(
         return NondisjointPlan(tour=base, mis=mis, detours=(), patched_ids=())
 
     by_id = {o.id: o for o in scene.objects}
-    waypoints: list[np.ndarray] = [start.as_array()]
+    blocks: list[np.ndarray] = [base.waypoints[:1]]
     detours: list[DetourPlan] = []
     for visit in base.visits:
         touch = base.waypoints[visit.waypoint_index]
-        waypoints.append(touch.as_array())
+        blocks.append(touch[None])
         if neighbor_count.get(visit.object_id, 0) == 0:
             continue
         owner = by_id[visit.object_id].region
         plan = build_detour(owner, scene.d_min_global, owner_id=visit.object_id)
         detours.append(plan)
-        if len(plan.stitched) == 0:
-            continue
-        stitched = [q.as_array() for q in plan.stitched]
-        t = touch.as_array()
-        if np.linalg.norm(stitched[-1] - t) < np.linalg.norm(stitched[0] - t):
+        stitched = plan.stitched
+        if np.linalg.norm(stitched[-1] - touch) < np.linalg.norm(stitched[0] - touch):
             stitched = stitched[::-1]
-        waypoints.extend(stitched)
+        blocks.append(stitched)
 
     # Patch any object the trajectory still misses (rare: detours are
     # budget-capped, so grazing contacts can slip through discretization).
-    arr = np.array(waypoints)
+    arr = np.concatenate(blocks)
     patched: list[str] = []
     for obj in scene.objects:
         tol = touch_tolerance(obj.region, scene.d_min_global)
@@ -474,7 +459,7 @@ def plan_nondisjoint_detailed(
             continue
         c = obj.region.center.as_array()
         near = int(np.argmin(np.linalg.norm(arr - c, axis=1)))
-        q = closest_point_on_region(obj.region, Point3.from_array(arr[near])).as_array()
+        q = closest_point_on_region(obj.region, arr[near])
         arr = np.insert(arr, near + 1, [q, arr[near]], axis=0)
         patched.append(obj.id)
 
@@ -486,11 +471,7 @@ def plan_nondisjoint_detailed(
             raise ContractError(f"object {obj.id!r} left untouched after patching")
         visits.append(Visit(object_id=obj.id, waypoint_index=int(hits[0])))
 
-    tour = Tour(
-        waypoints=tuple(Point3.from_array(w) for w in arr),
-        closed=False,
-        visits=tuple(visits),
-    )
+    tour = Tour(waypoints=arr, closed=False, visits=tuple(visits))
     return NondisjointPlan(
         tour=tour, mis=mis, detours=tuple(detours), patched_ids=tuple(patched)
     )
@@ -504,17 +485,20 @@ def plan_nondisjoint(start: Point3, scene: Scene, tsp: TspConfig | None = None) 
 # --------------------------------------------------------------------------- online planner
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionOutcome:
+    """Where an object was detected: ``detected_at`` is a (3,) position."""
+
     object_id: str
     realized_diameter: float
-    detected_at: Point3
+    detected_at: np.ndarray
 
 
 class SimulationOracle:
     """Detection oracle realizing per-object diameters from a seed.
 
-    An object is detected from any position within its realized radius.
+    An object is detected from any position (a (3,) array) within its
+    realized radius.
     """
 
     def __init__(
@@ -529,12 +513,11 @@ class SimulationOracle:
             rng = np.random.default_rng(seed)
             draws = rng.uniform(d_min, d_max, size=len(centers))
             diameters = {oid: float(v) for (oid, _), v in zip(centers, draws)}
-        self._centers = {oid: c for oid, c in centers}
+        self._centers = {oid: (c.x, c.y, c.z) for oid, c in centers}
         self._diameters = dict(diameters)
 
-    def __call__(self, object_id: str, position: Point3) -> bool:
-        c = self._centers[object_id]
-        return position.distance_to(c) <= self._diameters[object_id] / 2.0
+    def __call__(self, object_id: str, position: np.ndarray) -> bool:
+        return math.dist(position, self._centers[object_id]) <= self._diameters[object_id] / 2.0
 
     def realized_diameter(self, object_id: str) -> float:
         return self._diameters[object_id]
@@ -551,16 +534,17 @@ def plan_online(
     """Walk toward each center until its detection oracle fires.
 
     Objects are ordered by a point tour over the centers; motion toward
-    each center is polled at step resolution ``d_min / 10`` and stops at
-    the first detecting position. Raises if an oracle never fires before
-    its center is reached.
+    each center is polled at step resolution ``d_min / 10`` (the oracle is
+    called as ``oracle(object_id, position)`` with a (3,) array) and stops
+    at the first detecting position. Raises if an oracle never fires
+    before its center is reached.
     """
     if tsp is None:
         tsp = TspConfig()
     if not (0 < d_min <= d_max):
         raise ContractError("need 0 < d_min <= d_max")
-    pts = [c for _, c in centers]
-    close = closest_pair_within(np.array([[p.x, p.y, p.z] for p in pts]), d_max)
+    pts = points_array(c for _, c in centers)
+    close = closest_pair_within(pts, d_max)
     if close is not None:
         i, j = close
         raise ContractError(
@@ -570,12 +554,12 @@ def plan_online(
     step = d_min / 10.0
     order = _rotate_to_nearest(solve_order(pts, tsp), pts, start)
     pos = start.as_array()
-    waypoints = [start]
+    waypoints = [pos]
     visits = []
     outcomes = []
     for idx in order:
-        oid, center = centers[idx]
-        c = center.as_array()
+        oid = centers[idx][0]
+        c = pts[idx]
         delta = c - pos
         dist = float(np.linalg.norm(delta))
         direction = delta / dist if dist > 0 else np.zeros(3)
@@ -584,7 +568,7 @@ def plan_online(
         while True:
             t = min(k * step, dist)
             p = pos + direction * t
-            if oracle(oid, Point3.from_array(p)):
+            if oracle(oid, p):
                 detected = p
                 break
             if t >= dist:
@@ -593,18 +577,16 @@ def plan_online(
                 )
             k += 1
         pos = detected
-        waypoints.append(Point3.from_array(detected))
+        waypoints.append(detected)
         visits.append(Visit(object_id=oid, waypoint_index=len(waypoints) - 1))
         if hasattr(oracle, "realized_diameter"):
             realized = float(oracle.realized_diameter(oid))
         else:
             realized = min(max(2.0 * float(np.linalg.norm(detected - c)), d_min), d_max)
         outcomes.append(
-            DetectionOutcome(
-                object_id=oid, realized_diameter=realized, detected_at=waypoints[-1]
-            )
+            DetectionOutcome(object_id=oid, realized_diameter=realized, detected_at=detected)
         )
-    tour = Tour(waypoints=tuple(waypoints), closed=False, visits=tuple(visits))
+    tour = Tour(waypoints=waypoints, closed=False, visits=tuple(visits))
     return tour, outcomes
 
 
@@ -686,14 +668,14 @@ def alpha_fat_baseline(
     """
     if samples_per_region < 4:
         raise ContractError("samples_per_region must be >= 4")
+    start_arr = start.as_array()
     if len(scene) == 0:
-        return Tour(waypoints=(start,), closed=False)
+        return Tour(waypoints=[start_arr], closed=False)
     n = len(scene)
     samples = np.stack(
         [_region_surface_samples(obj.region, samples_per_region) for obj in scene.objects]
     )  # (n, s, 3)
     flat = samples.reshape(n * samples_per_region, 3)
-    start_arr = start.as_array()
 
     d_start = np.linalg.norm(flat - start_arr, axis=1)
     first = int(np.argmin(d_start))
@@ -705,9 +687,7 @@ def alpha_fat_baseline(
     assigned[first_region] = True
     for _ in range(n - 1):
         masked = min_to_set.copy()
-        for r in range(n):
-            if assigned[r]:
-                masked[r * samples_per_region : (r + 1) * samples_per_region] = np.inf
+        masked.reshape(n, samples_per_region)[assigned] = np.inf
         pick = int(np.argmin(masked))
         region_idx = pick // samples_per_region
         reps[region_idx] = flat[pick]
@@ -718,18 +698,14 @@ def alpha_fat_baseline(
     root = int(np.argmin(np.linalg.norm(rep_arr - start_arr, axis=1)))
     walk = _doubled_tree_walk(_mst_adjacency(rep_arr, root), root)
 
-    waypoints = [start]
     visits = []
     seen: set[int] = set()
-    for idx in walk:
-        waypoints.append(Point3.from_array(rep_arr[idx]))
+    for k, idx in enumerate(walk, start=1):
         if idx not in seen:
             seen.add(idx)
-            visits.append(
-                Visit(object_id=scene.objects[idx].id, waypoint_index=len(waypoints) - 1)
-            )
-    visits.sort(key=lambda v: v.waypoint_index)
-    return Tour(waypoints=tuple(waypoints), closed=False, visits=tuple(visits))
+            visits.append(Visit(object_id=scene.objects[idx].id, waypoint_index=k))
+    waypoints = np.concatenate([start_arr[None], rep_arr[walk]])
+    return Tour(waypoints=waypoints, closed=False, visits=tuple(visits))
 
 
 # --------------------------------------------------------------------------- bound validation
@@ -813,7 +789,7 @@ def validate_bounds(
 
 def missed_objects(tour: Tour, scene: Scene) -> list[str]:
     """Ids of scene objects no tour waypoint touches (within tolerance)."""
-    arr = waypoints_array(tour)
+    arr = tour.waypoints
     return [
         obj.id
         for obj in scene.objects

@@ -2,8 +2,9 @@
 
 Two solvers behind one config: a dynamic-programming exact oracle for
 small instances (subset DP over vertex sets) and a nearest-neighbor +
-2-opt heuristic for production sizes. Both emit closed tours over the
-input points and are deterministic for a fixed input order.
+2-opt heuristic for production sizes. Both take the points as a (n, 3)
+array, emit closed tours over them and are deterministic for a fixed
+input order.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, SizeLimitError
-from .geom import Point3, Tour
+from .geom import Tour
 
 # Hard cap on the exact solver: 2^13 subset table is the largest we allow.
 EXACT_N_CEILING = 13
@@ -39,11 +40,7 @@ def _distance_matrix(pts: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
-def _closed_tour(points: list[Point3], order: list[int]) -> Tour:
-    return Tour(waypoints=tuple(points[i] for i in order), closed=True)
-
-
-def exact_order(points: list[Point3], exact_max_n: int = 12) -> list[int]:
+def exact_order(points: np.ndarray, exact_max_n: int = 12) -> list[int]:
     """Visiting order of the minimum-length closed tour (subset DP).
 
     Among equally-optimal tours the lexicographically smallest visiting
@@ -59,8 +56,7 @@ def exact_order(points: list[Point3], exact_max_n: int = 12) -> list[int]:
     if n == 2:
         return [0, 1]
 
-    pts = np.array([[p.x, p.y, p.z] for p in points], dtype=float)
-    dist = _distance_matrix(pts)
+    dist = _distance_matrix(points)
     full = 1 << n
 
     # g[mask, j] = shortest path starting at 0, visiting exactly the set
@@ -117,9 +113,9 @@ def exact_order(points: list[Point3], exact_max_n: int = 12) -> list[int]:
     return order
 
 
-def exact_tour(points: list[Point3], exact_max_n: int = 12) -> Tour:
+def exact_tour(points: np.ndarray, exact_max_n: int = 12) -> Tour:
     """Minimum-length closed tour by subset dynamic programming."""
-    return _closed_tour(points, exact_order(points, exact_max_n=exact_max_n))
+    return Tour(waypoints=points[exact_order(points, exact_max_n=exact_max_n)], closed=True)
 
 
 def _nearest_neighbor_order_from(dist: np.ndarray, start: int) -> list[int]:
@@ -135,10 +131,6 @@ def _nearest_neighbor_order_from(dist: np.ndarray, start: int) -> list[int]:
         visited[cur] = True
         order.append(cur)
     return order
-
-
-def _nearest_neighbor_order(dist: np.ndarray) -> list[int]:
-    return _nearest_neighbor_order_from(dist, 0)
 
 
 def _two_opt(order: list[int], dist: np.ndarray, max_passes: int) -> list[int]:
@@ -225,7 +217,7 @@ def _closed_length(order: list[int], dist: np.ndarray) -> float:
 _INTENSIVE_SEARCH_MAX_N = 32
 
 
-def heuristic_order(points: list[Point3], config: TspConfig | None = None) -> list[int]:
+def heuristic_order(points: np.ndarray, config: TspConfig | None = None) -> list[int]:
     """Visiting order from nearest-neighbor + 2-opt / Or-opt local search.
 
     Small instances search several deterministic construction starts and
@@ -241,8 +233,7 @@ def heuristic_order(points: list[Point3], config: TspConfig | None = None) -> li
         return []
     if n <= 2:
         return list(range(n))
-    pts = np.array([[p.x, p.y, p.z] for p in points], dtype=float)
-    dist = _distance_matrix(pts)
+    dist = _distance_matrix(points)
 
     if n <= 12:
         starts = list(range(n))
@@ -268,18 +259,18 @@ def heuristic_order(points: list[Point3], config: TspConfig | None = None) -> li
     return best_order[z:] + best_order[:z]
 
 
-def heuristic_tour(points: list[Point3], config: TspConfig | None = None) -> Tour:
+def heuristic_tour(points: np.ndarray, config: TspConfig | None = None) -> Tour:
     """Nearest-neighbor construction plus 2-opt / Or-opt local search."""
-    return _closed_tour(points, heuristic_order(points, config))
+    return Tour(waypoints=points[heuristic_order(points, config)], closed=True)
 
 
-def solve_order(points: list[Point3], config: TspConfig) -> list[int]:
+def solve_order(points: np.ndarray, config: TspConfig) -> list[int]:
     """Visiting order from the configured solver."""
     if config.solver == "exact":
         return exact_order(points, exact_max_n=config.exact_max_n)
     return heuristic_order(points, config)
 
 
-def solve_tour(points: list[Point3], config: TspConfig) -> Tour:
+def solve_tour(points: np.ndarray, config: TspConfig) -> Tour:
     """Dispatch to the configured solver."""
-    return _closed_tour(points, solve_order(points, config))
+    return Tour(waypoints=points[solve_order(points, config)], closed=True)

@@ -73,7 +73,7 @@ def test_criterion_3_tsp_oracle_gap():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(50):
-        pts = [Point3.from_array(p) for p in rng.uniform(size=(10, 3))]
+        pts = rng.uniform(size=(10, 3))
         h = tour_length(heuristic_tour(pts, TspConfig()))
         e = tour_length(exact_tour(pts))
         worst = max(worst, h / e)
@@ -144,7 +144,7 @@ def test_criterion_6_detour_bound_and_coverage():
         limit = detour_length_limit(owner_d, d) * 1.05
         assert plan.length <= limit
         worst_ratio = max(worst_ratio, plan.length / limit)
-        pts = np.array([[p.x, p.y, p.z] for p in plan.stitched])
+        pts = plan.stitched
         seg_a, seg_b = pts[:-1], pts[1:]
         ab = seg_b - seg_a
         denom = np.sum(ab * ab, axis=1)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tspn import CapacityError, Point3, tour_length
+from tspn import CapacityError, Point3, Tour, tour_length
 from tspn.bench import (
     AGG_CSV_HEADER,
     ROWS_CSV_HEADER,
@@ -19,7 +19,7 @@ from tspn.bench import (
     tour_to_json,
 )
 from tspn.errors import ContractError
-from tspn.planner import center_visit
+from tspn.planner import center_visit, plan_nondisjoint
 from tspn.tsp import TspConfig
 
 
@@ -91,6 +91,20 @@ def test_tour_json_roundtrip():
     back = tour_from_json(text)
     assert math.isclose(tour_length(back), tour_length(tour), rel_tol=1e-12)
     assert tour_to_json(back) == text
+
+
+@pytest.mark.parametrize("kind", ["overlapping", "one-waypoint", "empty"])
+def test_tour_json_text_roundtrip(kind):
+    if kind == "overlapping":
+        scene = generate_scene(SceneConfig(n_objects=12, disjoint=False, overlap_rate=0.5,
+                                           seed=6, **CAR))
+        tour = plan_nondisjoint(Point3(1.5, -2.0, 0.25), scene, TspConfig())
+    elif kind == "one-waypoint":
+        tour = center_visit(Point3(1.5, -2.0, 0.25), generate_scene(SceneConfig(0, **CAR)))
+    else:
+        tour = Tour(waypoints=np.empty((0, 3)))
+    text = tour_to_json(tour)
+    assert tour_to_json(tour_from_json(text)) == text
 
 
 def test_single_cell_report():

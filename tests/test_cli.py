@@ -237,3 +237,12 @@ def test_malformed_scene_and_trajectory_name_the_field(tmp_path, capsys):
     traj.write_text(json.dumps(doc))
     _malformed_exits_1(capsys, ["validate", "--scene", str(scene), "--traj", str(traj)],
                        'visits: expected a list, got {"object_id": "obj-000"}')
+
+
+def test_detour_unknown_object_names_the_id(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    assert run(["gen-scene", "--n", "6", "--dmin", "5.4", "--dmax", "8.2",
+                "--overlap-rate", "0.4", "--seed", "5", "--out", str(scene)]) == 0
+    _malformed_exits_1(capsys, ["detour", "--scene", str(scene), "--object", "nope",
+                                "--out", str(tmp_path / "d.json")],
+                       "no object with id 'nope'")

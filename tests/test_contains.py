@@ -108,11 +108,7 @@ def test_surface_samples_bitwise_equal_to_per_direction_lookup(seed, n):
 
 
 def _detour_arrays(plan):
-    perims = [np.array([[q.x, q.y, q.z] for q in ring]) for ring in plan.perimeters]
-    spikes = np.array([[s.c_in.x, s.c_in.y, s.c_in.z, s.c_out.x, s.c_out.y, s.c_out.z]
-                       for s in plan.spikes]).reshape(-1, 6)
-    stitched = np.array([[q.x, q.y, q.z] for q in plan.stitched])
-    return perims, spikes, stitched
+    return list(plan.perimeters), plan.spikes.reshape(-1, 6), plan.stitched
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -3,7 +3,6 @@ import math
 import numpy as np
 
 from tspn import Point3, Region, Scene, SceneObject, Sphere, TspConfig, tour_length
-from tspn.geom import waypoints_array
 from tspn.planner import (
     build_detour,
     center_visit,
@@ -24,10 +23,6 @@ def poly_min_dist(pts: np.ndarray, c: np.ndarray) -> float:
     t = np.clip(np.sum((c - a) * ab, axis=1) / denom, 0.0, 1.0)
     proj = a + t[:, None] * ab
     return float(np.min(np.linalg.norm(proj - c, axis=1)))
-
-
-def stitched_array(plan) -> np.ndarray:
-    return np.array([[p.x, p.y, p.z] for p in plan.stitched])
 
 
 def sphere_region(center, d):
@@ -66,8 +61,8 @@ def test_spike_lengths_equal_global_d_min():
     d = 3.0
     plan = build_detour(sphere_region((0, 0, 0), 3.9), d)
     assert len(plan.spikes) > 0
-    for spike in plan.spikes:
-        assert math.isclose(spike.c_in.distance_to(spike.c_out), d, rel_tol=1e-9)
+    for c_in, c_out in plan.spikes:
+        assert math.isclose(math.dist(c_in, c_out), d, rel_tol=1e-9)
 
 
 def test_detour_degenerate_region():
@@ -85,7 +80,7 @@ def test_detour_touches_eight_boundary_balls_at_assorted_latitudes():
     # fixed assorted latitudes must all be intersected by the stitched path.
     owner = sphere_region((0, 0, 0), 2.0)
     plan = build_detour(owner, 2.0)
-    pts = stitched_array(plan)
+    pts = plan.stitched
     lats = np.deg2rad(np.array([-75, -50, -25, -5, 15, 40, 60, 80]))
     lons = np.deg2rad(np.array([0, 45, 90, 135, 180, 225, 270, 315]))
     for lat, lon in zip(lats, lons):
@@ -104,7 +99,7 @@ def test_detour_random_boundary_ball_coverage():
         owner_d = d * float(rng.uniform(1.0, 1.35))
         center = rng.uniform(-10, 10, size=3)
         plan = build_detour(sphere_region(center, owner_d), d)
-        pts = stitched_array(plan)
+        pts = plan.stitched
         for _ in range(10):
             u = rng.normal(size=3)
             u /= np.linalg.norm(u)
@@ -138,7 +133,7 @@ def test_nondisjoint_reduces_to_center_visit_when_disjoint():
     cfg = TspConfig()
     direct = center_visit(start, scene, cfg)
     spliced = plan_nondisjoint(start, scene, cfg)
-    assert waypoints_array(direct).tolist() == waypoints_array(spliced).tolist()
+    assert direct.waypoints.tolist() == spliced.waypoints.tolist()
     assert direct.visits == spliced.visits
 
 
@@ -186,8 +181,8 @@ def test_nondisjoint_detour_entered_at_nearest_endpoint():
     scene = make_scene([a, b], 4.0, 4.0)
     detail = plan_nondisjoint_detailed(Point3(0, 0, 0), scene, TspConfig())
     assert len(detail.detours) == 1
-    tour_pts = waypoints_array(detail.tour)
-    stitched = stitched_array(detail.detours[0])
+    tour_pts = detail.tour.waypoints
+    stitched = detail.detours[0].stitched
     # the spliced block appears contiguously in the final trajectory
     joined = tour_pts.tolist()
     fwd = stitched.tolist()

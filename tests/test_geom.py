@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tspn import (
+    ContractError,
     InvalidRegionError,
     Point3,
     Region,
@@ -53,35 +54,35 @@ def random_star_region(rng, center, r_lo=1.0, r_hi=2.0, n=500):
 
 
 def test_closest_point_sphere_outside():
-    q = closest_point_on_region(sphere(0, 0, 0, 2), Point3(3, 0, 0))
-    assert q == Point3(1.0, 0.0, 0.0)
+    q = closest_point_on_region(sphere(0, 0, 0, 2), np.array([3.0, 0, 0]))
+    assert q.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_closest_point_sphere_inside_is_identity():
-    p = Point3(0.5, 0, 0)
-    assert closest_point_on_region(sphere(0, 0, 0, 2), p) == p
+    p = np.array([0.5, 0, 0])
+    assert np.array_equal(closest_point_on_region(sphere(0, 0, 0, 2), p), p)
 
 
 def test_closest_point_shell_cases():
     r = shell_region(0, 0, 0, 2, 4)
     # outside -> outer sphere
-    q = closest_point_on_region(r, Point3(5, 0, 0))
-    assert q == Point3(2.0, 0.0, 0.0)
+    q = closest_point_on_region(r, np.array([5.0, 0, 0]))
+    assert q.tolist() == [2.0, 0.0, 0.0]
     # in the annulus -> itself
-    p = Point3(1.5, 0, 0)
-    assert closest_point_on_region(r, p) == p
+    p = np.array([1.5, 0, 0])
+    assert np.array_equal(closest_point_on_region(r, p), p)
     # in the hole -> inner sphere
-    q = closest_point_on_region(r, Point3(0.25, 0, 0))
-    assert math.isclose(q.x, 1.0) and q.y == 0.0
+    q = closest_point_on_region(r, np.array([0.25, 0, 0]))
+    assert math.isclose(q[0], 1.0) and q[1] == 0.0
 
 
 def test_closest_point_sampled_matches_brute_scan():
     rng = np.random.default_rng(7)
     region = random_star_region(rng, (1.0, -2.0, 0.5))
     for _ in range(20):
-        p = Point3(*rng.uniform(-5, 5, size=3))
-        got = closest_point_on_region(region, p).as_array()
-        want = brute_closest_sample(region.shape.points, (p.x, p.y, p.z))
+        p = rng.uniform(-5, 5, size=3)
+        got = closest_point_on_region(region, p)
+        want = brute_closest_sample(region.shape.points, tuple(p))
         assert np.allclose(got, want)
 
 
@@ -94,9 +95,9 @@ def test_closest_point_output_contained():
     ]
     for region in regions:
         for _ in range(25):
-            p = Point3(*rng.uniform(-4, 4, size=3))
+            p = rng.uniform(-4, 4, size=3)
             q = closest_point_on_region(region, p)
-            assert region_contains(region, q, tol=touch_tolerance(region))
+            assert region_contains(region, Point3(*q), tol=touch_tolerance(region))
 
 
 def test_sampled_region_needs_points():
@@ -181,8 +182,8 @@ def test_sampled_overlap_matches_voxel_oracle():
 
 def test_max_diameter_sphere_antipodal_convention():
     a, b = max_diameter_segment(sphere(0, 0, 0, 2))
-    assert a == Point3(-1.0, 0.0, 0.0)
-    assert b == Point3(1.0, 0.0, 0.0)
+    assert a.tolist() == [-1.0, 0.0, 0.0]
+    assert b.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_max_diameter_axis_samples():
@@ -194,8 +195,8 @@ def test_max_diameter_axis_samples():
     normals = pts / np.linalg.norm(pts, axis=1)[:, None]
     region = Region(center=Point3(0, 0, 0), shape=Sampled(pts, normals, d_min=1.0, d_max=4.0))
     a, b = max_diameter_segment(region)
-    assert a == Point3(-2.0, 0.0, 0.0) and b == Point3(2.0, 0.0, 0.0)
-    assert math.isclose(a.distance_to(b), 4.0)
+    assert a.tolist() == [-2.0, 0.0, 0.0] and b.tolist() == [2.0, 0.0, 0.0]
+    assert math.isclose(math.dist(a, b), 4.0)
 
 
 def test_max_diameter_matches_pairwise_scan():
@@ -203,7 +204,7 @@ def test_max_diameter_matches_pairwise_scan():
     region = random_star_region(rng, (0.5, 0.5, 0.5), n=200)
     a, b = max_diameter_segment(region)
     i, j, d = brute_farthest_pair(region.shape.points)
-    assert math.isclose(a.distance_to(b), d, rel_tol=1e-12)
+    assert math.isclose(math.dist(a, b), d, rel_tol=1e-12)
 
 
 def test_max_diameter_within_bounds():
@@ -211,7 +212,7 @@ def test_max_diameter_within_bounds():
     for k in range(10):
         region = random_star_region(rng, rng.uniform(-3, 3, size=3), n=150)
         a, b = max_diameter_segment(region)
-        seg = a.distance_to(b)
+        seg = math.dist(a, b)
         assert region.d_min <= seg <= region.d_max * (1 + 1e-9)
 
 
@@ -219,21 +220,18 @@ def test_max_diameter_within_bounds():
 
 
 def test_tour_length_open_path():
-    t = Tour(waypoints=(Point3(0, 0, 0), Point3(1, 0, 0), Point3(1, 1, 0)), closed=False)
+    t = Tour(waypoints=[(0, 0, 0), (1, 0, 0), (1, 1, 0)], closed=False)
     assert math.isclose(tour_length(t), 2.0)
 
 
 def test_tour_length_closed_square():
-    t = Tour(
-        waypoints=(Point3(0, 0, 0), Point3(1, 0, 0), Point3(1, 1, 0), Point3(0, 1, 0)),
-        closed=True,
-    )
+    t = Tour(waypoints=[(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], closed=True)
     assert math.isclose(tour_length(t), 4.0)
 
 
 def test_tour_length_degenerate():
-    assert tour_length(Tour(waypoints=(Point3(1, 2, 3),), closed=True)) == 0.0
-    assert tour_length(Tour(waypoints=(), closed=False)) == 0.0
+    assert tour_length(Tour(waypoints=[(1, 2, 3)], closed=True)) == 0.0
+    assert tour_length(Tour(waypoints=np.empty((0, 3)), closed=False)) == 0.0
 
 
 def _random_rotation(rng):
@@ -252,18 +250,40 @@ def _random_rotation(rng):
 def test_tour_length_rigid_invariance():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-3, 3, size=(12, 3))
-    base = Tour(waypoints=tuple(Point3.from_array(p) for p in pts), closed=True)
+    base = Tour(waypoints=pts, closed=True)
     for _ in range(5):
         rot = _random_rotation(rng)
         shift = rng.uniform(-10, 10, size=3)
         moved = pts @ rot.T + shift
-        t = Tour(waypoints=tuple(Point3.from_array(p) for p in moved), closed=True)
+        t = Tour(waypoints=moved, closed=True)
         assert math.isclose(tour_length(t), tour_length(base), rel_tol=1e-9)
 
 
 def test_tour_length_reversal_invariance():
     rng = np.random.default_rng(9)
-    pts = [Point3.from_array(p) for p in rng.uniform(-2, 2, size=(9, 3))]
-    fwd = Tour(waypoints=tuple(pts), closed=False)
-    rev = Tour(waypoints=tuple(reversed(pts)), closed=False)
+    pts = rng.uniform(-2, 2, size=(9, 3))
+    fwd = Tour(waypoints=pts, closed=False)
+    rev = Tour(waypoints=pts[::-1], closed=False)
     assert math.isclose(tour_length(fwd), tour_length(rev), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tour_rejects_non_finite_coordinate(bad):
+    with pytest.raises(ContractError, match="non-finite"):
+        Tour(waypoints=[(0.0, 0.0, 0.0), (1.0, bad, 2.0)])
+
+
+@pytest.mark.parametrize("shape", [(0,), (3,), (2, 2), (4, 4), (2, 3, 1)])
+def test_tour_rejects_shape_other_than_k_by_3(shape):
+    with pytest.raises(ContractError, match=r"shape \(k, 3\)"):
+        Tour(waypoints=np.zeros(shape))
+
+
+def test_tour_waypoints_are_a_read_only_copy():
+    pts = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
+    t = Tour(waypoints=pts)
+    assert t.waypoints.shape == (2, 3) and t.waypoints.dtype == np.float64
+    with pytest.raises(ValueError):
+        t.waypoints[1, 0] = 9.0
+    pts[1, 0] = 9.0  # the caller's array stays writable and is not shared
+    assert t.length == 5.0
