@@ -182,19 +182,33 @@ def _list(doc, key: str) -> list:
 _NUMBERS = frozenset((int, float))
 
 
+def _finite(values) -> bool:
+    """json.loads reads NaN and Infinity as floats, and integers of any size."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _number(doc, key: str, path: str = "") -> float:
     v = _field(doc, key, path)
     if type(v) not in _NUMBERS:
         raise ContractError(f"{path}{key}: expected a number, got {json.dumps(v)}")
+    if not _finite((v,)):
+        raise ContractError(f"{path}{key}: expected a finite number, got {json.dumps(v)}")
     return float(v)
 
 
 def _point(v, name: str, index: int | None = None) -> list:
     """A JSON ``[x, y, z]``, checked; anything else names the field (``name[index]``)."""
-    if not (type(v) is list and len(v) == 3 and _NUMBERS.issuperset(map(type, v))):
-        where = name if index is None else f"{name}[{index}]"
-        raise ContractError(f"{where}: expected 3 numbers, got {json.dumps(v)}")
-    return v
+    if type(v) is list and len(v) == 3 and _NUMBERS.issuperset(map(type, v)):
+        if _finite(v):
+            return v
+        expected = "3 finite numbers"
+    else:
+        expected = "3 numbers"
+    where = name if index is None else f"{name}[{index}]"
+    raise ContractError(f"{where}: expected {expected}, got {json.dumps(v)}")
 
 
 def _shape_from_json(obj, path: str):
@@ -208,8 +222,8 @@ def _shape_from_json(obj, path: str):
         )
     if kind == "sampled":
         return Sampled(
-            points=np.array(_field(obj, "points_m", path), dtype=float),
-            normals=np.array(_field(obj, "normals", path), dtype=float),
+            points=_field(obj, "points_m", path),
+            normals=_field(obj, "normals", path),
             d_min=_number(obj, "d_min_m", path),
             d_max=_number(obj, "d_max_m", path),
         )

@@ -74,9 +74,10 @@ class Shell:
 class Sampled:
     """Boundary point cloud with outward unit normals.
 
-    ``points`` and ``normals`` are (n, 3) float arrays; they are frozen
-    read-only on construction. The region is assumed star-shaped about
-    its center, so containment can use a nearest-direction radial test.
+    ``points`` and ``normals`` are (n, 3) float arrays, stored as
+    read-only copies of what is given. The region is assumed star-shaped
+    about its center, so containment can use a nearest-direction radial
+    test.
     """
 
     points: np.ndarray
@@ -85,8 +86,8 @@ class Sampled:
     d_max: float
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        nms = np.asarray(self.normals, dtype=float)
+        pts = np.array(self.points, dtype=float)
+        nms = np.array(self.normals, dtype=float)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "normals", nms)
         pts.flags.writeable = False
@@ -162,6 +163,23 @@ def _validate_region(region: Region) -> None:
     raise InvalidRegionError(f"unknown shape {type(s).__name__}")
 
 
+def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared Euclidean distances between rows of two (k, 3) arrays.
+
+    Accumulates dx*dx + dy*dy + dz*dz one coordinate at a time, the order
+    ``np.sum(diff * diff, axis=2)`` adds in, without its (k, m, 3)
+    temporary.
+    """
+    d2 = np.subtract.outer(a[:, 0], b[:, 0])
+    d2 *= d2
+    t = np.empty_like(d2)
+    for k in (1, 2):
+        np.subtract.outer(a[:, k], b[:, k], out=t)
+        t *= t
+        d2 += t
+    return d2
+
+
 def _farthest_pair(points: np.ndarray) -> tuple[float, int, int]:
     """(squared distance, i, j) of the first farthest pair in row-major order.
 
@@ -172,7 +190,7 @@ def _farthest_pair(points: np.ndarray) -> tuple[float, int, int]:
     step = 512
     for i in range(0, n, step):
         block = points[i : i + step]
-        d2 = np.sum((block[:, None, :] - points[None, :, :]) ** 2, axis=2)
+        d2 = pairwise_sq_distances(block, points)
         bi, bj = divmod(int(np.argmax(d2)), n)
         val = float(d2[bi, bj])
         if val > best[0]:

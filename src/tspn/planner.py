@@ -30,6 +30,7 @@ from .geom import (
     contains,
     intersecting_pairs,
     max_diameter_segment,
+    pairwise_sq_distances,
     points_array,
     polyline_length,
     touch_tolerance,
@@ -614,7 +615,8 @@ def _region_surface_samples(region: Region, n: int) -> np.ndarray:
 def _mst_adjacency(pts: np.ndarray, root: int) -> list[list[int]]:
     """Prim minimum spanning tree; children listed in insertion order."""
     n = len(pts)
-    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2))
+    dist = pairwise_sq_distances(pts, pts)
+    np.sqrt(dist, out=dist)
     in_tree = np.zeros(n, dtype=bool)
     in_tree[root] = True
     best = dist[root].copy()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, SizeLimitError
-from .geom import Tour
+from .geom import Tour, pairwise_sq_distances
 
 # Hard cap on the exact solver: 2^13 subset table is the largest we allow.
 EXACT_N_CEILING = 13
@@ -36,8 +36,8 @@ class TspConfig:
 
 
 def _distance_matrix(pts: np.ndarray) -> np.ndarray:
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    d = pairwise_sq_distances(pts, pts)
+    return np.sqrt(d, out=d)
 
 
 def exact_order(points: np.ndarray, exact_max_n: int = 12) -> list[int]:

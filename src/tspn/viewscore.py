@@ -43,34 +43,42 @@ DIAMETER_PROFILES: dict[str, DiameterProfile] = {
 
 @dataclass(frozen=True, eq=False)
 class GrayImage:
-    """Row-major grayscale image with intensities in [0, 255]."""
+    """Row-major grayscale image with intensities in [0, 255].
+
+    ``pixels`` is stored as a read-only float copy of what is given.
+    """
 
     width: int
     height: int
     pixels: np.ndarray  # (height, width) float
 
     def __post_init__(self):
-        arr = np.asarray(self.pixels, dtype=float)
-        if arr.shape != (self.height, self.width):
+        src = np.asarray(self.pixels)
+        if src.shape != (self.height, self.width):
             raise ContractError(
-                f"pixel array {arr.shape} does not match {self.height}x{self.width}"
+                f"pixel array {src.shape} does not match {self.height}x{self.width}"
             )
         if self.width < 3 or self.height < 3:
             raise ContractError("image must be at least 3x3 for gradient windows")
-        if arr.min() < 0.0 or arr.max() > 255.0:
+        arr = src.astype(float)
+        # uint8 already guarantees the range; NaN fails both comparisons.
+        if src.dtype != np.uint8 and not (arr.min() >= 0.0 and arr.max() <= 255.0):
             raise ContractError("intensities must lie in [0, 255]")
         object.__setattr__(self, "pixels", arr)
         arr.flags.writeable = False
 
     @staticmethod
     def from_array(arr) -> "GrayImage":
-        arr = np.asarray(arr, dtype=float)
+        arr = np.asarray(arr)
         return GrayImage(width=arr.shape[1], height=arr.shape[0], pixels=arr)
 
 
 @dataclass(frozen=True, eq=False)
 class ObjectMask:
-    """Per-pixel object membership, dimensions matching the paired image."""
+    """Per-pixel object membership, dimensions matching the paired image.
+
+    ``bits`` is stored as a read-only bool copy of what is given.
+    """
 
     width: int
     height: int
@@ -88,7 +96,7 @@ class ObjectMask:
     @staticmethod
     def from_array(arr) -> "ObjectMask":
         arr = np.asarray(arr)
-        return ObjectMask(width=arr.shape[1], height=arr.shape[0], bits=arr.astype(bool))
+        return ObjectMask(width=arr.shape[1], height=arr.shape[0], bits=arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,21 +116,69 @@ class OrientationHistogram:
         arr.flags.writeable = False
 
 
-_SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=float)
-_SOBEL_Y = _SOBEL_X.T
-
-
 def _sobel_gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(gx, gy) on interior pixels; border pixels have no full 3x3 window."""
+    """(gx, gy) on interior pixels, as (h - 2, w) arrays.
+
+    Entry [r, c] is the gradient at pixel (r + 1, c + 1) for c < w - 2;
+    the last two columns are filler (window sums that wrap into the next
+    row, and zeros). Working on the flattened image makes every tap one
+    contiguous 1-D slice. The kernels are gx = [[-1, 0, 1], [-2, 0, 2],
+    [-1, 0, 1]] and gy its transpose; only the six non-zero taps of each
+    are applied, in row-major tap order, so every sum rounds as in a full
+    3x3 pass.
+    """
     h, w = img.shape
-    gx = np.zeros((h - 2, w - 2))
-    gy = np.zeros((h - 2, w - 2))
-    for dr in range(3):
-        for dc in range(3):
-            block = img[dr : dr + h - 2, dc : dc + w - 2]
-            gx += _SOBEL_X[dr, dc] * block
-            gy += _SOBEL_Y[dr, dc] * block
-    return gx, gy
+    flat = img.reshape(-1)
+    n = (h - 2) * w - 2  # the last interior pixel sits at n - 1
+
+    def tap(dr: int, dc: int) -> np.ndarray:
+        k = dr * w + dc
+        return flat[k : k + n]
+
+    gx, gy = np.zeros((h - 2) * w), np.zeros((h - 2) * w)
+    x, y, twice = gx[:n], gy[:n], np.empty(n)
+    np.subtract(tap(0, 2), tap(0, 0), out=x)
+    x -= np.multiply(tap(1, 0), 2.0, out=twice)
+    x += np.multiply(tap(1, 2), 2.0, out=twice)
+    x -= tap(2, 0)
+    x += tap(2, 2)
+    np.multiply(tap(0, 1), -2.0, out=y)
+    y -= tap(0, 0)
+    y -= tap(0, 2)
+    y += tap(2, 0)
+    y += np.multiply(tap(2, 1), 2.0, out=twice)
+    y += tap(2, 2)
+    return gx.reshape(h - 2, w), gy.reshape(h - 2, w)
+
+
+def _orientation_bins(pixels: np.ndarray, edge_fraction: float) -> tuple[np.ndarray, int]:
+    """(360 per-degree counts, edge pixel count); see ``edge_orientation_histogram``."""
+    if not (0.0 < edge_fraction <= 1.0):
+        raise ContractError("edge_fraction must be in (0, 1]")
+    gx, gy = _sobel_gradients(pixels)
+    mag = np.hypot(gx, gy)
+    mag[:, -2:] = 0.0  # filler columns hold no pixel
+    peak = float(mag.max())
+    if peak == 0.0:
+        return np.zeros(ORIENTATION_BINS, dtype=np.intp), 0
+    edge = mag >= edge_fraction * peak
+    deg = np.arctan2(gy[edge], gx[edge])
+    np.degrees(deg, out=deg)
+    # deg lies in [-180, 180], where this is bitwise ``deg % 360.0``
+    # (up to the sign of a zero, which floors to bin 0 either way).
+    np.add(deg, 360.0, out=deg, where=deg < 0.0)
+    np.floor(deg, out=deg)
+    # A tiny negative angle rounds up to 360.0: count it in bin 0.
+    bins = np.bincount(deg.astype(np.intp), minlength=ORIENTATION_BINS + 1)
+    bins[0] += bins[ORIENTATION_BINS]
+    return bins[:ORIENTATION_BINS], deg.size
+
+
+def _entropy(bins: np.ndarray, total: int) -> float:
+    p = bins[bins > 0] / total
+    plogp = np.log(p)
+    plogp *= p
+    return float(-plogp.sum()) + 0.0  # fold -0.0 to 0.0
 
 
 def edge_orientation_histogram(
@@ -135,26 +191,15 @@ def edge_orientation_histogram(
     image therefore yields an empty histogram. Orientations map to
     integer-degree bins, bin b covering [b, b+1) degrees.
     """
-    if not (0.0 < edge_fraction <= 1.0):
-        raise ContractError("edge_fraction must be in (0, 1]")
-    gx, gy = _sobel_gradients(image.pixels)
-    mag = np.hypot(gx, gy)
-    peak = float(mag.max()) if mag.size else 0.0
-    if peak == 0.0:
-        return OrientationHistogram(bins=np.zeros(ORIENTATION_BINS, dtype=int), total_edge_pixels=0)
-    edge = mag >= edge_fraction * peak
-    deg = np.degrees(np.arctan2(gy[edge], gx[edge])) % 360.0
-    idx = np.floor(deg).astype(int) % ORIENTATION_BINS
-    bins = np.bincount(idx, minlength=ORIENTATION_BINS)
-    return OrientationHistogram(bins=bins, total_edge_pixels=int(bins.sum()))
+    bins, total = _orientation_bins(image.pixels, edge_fraction)
+    return OrientationHistogram(bins=bins, total_edge_pixels=total)
 
 
 def histogram_entropy(hist: OrientationHistogram) -> float:
     """Natural-log entropy of the orientation distribution; 0 when empty."""
     if hist.total_edge_pixels == 0:
         return 0.0
-    p = hist.bins[hist.bins > 0] / hist.total_edge_pixels
-    return float(-np.sum(p * np.log(p))) + 0.0  # fold -0.0 to 0.0
+    return _entropy(hist.bins, hist.total_edge_pixels)
 
 
 def viewing_score(
@@ -165,14 +210,14 @@ def viewing_score(
         raise ContractError(
             f"mask {mask.width}x{mask.height} does not match image {image.width}x{image.height}"
         )
-    hist = edge_orientation_histogram(image, edge_fraction)
-    if hist.total_edge_pixels == 0:
+    bins, total = _orientation_bins(image.pixels, edge_fraction)
+    if total == 0:
         return 0.0
-    object_pixels = int(mask.bits.sum())
+    object_pixels = np.count_nonzero(mask.bits)
     if object_pixels == 0:
         return 0.0
     ratio = object_pixels / (image.width * image.height)
-    return histogram_entropy(hist) * ratio
+    return _entropy(bins, total) * ratio
 
 
 # ------------------------------------------------------------------ view samples
@@ -276,7 +321,7 @@ def read_pgm(path) -> GrayImage:
     raw = data[i : i + width * height]
     if len(raw) != width * height:
         raise ContractError(f"{path}: truncated pixel data")
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(height, width).astype(float)
+    arr = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
     return GrayImage(width=width, height=height, pixels=arr)
 
 

@@ -12,7 +12,9 @@ import math
 
 import numpy as np
 
+from tspn.errors import ContractError
 from tspn.geom import Sampled, Shell, Sphere
+from tspn.viewscore import ORIENTATION_BINS, OrientationHistogram
 
 
 def brute_closest_sample(samples: np.ndarray, p) -> np.ndarray:
@@ -148,6 +150,64 @@ def manual_sobel(image: np.ndarray) -> list[tuple[int, int, float, float]]:
                     gy += ky[dr + 1][dc + 1] * v
             out.append((r, c, gx, gy))
     return out
+
+
+# The nine-tap Sobel / orientation / score kernel as it stood before the
+# six-tap in-place rewrite in tspn.viewscore, kept verbatim as the
+# bitwise reference for it.
+
+_SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=float)
+_SOBEL_Y = _SOBEL_X.T
+
+
+def nine_tap_sobel_gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gx, gy) on interior pixels; border pixels have no full 3x3 window."""
+    h, w = img.shape
+    gx = np.zeros((h - 2, w - 2))
+    gy = np.zeros((h - 2, w - 2))
+    for dr in range(3):
+        for dc in range(3):
+            block = img[dr : dr + h - 2, dc : dc + w - 2]
+            gx += _SOBEL_X[dr, dc] * block
+            gy += _SOBEL_Y[dr, dc] * block
+    return gx, gy
+
+
+def nine_tap_edge_orientation_histogram(image, edge_fraction: float = 0.1) -> OrientationHistogram:
+    if not (0.0 < edge_fraction <= 1.0):
+        raise ContractError("edge_fraction must be in (0, 1]")
+    gx, gy = nine_tap_sobel_gradients(image.pixels)
+    mag = np.hypot(gx, gy)
+    peak = float(mag.max()) if mag.size else 0.0
+    if peak == 0.0:
+        return OrientationHistogram(bins=np.zeros(ORIENTATION_BINS, dtype=int), total_edge_pixels=0)
+    edge = mag >= edge_fraction * peak
+    deg = np.degrees(np.arctan2(gy[edge], gx[edge])) % 360.0
+    idx = np.floor(deg).astype(int) % ORIENTATION_BINS
+    bins = np.bincount(idx, minlength=ORIENTATION_BINS)
+    return OrientationHistogram(bins=bins, total_edge_pixels=int(bins.sum()))
+
+
+def nine_tap_histogram_entropy(hist: OrientationHistogram) -> float:
+    if hist.total_edge_pixels == 0:
+        return 0.0
+    p = hist.bins[hist.bins > 0] / hist.total_edge_pixels
+    return float(-np.sum(p * np.log(p))) + 0.0  # fold -0.0 to 0.0
+
+
+def nine_tap_viewing_score(image, mask, edge_fraction: float = 0.1) -> float:
+    if (mask.width, mask.height) != (image.width, image.height):
+        raise ContractError(
+            f"mask {mask.width}x{mask.height} does not match image {image.width}x{image.height}"
+        )
+    hist = nine_tap_edge_orientation_histogram(image, edge_fraction)
+    if hist.total_edge_pixels == 0:
+        return 0.0
+    object_pixels = int(mask.bits.sum())
+    if object_pixels == 0:
+        return 0.0
+    ratio = object_pixels / (image.width * image.height)
+    return nine_tap_histogram_entropy(hist) * ratio
 
 
 def brute_intersecting_pairs(regions, intersect) -> list[tuple[int, int]]:

@@ -239,6 +239,41 @@ def test_malformed_scene_and_trajectory_name_the_field(tmp_path, capsys):
                        'visits: expected a list, got {"object_id": "obj-000"}')
 
 
+def test_non_finite_json_numbers_name_the_field(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    assert run(["gen-scene", "--n", "3", "--dmin", "4", "--dmax", "6",
+                "--disjoint", "--seed", "2", "--out", str(scene)]) == 0
+    traj = tmp_path / "traj.json"
+    assert run(["plan", "--scene", str(scene), "--seed", "2", "--out", str(traj)]) == 0
+    good_scene, good_traj = json.loads(scene.read_text()), json.loads(traj.read_text())
+    out = str(tmp_path / "t.json")
+
+    doc = json.loads(json.dumps(good_scene))
+    doc["objects"][0]["center_m"] = [float("inf"), 2.0, 3.0]
+    scene.write_text(json.dumps(doc))
+    _malformed_exits_1(capsys, ["plan", "--scene", str(scene), "--seed", "1", "--out", out],
+                       "objects[0].center_m: expected 3 finite numbers, got [Infinity, 2.0, 3.0]")
+
+    doc = json.loads(json.dumps(good_scene))
+    doc["objects"][2]["shape"]["diameter_m"] = float("nan")
+    scene.write_text(json.dumps(doc))
+    _malformed_exits_1(capsys, ["mis", "--scene", str(scene), "--out", out],
+                       "objects[2].shape.diameter_m: expected a finite number, got NaN")
+
+    doc = json.loads(json.dumps(good_scene))
+    doc["d_max_m"] = 10**400  # no float can hold it
+    scene.write_text(json.dumps(doc))
+    _malformed_exits_1(capsys, ["mis", "--scene", str(scene), "--out", out],
+                       f"d_max_m: expected a finite number, got {10**400}")
+
+    scene.write_text(json.dumps(good_scene))
+    doc = json.loads(json.dumps(good_traj))
+    doc["waypoints_m"][1] = [float("nan"), 0.0, 1.0]
+    traj.write_text(json.dumps(doc))
+    _malformed_exits_1(capsys, ["validate", "--scene", str(scene), "--traj", str(traj)],
+                       "waypoints_m[1]: expected 3 finite numbers, got [NaN, 0.0, 1.0]")
+
+
 def test_detour_unknown_object_names_the_id(tmp_path, capsys):
     scene = tmp_path / "scene.json"
     assert run(["gen-scene", "--n", "6", "--dmin", "5.4", "--dmax", "8.2",

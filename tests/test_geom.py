@@ -18,7 +18,7 @@ from tspn import (
     regions_intersect,
     tour_length,
 )
-from tspn.geom import farthest_pair_distance, touch_tolerance
+from tspn.geom import farthest_pair_distance, pairwise_sq_distances, touch_tolerance
 
 from oracles import brute_closest_sample, brute_farthest_pair, voxel_overlap
 
@@ -104,6 +104,15 @@ def test_sampled_region_needs_points():
     dirs = np.eye(3)
     with pytest.raises(InvalidRegionError):
         Region(center=Point3(0, 0, 0), shape=Sampled(dirs, dirs, 1.0, 2.0))
+
+
+def test_sampled_stores_read_only_copies():
+    pts, dirs = np.eye(3), np.eye(3)
+    shape = Sampled(pts, dirs, 1.0, 2.0)
+    assert pts.flags.writeable and dirs.flags.writeable
+    assert not shape.points.flags.writeable and not shape.normals.flags.writeable
+    pts[0, 0] = 9.0
+    assert shape.points[0, 0] == 1.0
 
 
 # ---------------------------------------------------------------- intersection
@@ -214,6 +223,20 @@ def test_max_diameter_within_bounds():
         a, b = max_diameter_segment(region)
         seg = math.dist(a, b)
         assert region.d_min <= seg <= region.d_max * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_pairwise_sq_distances_bitwise_equal_to_summed_diff(duplicates):
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 17, 300):
+        pts = rng.uniform(-500.0, 500.0, size=(n, 3))
+        if duplicates:
+            pts[n // 2 :] = pts[: n - n // 2]
+        diff = pts[:, None, :] - pts[None, :, :]
+        assert np.array_equal(pairwise_sq_distances(pts, pts), np.sum(diff * diff, axis=2))
+        block = pts[: (n + 1) // 2]
+        diff = block[:, None, :] - pts[None, :, :]
+        assert np.array_equal(pairwise_sq_distances(block, pts), np.sum(diff * diff, axis=2))
 
 
 # ---------------------------------------------------------------- tour length

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tspn import InsufficientCoverageError, Point3
 from tspn.errors import ContractError
@@ -11,6 +14,7 @@ from tspn.viewscore import (
     ObjectMask,
     OrientationHistogram,
     ViewSample,
+    _sobel_gradients,
     build_region_from_scores,
     edge_orientation_histogram,
     histogram_entropy,
@@ -23,7 +27,13 @@ from tspn.viewscore import (
     write_score_csv,
 )
 
-from oracles import brute_farthest_pair, manual_sobel
+from oracles import (
+    brute_farthest_pair,
+    manual_sobel,
+    nine_tap_edge_orientation_histogram,
+    nine_tap_sobel_gradients,
+    nine_tap_viewing_score,
+)
 
 
 def full_mask(img):
@@ -175,6 +185,58 @@ def test_score_monotone_in_mask():
     assert viewing_score(img, ObjectMask.from_array(small)) <= viewing_score(
         img, ObjectMask.from_array(big)
     )
+
+
+@st.composite
+def images_and_masks(draw):
+    """uint8, non-integer float or constant images from 3x3 up, non-square
+    too, each with an empty, a partial or a full mask."""
+    shape = (draw(st.integers(3, 12)), draw(st.integers(3, 12)))
+    kind = draw(st.sampled_from(["uint8", "float", "constant"]))
+    if kind == "uint8":
+        arr = draw(hnp.arrays(np.uint8, shape))
+    elif kind == "float":
+        arr = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 255.0)))
+    else:
+        arr = np.full(shape, draw(st.floats(0.0, 255.0)))
+    cover = draw(st.sampled_from(["empty", "partial", "full"]))
+    if cover == "partial":
+        bits = draw(hnp.arrays(np.bool_, shape))
+    else:
+        bits = np.full(shape, cover == "full")
+    return GrayImage.from_array(arr), ObjectMask.from_array(bits)
+
+
+# The top-left 1e-13 gives a gradient angle a hair below 0 degrees, which
+# wraps to exactly 360.0 and has to land in bin 0.
+_WRAP = np.array([[1e-13, 0.0, 100.0], [0.0, 0.0, 100.0], [0.0, 0.0, 100.0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(images_and_masks(), st.sampled_from([1e-6, 0.1, 1.0]))
+@example((GrayImage.from_array(_WRAP), ObjectMask.from_array(np.ones((3, 3), bool))), 1.0)
+def test_kernel_bitwise_equal_to_nine_tap_reference(image_mask, edge_fraction):
+    img, mask = image_mask
+    gx, gy = _sobel_gradients(img.pixels)
+    want_gx, want_gy = nine_tap_sobel_gradients(img.pixels)
+    assert np.array_equal(gx[:, :-2], want_gx) and np.array_equal(gy[:, :-2], want_gy)
+    hist = edge_orientation_histogram(img, edge_fraction)
+    want = nine_tap_edge_orientation_histogram(img, edge_fraction)
+    assert np.array_equal(hist.bins, want.bins)
+    assert hist.total_edge_pixels == want.total_edge_pixels
+    score = viewing_score(img, mask, edge_fraction)
+    assert score.hex() == nine_tap_viewing_score(img, mask, edge_fraction).hex()
+
+
+def test_images_copy_their_input_and_reject_nan():
+    arr = np.full((4, 5), 7.0)
+    img = GrayImage(width=5, height=4, pixels=arr)
+    assert arr.flags.writeable and not img.pixels.flags.writeable
+    arr[0, 0] = 9.0
+    assert img.pixels[0, 0] == 7.0
+    arr[1, 1] = np.nan
+    with pytest.raises(ContractError, match=r"\[0, 255\]"):
+        GrayImage.from_array(arr)
 
 
 # ------------------------------------------------------------------ regions
