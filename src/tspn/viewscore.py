@@ -162,6 +162,7 @@ def _orientation_bins(pixels: np.ndarray, edge_fraction: float) -> tuple[np.ndar
     if peak == 0.0:
         return np.zeros(ORIENTATION_BINS, dtype=np.intp), 0
     edge = mag >= edge_fraction * peak
+    edge[:, -2:] = False  # filler is no edge pixel, even if the threshold underflows to 0
     deg = np.arctan2(gy[edge], gx[edge])
     np.degrees(deg, out=deg)
     # deg lies in [-180, 180], where this is bitwise ``deg % 360.0``

@@ -210,11 +210,15 @@ def images_and_masks(draw):
 # The top-left 1e-13 gives a gradient angle a hair below 0 degrees, which
 # wraps to exactly 360.0 and has to land in bin 0.
 _WRAP = np.array([[1e-13, 0.0, 100.0], [0.0, 0.0, 100.0], [0.0, 0.0, 100.0]])
+# A constant image whose gy rounds to 3.16e-322: edge_fraction * peak
+# underflows to 0, so every zero-magnitude pixel is an edge pixel.
+_UNDERFLOW = np.full((3, 3), 2.7655692527655694e-306)
 
 
 @settings(max_examples=300, deadline=None)
 @given(images_and_masks(), st.sampled_from([1e-6, 0.1, 1.0]))
 @example((GrayImage.from_array(_WRAP), ObjectMask.from_array(np.ones((3, 3), bool))), 1.0)
+@example((GrayImage.from_array(_UNDERFLOW), ObjectMask.from_array(np.ones((3, 3), bool))), 1e-6)
 def test_kernel_bitwise_equal_to_nine_tap_reference(image_mask, edge_fraction):
     img, mask = image_mask
     gx, gy = _sobel_gradients(img.pixels)
