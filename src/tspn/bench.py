@@ -171,10 +171,10 @@ def _field(doc, key: str, path: str = ""):
     return doc[key]
 
 
-def _list(doc, key: str) -> list:
-    v = _field(doc, key)
+def _list(doc, key: str, path: str = "") -> list:
+    v = _field(doc, key, path)
     if not isinstance(v, list):
-        raise ContractError(f"{key}: expected a list, got {json.dumps(v)}")
+        raise ContractError(f"{path}{key}: expected a list, got {json.dumps(v)}")
     return v
 
 
@@ -221,9 +221,13 @@ def _shape_from_json(obj, path: str):
             outer_diameter=_number(obj, "outer_diameter_m", path),
         )
     if kind == "sampled":
+        points, normals = (
+            [_point(v, path + key, i) for i, v in enumerate(_list(obj, key, path))]
+            for key in ("points_m", "normals")
+        )
         return Sampled(
-            points=_field(obj, "points_m", path),
-            normals=_field(obj, "normals", path),
+            points=points,
+            normals=normals,
             d_min=_number(obj, "d_min_m", path),
             d_max=_number(obj, "d_max_m", path),
         )

@@ -355,3 +355,132 @@ def scalar_trace_perimeter(region, plane_point, axis_dir, perimeter_step, plane_
     if len(pts) < 3:
         return None
     return np.array(pts)
+
+
+# --------------------------------------------------------------------------- dense TSP heuristic
+# The n x n distance-matrix heuristic that the candidate-list search
+# replaced: nearest neighbour, best-improvement 2-opt sweeps and, up to 32
+# points only, Or-opt; kept as the tour-length reference.
+
+
+def dense_candidate_lists(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k nearest other points per row by a stable argsort of the dense matrix."""
+    diff = points[:, None, :] - points[None, :, :]
+    d2 = np.sum(diff * diff, axis=2)
+    d2[np.diag_indices(len(points))] = np.inf
+    idx = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return idx, np.sqrt(np.take_along_axis(d2, idx, axis=1))
+
+
+def dense_distance_matrix(pts: np.ndarray) -> np.ndarray:
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def dense_nearest_neighbor(dist: np.ndarray, start: int) -> list[int]:
+    n = dist.shape[0]
+    order = [start]
+    visited = np.zeros(n, dtype=bool)
+    visited[start] = True
+    cur = start
+    for _ in range(n - 1):
+        row = dist[cur].copy()
+        row[visited] = np.inf
+        cur = int(np.argmin(row))
+        visited[cur] = True
+        order.append(cur)
+    return order
+
+
+def _dense_two_opt(order: list[int], dist: np.ndarray, max_passes: int = 50) -> list[int]:
+    n = len(order)
+    if n < 4:
+        return order
+    tour = np.array(order, dtype=int)
+    for _ in range(max_passes):
+        improved = False
+        for i in range(n - 2):
+            a, b = tour[i], tour[i + 1]
+            j_hi = n - 1 if i > 0 else n - 2
+            js = np.arange(i + 2, j_hi + 1)
+            if js.size == 0:
+                continue
+            c = tour[js]
+            d = tour[(js + 1) % n]
+            delta = dist[a, c] + dist[b, d] - dist[a, b] - dist[c, d]
+            k = int(np.argmin(delta))
+            if delta[k] < -1e-12:
+                j = int(js[k])
+                tour[i + 1 : j + 1] = tour[i + 1 : j + 1][::-1]
+                improved = True
+        if not improved:
+            break
+    return [int(v) for v in tour]
+
+
+def _dense_or_opt(order: list[int], dist: np.ndarray, max_passes: int = 50) -> list[int]:
+    n = len(order)
+    if n < 5:
+        return order
+    tour = list(order)
+    for _ in range(max_passes):
+        improved = False
+        for seg_len in (1, 2, 3):
+            if n - seg_len < 3:
+                continue
+            i = 0
+            while i < n:
+                seg = [tour[(i + k) % n] for k in range(seg_len)]
+                prev = tour[(i - 1) % n]
+                nxt = tour[(i + seg_len) % n]
+                if prev in seg or nxt in seg:
+                    i += 1
+                    continue
+                remove_gain = dist[prev, seg[0]] + dist[seg[-1], nxt] - dist[prev, nxt]
+                rest = [v for v in tour if v not in seg]
+                ra = np.array(rest, dtype=int)
+                rb = np.roll(ra, -1)
+                ins_fwd = dist[ra, seg[0]] + dist[seg[-1], rb] - dist[ra, rb]
+                ins_rev = dist[ra, seg[-1]] + dist[seg[0], rb] - dist[ra, rb]
+                k_f = int(np.argmin(ins_fwd))
+                k_r = int(np.argmin(ins_rev))
+                best_ins, k, rev = (
+                    (float(ins_fwd[k_f]), k_f, False)
+                    if ins_fwd[k_f] <= ins_rev[k_r]
+                    else (float(ins_rev[k_r]), k_r, True)
+                )
+                if best_ins - remove_gain < -1e-12:
+                    placed = list(reversed(seg)) if rev else seg
+                    tour = rest[: k + 1] + placed + rest[k + 1 :]
+                    improved = True
+                i += 1
+        if not improved:
+            break
+    return tour
+
+
+def dense_heuristic_order(points: np.ndarray) -> list[int]:
+    """Closed-tour order from the dense-matrix nearest-neighbour + 2-opt heuristic."""
+    n = len(points)
+    if n <= 2:
+        return list(range(n))
+    dist = dense_distance_matrix(points)
+    if n <= 12:
+        starts = list(range(n))
+    elif n <= 32:
+        starts = sorted({0, n // 4, n // 2, (3 * n) // 4})
+    else:
+        starts = [0]
+    best_order = None
+    best_len = np.inf
+    for s in starts:
+        order = _dense_two_opt(dense_nearest_neighbor(dist, s), dist)
+        if n <= 32:
+            order = _dense_two_opt(_dense_or_opt(order, dist), dist)
+        idx = np.array(order)
+        length = float(dist[idx, np.roll(idx, -1)].sum())
+        if length < best_len - 1e-12:
+            best_len = length
+            best_order = order
+    z = best_order.index(0)
+    return best_order[z:] + best_order[:z]

@@ -238,6 +238,33 @@ def test_malformed_scene_and_trajectory_name_the_field(tmp_path, capsys):
     _malformed_exits_1(capsys, ["validate", "--scene", str(scene), "--traj", str(traj)],
                        'visits: expected a list, got {"object_id": "obj-000"}')
 
+    # A sampled boundary: 20 points on a 2.5 m sphere about object 0's center.
+    center = np.array(good_scene["objects"][0]["center_m"])
+    k = np.arange(20) + 0.5
+    z = 1.0 - 2.0 * k / 20
+    phi = k * math.pi * (3.0 - math.sqrt(5.0))
+    dirs = np.stack([np.sqrt(1.0 - z * z) * np.cos(phi), np.sqrt(1.0 - z * z) * np.sin(phi), z], axis=1)
+    sampled = {"kind": "sampled", "points_m": (center + 2.5 * dirs).tolist(),
+               "normals": dirs.tolist(), "d_min_m": 4.0, "d_max_m": 6.0}
+    good_scene["objects"][0]["shape"] = sampled
+    scene.write_text(json.dumps(good_scene))
+    assert run(["plan", "--scene", str(scene), "--seed", "1", "--out", out]) == 0
+    for key, index, value, message in [
+        ("points_m", 0, ["x", 1, 1], 'points_m[0]: expected 3 numbers, got ["x", 1, 1]'),
+        ("points_m", 3, [float("nan"), 1.0, 1.0],
+         "points_m[3]: expected 3 finite numbers, got [NaN, 1.0, 1.0]"),
+        ("normals", 5, [0.0, 1.0], "normals[5]: expected 3 numbers, got [0.0, 1.0]"),
+        ("normals", None, 5, "normals: expected a list, got 5"),
+    ]:
+        doc = json.loads(json.dumps(good_scene))
+        if index is None:
+            doc["objects"][0]["shape"][key] = value
+        else:
+            doc["objects"][0]["shape"][key][index] = value
+        scene.write_text(json.dumps(doc))
+        _malformed_exits_1(capsys, ["plan", "--scene", str(scene), "--seed", "1", "--out", out],
+                           "objects[0].shape." + message)
+
 
 def test_non_finite_json_numbers_name_the_field(tmp_path, capsys):
     scene = tmp_path / "scene.json"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 
 from tspn import Point3, Region, Scene, SceneObject, Sphere, Tour, TspConfig, tour_length
+from tspn.geom import contains
 from tspn.planner import (
     BoundReport,
     ONLINE_PACKING_ALPHA,
@@ -72,6 +73,28 @@ def test_center_visit_visits_each_object_once():
     ids = [v.object_id for v in tour.visits]
     assert sorted(ids) == sorted(o.id for o in scene.objects)
     assert missed_objects(tour, scene) == []
+
+
+def test_center_visit_degenerate_centers():
+    # Coincident, repeated and collinear centers, and every scene size up
+    # to 5: each object is visited once, at a point of its own region.
+    rng = np.random.default_rng(16)
+    base = rng.uniform(0, 20, size=(4, 3))
+    cases = [
+        np.concatenate([base, base, base[:2]]),
+        np.full((7, 3), 10.0),
+        np.array([[3.0 * i, 1.0, 1.0] for i in (4, 0, 6, 2, 5, 1, 3)]),
+    ]
+    cases += [rng.uniform(0, 20, size=(n, 3)) for n in range(6)]
+    for centers in cases:
+        scene = make_scene([sphere_obj(f"o{i}", c, 2.0) for i, c in enumerate(centers)], 2.0, 2.0)
+        tour = center_visit(Point3(-5, 0, 0), scene)
+        assert len(tour.waypoints) == len(centers) + 1
+        assert sorted(v.object_id for v in tour.visits) == sorted(o.id for o in scene.objects)
+        for v in tour.visits:
+            region = scene.get(v.object_id).region
+            assert contains(region, tour.waypoints[v.waypoint_index : v.waypoint_index + 1])[0]
+        assert missed_objects(tour, scene) == []
 
 
 def test_center_visit_factor_against_brute_force_tspn():

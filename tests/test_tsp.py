@@ -1,12 +1,27 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tspn import SizeLimitError, TspConfig, exact_tour, heuristic_tour, solve_tour
 from tspn.geom import tour_length
+from tspn.tsp import (
+    CANDIDATES,
+    candidate_lists,
+    exact_order,
+    heuristic_order,
+    local_search,
+    nearest_neighbor_order,
+)
 
-from oracles import brute_force_tsp
+from oracles import (
+    brute_force_tsp,
+    dense_candidate_lists,
+    dense_distance_matrix,
+    dense_heuristic_order,
+    dense_nearest_neighbor,
+)
 
 
 def as_points(arr):
@@ -123,24 +138,138 @@ def test_solvers_rigid_invariance():
         )
 
 
+def _closed_len(order, pts):
+    return sum(math.dist(pts[order[i]], pts[order[(i + 1) % len(order)]]) for i in range(len(order)))
+
+
+def _search_inputs(pts):
+    return candidate_lists(pts, min(CANDIDATES, len(pts) - 1))
+
+
 def test_two_opt_never_worse_than_nearest_neighbor():
-    from tspn.tsp import _distance_matrix, _nearest_neighbor_order_from, _two_opt
-
+    # Uniform, clustered and lattice (tie-heavy) inputs, on both sides of
+    # the multi-start thresholds.
     rng = np.random.default_rng(8)
-    arr = rng.uniform(size=(25, 3))
-    dist = _distance_matrix(arr)
-    order = _nearest_neighbor_order_from(dist, 0)
+    cases = [rng.uniform(size=(n, 3)) for n in (5, 12, 25, 33, 120)]
+    cases.append(np.repeat(rng.uniform(0, 50, size=(8, 3)), 15, axis=0) + rng.normal(size=(120, 3)))
+    cases.append(rng.integers(0, 4, size=(90, 3)).astype(float))
+    for pts in cases:
+        cand, cand_d = _search_inputs(pts)
+        start = nearest_neighbor_order(pts, cand, 0)
+        improved = local_search(start, pts, cand, cand_d, 1e-12)
+        assert sorted(improved) == list(range(len(pts)))
+        assert _closed_len(improved, pts) <= _closed_len(start, pts) + 1e-9
+        final = heuristic_order(pts)
+        assert _closed_len(final, pts) <= _closed_len(start, pts) + 1e-9
 
-    def closed_len(o):
-        return sum(dist[o[i], o[(i + 1) % len(o)]] for i in range(len(o)))
 
-    nn_len = closed_len(order)
-    prev = nn_len
-    for passes in (1, 2, 5, 50):
-        improved = _two_opt(list(order), dist, passes)
-        cur = closed_len(improved)
-        assert cur <= prev + 1e-12
-        prev = cur
+def test_candidate_lists_match_dense_argsort():
+    # Lattice points tie constantly and share x values across blocks; the
+    # clustered points make the x window of a block grow several times.
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 11, 40, 700):
+        lattice = rng.integers(0, 5, size=(n, 3)).astype(float)
+        uniform = rng.uniform(-3, 3, size=(n, 3))
+        clustered = rng.normal(size=(n, 3)) * [0.1, 5.0, 5.0] + rng.choice([0.0, 3.0, 40.0], size=(n, 1))
+        for pts in (lattice, uniform, clustered):
+            for k in sorted({1, min(4, n - 1), min(CANDIDATES, n - 1)}):
+                idx, d = candidate_lists(pts, k)
+                want_idx, want_d = dense_candidate_lists(pts, k)
+                assert idx.tolist() == want_idx.tolist(), (n, k)
+                assert d.tolist() == want_d.tolist(), (n, k)
+
+
+def test_nearest_neighbor_order_matches_dense_walk():
+    # Lattice points make the candidate lists run dry and exercise the scan.
+    rng = np.random.default_rng(12)
+    for pts in (rng.uniform(size=(150, 3)), rng.integers(0, 4, size=(150, 3)).astype(float)):
+        cand, _ = _search_inputs(pts)
+        dist = dense_distance_matrix(pts)
+        for start in (0, 77):
+            assert nearest_neighbor_order(pts, cand, start) == dense_nearest_neighbor(dist, start)
+
+
+@pytest.mark.parametrize("n", [3, 7, 12, 13, 32, 33, 200])
+def test_heuristic_order_is_deterministic_permutation_from_zero(n):
+    rng = np.random.default_rng(100 + n)
+    pts = rng.uniform(0, 100, size=(n, 3))
+    order = heuristic_order(pts)
+    assert order[0] == 0
+    assert sorted(order) == list(range(n))
+    assert heuristic_order(pts.copy()) == order
+
+
+def test_no_improving_two_opt_move_among_candidates():
+    # The search stops at a local optimum: no 2-opt move that adds an edge
+    # to a candidate closer than the tour edge it removes gains anything.
+    rng = np.random.default_rng(13)
+    for pts in (rng.uniform(0, 100, size=(300, 3)), rng.integers(0, 6, size=(200, 3)).astype(float)):
+        order = heuristic_order(pts)
+        cand = _search_inputs(pts)[0].tolist()
+        n = len(order)
+        pos = {v: i for i, v in enumerate(order)}
+        for a in range(n):
+            for step in (1, -1):
+                b = order[(pos[a] + step) % n]
+                d_ab = math.dist(pts[a], pts[b])
+                for c in cand[a]:
+                    d_ac = math.dist(pts[a], pts[c])
+                    d = order[(pos[c] + step) % n]
+                    if d_ac >= d_ab or c == b or d == a:
+                        continue
+                    gain = d_ab + math.dist(pts[c], pts[d]) - d_ac - math.dist(pts[b], pts[d])
+                    assert gain <= 1e-9, (a, c, step, gain)
+
+
+@pytest.mark.parametrize("n", [50, 200, 1000])
+def test_mean_length_within_half_percent_of_dense_heuristic(n):
+    rng = np.random.default_rng(5000 + n)
+    new = ref = 0.0
+    for _ in range(20):
+        pts = rng.uniform(0, 100, size=(n, 3))
+        new += _closed_len(heuristic_order(pts), pts)
+        ref += _closed_len(dense_heuristic_order(pts), pts)
+    assert new <= 1.005 * ref, (new / 20, ref / 20)
+
+
+def test_heuristic_order_memory_stays_below_dense_matrix():
+    # A dense 5000 x 5000 float64 matrix alone is 200 MB.
+    pts = np.random.default_rng(14).uniform(0, 300, size=(5000, 3))
+    tracemalloc.start()
+    try:
+        order = heuristic_order(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(order) == list(range(5000))
+    assert peak < 25 * 2**20, peak
+
+
+def _degenerate_inputs():
+    rng = np.random.default_rng(15)
+    base = rng.uniform(0, 10, size=(6, 3))
+    yield "duplicates", np.concatenate([base, base, base[:3]])
+    yield "identical", np.full((9, 3), 2.5)
+    yield "identical-40", np.full((40, 3), -1.0)
+    yield "collinear", np.array([[float(i), 0.0, 0.0] for i in (5, 0, 9, 2, 7, 1, 8, 3, 6, 4)])
+    yield "collinear-duplicates", np.array([[float(i % 4), 2 * float(i % 4), 0.0] for i in range(50)])
+    for n in range(6):
+        yield f"n={n}", rng.uniform(0, 10, size=(n, 3))
+
+
+def test_heuristic_order_degenerate_inputs():
+    for name, pts in _degenerate_inputs():
+        order = heuristic_order(pts)
+        n = len(pts)
+        assert sorted(order) == list(range(n)), name
+        assert order[:1] == [0][:n], name
+        assert heuristic_order(pts) == order, name
+        if name == "collinear":
+            assert math.isclose(_closed_len(order, pts), 18.0), name
+        if name.startswith("identical"):
+            assert _closed_len(order, pts) == 0.0, name
+        if 0 < n <= 5:
+            assert math.isclose(_closed_len(order, pts), _closed_len(exact_order(pts), pts)), name
 
 
 def test_solve_tour_dispatch():
@@ -154,5 +283,3 @@ def test_config_validation():
         TspConfig(solver="annealing")
     with pytest.raises(Exception):
         TspConfig(exact_max_n=14)
-    with pytest.raises(Exception):
-        TspConfig(two_opt_max_passes=0)
