@@ -32,6 +32,7 @@ from .geom import (
     tour_length,
 )
 from .planner import (
+    DEFAULT_SAMPLES_PER_REGION,
     SimulationOracle,
     alpha_fat_baseline,
     center_visit,
@@ -395,7 +396,7 @@ def run_comparison(
     methods: list[str],
     seeds: int,
     start: Point3 | None = None,
-    samples_per_region: int = 108,
+    samples_per_region: int = DEFAULT_SAMPLES_PER_REGION,
     tsp: TspConfig | None = None,
 ) -> ComparisonReport:
     """Plan every (config, seed, method) cell and aggregate lengths/runtimes.

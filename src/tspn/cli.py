@@ -31,6 +31,7 @@ from .bench import (
 from .errors import TspnError
 from .geom import Point3, Sphere
 from .planner import (
+    DEFAULT_SAMPLES_PER_REGION,
     SimulationOracle,
     alpha_fat_baseline,
     build_detour,
@@ -101,7 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="surface-representative baseline tour")
     p.add_argument("--scene", required=True)
     p.add_argument("--start", default="0,0,0")
-    p.add_argument("--samples", type=int, default=108, help="boundary samples per region")
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES_PER_REGION,
+                   help="boundary samples per region")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
 
@@ -152,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True, help="base seed")
     p.add_argument("--methods", default="center-visit,alpha-fat",
                    help="comma-separated method ids")
-    p.add_argument("--samples", type=int, default=108)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES_PER_REGION)
     p.add_argument("--overlap-rate", type=float, default=0.0)
     p.add_argument("--nondisjoint", action="store_true")
     p.add_argument("--out", required=True, help="per-run rows CSV path")

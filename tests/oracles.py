@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from tspn.errors import ContractError
-from tspn.geom import Sampled, Shell, Sphere
+from tspn.geom import Sampled, Shell, Sphere, Tour, Visit, _boundary_radii
+from tspn.planner import _doubled_tree_walk
 from tspn.viewscore import ORIENTATION_BINS, OrientationHistogram
 
 
@@ -484,3 +485,82 @@ def dense_heuristic_order(points: np.ndarray) -> list[int]:
             best_order = order
     z = best_order.index(0)
     return best_order[z:] + best_order[:z]
+
+
+# --------------------------------------------------------------------------- unpruned baseline
+# The surface-representative baseline before its greedy was pruned: one
+# Fibonacci pattern per region, a full argmin over every sample per pick,
+# and Prim over a dense distance matrix; kept as the bitwise reference.
+
+
+def per_region_surface_samples(region, n: int) -> np.ndarray:
+    c = region.center.as_array()
+    dirs = fibonacci_directions(n)
+    shape = region.shape
+    if isinstance(shape, (Sphere, Shell)):
+        return c + dirs * (region.d_max / 2.0)
+    return c + dirs * _boundary_radii(shape, c, dirs)[:, None]
+
+
+def dense_prim_adjacency(pts: np.ndarray, root: int) -> list[list[int]]:
+    """Prim minimum spanning tree over the dense matrix; children in insertion order."""
+    n = len(pts)
+    dist = dense_distance_matrix(pts)
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[root] = True
+    best = dist[root].copy()
+    parent = np.full(n, root)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for _ in range(n - 1):
+        masked = np.where(in_tree, np.inf, best)
+        j = int(np.argmin(masked))
+        adj[int(parent[j])].append(j)
+        in_tree[j] = True
+        closer = dist[j] < best
+        update = closer & ~in_tree
+        best[update] = dist[j][update]
+        parent[update] = j
+    return adj
+
+
+def unpruned_alpha_fat_baseline(start, scene, samples_per_region: int = 108) -> Tour:
+    if samples_per_region < 4:
+        raise ContractError("samples_per_region must be >= 4")
+    start_arr = start.as_array()
+    if len(scene) == 0:
+        return Tour(waypoints=[start_arr], closed=False)
+    n = len(scene)
+    samples = np.stack(
+        [per_region_surface_samples(obj.region, samples_per_region) for obj in scene.objects]
+    )  # (n, s, 3)
+    flat = samples.reshape(n * samples_per_region, 3)
+
+    d_start = np.linalg.norm(flat - start_arr, axis=1)
+    first = int(np.argmin(d_start))
+    first_region = first // samples_per_region
+    reps: dict[int, np.ndarray] = {first_region: flat[first]}
+
+    min_to_set = np.linalg.norm(flat - flat[first], axis=1)
+    assigned = np.zeros(n, dtype=bool)
+    assigned[first_region] = True
+    for _ in range(n - 1):
+        masked = min_to_set.copy()
+        masked.reshape(n, samples_per_region)[assigned] = np.inf
+        pick = int(np.argmin(masked))
+        region_idx = pick // samples_per_region
+        reps[region_idx] = flat[pick]
+        assigned[region_idx] = True
+        min_to_set = np.minimum(min_to_set, np.linalg.norm(flat - flat[pick], axis=1))
+
+    rep_arr = np.array([reps[i] for i in range(n)])
+    root = int(np.argmin(np.linalg.norm(rep_arr - start_arr, axis=1)))
+    walk = _doubled_tree_walk(dense_prim_adjacency(rep_arr, root), root)
+
+    visits = []
+    seen: set[int] = set()
+    for k, idx in enumerate(walk, start=1):
+        if idx not in seen:
+            seen.add(idx)
+            visits.append(Visit(object_id=scene.objects[idx].id, waypoint_index=k))
+    waypoints = np.concatenate([start_arr[None], rep_arr[walk]])
+    return Tour(waypoints=waypoints, closed=False, visits=tuple(visits))

@@ -1,13 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from tspn import Point3, Region, Scene, SceneObject, Sphere, Tour, TspConfig, tour_length
+from tspn import (
+    Point3, Region, Sampled, Scene, SceneObject, Shell, Sphere, Tour, TspConfig, tour_length,
+)
+from tspn.bench import SceneConfig, generate_scene
 from tspn.geom import contains
 from tspn.planner import (
     BoundReport,
     ONLINE_PACKING_ALPHA,
     REGION_COUNT_COEFF,
+    _mst_adjacency,
+    alpha_fat_baseline,
     center_visit,
     maximal_independent_set,
     missed_objects,
@@ -17,7 +25,7 @@ from tspn.planner import (
     validate_bounds,
 )
 
-from oracles import sampled_tspn_optimum
+from oracles import dense_prim_adjacency, sampled_tspn_optimum, unpruned_alpha_fat_baseline
 
 
 def sphere_obj(oid, center, d):
@@ -257,9 +265,9 @@ def test_alpha_fat_runtime_decreases_with_fewer_samples():
     def best_of(samples, reps=3):
         best = float("inf")
         for _ in range(reps):
-            t0 = time.monotonic()
+            t0 = time.perf_counter()
             alpha_fat_baseline(start, scene, samples_per_region=samples)
-            best = min(best, time.monotonic() - t0)
+            best = min(best, time.perf_counter() - t0)
         return best
 
     dense = best_of(108)
@@ -275,6 +283,125 @@ def test_alpha_fat_touches_every_region():
     tour = alpha_fat_baseline(Point3(0, 0, 0), scene, samples_per_region=32)
     assert missed_objects(tour, scene) == []
     assert sorted(v.object_id for v in tour.visits) == sorted(o.id for o in scene.objects)
+
+
+def baseline_scene(rng, n: int, offset: float) -> Scene:
+    """n spheres, shells and sampled regions around a few shared centers.
+
+    Regions often share a center, with equal or different sizes, and half
+    the shells have inner == outer. At an offset of 2**52 m or more every
+    sample lands on a float grid of 1 m or coarser, so exact distance ties
+    run across samples, picks and regions.
+    """
+    pool = offset + np.round(rng.uniform(-12.0, 12.0, size=(max(1, n // 2), 3)))
+    objs = []
+    for i in range(n):
+        c = pool[rng.integers(len(pool))]
+        d = float(rng.choice([4.0, 6.0, 8.0]))
+        kind = rng.integers(3)
+        shape = Sphere(d) if kind == 0 else Shell(d * float(rng.choice([0.5, 1.0])), d)
+        if kind == 2:
+            u = rng.normal(size=(int(rng.integers(8, 24)), 3))
+            u /= np.linalg.norm(u, axis=1)[:, None]
+            pts = c + u * (d * rng.uniform(0.3, 0.5, size=len(u)))[:, None]
+            radii = np.linalg.norm(pts - c, axis=1)
+            # A coarse grid can round a point onto the center; keep the shell then.
+            if radii.min() > 0:
+                shape = Sampled(points=pts, normals=u, d_min=2 * float(radii.min()),
+                                d_max=2 * float(radii.max()))
+        objs.append(SceneObject(id=f"o{i}", region=Region(center=Point3(*c), shape=shape)))
+    d_min = min((o.region.d_min for o in objs), default=1.0)
+    d_max = max((o.region.d_max for o in objs), default=1.0)
+    return Scene(objects=tuple(objs), d_min_global=d_min, d_max_global=d_max)
+
+
+def baseline_start(rng, scene: Scene, offset: float, where: str) -> Point3:
+    """A free start, or one at a region's center (a shell's, when there is
+    one), or one near a region's center: inside it unless it is a shell."""
+    if where == "free" or len(scene) == 0:
+        return Point3(*(offset + rng.uniform(-20.0, 20.0, size=3)))
+    shells = [o.region for o in scene.objects if isinstance(o.region.shape, Shell)]
+    if shells and where == "center":
+        region = shells[0]
+    else:
+        region = scene.objects[rng.integers(len(scene))].region
+    c = region.center.as_array()
+    if where == "center":
+        return Point3(*c)
+    return Point3(*(c + rng.uniform(-0.2, 0.2, size=3) * region.d_min))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 14),
+    samples=st.sampled_from((4, 5, 12, 108)),
+    offset=st.sampled_from((0.0, 2.0**52, 2.0**53)),
+    where=st.sampled_from(("free", "center", "inside")),
+)
+@example(seed=0, n=0, samples=4, offset=0.0, where="free")
+@example(seed=1, n=1, samples=5, offset=0.0, where="inside")
+@example(seed=2, n=2, samples=12, offset=0.0, where="center")
+# In the next three a later pick ties a region's best at another sample index.
+@example(seed=0, n=14, samples=108, offset=2.0**53, where="free")
+@example(seed=2, n=14, samples=108, offset=2.0**52, where="center")
+@example(seed=9, n=14, samples=12, offset=2.0**52, where="center")
+def test_alpha_fat_matches_unpruned_reference(seed, n, samples, offset, where):
+    rng = np.random.default_rng(seed)
+    scene = baseline_scene(rng, n, offset)
+    start = baseline_start(rng, scene, offset, where)
+    got = alpha_fat_baseline(start, scene, samples_per_region=samples)
+    want = unpruned_alpha_fat_baseline(start, scene, samples_per_region=samples)
+    assert np.array_equal(got.waypoints, want.waypoints)
+    assert got.visits == want.visits
+
+
+def test_alpha_fat_prune_keeps_a_tie_that_rounding_hides():
+    # At 2**52 m the samples sit on a grid of 1 m (0.5 m just below 2**52).
+    # The first pick is b's sample at the start, sqrt(24) from r's sample 11.
+    # a's sample nearest to it, p = c_r + 3 * Q8, is picked next; Q8 is one
+    # of r's farthest samples, |Q8|**2 = 6. p is also sqrt(24) from r's sample 8, so
+    # the tie moves r's representative to the lower index 8. The three points
+    # are collinear and |c_r - p| = sqrt(54) rounds above sqrt(24) + sqrt(6),
+    # so a prune without slack would skip r and keep sample 11.
+    o = 2.0**52
+    objs = [
+        SceneObject(id="r", region=Region(center=Point3(o, o, o), shape=Sphere(4.0))),
+        SceneObject(id="a", region=Region(center=Point3(o + 7, o + 3, o - 2.5), shape=Sphere(2.0))),
+        SceneObject(id="b", region=Region(center=Point3(o + 2, o + 5, o - 5), shape=Sphere(2.0))),
+    ]
+    scene = Scene(objects=tuple(objs), d_min_global=2.0, d_max_global=4.0)
+    start = Point3(o + 2, o + 5, o - 4)
+    got = alpha_fat_baseline(start, scene, samples_per_region=12)
+    want = unpruned_alpha_fat_baseline(start, scene, samples_per_region=12)
+    assert np.array_equal(got.waypoints, want.waypoints)
+    assert got.visits == want.visits
+
+
+def test_mst_adjacency_matches_dense_prim():
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 3, 50, 250):
+        pts = rng.uniform(0, 50, size=(n, 3))
+        dup = np.concatenate([pts[: n // 2 + 1], pts[: n // 2 + 1]])  # every point twice
+        for p in (pts, dup, np.round(pts / 10.0)):
+            root = int(rng.integers(len(p)))
+            assert _mst_adjacency(p, root) == dense_prim_adjacency(p, root), (n, root)
+
+
+def test_alpha_fat_memory_stays_below_dense_matrix():
+    # A dense 3000 x 3000 float64 matrix alone is 72 MB.
+    n = 3000
+    scene = generate_scene(SceneConfig(n_objects=n, d_min=5.4, d_max=8.2, cube_edge=300.0,
+                                       disjoint=True, seed=17))
+    tracemalloc.start()
+    try:
+        tour = alpha_fat_baseline(Point3(0, 0, 0), scene, samples_per_region=12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(v.object_id for v in tour.visits) == sorted(o.id for o in scene.objects)
+    assert len(tour.waypoints) == 2 * n
+    assert peak < 8 * n * n / 8, peak
 
 
 def test_empty_tour_misses_every_object():
