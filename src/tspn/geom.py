@@ -277,12 +277,17 @@ def closest_point_on_region(region: Region, p: np.ndarray) -> np.ndarray:
             raise InvalidRegionError("sampled region has no boundary points")
         d2 = np.sum((s.points - p) ** 2, axis=1)
         return s.points[int(np.argmin(d2))]
-    if contains(region, p[None, :], tol=0.0)[0]:
+    r_in, r_out = _ball_intervals(region)
+    # contains(region, p[None, :], tol=0.0) to the bit, without numpy's
+    # per-call overhead: the same differences, squares and summation order.
+    o = region.center
+    px, py, pz = p.tolist()
+    dx, dy, dz = px - o.x, py - o.y, pz - o.z
+    if r_in <= math.sqrt(dx * dx + dy * dy + dz * dz) <= r_out:
         return p
-    c = region.center.as_array()
+    c = o.as_array()
     v = p - c
     r = float(np.linalg.norm(v))
-    r_in, r_out = _ball_intervals(region)
     # Outside the solid: past the outer sphere, or in a shell's hole.
     if r > r_in:
         return c + v * (r_out / r)
@@ -352,6 +357,15 @@ class GridIndex:
         h = self.cell
         return (math.floor(p[0] / h), math.floor(p[1] / h), math.floor(p[2] / h))
 
+    @classmethod
+    def of_points(cls, points: np.ndarray, radius: float) -> "GridIndex":
+        """A grid holding row i of ``points`` (k, 3) as index i, under ``_key``'s keys."""
+        grid = cls(radius)
+        cells = grid._cells
+        for i, (x, y, z) in enumerate(np.floor(points / grid.cell).tolist()):
+            cells.setdefault((int(x), int(y), int(z)), []).append(i)
+        return grid
+
     def insert(self, index: int, p) -> None:
         self._cells.setdefault(self._key(p), []).append(index)
 
@@ -372,9 +386,7 @@ def _near_pairs(points: np.ndarray, radius: float):
 
     Yields (i, js, distances) for every i with at least one candidate.
     """
-    grid = GridIndex(radius)
-    for i in range(len(points)):
-        grid.insert(i, points[i])
+    grid = GridIndex.of_points(points, radius)
     for i in range(len(points)):
         near = np.array(grid.near(points[i]))
         near = np.sort(near[near > i])
@@ -382,13 +394,14 @@ def _near_pairs(points: np.ndarray, radius: float):
             yield i, near, np.linalg.norm(points[near] - points[i], axis=1)
 
 
-def region_reach(region: Region) -> float:
+def region_reach(region: Region, d_min_global: float | None = None) -> float:
     """Radius about the center holding the region plus its touch tolerance.
 
     Two regions whose centers are farther apart than the sum of their
-    reaches never intersect.
+    reaches never intersect, and no point beyond the reach touches the
+    region within ``touch_tolerance(region, d_min_global)``.
     """
-    return region.d_max / 2.0 * (1.0 + EPS_TOL) + EPS_TOL + touch_tolerance(region)
+    return region.d_max / 2.0 * (1.0 + EPS_TOL) + EPS_TOL + touch_tolerance(region, d_min_global)
 
 
 def intersecting_pairs(regions) -> list[tuple[int, int]]:
@@ -408,6 +421,30 @@ def intersecting_pairs(regions) -> list[tuple[int, int]]:
             if regions_intersect(regions[i], regions[j]):
                 pairs.append((i, j))
     return pairs
+
+
+def first_touch_indices(regions, points: np.ndarray, d_min_global: float) -> np.ndarray:
+    """Per region, the index of the first row of ``points`` (W, 3) touching it, or -1.
+
+    A row touches a region when ``contains`` accepts it within
+    ``touch_tolerance(region, d_min_global)``. The rows sit in a grid whose
+    cell edge is the largest reach, so only the 27 cells around a region's
+    center can hold a touching row; those are tested in index order.
+    """
+    first = np.full(len(regions), -1)
+    if len(regions) == 0 or len(points) == 0:
+        return first
+    grid = GridIndex.of_points(points, max(region_reach(r, d_min_global) for r in regions))
+    for i, region in enumerate(regions):
+        c = region.center
+        near = grid.near((c.x, c.y, c.z))
+        if not near:
+            continue
+        near = np.sort(np.array(near))
+        hit = np.flatnonzero(contains(region, points[near], touch_tolerance(region, d_min_global)))
+        if hit.size:
+            first[i] = near[hit[0]]
+    return first
 
 
 def closest_pair_within(points: np.ndarray, radius: float) -> tuple[int, int] | None:

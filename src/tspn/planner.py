@@ -29,6 +29,7 @@ from .geom import (
     closest_point_on_region,
     closest_pair_within,
     contains,
+    first_touch_indices,
     intersecting_pairs,
     max_diameter_segment,
     pairwise_sq_distances,
@@ -453,32 +454,49 @@ def plan_nondisjoint_detailed(
             stitched = stitched[::-1]
         blocks.append(stitched)
 
-    # Patch any object the trajectory still misses (rare: detours are
-    # budget-capped, so grazing contacts can slip through discretization).
-    arr = np.concatenate(blocks)
+    arr, visits, patched = _patch_and_visit(np.concatenate(blocks), scene)
+    tour = Tour(waypoints=arr, closed=False, visits=visits)
+    return NondisjointPlan(
+        tour=tour, mis=mis, detours=tuple(detours), patched_ids=tuple(patched)
+    )
+
+
+def _patch_and_visit(
+    arr: np.ndarray, scene: Scene
+) -> tuple[np.ndarray, tuple[Visit, ...], list[str]]:
+    """Patch every object ``arr`` (W, 3) misses; return the waypoints, visits and patched ids.
+
+    Objects are taken in scene order. A missed one (rare: detours are
+    budget-capped, so grazing contacts can slip through discretization)
+    gets an out-and-back spike from its nearest waypoint to its closest
+    point. Each visit is the first waypoint touching its object.
+    """
+    regions = [o.region for o in scene.objects]
+    first = first_touch_indices(regions, arr, scene.d_min_global)
     patched: list[str] = []
-    for obj in scene.objects:
+    spikes: list[np.ndarray] = []
+    for obj, hit in zip(scene.objects, first):
+        if hit >= 0:
+            continue
+        # Rows inserted so far are spike tips or copies of rows already tested.
         tol = touch_tolerance(obj.region, scene.d_min_global)
-        if contains(obj.region, arr, tol).any():
+        if spikes and contains(obj.region, np.array(spikes), tol).any():
             continue
         c = obj.region.center.as_array()
         near = int(np.argmin(np.linalg.norm(arr - c, axis=1)))
         q = closest_point_on_region(obj.region, arr[near])
         arr = np.insert(arr, near + 1, [q, arr[near]], axis=0)
+        spikes.append(q)
         patched.append(obj.id)
-
-    visits = []
-    for obj in scene.objects:
-        tol = touch_tolerance(obj.region, scene.d_min_global)
-        hits = np.flatnonzero(contains(obj.region, arr, tol))
-        if not hits.size:
+    if patched:
+        first = first_touch_indices(regions, arr, scene.d_min_global)
+    for obj, hit in zip(scene.objects, first):
+        if hit < 0:
             raise ContractError(f"object {obj.id!r} left untouched after patching")
-        visits.append(Visit(object_id=obj.id, waypoint_index=int(hits[0])))
-
-    tour = Tour(waypoints=arr, closed=False, visits=tuple(visits))
-    return NondisjointPlan(
-        tour=tour, mis=mis, detours=tuple(detours), patched_ids=tuple(patched)
+    visits = tuple(
+        Visit(object_id=obj.id, waypoint_index=int(hit)) for obj, hit in zip(scene.objects, first)
     )
+    return arr, visits, patched
 
 
 def plan_nondisjoint(start: Point3, scene: Scene, tsp: TspConfig | None = None) -> Tour:
@@ -824,9 +842,6 @@ def validate_bounds(
 
 def missed_objects(tour: Tour, scene: Scene) -> list[str]:
     """Ids of scene objects no tour waypoint touches (within tolerance)."""
-    arr = tour.waypoints
-    return [
-        obj.id
-        for obj in scene.objects
-        if not contains(obj.region, arr, touch_tolerance(obj.region, scene.d_min_global)).any()
-    ]
+    regions = [o.region for o in scene.objects]
+    first = first_touch_indices(regions, tour.waypoints, scene.d_min_global)
+    return [obj.id for obj, hit in zip(scene.objects, first) if hit < 0]

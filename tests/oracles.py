@@ -12,9 +12,16 @@ import math
 
 import numpy as np
 
-from tspn.errors import ContractError
-from tspn.geom import Sampled, Shell, Sphere, Tour, Visit, _boundary_radii
-from tspn.planner import _doubled_tree_walk
+from tspn.errors import ContractError, InvalidRegionError
+from tspn.geom import (
+    Sampled, Scene, Shell, Sphere, Tour, Visit, _ball_intervals, _boundary_radii,
+    closest_point_on_region, contains, touch_tolerance,
+)
+from tspn.planner import (
+    NondisjointPlan, _doubled_tree_walk, build_detour, center_visit,
+    maximal_independent_set,
+)
+from tspn.tsp import TspConfig
 from tspn.viewscore import ORIENTATION_BINS, OrientationHistogram
 
 
@@ -564,3 +571,111 @@ def unpruned_alpha_fat_baseline(start, scene, samples_per_region: int = 108) -> 
             visits.append(Visit(object_id=scene.objects[idx].id, waypoint_index=k))
     waypoints = np.concatenate([start_arr[None], rep_arr[walk]])
     return Tour(waypoints=waypoints, closed=False, visits=tuple(visits))
+
+
+# --------------------------------------------------------------------------- dense coverage passes
+# Before the grid lookup: every region tested against every waypoint, in
+# the patch pass, the visit pass and the coverage audit, and the closest
+# point's inside test made with a one-row ``contains``. Kept verbatim as
+# the bitwise reference.
+
+
+def one_row_contains_closest_point_on_region(region, p: np.ndarray) -> np.ndarray:
+    s = region.shape
+    if isinstance(s, Sampled):
+        if s.points.shape[0] == 0:
+            raise InvalidRegionError("sampled region has no boundary points")
+        d2 = np.sum((s.points - p) ** 2, axis=1)
+        return s.points[int(np.argmin(d2))]
+    if contains(region, p[None, :], tol=0.0)[0]:
+        return p
+    c = region.center.as_array()
+    v = p - c
+    r = float(np.linalg.norm(v))
+    r_in, r_out = _ball_intervals(region)
+    # Outside the solid: past the outer sphere, or in a shell's hole.
+    if r > r_in:
+        return c + v * (r_out / r)
+    if r == 0.0:
+        # Center of the hole: any inner-sphere point is closest; fix +x.
+        return c + np.array([r_in, 0.0, 0.0])
+    return c + v * (r_in / r)
+
+
+def dense_patch_and_visit(arr: np.ndarray, scene) -> tuple[np.ndarray, tuple, list[str]]:
+    """The dense patch pass and visit pass over the assembled waypoints ``arr``."""
+    # Patch any object the trajectory still misses (rare: detours are
+    # budget-capped, so grazing contacts can slip through discretization).
+    patched: list[str] = []
+    for obj in scene.objects:
+        tol = touch_tolerance(obj.region, scene.d_min_global)
+        if contains(obj.region, arr, tol).any():
+            continue
+        c = obj.region.center.as_array()
+        near = int(np.argmin(np.linalg.norm(arr - c, axis=1)))
+        q = closest_point_on_region(obj.region, arr[near])
+        arr = np.insert(arr, near + 1, [q, arr[near]], axis=0)
+        patched.append(obj.id)
+
+    visits = []
+    for obj in scene.objects:
+        tol = touch_tolerance(obj.region, scene.d_min_global)
+        hits = np.flatnonzero(contains(obj.region, arr, tol))
+        if not hits.size:
+            raise ContractError(f"object {obj.id!r} left untouched after patching")
+        visits.append(Visit(object_id=obj.id, waypoint_index=int(hits[0])))
+    return arr, tuple(visits), patched
+
+
+def dense_plan_nondisjoint_detailed(start, scene, tsp=None) -> NondisjointPlan:
+    """``plan_nondisjoint_detailed`` with the dense patch and visit passes."""
+    if tsp is None:
+        tsp = TspConfig()
+    mis = maximal_independent_set(scene)
+    kept_set = set(mis.kept)
+    kept_objects = [o for o in scene.objects if o.id in kept_set]
+    kept_scene = Scene(
+        objects=tuple(kept_objects),
+        d_min_global=scene.d_min_global,
+        d_max_global=scene.d_max_global,
+        cube_edge=scene.cube_edge,
+    )
+    base = center_visit(start, kept_scene, tsp)
+    neighbor_count: dict[str, int] = {kid: 0 for kid in mis.kept}
+    for keeper in mis.assignment.values():
+        neighbor_count[keeper] += 1
+    if not mis.assignment:
+        # Fully disjoint: the plan is exactly the center-visit trajectory.
+        return NondisjointPlan(tour=base, mis=mis, detours=(), patched_ids=())
+
+    by_id = {o.id: o for o in scene.objects}
+    blocks: list[np.ndarray] = [base.waypoints[:1]]
+    detours = []
+    for visit in base.visits:
+        touch = base.waypoints[visit.waypoint_index]
+        blocks.append(touch[None])
+        if neighbor_count.get(visit.object_id, 0) == 0:
+            continue
+        owner = by_id[visit.object_id].region
+        plan = build_detour(owner, scene.d_min_global, owner_id=visit.object_id)
+        detours.append(plan)
+        stitched = plan.stitched
+        if np.linalg.norm(stitched[-1] - touch) < np.linalg.norm(stitched[0] - touch):
+            stitched = stitched[::-1]
+        blocks.append(stitched)
+
+    arr, visits, patched = dense_patch_and_visit(np.concatenate(blocks), scene)
+    tour = Tour(waypoints=arr, closed=False, visits=tuple(visits))
+    return NondisjointPlan(
+        tour=tour, mis=mis, detours=tuple(detours), patched_ids=tuple(patched)
+    )
+
+
+def dense_missed_objects(tour: Tour, scene) -> list[str]:
+    """Ids of scene objects no tour waypoint touches (within tolerance)."""
+    arr = tour.waypoints
+    return [
+        obj.id
+        for obj in scene.objects
+        if not contains(obj.region, arr, touch_tolerance(obj.region, scene.d_min_global)).any()
+    ]
