@@ -560,6 +560,14 @@ def plan_online(
     called as ``oracle(object_id, position)`` with a (3,) array) and stops
     at the first detecting position. Raises if an oracle never fires
     before its center is reached.
+
+    The oracle must fire only within ``d_max / 2 + d_min / 10`` of the
+    center, as it does for any region whose diameter is at most ``d_max``.
+    Each leg therefore starts polling at its last lattice position outside
+    the ball of radius ``d_max / 2`` about the center, or at its start when
+    none is (the skipped ones lie more than a step outside it), and makes
+    at most ``ceil(5 * d_max / d_min) + 2`` polls. Detection points are
+    those of polling the whole lattice from the leg's start.
     """
     if tsp is None:
         tsp = TspConfig()
@@ -586,7 +594,7 @@ def plan_online(
         dist = float(np.linalg.norm(delta))
         direction = delta / dist if dist > 0 else np.zeros(3)
         detected = None
-        k = 0
+        k = max(0, math.ceil((dist - d_max / 2.0) / step) - 1)
         while True:
             t = min(k * step, dist)
             p = pos + direction * t

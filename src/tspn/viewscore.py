@@ -21,6 +21,10 @@ from .geom import Point3, Region, Sampled, Shell, farthest_pair_distance
 ORIENTATION_BINS = 360
 DEFAULT_EDGE_FRACTION = 0.1
 DEFAULT_SCORE_THRESHOLD = 0.3
+# Relative and absolute margins of the squared-magnitude edge screen in
+# _orientation_bins.
+_RHO = 1e-9
+_ALPHA = 2.0**-1000
 
 # Built-in per-class diameter defaults (meters): mean max / mean min region
 # diameter and the minimum viewing radius for unit-scale models.
@@ -156,13 +160,31 @@ def _orientation_bins(pixels: np.ndarray, edge_fraction: float) -> tuple[np.ndar
     if not (0.0 < edge_fraction <= 1.0):
         raise ContractError("edge_fraction must be in (0, 1]")
     gx, gy = _sobel_gradients(pixels)
-    mag = np.hypot(gx, gy)
-    mag[:, -2:] = 0.0  # filler columns hold no pixel
-    peak = float(mag.max())
-    if peak == 0.0:
-        return np.zeros(ORIENTATION_BINS, dtype=np.intp), 0
-    edge = mag >= edge_fraction * peak
-    edge[:, -2:] = False  # filler is no edge pixel, even if the threshold underflows to 0
+    # Edge pixels are those whose hypot(gx, gy) reaches cut = edge_fraction
+    # * peak, peak being the largest hypot. Exact squared magnitudes m2
+    # decide every pixel clearly above or below c2 = edge_fraction**2 *
+    # max(m2), which lies within a few ulp of cut**2: hypot errs by under
+    # 1 ulp and m2 by about 2 ulp, and each square, product or sum that
+    # goes subnormal adds an absolute error below 2**-1073. The relative
+    # margin _RHO and the absolute margin _ALPHA cover these many times
+    # over, so the screen sends no pixel to the wrong side. hypot runs only
+    # on the pixels between the margins, and on the near-peak ones to find
+    # the exact cut when there are any, so the edge set and the bins are
+    # bitwise those of a full hypot pass.
+    m2 = gx * gx
+    m2 += gy * gy
+    m2[:, -2:] = -1.0  # filler columns hold no pixel, and fall below every cut
+    top = float(m2.max())
+    c2 = edge_fraction * edge_fraction * top
+    edge = m2 > c2 * (1.0 + _RHO) + _ALPHA
+    near = m2 >= c2 * (1.0 - _RHO) - _ALPHA
+    near ^= edge  # edge implies near, so this leaves the pixels between the margins
+    if np.count_nonzero(near):
+        tied = m2 >= top * (1.0 - _RHO) - _ALPHA
+        peak = float(np.hypot(gx[tied], gy[tied]).max())
+        if peak == 0.0:
+            return np.zeros(ORIENTATION_BINS, dtype=np.intp), 0
+        edge[near] = np.hypot(gx[near], gy[near]) >= edge_fraction * peak
     deg = np.arctan2(gy[edge], gx[edge])
     np.degrees(deg, out=deg)
     # deg lies in [-180, 180], where this is bitwise ``deg % 360.0``

@@ -18,10 +18,10 @@ from tspn.geom import (
     closest_point_on_region, contains, touch_tolerance,
 )
 from tspn.planner import (
-    NondisjointPlan, _doubled_tree_walk, build_detour, center_visit,
-    maximal_independent_set,
+    DetectionOutcome, NondisjointPlan, _doubled_tree_walk, _rotate_to_nearest, build_detour,
+    center_visit, maximal_independent_set,
 )
-from tspn.tsp import TspConfig
+from tspn.tsp import TspConfig, solve_order
 from tspn.viewscore import ORIENTATION_BINS, OrientationHistogram
 
 
@@ -679,3 +679,36 @@ def dense_missed_objects(tour: Tour, scene) -> list[str]:
         for obj in scene.objects
         if not contains(obj.region, arr, touch_tolerance(obj.region, scene.d_min_global)).any()
     ]
+
+
+def full_lattice_plan_online(start, centers, d_min: float, d_max: float, oracle, tsp=None):
+    """``plan_online`` as it stood before the poll window, for disjoint centers:
+    each leg polls every ``d_min / 10`` step from its start until the oracle
+    fires."""
+    pts = np.array([c.as_array() for _, c in centers], dtype=float).reshape(-1, 3)
+    step = d_min / 10.0
+    order = _rotate_to_nearest(solve_order(pts, tsp or TspConfig()), pts, start)
+    pos = start.as_array()
+    waypoints, visits, outcomes = [pos], [], []
+    for idx in order:
+        oid = centers[idx][0]
+        c = pts[idx]
+        delta = c - pos
+        dist = float(np.linalg.norm(delta))
+        direction = delta / dist if dist > 0 else np.zeros(3)
+        k = 0
+        while True:
+            t = min(k * step, dist)
+            p = pos + direction * t
+            if oracle(oid, p):
+                break
+            if t >= dist:
+                raise AssertionError(f"oracle for {oid!r} never fired")
+            k += 1
+        pos = p
+        waypoints.append(p)
+        visits.append(Visit(object_id=oid, waypoint_index=len(waypoints) - 1))
+        outcomes.append(DetectionOutcome(
+            object_id=oid, realized_diameter=float(oracle.realized_diameter(oid)), detected_at=p
+        ))
+    return Tour(waypoints=waypoints, closed=False, visits=tuple(visits)), outcomes

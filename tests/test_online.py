@@ -1,7 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tspn import (
     ContractError,
@@ -20,6 +23,8 @@ from tspn.planner import (
     online_tour_lower_bound,
     plan_online,
 )
+
+from oracles import full_lattice_plan_online
 
 
 def spread_centers(rng, n, d_max, cube=100.0):
@@ -160,3 +165,52 @@ def test_close_centers_tie_names_the_first_pair_in_input_order():
     oracle = SimulationOracle(centers, 2.0, 4.0, diameters={oid: 4.0 for oid, _ in centers})
     with pytest.raises(ContractError, match="centers 'p' and 'r' closer than d_max"):
         plan_online(Point3(0, 0, 0), centers, 2.0, 4.0, oracle)
+
+
+class CountingOracle:
+    """Wraps an oracle and counts its polls per object."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.polls = Counter()
+
+    def __call__(self, object_id, position):
+        self.polls[object_id] += 1
+        return self.inner(object_id, position)
+
+    def realized_diameter(self, object_id):
+        return self.inner.realized_diameter(object_id)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 10),
+    st.floats(0.5, 6.0),
+    st.floats(1.0, 3.0),
+    st.sampled_from(["drawn", "all d_max"]),
+    st.booleans(),
+)
+def test_poll_window_matches_full_lattice_reference(seed, n, d_min, spread, sizes, start_near):
+    rng = np.random.default_rng(seed)
+    d_max = d_min * spread
+    centers = spread_centers(rng, n, d_max)
+    if start_near:  # often inside the first ball, where the window starts at the leg's start
+        start = Point3.from_array(centers[0][1].as_array() + rng.normal(size=3) * d_max / 4.0)
+    else:
+        start = Point3.from_array(rng.uniform(0.0, 100.0, size=3))
+    diameters = {oid: d_max for oid, _ in centers} if sizes == "all d_max" else None
+
+    def oracle():
+        return SimulationOracle(centers, d_min, d_max, seed=seed, diameters=diameters)
+
+    counting = CountingOracle(oracle())
+    tour, outcomes = plan_online(start, centers, d_min, d_max, counting)
+    want_tour, want_outcomes = full_lattice_plan_online(start, centers, d_min, d_max, oracle())
+    assert tour.waypoints.tolist() == want_tour.waypoints.tolist()
+    assert tour.visits == want_tour.visits
+    assert [(o.object_id, o.realized_diameter, o.detected_at.tolist()) for o in outcomes] == [
+        (o.object_id, o.realized_diameter, o.detected_at.tolist()) for o in want_outcomes
+    ]
+    step = d_min / 10.0
+    assert max(counting.polls.values()) <= math.ceil(d_max / (2.0 * step)) + 2

@@ -213,12 +213,43 @@ _WRAP = np.array([[1e-13, 0.0, 100.0], [0.0, 0.0, 100.0], [0.0, 0.0, 100.0]])
 # A constant image whose gy rounds to 3.16e-322: edge_fraction * peak
 # underflows to 0, so every zero-magnitude pixel is an edge pixel.
 _UNDERFLOW = np.full((3, 3), 2.7655692527655694e-306)
+# A diagonal step: at edge_fraction 1.0 the eight peak-tied pixels, whose
+# magnitude is irrational, all sit exactly on the cut.
+_TIES = 255.0 * (np.add.outer(np.arange(6), -np.arange(7)) < 0)
+# One interior pixel with gradient (2a, 2b), for the first integer pair
+# whose np.hypot exceeds np.sqrt(gx*gx + gy*gy): a sqrt-based edge test at
+# edge_fraction 1.0 would miss the peak pixel itself. Where no such pair
+# exists the image still serves as a plain example.
+_A, _B = next(
+    ((a, b) for a in range(256) for b in range(256)
+     if np.sqrt(4.0 * (a * a + b * b)) < np.hypot(2.0 * a, 2.0 * b)),
+    (1, 1),
+)
+_HYPOT_ABOVE_SQRT = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, _A], [0.0, _B, 0.0]])
+# Subnormal gradients, whose squares all round to 0. Then gradients near
+# 2**-537, whose squares are subnormal: at edge_fraction 0.5 a pixel on
+# the cut is decided right only thanks to the absolute margin of the
+# squared-magnitude screen.
+_SUBNORMAL = np.array([[0, 3, 1, 0], [5, 0, 2, 7], [1, 4, 0, 2], [0, 6, 3, 1]]) * 2.0**-1074
+_SUBNORMAL_SQUARES = np.array([[0, 0, 7], [5, 3, 0], [7, 0, 3], [2, 0, 3], [4, 5, 1]]) * 2.0**-540
+# The last pixel's gradient, (-4, -6) * s, is half as long as the peak
+# pixel's, (-12, -8) * s, so at edge_fraction 0.5 it sits on the cut. Its
+# m2 rounds just below 0.25 * max(m2): only the relative margin of the
+# screen sends it to hypot.
+_HALF_PEAK = np.array([[6, 4, 6], [4, 7, 1], [4, 3, 0], [5, 1, 4], [1, 0, 3]]) * 0.45899935262727753
 
 
 @settings(max_examples=300, deadline=None)
 @given(images_and_masks(), st.sampled_from([1e-6, 0.1, 1.0]))
 @example((GrayImage.from_array(_WRAP), ObjectMask.from_array(np.ones((3, 3), bool))), 1.0)
 @example((GrayImage.from_array(_UNDERFLOW), ObjectMask.from_array(np.ones((3, 3), bool))), 1e-6)
+@example((GrayImage.from_array(_TIES), ObjectMask.from_array(np.ones((6, 7), bool))), 1.0)
+@example((GrayImage.from_array(_HYPOT_ABOVE_SQRT), ObjectMask.from_array(np.ones((3, 3), bool))), 1.0)
+@example((GrayImage.from_array(_SUBNORMAL), ObjectMask.from_array(np.ones((4, 4), bool))), 0.5)
+@example(
+    (GrayImage.from_array(_SUBNORMAL_SQUARES), ObjectMask.from_array(np.ones((5, 3), bool))), 0.5
+)
+@example((GrayImage.from_array(_HALF_PEAK), ObjectMask.from_array(np.ones((5, 3), bool))), 0.5)
 def test_kernel_bitwise_equal_to_nine_tap_reference(image_mask, edge_fraction):
     img, mask = image_mask
     gx, gy = _sobel_gradients(img.pixels)
