@@ -272,14 +272,29 @@ def scene_from_json(text: str) -> Scene:
 
 
 def tour_to_json(tour: Tour) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` of the trajectory document, to the byte.
+
+    The waypoint block is joined from ``float.__repr__`` (what the json
+    encoder writes for a finite float) and the fixed indent separators;
+    only the rest goes through the pure-Python encoder ``indent`` selects.
+    """
     doc = {
         "length_m": tour_length(tour),
-        "waypoints_m": tour.waypoints.tolist(),
+        "waypoints_m": None,
         "visits": [
             {"object_id": v.object_id, "waypoint_index": v.waypoint_index} for v in tour.visits
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    head, _, tail = json.dumps(doc, indent=2).partition('"waypoints_m": null')
+    coords = list(map(float.__repr__, tour.waypoints.ravel().tolist()))
+    if not coords:
+        return head + '"waypoints_m": []' + tail + "\n"
+    parts = [",\n      ", ",\n      ", "\n    ],\n    [\n      "] * len(tour.waypoints)
+    parts[-1] = "\n    ]\n  ]"
+    block = [None] * (2 * len(coords))
+    block[0::2] = coords
+    block[1::2] = parts
+    return head + '"waypoints_m": [\n    [\n      ' + "".join(block) + tail + "\n"
 
 
 def tour_from_json(text: str) -> Tour:

@@ -346,7 +346,9 @@ class GridIndex:
     Every point within ``radius`` of a query point ``p`` lies in the 27
     cells around ``p``'s own (spatial hashing, Teschner et al., VMV 2003).
     The cell edge is ``radius`` plus a relative 1e-9, so float rounding of
-    the cell keys cannot push such a point two cells away.
+    the cell keys cannot push such a point two cells away. It serves
+    incremental insertion; queries over a whole point set go through
+    ``candidate_pairs``, which uses the same cells.
     """
 
     def __init__(self, radius: float):
@@ -356,15 +358,6 @@ class GridIndex:
     def _key(self, p) -> tuple[int, int, int]:
         h = self.cell
         return (math.floor(p[0] / h), math.floor(p[1] / h), math.floor(p[2] / h))
-
-    @classmethod
-    def of_points(cls, points: np.ndarray, radius: float) -> "GridIndex":
-        """A grid holding row i of ``points`` (k, 3) as index i, under ``_key``'s keys."""
-        grid = cls(radius)
-        cells = grid._cells
-        for i, (x, y, z) in enumerate(np.floor(points / grid.cell).tolist()):
-            cells.setdefault((int(x), int(y), int(z)), []).append(i)
-        return grid
 
     def insert(self, index: int, p) -> None:
         self._cells.setdefault(self._key(p), []).append(index)
@@ -381,17 +374,103 @@ class GridIndex:
         return out
 
 
-def _near_pairs(points: np.ndarray, radius: float):
-    """Per point i: candidates j > i for being within ``radius``, ascending, and their distances.
+# Most pairs one block of ``candidate_pairs`` holds, unless a single query
+# has more candidates than that on its own.
+CANDIDATE_BLOCK = 1 << 16
 
-    Yields (i, js, distances) for every i with at least one candidate.
+# ``candidate_pairs`` counts the points of every cell of the points' rank
+# grid in one dense table while that grid has at most this many cells per
+# query and point; sparser grids are searched by sorted cell id instead.
+DENSE_CELLS = 8
+
+# The 9 (x, y) neighbour columns of a cell, as steps from its lowest
+# neighbour rank on each axis; the z-neighbours of a column are one range.
+_COLUMN_DX = np.repeat(np.arange(3), 3)
+_COLUMN_DY = np.tile(np.arange(3), 3)
+
+
+def _column_ranges(kq: np.ndarray, kp: np.ndarray):
+    """(order, start, count) locating each query's candidates among the points.
+
+    ``kq`` and ``kp`` are the float cell keys of the queries and points.
+    ``order`` sorts the points by cell id: the x and y ranks of their keys
+    give a column, the z rank a position in it. Row q of the (queries, 9)
+    arrays ``start`` and ``count`` gives the slice of ``order`` holding the
+    z-neighbours in each of query q's 9 neighbour columns.
     """
-    grid = GridIndex.of_points(points, radius)
-    for i in range(len(points)):
-        near = np.array(grid.near(points[i]))
-        near = np.sort(near[near > i])
-        if near.size:
-            yield i, near, np.linalg.norm(points[near] - points[i], axis=1)
+    n = len(kp)
+    rank = np.empty((n, 3), dtype=np.int64)
+    lo = np.empty((len(kq), 3), dtype=np.int64)
+    hi = np.empty_like(lo)
+    size = []
+    for a in range(3):
+        # Ranking the floats themselves casts no key to an integer.
+        keys, rank[:, a] = np.unique(kp[:, a], return_inverse=True)
+        lo[:, a] = np.searchsorted(keys, kq[:, a] - 1.0, "left")
+        hi[:, a] = np.searchsorted(keys, kq[:, a] + 1.0, "right")
+        size.append(len(keys))
+    nx, ny, nz = size
+    x = lo[:, :1] + _COLUMN_DX
+    y = lo[:, 1:2] + _COLUMN_DY
+    found = (x < hi[:, :1]) & (y < hi[:, 1:2])
+    column = x * ny + y
+    point_column = rank[:, 0] * ny + rank[:, 1]
+    cells = nx * ny * nz
+    dense = cells <= DENSE_CELLS * (n + len(kq))
+    if not dense:
+        # Number only the occupied columns, so cell ids stay below n * nz.
+        columns, point_column = np.unique(point_column, return_inverse=True)
+        c = np.searchsorted(columns, column)
+        found &= columns[np.minimum(c, len(columns) - 1)] == column
+        column = c
+    cell_id = point_column * nz + rank[:, 2]
+    order = np.argsort(cell_id, kind="stable")
+    if dense:
+        first = np.zeros(cells + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cell_id, minlength=cells), out=first[1:])
+        lookup = first.__getitem__
+    else:
+        lookup = cell_id[order].searchsorted
+    base = np.where(found, column, 0) * nz
+    start = lookup(base + lo[:, 2:])
+    return order, start, np.where(found, lookup(base + hi[:, 2:]) - start, 0)
+
+
+def candidate_pairs(queries: np.ndarray, points: np.ndarray, radius: float):
+    """Index pairs (q, p): row p of ``points`` lies in the 27 cells around row q of ``queries``.
+
+    The cells are ``GridIndex(radius)``'s: edge ``radius * (1 + 1e-9)``
+    and keys ``np.floor(x / cell)``, so every point within ``radius`` of a
+    query is among its candidates. Yields (q, p) int64 arrays in blocks of
+    consecutive queries, each sorted by q, then p. A block holds at most
+    ``CANDIDATE_BLOCK`` pairs unless one query has more on its own, so a
+    skewed input needs O(len(queries) + len(points) + CANDIDATE_BLOCK)
+    memory.
+
+    A query's neighbour keys on an axis are those in [key - 1, key + 1].
+    Above 2**53, where ``key + 1`` can round up to the next float, that
+    may take in one more key: the result is then a superset, never a
+    subset.
+    """
+    n = len(points)
+    if n == 0 or len(queries) == 0:
+        return
+    cell = radius * (1.0 + 1e-9)
+    order, start, count = _column_ranges(np.floor(queries / cell), np.floor(points / cell))
+    per_query = count.sum(axis=1)
+    total = np.cumsum(per_query)
+    b0 = 0
+    while b0 < len(queries):
+        done = int(total[b0 - 1]) if b0 else 0
+        b1 = max(int(np.searchsorted(total, done + CANDIDATE_BLOCK, "right")), b0 + 1)
+        m = int(total[b1 - 1]) - done
+        if m:
+            s, k = start[b0:b1].ravel(), count[b0:b1].ravel()
+            pos = np.arange(m) + np.repeat(s - (np.cumsum(k) - k), k)
+            pair = np.repeat(np.arange(b0, b1) * n, per_query[b0:b1]) + order[pos]
+            pair.sort()
+            yield np.divmod(pair, n)
+        b0 = b1
 
 
 def region_reach(region: Region, d_min_global: float | None = None) -> float:
@@ -404,22 +483,35 @@ def region_reach(region: Region, d_min_global: float | None = None) -> float:
     return region.d_max / 2.0 * (1.0 + EPS_TOL) + EPS_TOL + touch_tolerance(region, d_min_global)
 
 
+def _later_pairs(points: np.ndarray, radius: float):
+    """``candidate_pairs`` of ``points`` with itself, restricted to j > i, with distances.
+
+    Yields (i, j, distance) array triples in ascending (i, j) order.
+    """
+    for i, j in candidate_pairs(points, points, radius):
+        later = j > i
+        i, j = i[later], j[later]
+        yield i, j, np.linalg.norm(points[j] - points[i], axis=1)
+
+
 def intersecting_pairs(regions) -> list[tuple[int, int]]:
     """Every index pair (i, j), i < j, of intersecting regions, ascending.
 
-    Broad phase: a grid with cell edge twice the largest reach, then a
-    center-distance filter ``<= reach_i + reach_j``. Narrow phase:
-    ``regions_intersect`` on the survivors, in ascending (i, j) order.
+    Broad phase: ``candidate_pairs`` of the centers with cell edge twice
+    the largest reach, then a center-distance filter ``<= reach_i +
+    reach_j``. Narrow phase: ``regions_intersect`` on the survivors, in
+    ascending (i, j) order.
     """
     if len(regions) < 2:
         return []
     centers = points_array(r.center for r in regions)
     reach = np.array([region_reach(r) for r in regions])
     pairs: list[tuple[int, int]] = []
-    for i, near, dist in _near_pairs(centers, 2.0 * float(reach.max())):
-        for j in near[dist <= reach[i] + reach[near]].tolist():
-            if regions_intersect(regions[i], regions[j]):
-                pairs.append((i, j))
+    for i, j, dist in _later_pairs(centers, 2.0 * float(reach.max())):
+        near = dist <= reach[i] + reach[j]
+        for a, b in zip(i[near].tolist(), j[near].tolist()):
+            if regions_intersect(regions[a], regions[b]):
+                pairs.append((a, b))
     return pairs
 
 
@@ -427,23 +519,23 @@ def first_touch_indices(regions, points: np.ndarray, d_min_global: float) -> np.
     """Per region, the index of the first row of ``points`` (W, 3) touching it, or -1.
 
     A row touches a region when ``contains`` accepts it within
-    ``touch_tolerance(region, d_min_global)``. The rows sit in a grid whose
-    cell edge is the largest reach, so only the 27 cells around a region's
-    center can hold a touching row; those are tested in index order.
+    ``touch_tolerance(region, d_min_global)``. With the largest reach as
+    cell edge, only the rows ``candidate_pairs`` gives for a region's
+    center can touch it; those are tested in index order.
     """
     first = np.full(len(regions), -1)
     if len(regions) == 0 or len(points) == 0:
         return first
-    grid = GridIndex.of_points(points, max(region_reach(r, d_min_global) for r in regions))
-    for i, region in enumerate(regions):
-        c = region.center
-        near = grid.near((c.x, c.y, c.z))
-        if not near:
-            continue
-        near = np.sort(np.array(near))
-        hit = np.flatnonzero(contains(region, points[near], touch_tolerance(region, d_min_global)))
-        if hit.size:
-            first[i] = near[hit[0]]
+    centers = points_array(r.center for r in regions)
+    reach = max(region_reach(r, d_min_global) for r in regions)
+    for q, p in candidate_pairs(centers, points, reach):
+        cut = np.flatnonzero(np.diff(q)) + 1
+        for i, near in zip(q[np.r_[0, cut]].tolist(), np.split(p, cut)):
+            region = regions[i]
+            tol = touch_tolerance(region, d_min_global)
+            hit = np.flatnonzero(contains(region, points[near], tol))
+            if hit.size:
+                first[i] = near[hit[0]]
     return first
 
 
@@ -454,11 +546,13 @@ def closest_pair_within(points: np.ndarray, radius: float) -> tuple[int, int] | 
     row-major argmin of the dense distance matrix.
     """
     best: tuple[float, int, int] | None = None
-    for i, near, dist in _near_pairs(points, radius):
-        k = int(np.argmin(dist))
-        cand = (float(dist[k]), i, int(near[k]))
-        if cand[0] <= radius and (best is None or cand < best):
-            best = cand
+    for i, j, dist in _later_pairs(points, radius):
+        within = np.flatnonzero(dist <= radius)
+        if within.size:
+            k = within[np.argmin(dist[within])]
+            cand = (float(dist[k]), int(i[k]), int(j[k]))
+            if best is None or cand < best:
+                best = cand
     return None if best is None else (best[1], best[2])
 
 

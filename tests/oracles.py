@@ -14,8 +14,9 @@ import numpy as np
 
 from tspn.errors import ContractError, InvalidRegionError
 from tspn.geom import (
-    Sampled, Scene, Shell, Sphere, Tour, Visit, _ball_intervals, _boundary_radii,
-    closest_point_on_region, contains, touch_tolerance,
+    GridIndex, Sampled, Scene, Shell, Sphere, Tour, Visit, _ball_intervals, _boundary_radii,
+    closest_point_on_region, contains, points_array, region_reach, regions_intersect,
+    touch_tolerance,
 )
 from tspn.planner import (
     DetectionOutcome, NondisjointPlan, _doubled_tree_walk, _rotate_to_nearest, build_detour,
@@ -712,3 +713,79 @@ def full_lattice_plan_online(start, centers, d_min: float, d_max: float, oracle,
             object_id=oid, realized_diameter=float(oracle.realized_diameter(oid)), detected_at=p
         ))
     return Tour(waypoints=waypoints, closed=False, visits=tuple(visits)), outcomes
+
+
+# --------------------------------------------------------------------------- per-point grid walks
+# The neighbour queries that ``geom.candidate_pairs`` replaced: each point
+# walks the 27 cells of a ``GridIndex`` keyed by Python integers.
+
+
+def grid_of_points(points: np.ndarray, radius: float) -> GridIndex:
+    """A grid holding row i of ``points`` (k, 3) as index i, under ``_key``'s keys."""
+    grid = GridIndex(radius)
+    cells = grid._cells
+    for i, (x, y, z) in enumerate(np.floor(points / grid.cell).tolist()):
+        cells.setdefault((int(x), int(y), int(z)), []).append(i)
+    return grid
+
+
+def per_point_near_pairs(points: np.ndarray, radius: float):
+    """Per point i: candidates j > i for being within ``radius``, ascending, and their distances.
+
+    Yields (i, js, distances) for every i with at least one candidate.
+    """
+    grid = grid_of_points(points, radius)
+    for i in range(len(points)):
+        near = np.array(grid.near(points[i]))
+        near = np.sort(near[near > i])
+        if near.size:
+            yield i, near, np.linalg.norm(points[near] - points[i], axis=1)
+
+
+def per_point_intersecting_pairs(regions) -> list[tuple[int, int]]:
+    """``intersecting_pairs`` over ``per_point_near_pairs``."""
+    if len(regions) < 2:
+        return []
+    centers = points_array(r.center for r in regions)
+    reach = np.array([region_reach(r) for r in regions])
+    pairs: list[tuple[int, int]] = []
+    for i, near, dist in per_point_near_pairs(centers, 2.0 * float(reach.max())):
+        for j in near[dist <= reach[i] + reach[near]].tolist():
+            if regions_intersect(regions[i], regions[j]):
+                pairs.append((i, j))
+    return pairs
+
+
+def per_point_first_touch_indices(regions, points: np.ndarray, d_min_global: float) -> np.ndarray:
+    """Per region, the index of the first row of ``points`` (W, 3) touching it, or -1.
+
+    A row touches a region when ``contains`` accepts it within
+    ``touch_tolerance(region, d_min_global)``. The rows sit in a grid whose
+    cell edge is the largest reach, so only the 27 cells around a region's
+    center can hold a touching row; those are tested in index order.
+    """
+    first = np.full(len(regions), -1)
+    if len(regions) == 0 or len(points) == 0:
+        return first
+    grid = grid_of_points(points, max(region_reach(r, d_min_global) for r in regions))
+    for i, region in enumerate(regions):
+        c = region.center
+        near = grid.near((c.x, c.y, c.z))
+        if not near:
+            continue
+        near = np.sort(np.array(near))
+        hit = np.flatnonzero(contains(region, points[near], touch_tolerance(region, d_min_global)))
+        if hit.size:
+            first[i] = near[hit[0]]
+    return first
+
+
+def per_point_closest_pair_within(points: np.ndarray, radius: float) -> tuple[int, int] | None:
+    """``closest_pair_within`` over ``per_point_near_pairs``."""
+    best: tuple[float, int, int] | None = None
+    for i, near, dist in per_point_near_pairs(points, radius):
+        k = int(np.argmin(dist))
+        cand = (float(dist[k]), i, int(near[k]))
+        if cand[0] <= radius and (best is None or cand < best):
+            best = cand
+    return None if best is None else (best[1], best[2])

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tspn import CapacityError, Point3, Tour, tour_length
 from tspn.bench import (
@@ -19,6 +21,7 @@ from tspn.bench import (
     tour_to_json,
 )
 from tspn.errors import ContractError
+from tspn.geom import Visit
 from tspn.planner import center_visit, plan_nondisjoint
 from tspn.tsp import TspConfig
 
@@ -105,6 +108,34 @@ def test_tour_json_text_roundtrip(kind):
         tour = Tour(waypoints=np.empty((0, 3)))
     text = tour_to_json(tour)
     assert tour_to_json(tour_from_json(text)) == text
+
+
+# Finite floats of every size, and the values where float formatting has edge cases.
+COORDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300,
+                     2.0**52, 2.0**52 + 1.0, -(2.0**53) + 2.0, 0.1, 1.0 / 3.0]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(COORDS, COORDS, COORDS), max_size=40),
+       ids=st.lists(st.text(max_size=6), max_size=4))
+@example(rows=[], ids=[])
+@example(rows=[(-0.0, 5e-324, 1e300)], ids=['"q"', "\\", "\u00e9\u6c34", "\n"])
+@example(rows=[(2.0**52, -(2.0**52) - 2.0, 1e-300)] * 3, ids=["a", "a"])
+def test_tour_json_equals_the_indented_json_encoder(rows, ids):
+    waypoints = np.array(rows, dtype=float).reshape(-1, 3)
+    visits = [Visit(s, k % len(waypoints)) for k, s in enumerate(ids)] if len(waypoints) else []
+    tour = Tour(waypoints=waypoints, visits=visits)
+    with np.errstate(over="ignore"):  # lengths over 1e300-scale coordinates overflow to inf
+        doc = {
+            "length_m": tour_length(tour),
+            "waypoints_m": waypoints.tolist(),
+            "visits": [{"object_id": v.object_id, "waypoint_index": v.waypoint_index}
+                       for v in visits],
+        }
+        assert tour_to_json(tour) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_single_cell_report():

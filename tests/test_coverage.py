@@ -26,6 +26,7 @@ from oracles import (
     dense_patch_and_visit,
     dense_plan_nondisjoint_detailed,
     one_row_contains_closest_point_on_region,
+    per_point_first_touch_indices,
 )
 
 KINDS = (("sphere",), ("shell",), ("sampled",), ("sphere", "shell", "sampled"))
@@ -172,6 +173,28 @@ def test_patch_visit_and_audit_match_dense_passes(seed, n, m, offset, kinds):
         return
     assert np.array_equal(got[0], want[0])
     assert got[1] == want[1] and got[2] == want[2]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 16),
+    m=st.integers(0, 12),
+    offset=st.sampled_from((0.0, -(2.0**40), 2.0**52, 1e20, -1e20)),
+    kinds=st.sampled_from(KINDS),
+)
+@example(seed=0, n=1, m=0, offset=0.0, kinds=KINDS[0])
+@example(seed=5, n=16, m=12, offset=1e20, kinds=KINDS[3])
+def test_first_touch_indices_match_the_per_point_walk(seed, n, m, offset, kinds):
+    # At +-1e20 every coordinate rounds onto a few floats 16 384 m apart,
+    # and an int64 cast of a cell key would overflow.
+    rng = np.random.default_rng(seed)
+    scene = overlap_scene(rng, n, offset, kinds)
+    regions = [o.region for o in scene.objects]
+    arr = probe_waypoints(rng, scene, m)
+    for points in (arr, arr[:1], arr[:0]):
+        assert np.array_equal(first_touch_indices(regions, points, scene.d_min_global),
+                              per_point_first_touch_indices(regions, points, scene.d_min_global))
 
 
 def test_empty_and_sparse_tours_miss_what_the_dense_audit_misses():
