@@ -378,11 +378,6 @@ class GridIndex:
 # has more candidates than that on its own.
 CANDIDATE_BLOCK = 1 << 16
 
-# ``candidate_pairs`` counts the points of every cell of the points' rank
-# grid in one dense table while that grid has at most this many cells per
-# query and point; sparser grids are searched by sorted cell id instead.
-DENSE_CELLS = 8
-
 # The 9 (x, y) neighbour columns of a cell, as steps from its lowest
 # neighbour rank on each axis; the z-neighbours of a column are one range.
 _COLUMN_DX = np.repeat(np.arange(3), 3)
@@ -409,31 +404,20 @@ def _column_ranges(kq: np.ndarray, kp: np.ndarray):
         lo[:, a] = np.searchsorted(keys, kq[:, a] - 1.0, "left")
         hi[:, a] = np.searchsorted(keys, kq[:, a] + 1.0, "right")
         size.append(len(keys))
-    nx, ny, nz = size
+    _, ny, nz = size
     x = lo[:, :1] + _COLUMN_DX
     y = lo[:, 1:2] + _COLUMN_DY
-    found = (x < hi[:, :1]) & (y < hi[:, 1:2])
     column = x * ny + y
-    point_column = rank[:, 0] * ny + rank[:, 1]
-    cells = nx * ny * nz
-    dense = cells <= DENSE_CELLS * (n + len(kq))
-    if not dense:
-        # Number only the occupied columns, so cell ids stay below n * nz.
-        columns, point_column = np.unique(point_column, return_inverse=True)
-        c = np.searchsorted(columns, column)
-        found &= columns[np.minimum(c, len(columns) - 1)] == column
-        column = c
+    # Number only the occupied columns, so cell ids stay below n * nz.
+    columns, point_column = np.unique(rank[:, 0] * ny + rank[:, 1], return_inverse=True)
+    c = np.searchsorted(columns, column)
+    found = (x < hi[:, :1]) & (y < hi[:, 1:2]) & (columns[np.minimum(c, len(columns) - 1)] == column)
     cell_id = point_column * nz + rank[:, 2]
     order = np.argsort(cell_id, kind="stable")
-    if dense:
-        first = np.zeros(cells + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cell_id, minlength=cells), out=first[1:])
-        lookup = first.__getitem__
-    else:
-        lookup = cell_id[order].searchsorted
-    base = np.where(found, column, 0) * nz
-    start = lookup(base + lo[:, 2:])
-    return order, start, np.where(found, lookup(base + hi[:, 2:]) - start, 0)
+    sorted_id = cell_id[order]
+    base = c * nz
+    start = sorted_id.searchsorted(base + lo[:, 2:])
+    return order, start, np.where(found, sorted_id.searchsorted(base + hi[:, 2:]) - start, 0)
 
 
 def candidate_pairs(queries: np.ndarray, points: np.ndarray, radius: float):

@@ -36,20 +36,18 @@ SETTINGS = settings(max_examples=80, deadline=None, suppress_health_check=[Healt
 # an int64 cast of a key would overflow.
 OFFSETS = (0.0, -(2.0**40), 2.0**52, 1e20, -1e20)
 
-# (DENSE_CELLS, CANDIDATE_BLOCK): the module's choice, always the sorted
-# cell-id search, always the dense table, and blocks of a few pairs.
-MODES = ((geom.DENSE_CELLS, geom.CANDIDATE_BLOCK), (0, geom.CANDIDATE_BLOCK),
-         (10**9, geom.CANDIDATE_BLOCK), (0, 1), (10**9, 7))
+# Block sizes: the module's, and blocks of a few pairs.
+BLOCKS = (geom.CANDIDATE_BLOCK, 1, 7)
 
 
 @contextmanager
-def query_mode(mode):
-    saved = geom.DENSE_CELLS, geom.CANDIDATE_BLOCK
-    geom.DENSE_CELLS, geom.CANDIDATE_BLOCK = mode
+def block_size(block):
+    saved = geom.CANDIDATE_BLOCK
+    geom.CANDIDATE_BLOCK = block
     try:
         yield
     finally:
-        geom.DENSE_CELLS, geom.CANDIDATE_BLOCK = saved
+        geom.CANDIDATE_BLOCK = saved
 
 
 @st.composite
@@ -86,14 +84,14 @@ def keys_below_2_53(points, radius) -> bool:
 
 
 @SETTINGS
-@given(point_sets(max_queries=12), st.sampled_from(MODES))
-@example((np.empty((0, 3)), np.zeros((1, 3)), 1.0), MODES[0])
-@example((np.zeros((1, 3)), np.empty((0, 3)), 1.0), MODES[0])
-@example((np.full((5, 3), 1e20), np.full((2, 3), 1e20), 2.0), MODES[3])
-def test_candidates_are_the_27_cells_around_each_query(sets, mode):
+@given(point_sets(max_queries=12), st.sampled_from(BLOCKS))
+@example((np.empty((0, 3)), np.zeros((1, 3)), 1.0), BLOCKS[0])
+@example((np.zeros((1, 3)), np.empty((0, 3)), 1.0), BLOCKS[0])
+@example((np.full((5, 3), 1e20), np.full((2, 3), 1e20), 2.0), BLOCKS[1])
+def test_candidates_are_the_27_cells_around_each_query(sets, block):
     points, queries, radius = sets
     grid = grid_of_points(points, radius)
-    with query_mode(mode):
+    with block_size(block):
         blocks = list(candidate_pairs(queries, points, radius))
     for q, p in blocks:
         assert q.size and np.all(np.diff(q * len(points) + p) > 0)  # sorted, no repeats
@@ -110,12 +108,12 @@ def test_candidates_are_the_27_cells_around_each_query(sets, mode):
 
 
 @SETTINGS
-@given(point_sets(), st.sampled_from(MODES))
-@example((np.zeros((2, 3)), None, 1.0), MODES[0])
-@example((np.full((40, 3), -1e20), None, 0.5), MODES[4])
-def test_later_pairs_and_distances_match_the_per_point_walk(sets, mode):
+@given(point_sets(), st.sampled_from(BLOCKS))
+@example((np.zeros((2, 3)), None, 1.0), BLOCKS[0])
+@example((np.full((40, 3), -1e20), None, 0.5), BLOCKS[2])
+def test_later_pairs_and_distances_match_the_per_point_walk(sets, block):
     points, _, radius = sets
-    with query_mode(mode):
+    with block_size(block):
         got = [(int(i), int(j), float(d)) for block in _later_pairs(points, radius)
                for i, j, d in zip(*block)]
         closest = closest_pair_within(points, radius)
@@ -163,9 +161,9 @@ def offset_regions(draw, max_n=12):
 
 
 @SETTINGS
-@given(offset_regions(), st.sampled_from(MODES))
-def test_intersecting_pairs_match_the_per_point_walk(regions, mode):
-    with query_mode(mode):
+@given(offset_regions(), st.sampled_from(BLOCKS))
+def test_intersecting_pairs_match_the_per_point_walk(regions, block):
+    with block_size(block):
         got = intersecting_pairs(regions)
     assert got == per_point_intersecting_pairs(regions)
 
