@@ -13,12 +13,13 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CapacityError, ContractError
 from .geom import (
+    EXACT_TOUCH_FRACTION,
     GridIndex,
     Point3,
     Region,
@@ -37,10 +38,9 @@ from .planner import (
     alpha_fat_baseline,
     center_visit,
     missed_objects,
-    plan_nondisjoint,
+    plan_nondisjoint_detailed,
     plan_online,
 )
-from .tsp import TspConfig
 
 METHODS = ("center-visit", "alpha-fat", "online")
 REJECTION_LIMIT = 10_000
@@ -99,46 +99,27 @@ def generate_scene(config: SceneConfig) -> Scene:
                         f"{config.cube_edge} m cube after {REJECTION_LIMIT} consecutive rejections",
                         placed=len(centers),
                     )
-        objects = tuple(
-            SceneObject(
-                id=f"obj-{i:03d}",
-                region=Region(center=Point3.from_array(centers[i]), shape=Sphere(float(diameters[i]))),
-            )
-            for i in range(n)
-        )
-        return Scene(
-            objects=objects,
-            d_min_global=config.d_min,
-            d_max_global=config.d_max,
-            cube_edge=config.cube_edge,
-        )
-
-    n_overlap = int(math.floor(config.overlap_rate * n)) if n > 1 else 0
-    for _ in range(n - n_overlap):
-        centers.append(rng.uniform(0.0, config.cube_edge, size=3))
-    for _ in range(n_overlap):
-        # overlapping placement: within d_min of a previously placed center
-        while True:
-            base = centers[int(rng.integers(0, len(centers)))]
-            u = rng.normal(size=3)
-            u /= np.linalg.norm(u)
-            r = config.d_min * float(rng.uniform(0.25, 1.0))
-            c = base + u * r
-            if np.all((c >= 0.0) & (c <= config.cube_edge)):
-                break
-        centers.append(c)
-    objects = tuple(
-        SceneObject(
-            id=f"obj-{i:03d}",
-            region=Region(center=Point3.from_array(centers[i]), shape=Sphere(float(diameters[i]))),
-        )
-        for i in range(n)
-    )
+    else:
+        n_overlap = int(math.floor(config.overlap_rate * n)) if n > 1 else 0
+        for _ in range(n - n_overlap):
+            centers.append(rng.uniform(0.0, config.cube_edge, size=3))
+        for _ in range(n_overlap):
+            # overlapping placement: within d_min of a previously placed center
+            while True:
+                base = centers[int(rng.integers(0, len(centers)))]
+                u = rng.normal(size=3)
+                u /= np.linalg.norm(u)
+                r = config.d_min * float(rng.uniform(0.25, 1.0))
+                c = base + u * r
+                if np.all((c >= 0.0) & (c <= config.cube_edge)):
+                    break
+            centers.append(c)
+    objects = [
+        SceneObject(id=f"obj-{i:03d}", region=Region(center=Point3.from_array(c), shape=Sphere(float(d))))
+        for i, (c, d) in enumerate(zip(centers, diameters))
+    ]
     return Scene(
-        objects=objects,
-        d_min_global=config.d_min,
-        d_max_global=config.d_max,
-        cube_edge=config.cube_edge,
+        objects=objects, d_min_global=config.d_min, d_max_global=config.d_max, cube_edge=config.cube_edge
     )
 
 
@@ -235,25 +216,31 @@ def _shape_from_json(obj, path: str):
     raise ContractError(f"{path}kind: unknown shape kind {kind!r}")
 
 
+def object_to_json(object_id: str, region: Region) -> dict:
+    """One entry of a scene's ``objects`` list; ``tspn region`` writes the same document."""
+    return {
+        "id": object_id,
+        "center_m": [region.center.x, region.center.y, region.center.z],
+        "shape": _shape_to_json(region),
+    }
+
+
 def scene_to_json(scene: Scene) -> str:
     doc = {
         "cube_edge_m": float(scene.cube_edge),
         "d_min_m": float(scene.d_min_global),
         "d_max_m": float(scene.d_max_global),
-        "objects": [
-            {
-                "id": obj.id,
-                "center_m": [obj.region.center.x, obj.region.center.y, obj.region.center.z],
-                "shape": _shape_to_json(obj.region),
-            }
-            for obj in scene.objects
-        ],
+        "objects": [object_to_json(obj.id, obj.region) for obj in scene.objects],
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
 def scene_from_json(text: str) -> Scene:
-    """Parse a scene document; malformed fields raise ContractError naming their path."""
+    """Parse a scene document; malformed fields raise ContractError naming their path.
+
+    A scene with a coordinate too far from the origin to plan in is
+    rejected too (see ``_check_coordinate_spacing``).
+    """
     doc = json.loads(text)
     objects = []
     for i, o in enumerate(_list(doc, "objects")):
@@ -263,12 +250,35 @@ def scene_from_json(text: str) -> Scene:
             shape=_shape_from_json(_field(o, "shape", at), at + "shape."),
         )
         objects.append(SceneObject(id=_field(o, "id", at), region=region))
-    return Scene(
+    scene = Scene(
         objects=tuple(objects),
         d_min_global=_number(doc, "d_min_m"),
         d_max_global=_number(doc, "d_max_m"),
         cube_edge=_number(doc, "cube_edge_m"),
     )
+    _check_coordinate_spacing(scene)
+    return scene
+
+
+def _check_coordinate_spacing(scene: Scene) -> None:
+    """Reject the first object with a coordinate whose float spacing nears the touch tolerance.
+
+    Where four float steps exceed ``EXACT_TOUCH_FRACTION * d_min``, a touch
+    point can round off the region it was projected onto, and the plan
+    fails its own coverage check. Centers and sampled points are checked.
+    """
+    tol = EXACT_TOUCH_FRACTION * scene.d_min_global
+    for i, o in enumerate(scene.objects):
+        c, shape = o.region.center, o.region.shape
+        far = max(abs(c.x), abs(c.y), abs(c.z))
+        if isinstance(shape, Sampled):
+            far = max(far, float(np.abs(shape.points).max()))
+        if 4.0 * math.ulp(far) > tol:
+            raise ContractError(
+                f"objects[{i}] ({o.id!r}): |coordinate| {far!r} m is too far from the origin "
+                f"to plan in: its float spacing {math.ulp(far):.3g} m is over a quarter of "
+                f"the touch tolerance {tol:.3g} m"
+            )
 
 
 def tour_to_json(tour: Tour) -> str:
@@ -303,7 +313,6 @@ def tour_from_json(text: str) -> Tour:
     waypoints = [_point(w, "waypoints_m", i) for i, w in enumerate(_list(doc, "waypoints_m"))]
     return Tour(
         waypoints=np.array(waypoints, dtype=float).reshape(-1, 3),
-        closed=False,
         visits=tuple(
             Visit(
                 object_id=_field(v, "object_id", f"visits[{i}]."),
@@ -345,53 +354,34 @@ class ComparisonReport:
     def has_invalid_rows(self) -> bool:
         return any(not r.valid for r in self.rows)
 
-    def mean_length(self, method: str, n_objects: int) -> float:
+    def _aggregate(self, method: str, n_objects: int) -> Aggregate:
         for agg in self.aggregates:
             if agg.method == method and agg.n_objects == n_objects:
-                return agg.mean_length_m
+                return agg
         raise KeyError((method, n_objects))
+
+    def mean_length(self, method: str, n_objects: int) -> float:
+        return self._aggregate(method, n_objects).mean_length_m
 
     def mean_runtime(self, method: str, n_objects: int) -> float:
-        for agg in self.aggregates:
-            if agg.method == method and agg.n_objects == n_objects:
-                return agg.mean_runtime_s
-        raise KeyError((method, n_objects))
+        return self._aggregate(method, n_objects).mean_runtime_s
 
 
-def _run_cell(
-    config: SceneConfig,
-    seed: int,
-    method: str,
-    start: Point3,
-    samples_per_region: int,
-    tsp: TspConfig,
-) -> ComparisonRow:
-    scene_cfg = SceneConfig(
-        n_objects=config.n_objects,
-        d_min=config.d_min,
-        d_max=config.d_max,
-        cube_edge=config.cube_edge,
-        disjoint=config.disjoint,
-        overlap_rate=config.overlap_rate,
-        seed=seed,
-    )
-    scene = generate_scene(scene_cfg)
+def _run_cell(config: SceneConfig, seed: int, method: str, samples_per_region: int) -> ComparisonRow:
+    scene = generate_scene(replace(config, seed=seed))
+    start = Point3(0.0, 0.0, 0.0)
     t0 = time.perf_counter()
     if method == "center-visit":
-        tour = center_visit(start, scene, tsp) if config.disjoint else plan_nondisjoint(start, scene, tsp)
+        if config.disjoint:
+            tour = center_visit(start, scene)
+        else:
+            tour = plan_nondisjoint_detailed(start, scene).tour
     elif method == "alpha-fat":
         tour = alpha_fat_baseline(start, scene, samples_per_region=samples_per_region)
     elif method == "online":
         centers = [(obj.id, obj.region.center) for obj in scene.objects]
-        oracle = SimulationOracle(
-            centers,
-            scene.d_min_global,
-            scene.d_max_global,
-            diameters={obj.id: obj.region.d_max for obj in scene.objects},
-        )
-        tour, _ = plan_online(
-            start, centers, scene.d_min_global, scene.d_max_global, oracle, tsp
-        )
+        oracle = SimulationOracle(centers, {obj.id: obj.region.d_max for obj in scene.objects})
+        tour, _ = plan_online(start, centers, scene.d_min_global, scene.d_max_global, oracle)
     else:
         raise ContractError(f"unknown method {method!r}; choose from {METHODS}")
     runtime = time.perf_counter() - t0
@@ -410,11 +400,9 @@ def run_comparison(
     configs: list[SceneConfig],
     methods: list[str],
     seeds: int,
-    start: Point3 | None = None,
     samples_per_region: int = DEFAULT_SAMPLES_PER_REGION,
-    tsp: TspConfig | None = None,
 ) -> ComparisonReport:
-    """Plan every (config, seed, method) cell and aggregate lengths/runtimes.
+    """Plan every (config, seed, method) cell from the origin and aggregate lengths/runtimes.
 
     Scene seeds are ``config.seed + k`` for k in range(seeds). Coverage is
     audited before a row is recorded; failures mark the row invalid.
@@ -424,13 +412,9 @@ def run_comparison(
             raise ContractError(f"unknown method {m!r}; choose from {METHODS}")
     if seeds < 1:
         raise ContractError("seeds must be >= 1")
-    if start is None:
-        start = Point3(0.0, 0.0, 0.0)
-    if tsp is None:
-        tsp = TspConfig()
 
     rows = [
-        _run_cell(config, config.seed + k, method, start, samples_per_region, tsp)
+        _run_cell(config, config.seed + k, method, samples_per_region)
         for config in configs
         for k in range(seeds)
         for method in methods

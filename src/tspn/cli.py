@@ -18,8 +18,8 @@ import numpy as np
 
 from .bench import (
     SceneConfig,
-    _shape_to_json,
     generate_scene,
+    object_to_json,
     report_aggregates_csv,
     report_rows_csv,
     run_comparison,
@@ -75,6 +75,10 @@ def _read_scene(path):
 def _write(path, text: str) -> None:
     with open(path, "w") as f:
         f.write(text)
+
+
+def _write_json(path, doc) -> None:
+    _write(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -162,14 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _region_to_json(obj_id: str, region) -> dict:
-    return {
-        "id": obj_id,
-        "center_m": [region.center.x, region.center.y, region.center.z],
-        "shape": _shape_to_json(region),
-    }
-
-
 def _cmd_gen_scene(args) -> int:
     cfg = SceneConfig(
         n_objects=args.n,
@@ -209,9 +205,7 @@ def _cmd_online(args) -> int:
             diameters[obj.id] = float(obj.region.shape.diameter)
         else:
             diameters[obj.id] = float(rng.uniform(obj.region.d_min, obj.region.d_max))
-    oracle = SimulationOracle(
-        centers, scene.d_min_global, scene.d_max_global, diameters=diameters
-    )
+    oracle = SimulationOracle(centers, diameters)
     tour, outcomes = plan_online(
         _parse_point(args.start),
         centers,
@@ -229,7 +223,7 @@ def _cmd_online(args) -> int:
             }
             for o in outcomes
         ]
-        _write(args.outcomes, json.dumps(doc, indent=2) + "\n")
+        _write_json(args.outcomes, doc)
     return 0
 
 
@@ -237,7 +231,7 @@ def _cmd_mis(args) -> int:
     scene = _read_scene(args.scene)
     res = maximal_independent_set(scene)
     doc = {"kept": list(res.kept), "assignment": dict(sorted(res.assignment.items()))}
-    _write(args.out, json.dumps(doc, indent=2) + "\n")
+    _write_json(args.out, doc)
     return 0
 
 
@@ -261,7 +255,7 @@ def _cmd_detour(args) -> int:
         ],
         "stitched_m": plan.stitched.tolist(),
     }
-    _write(args.out, json.dumps(doc, indent=2) + "\n")
+    _write_json(args.out, doc)
     return 0
 
 
@@ -281,7 +275,7 @@ def _cmd_region(args) -> int:
         region = region_from_profile(center, args.profile)
     else:
         raise TspnError("provide --scores or --profile")
-    _write(args.out, json.dumps(_region_to_json("region-0", region), indent=2) + "\n")
+    _write_json(args.out, object_to_json("region-0", region))
     return 0
 
 
@@ -365,10 +359,7 @@ def main(argv: list[str] | None = None) -> int:
             return exc.code
         print(exc.code, file=sys.stderr)
         return 1
-    except TspnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
+    except (TspnError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -577,11 +577,10 @@ class Scene:
             raise ContractError(
                 f"need 0 < d_min_global <= d_max_global, got ({self.d_min_global}, {self.d_max_global})"
             )
-        seen = set()
-        for obj in self.objects:
-            if obj.id in seen:
+        index: dict[str, int] = {}
+        for i, obj in enumerate(self.objects):
+            if index.setdefault(obj.id, i) != i:
                 raise ContractError(f"duplicate object id {obj.id!r}")
-            seen.add(obj.id)
             r = obj.region
             if r.d_min < self.d_min_global * (1.0 - EPS_TOL) or r.d_max > self.d_max_global * (
                 1.0 + EPS_TOL
@@ -590,15 +589,15 @@ class Scene:
                     f"object {obj.id!r} diameters [{r.d_min}, {r.d_max}] outside global "
                     f"bounds [{self.d_min_global}, {self.d_max_global}]"
                 )
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.objects)
 
     def get(self, object_id: str) -> SceneObject:
-        for obj in self.objects:
-            if obj.id == object_id:
-                return obj
-        raise ContractError(f"no object with id {object_id!r}")
+        if object_id not in self._index:
+            raise ContractError(f"no object with id {object_id!r}")
+        return self.objects[self._index[object_id]]
 
 
 @dataclass(frozen=True)
@@ -609,7 +608,7 @@ class Visit:
 
 @dataclass(frozen=True, eq=False)
 class Tour:
-    """Ordered waypoints with per-object visit annotations.
+    """An open trajectory: ordered waypoints with per-object visit annotations.
 
     ``waypoints`` is stored as a read-only float64 ``(k, 3)`` copy of what
     is given (``k = 0`` allowed); a shape other than ``(k, 3)`` or a
@@ -617,7 +616,6 @@ class Tour:
     """
 
     waypoints: np.ndarray
-    closed: bool = False
     visits: tuple[Visit, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -655,5 +653,5 @@ def polyline_length(points: np.ndarray, closed: bool = False) -> float:
 
 
 def tour_length(tour: Tour) -> float:
-    """Sum of consecutive edge lengths, plus the closing edge if closed."""
-    return polyline_length(tour.waypoints, tour.closed)
+    """Sum of consecutive edge lengths of the open trajectory."""
+    return polyline_length(tour.waypoints)

@@ -81,18 +81,16 @@ def _rotate_to_nearest(order: list[int], points: np.ndarray, start: Point3) -> l
     return order[k:] + order[:k]
 
 
-def center_visit(start: Point3, scene: Scene, tsp: TspConfig | None = None) -> Tour:
+def center_visit(start: Point3, scene: Scene, tsp: TspConfig = TspConfig()) -> Tour:
     """Visit every region at its closest point to the previous waypoint.
 
     The visiting order is a point tour over the region centers, rotated so
     the center nearest the start comes first. The trajectory is open and
     begins at ``start``.
     """
-    if tsp is None:
-        tsp = TspConfig()
     waypoints = [start.as_array()]
     if len(scene) == 0:
-        return Tour(waypoints=waypoints, closed=False)
+        return Tour(waypoints=waypoints)
     centers = points_array(obj.region.center for obj in scene.objects)
     order = _rotate_to_nearest(solve_order(centers, tsp), centers, start)
     visits = []
@@ -100,7 +98,7 @@ def center_visit(start: Point3, scene: Scene, tsp: TspConfig | None = None) -> T
         obj = scene.objects[idx]
         waypoints.append(closest_point_on_region(obj.region, waypoints[-1]))
         visits.append(Visit(object_id=obj.id, waypoint_index=len(waypoints) - 1))
-    return Tour(waypoints=waypoints, closed=False, visits=tuple(visits))
+    return Tour(waypoints=waypoints, visits=tuple(visits))
 
 
 # --------------------------------------------------------------------------- independent set
@@ -410,7 +408,7 @@ class NondisjointPlan:
 def plan_nondisjoint_detailed(
     start: Point3,
     scene: Scene,
-    tsp: TspConfig | None = None,
+    tsp: TspConfig = TspConfig(),
 ) -> NondisjointPlan:
     """Center-visit over a maximal independent set, with detours spliced in.
 
@@ -419,8 +417,6 @@ def plan_nondisjoint_detailed(
     the assembled trajectory still misses is patched with a minimal
     out-and-back visit so coverage is always complete.
     """
-    if tsp is None:
-        tsp = TspConfig()
     mis = maximal_independent_set(scene)
     kept_set = set(mis.kept)
     kept_objects = [o for o in scene.objects if o.id in kept_set]
@@ -438,7 +434,6 @@ def plan_nondisjoint_detailed(
         # Fully disjoint: the plan is exactly the center-visit trajectory.
         return NondisjointPlan(tour=base, mis=mis, detours=(), patched_ids=())
 
-    by_id = {o.id: o for o in scene.objects}
     blocks: list[np.ndarray] = [base.waypoints[:1]]
     detours: list[DetourPlan] = []
     for visit in base.visits:
@@ -446,7 +441,7 @@ def plan_nondisjoint_detailed(
         blocks.append(touch[None])
         if neighbor_count.get(visit.object_id, 0) == 0:
             continue
-        owner = by_id[visit.object_id].region
+        owner = scene.get(visit.object_id).region
         plan = build_detour(owner, scene.d_min_global, owner_id=visit.object_id)
         detours.append(plan)
         stitched = plan.stitched
@@ -455,7 +450,7 @@ def plan_nondisjoint_detailed(
         blocks.append(stitched)
 
     arr, visits, patched = _patch_and_visit(np.concatenate(blocks), scene)
-    tour = Tour(waypoints=arr, closed=False, visits=visits)
+    tour = Tour(waypoints=arr, visits=visits)
     return NondisjointPlan(
         tour=tour, mis=mis, detours=tuple(detours), patched_ids=tuple(patched)
     )
@@ -499,11 +494,6 @@ def _patch_and_visit(
     return arr, visits, patched
 
 
-def plan_nondisjoint(start: Point3, scene: Scene, tsp: TspConfig | None = None) -> Tour:
-    """Tour touching every region of a possibly-overlapping scene."""
-    return plan_nondisjoint_detailed(start, scene, tsp).tour
-
-
 # --------------------------------------------------------------------------- online planner
 
 
@@ -517,24 +507,13 @@ class DetectionOutcome:
 
 
 class SimulationOracle:
-    """Detection oracle realizing per-object diameters from a seed.
+    """Detection oracle over given realized per-object diameters.
 
     An object is detected from any position (a (3,) array) within its
     realized radius.
     """
 
-    def __init__(
-        self,
-        centers: list[tuple[str, Point3]],
-        d_min: float,
-        d_max: float,
-        seed: int = 0,
-        diameters: dict[str, float] | None = None,
-    ):
-        if diameters is None:
-            rng = np.random.default_rng(seed)
-            draws = rng.uniform(d_min, d_max, size=len(centers))
-            diameters = {oid: float(v) for (oid, _), v in zip(centers, draws)}
+    def __init__(self, centers: list[tuple[str, Point3]], diameters: dict[str, float]):
         self._centers = {oid: (c.x, c.y, c.z) for oid, c in centers}
         self._diameters = dict(diameters)
 
@@ -551,7 +530,7 @@ def plan_online(
     d_min: float,
     d_max: float,
     oracle,
-    tsp: TspConfig | None = None,
+    tsp: TspConfig = TspConfig(),
 ) -> tuple[Tour, list[DetectionOutcome]]:
     """Walk toward each center until its detection oracle fires.
 
@@ -569,8 +548,6 @@ def plan_online(
     at most ``ceil(5 * d_max / d_min) + 2`` polls. Detection points are
     those of polling the whole lattice from the leg's start.
     """
-    if tsp is None:
-        tsp = TspConfig()
     if not (0 < d_min <= d_max):
         raise ContractError("need 0 < d_min <= d_max")
     pts = points_array(c for _, c in centers)
@@ -616,7 +593,7 @@ def plan_online(
         outcomes.append(
             DetectionOutcome(object_id=oid, realized_diameter=realized, detected_at=detected)
         )
-    tour = Tour(waypoints=waypoints, closed=False, visits=tuple(visits))
+    tour = Tour(waypoints=waypoints, visits=tuple(visits))
     return tour, outcomes
 
 
@@ -643,10 +620,6 @@ def _surface_samples(regions: list[Region], n: int) -> np.ndarray:
             radii = _boundary_radii(region.shape, centers[i], dirs)
             samples[i] = centers[i] + dirs * radii[:, None]
     return samples
-
-
-def _region_surface_samples(region: Region, n: int) -> np.ndarray:
-    return _surface_samples([region], n)[0]
 
 
 def _distances_from(p: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -723,7 +696,7 @@ def alpha_fat_baseline(
         raise ContractError("samples_per_region must be >= 4")
     start_arr = start.as_array()
     if len(scene) == 0:
-        return Tour(waypoints=[start_arr], closed=False)
+        return Tour(waypoints=[start_arr])
     n = len(scene)
     samples = _surface_samples([obj.region for obj in scene.objects], samples_per_region)
     centers = np.array([obj.region.center.as_array() for obj in scene.objects])
@@ -766,7 +739,7 @@ def alpha_fat_baseline(
             seen.add(idx)
             visits.append(Visit(object_id=scene.objects[idx].id, waypoint_index=k))
     waypoints = np.concatenate([start_arr[None], rep_arr[walk]])
-    return Tour(waypoints=waypoints, closed=False, visits=tuple(visits))
+    return Tour(waypoints=waypoints, visits=tuple(visits))
 
 
 # --------------------------------------------------------------------------- bound validation

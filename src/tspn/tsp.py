@@ -6,8 +6,8 @@ nearest-neighbour start improved by 2-opt and Or-opt over k-nearest
 candidate lists with don't-look bits (Bentley, "Fast algorithms for
 geometric traveling salesman problems", ORSA J. Comput. 1992). Only the
 exact oracle builds an n x n distance matrix. Both take the points as a
-(n, 3) array, emit closed tours over them and are deterministic for a
-fixed input order.
+(n, 3) array, return the visiting order of a closed tour over them and
+are deterministic for a fixed input order.
 """
 
 from __future__ import annotations
@@ -19,22 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, SizeLimitError
-from .geom import Tour, pairwise_sq_distances, polyline_length
+from .geom import pairwise_sq_distances, polyline_length
 
-# Hard cap on the exact solver: 2^13 subset table is the largest we allow.
-EXACT_N_CEILING = 13
+# Cap on the exact solver: its subset table has 2^n rows.
+EXACT_MAX_N = 12
 
 
 @dataclass(frozen=True)
 class TspConfig:
     solver: str = "heuristic"
-    exact_max_n: int = 12
 
     def __post_init__(self):
         if self.solver not in ("exact", "heuristic"):
             raise ContractError(f"unknown solver {self.solver!r}")
-        if self.exact_max_n > EXACT_N_CEILING:
-            raise ContractError(f"exact_max_n must be <= {EXACT_N_CEILING}")
 
 
 def _distance_matrix(pts: np.ndarray) -> np.ndarray:
@@ -42,15 +39,15 @@ def _distance_matrix(pts: np.ndarray) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
-def exact_order(points: np.ndarray, exact_max_n: int = 12) -> list[int]:
+def exact_order(points: np.ndarray) -> list[int]:
     """Visiting order of the minimum-length closed tour (subset DP).
 
     Among equally-optimal tours the lexicographically smallest visiting
     order (by input index, starting at point 0) is returned.
     """
     n = len(points)
-    if n > exact_max_n:
-        raise SizeLimitError(f"exact solver capped at {exact_max_n} points, got {n}")
+    if n > EXACT_MAX_N:
+        raise SizeLimitError(f"exact solver capped at {EXACT_MAX_N} points, got {n}")
     if n == 0:
         return []
     if n == 1:
@@ -113,11 +110,6 @@ def exact_order(points: np.ndarray, exact_max_n: int = 12) -> list[int]:
         used |= 1 << chosen
         last = chosen
     return order
-
-
-def exact_tour(points: np.ndarray, exact_max_n: int = 12) -> Tour:
-    """Minimum-length closed tour by subset dynamic programming."""
-    return Tour(waypoints=points[exact_order(points, exact_max_n=exact_max_n)], closed=True)
 
 
 # Candidate-list size: each point keeps its k nearest neighbours.
@@ -354,7 +346,7 @@ def local_search(
     return tour
 
 
-def heuristic_order(points: np.ndarray, config: TspConfig | None = None) -> list[int]:
+def heuristic_order(points: np.ndarray) -> list[int]:
     """Visiting order from a nearest-neighbour start and candidate-list local search.
 
     Each point keeps its ``CANDIDATES`` nearest neighbours; the start tour
@@ -362,8 +354,7 @@ def heuristic_order(points: np.ndarray, config: TspConfig | None = None) -> list
     Or-opt until neither finds a move. Small instances try several starts:
     every point up to 12 points, four up to 32. No n x n array is built.
     Output never beats the exact optimum, begins at point 0 and is
-    reproducible for a fixed input order. ``config`` is accepted for the
-    solver interface; the heuristic has no settings.
+    reproducible for a fixed input order.
     """
     n = len(points)
     if n <= 2:
@@ -396,18 +387,8 @@ def heuristic_order(points: np.ndarray, config: TspConfig | None = None) -> list
     return best_order[z:] + best_order[:z]
 
 
-def heuristic_tour(points: np.ndarray, config: TspConfig | None = None) -> Tour:
-    """Nearest-neighbor construction plus 2-opt / Or-opt local search."""
-    return Tour(waypoints=points[heuristic_order(points, config)], closed=True)
-
-
 def solve_order(points: np.ndarray, config: TspConfig) -> list[int]:
     """Visiting order from the configured solver."""
     if config.solver == "exact":
-        return exact_order(points, exact_max_n=config.exact_max_n)
-    return heuristic_order(points, config)
-
-
-def solve_tour(points: np.ndarray, config: TspConfig) -> Tour:
-    """Dispatch to the configured solver."""
-    return Tour(waypoints=points[solve_order(points, config)], closed=True)
+        return exact_order(points)
+    return heuristic_order(points)

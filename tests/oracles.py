@@ -26,6 +26,12 @@ from tspn.tsp import TspConfig, solve_order
 from tspn.viewscore import ORIENTATION_BINS, OrientationHistogram
 
 
+def drawn_diameters(centers, d_min: float, d_max: float, seed: int) -> dict[str, float]:
+    """Realized diameters for a ``SimulationOracle``: one uniform draw in [d_min, d_max] per center."""
+    draws = np.random.default_rng(seed).uniform(d_min, d_max, size=len(centers))
+    return {oid: float(v) for (oid, _), v in zip(centers, draws)}
+
+
 def brute_closest_sample(samples: np.ndarray, p) -> np.ndarray:
     """Plain-python scan for the boundary sample nearest to p."""
     best = None
@@ -536,7 +542,7 @@ def unpruned_alpha_fat_baseline(start, scene, samples_per_region: int = 108) -> 
         raise ContractError("samples_per_region must be >= 4")
     start_arr = start.as_array()
     if len(scene) == 0:
-        return Tour(waypoints=[start_arr], closed=False)
+        return Tour(waypoints=[start_arr])
     n = len(scene)
     samples = np.stack(
         [per_region_surface_samples(obj.region, samples_per_region) for obj in scene.objects]
@@ -571,7 +577,7 @@ def unpruned_alpha_fat_baseline(start, scene, samples_per_region: int = 108) -> 
             seen.add(idx)
             visits.append(Visit(object_id=scene.objects[idx].id, waypoint_index=k))
     waypoints = np.concatenate([start_arr[None], rep_arr[walk]])
-    return Tour(waypoints=waypoints, closed=False, visits=tuple(visits))
+    return Tour(waypoints=waypoints, visits=tuple(visits))
 
 
 # --------------------------------------------------------------------------- dense coverage passes
@@ -666,7 +672,7 @@ def dense_plan_nondisjoint_detailed(start, scene, tsp=None) -> NondisjointPlan:
         blocks.append(stitched)
 
     arr, visits, patched = dense_patch_and_visit(np.concatenate(blocks), scene)
-    tour = Tour(waypoints=arr, closed=False, visits=tuple(visits))
+    tour = Tour(waypoints=arr, visits=tuple(visits))
     return NondisjointPlan(
         tour=tour, mis=mis, detours=tuple(detours), patched_ids=tuple(patched)
     )
@@ -712,7 +718,7 @@ def full_lattice_plan_online(start, centers, d_min: float, d_max: float, oracle,
         outcomes.append(DetectionOutcome(
             object_id=oid, realized_diameter=float(oracle.realized_diameter(oid)), detected_at=p
         ))
-    return Tour(waypoints=waypoints, closed=False, visits=tuple(visits)), outcomes
+    return Tour(waypoints=waypoints, visits=tuple(visits)), outcomes
 
 
 # --------------------------------------------------------------------------- per-point grid walks

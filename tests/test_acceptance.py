@@ -28,10 +28,11 @@ from tspn.planner import (
     plan_online,
     region_count_bound,
 )
-from tspn.tsp import exact_tour, heuristic_tour
+from tspn.geom import polyline_length
+from tspn.tsp import exact_order, heuristic_order
 from tspn.viewscore import GrayImage, ObjectMask, edge_orientation_histogram, viewing_score
 
-from oracles import manual_sobel, sampled_tspn_optimum
+from oracles import drawn_diameters, manual_sobel, sampled_tspn_optimum
 from test_viewscore import uniform_orientation_image
 
 CAR = dict(d_min=5.4, d_max=8.2)
@@ -74,8 +75,8 @@ def test_criterion_3_tsp_oracle_gap():
     worst = 0.0
     for _ in range(50):
         pts = rng.uniform(size=(10, 3))
-        h = tour_length(heuristic_tour(pts, TspConfig()))
-        e = tour_length(exact_tour(pts))
+        h = polyline_length(pts[heuristic_order(pts)], closed=True)
+        e = polyline_length(pts[exact_order(pts)], closed=True)
         worst = max(worst, h / e)
         assert h <= 1.05 * e + 1e-12
     elapsed = time.monotonic() - t0
@@ -198,7 +199,7 @@ def test_criterion_8_online_lower_bound():
     assert math.isclose(lb, 0.25 * 50 * ONLINE_PACKING_ALPHA * d_min)
     shortest = np.inf
     for seed in range(20):
-        oracle = SimulationOracle(centers, d_min, d_max, seed=seed)
+        oracle = SimulationOracle(centers, drawn_diameters(centers, d_min, d_max, seed))
         tour, outcomes = plan_online(Point3(0, 0, 0), centers, d_min, d_max, oracle)
         assert len(outcomes) == 50
         assert {o.object_id for o in outcomes} == {oid for oid, _ in centers}

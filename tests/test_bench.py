@@ -22,7 +22,7 @@ from tspn.bench import (
 )
 from tspn.errors import ContractError
 from tspn.geom import Visit
-from tspn.planner import center_visit, plan_nondisjoint
+from tspn.planner import center_visit, plan_nondisjoint_detailed
 from tspn.tsp import TspConfig
 
 
@@ -101,7 +101,7 @@ def test_tour_json_text_roundtrip(kind):
     if kind == "overlapping":
         scene = generate_scene(SceneConfig(n_objects=12, disjoint=False, overlap_rate=0.5,
                                            seed=6, **CAR))
-        tour = plan_nondisjoint(Point3(1.5, -2.0, 0.25), scene, TspConfig())
+        tour = plan_nondisjoint_detailed(Point3(1.5, -2.0, 0.25), scene, TspConfig()).tour
     elif kind == "one-waypoint":
         tour = center_visit(Point3(1.5, -2.0, 0.25), generate_scene(SceneConfig(0, **CAR)))
     else:

@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 
+from tspn import Point3, TspConfig, center_visit, missed_objects
+from tspn.bench import scene_from_json, scene_to_json, tour_from_json, tour_to_json
 from tspn.cli import main
 from tspn.viewscore import GrayImage, write_pgm
+
+from test_coverage import KINDS, overlap_scene
 
 
 def run(args):
@@ -308,3 +312,42 @@ def test_detour_unknown_object_names_the_id(tmp_path, capsys):
     _malformed_exits_1(capsys, ["detour", "--scene", str(scene), "--object", "nope",
                                 "--out", str(tmp_path / "d.json")],
                        "no object with id 'nope'")
+
+
+def test_plan_exact_solver_matches_the_library(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    traj = tmp_path / "traj.json"
+    assert run(["gen-scene", "--n", "12", "--dmin", "4", "--dmax", "7",
+                "--disjoint", "--seed", "5", "--out", str(scene)]) == 0
+    assert run(["plan", "--scene", str(scene), "--start", "1,2,3", "--solver", "exact",
+                "--seed", "5", "--out", str(traj)]) == 0
+    want = center_visit(Point3(1, 2, 3), scene_from_json(scene.read_text()), TspConfig("exact"))
+    assert traj.read_text() == tour_to_json(want)
+
+    assert run(["gen-scene", "--n", "13", "--dmin", "4", "--dmax", "7",
+                "--disjoint", "--seed", "5", "--out", str(scene)]) == 0
+    _malformed_exits_1(capsys, ["plan", "--scene", str(scene), "--solver", "exact",
+                                "--seed", "5", "--out", str(traj)],
+                       "exact solver capped at 12 points, got 13")
+
+
+def test_scene_far_from_the_origin_is_rejected_at_load(tmp_path, capsys):
+    scene, traj = tmp_path / "scene.json", tmp_path / "traj.json"
+    # At 2**30 m the float spacing (2.4e-7 m) stays below a quarter of the
+    # exact touch tolerance (1e-6 * d_min, d_min >= 2 m here).
+    for seed in range(4):
+        scene.write_text(scene_to_json(overlap_scene(np.random.default_rng(seed), 12, 2.0**30,
+                                                     KINDS[3])))
+        assert run(["plan", "--scene", str(scene), "--seed", "1", "--out", str(traj)]) == 0
+        loaded = scene_from_json(scene.read_text())
+        assert missed_objects(tour_from_json(traj.read_text()), loaded) == []
+    # At 2**40 m it is 2.4e-4 m, and a projected touch point can round off its region.
+    scene.write_text(scene_to_json(overlap_scene(np.random.default_rng(0), 12, 2.0**40, KINDS[3])))
+    for command in ("plan", "validate"):
+        argv = [command, "--scene", str(scene), "--out", str(tmp_path / "out.json")]
+        argv += ["--seed", "1"] if command == "plan" else ["--traj", str(traj)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: objects[0] ('o0'): |coordinate| 1099511627")
+        assert "too far from the origin" in err

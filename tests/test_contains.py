@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tspn import Point3, Region, Sampled, Shell, Sphere
 from tspn import planner
 from tspn.geom import contains, region_contains, regions_intersect, touch_tolerance
-from tspn.planner import _region_surface_samples, build_detour, fibonacci_sphere
+from tspn.planner import _surface_samples, build_detour, fibonacci_sphere
 
 from oracles import (
     loop_regions_intersect,
@@ -104,7 +104,7 @@ def test_sampled_regions_intersect_matches_point_loop(seed, other, spread):
 def test_surface_samples_bitwise_equal_to_per_direction_lookup(seed, n):
     region = random_region(np.random.default_rng(seed), "sampled")
     want = per_direction_surface_samples(region, fibonacci_sphere(n))
-    assert np.array_equal(_region_surface_samples(region, n), want)
+    assert np.array_equal(_surface_samples([region], n)[0], want)
 
 
 def _detour_arrays(plan):

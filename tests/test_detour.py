@@ -8,7 +8,6 @@ from tspn.planner import (
     center_visit,
     detour_length_limit,
     missed_objects,
-    plan_nondisjoint,
     plan_nondisjoint_detailed,
     validate_bounds,
 )
@@ -132,7 +131,7 @@ def test_nondisjoint_reduces_to_center_visit_when_disjoint():
     start = Point3(0, 0, 0)
     cfg = TspConfig()
     direct = center_visit(start, scene, cfg)
-    spliced = plan_nondisjoint(start, scene, cfg)
+    spliced = plan_nondisjoint_detailed(start, scene, cfg).tour
     assert direct.waypoints.tolist() == spliced.waypoints.tolist()
     assert direct.visits == spliced.visits
 
@@ -142,7 +141,7 @@ def test_nondisjoint_two_overlapping_spheres():
     b = sphere_obj("b", (21.5, 0, 0), 2.0)
     scene = make_scene([a, b], 2.0, 2.0)
     start = Point3(0, 0, 0)
-    tour = plan_nondisjoint(start, scene, TspConfig())
+    tour = plan_nondisjoint_detailed(start, scene, TspConfig()).tour
     assert missed_objects(tour, scene) == []
     # straight-line to the cluster + detour budget + slack for the splice
     limit = 19.0 + 6.0 * math.pi + 2.0 * 2.0

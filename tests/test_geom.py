@@ -18,7 +18,7 @@ from tspn import (
     regions_intersect,
     tour_length,
 )
-from tspn.geom import farthest_pair_distance, pairwise_sq_distances, touch_tolerance
+from tspn.geom import farthest_pair_distance, pairwise_sq_distances, polyline_length, touch_tolerance
 
 from oracles import brute_closest_sample, brute_farthest_pair, voxel_overlap
 
@@ -243,18 +243,19 @@ def test_pairwise_sq_distances_bitwise_equal_to_summed_diff(duplicates):
 
 
 def test_tour_length_open_path():
-    t = Tour(waypoints=[(0, 0, 0), (1, 0, 0), (1, 1, 0)], closed=False)
+    t = Tour(waypoints=[(0, 0, 0), (1, 0, 0), (1, 1, 0)])
     assert math.isclose(tour_length(t), 2.0)
 
 
-def test_tour_length_closed_square():
-    t = Tour(waypoints=[(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], closed=True)
-    assert math.isclose(tour_length(t), 4.0)
+def test_polyline_length_closed_square():
+    square = np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], dtype=float)
+    assert math.isclose(polyline_length(square, closed=True), 4.0)
 
 
 def test_tour_length_degenerate():
-    assert tour_length(Tour(waypoints=[(1, 2, 3)], closed=True)) == 0.0
-    assert tour_length(Tour(waypoints=np.empty((0, 3)), closed=False)) == 0.0
+    assert tour_length(Tour(waypoints=[(1, 2, 3)])) == 0.0
+    assert polyline_length(np.array([(1.0, 2.0, 3.0)]), closed=True) == 0.0
+    assert tour_length(Tour(waypoints=np.empty((0, 3)))) == 0.0
 
 
 def _random_rotation(rng):
@@ -273,20 +274,20 @@ def _random_rotation(rng):
 def test_tour_length_rigid_invariance():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-3, 3, size=(12, 3))
-    base = Tour(waypoints=pts, closed=True)
+    base = Tour(waypoints=pts)
     for _ in range(5):
         rot = _random_rotation(rng)
         shift = rng.uniform(-10, 10, size=3)
         moved = pts @ rot.T + shift
-        t = Tour(waypoints=moved, closed=True)
+        t = Tour(waypoints=moved)
         assert math.isclose(tour_length(t), tour_length(base), rel_tol=1e-9)
 
 
 def test_tour_length_reversal_invariance():
     rng = np.random.default_rng(9)
     pts = rng.uniform(-2, 2, size=(9, 3))
-    fwd = Tour(waypoints=pts, closed=False)
-    rev = Tour(waypoints=pts[::-1], closed=False)
+    fwd = Tour(waypoints=pts)
+    rev = Tour(waypoints=pts[::-1])
     assert math.isclose(tour_length(fwd), tour_length(rev), rel_tol=1e-12)
 
 

@@ -24,7 +24,7 @@ from tspn.planner import (
     plan_online,
 )
 
-from oracles import full_lattice_plan_online
+from oracles import drawn_diameters, full_lattice_plan_online
 
 
 def spread_centers(rng, n, d_max, cube=100.0):
@@ -38,7 +38,7 @@ def spread_centers(rng, n, d_max, cube=100.0):
 
 def test_single_object_straight_approach():
     centers = [("a", Point3(10, 0, 0))]
-    oracle = SimulationOracle(centers, 4.0, 4.0, diameters={"a": 4.0})
+    oracle = SimulationOracle(centers, {"a": 4.0})
     tour, outcomes = plan_online(Point3(0, 0, 0), centers, 4.0, 4.0, oracle)
     step = 4.0 / 10.0
     assert abs(tour_length(tour) - 8.0) <= step + 1e-9
@@ -53,7 +53,7 @@ def test_all_max_diameters_matches_offline_center_visit():
     rng = np.random.default_rng(0)
     d_min, d_max = 4.0, 6.0
     centers = spread_centers(rng, 8, d_max)
-    oracle = SimulationOracle(centers, d_min, d_max, diameters={oid: d_max for oid, _ in centers})
+    oracle = SimulationOracle(centers, {oid: d_max for oid, _ in centers})
     start = Point3(0, 0, 0)
     cfg = TspConfig()
     tour, outcomes = plan_online(start, centers, d_min, d_max, oracle, cfg)
@@ -75,7 +75,7 @@ def test_every_object_detected_across_seeds():
     d_min, d_max = 3.0, 5.0
     centers = spread_centers(rng, 12, d_max)
     for seed in range(6):
-        oracle = SimulationOracle(centers, d_min, d_max, seed=seed)
+        oracle = SimulationOracle(centers, drawn_diameters(centers, d_min, d_max, seed))
         tour, outcomes = plan_online(Point3(0, 0, 0), centers, d_min, d_max, oracle)
         assert len(outcomes) == len(centers)
         detected_ids = {o.object_id for o in outcomes}
@@ -89,7 +89,7 @@ def test_online_length_exceeds_packing_lower_bound():
     d_min, d_max = 5.4, 8.2
     centers = spread_centers(rng, 20, d_max)
     for seed in range(5):
-        oracle = SimulationOracle(centers, d_min, d_max, seed=seed)
+        oracle = SimulationOracle(centers, drawn_diameters(centers, d_min, d_max, seed))
         tour, _ = plan_online(Point3(0, 0, 0), centers, d_min, d_max, oracle)
         assert tour_length(tour) >= online_tour_lower_bound(len(centers), d_min)
 
@@ -108,11 +108,11 @@ def test_larger_realized_diameters_never_lengthen_coupled_runs():
         }  # componentwise >= small
         t_small, _ = plan_online(
             Point3(0, 0, 0), centers, d_min, d_max,
-            SimulationOracle(centers, d_min, d_max, diameters=small),
+            SimulationOracle(centers, small),
         )
         t_large, _ = plan_online(
             Point3(0, 0, 0), centers, d_min, d_max,
-            SimulationOracle(centers, d_min, d_max, diameters=large),
+            SimulationOracle(centers, large),
         )
         slack = step * len(centers) + 1e-9
         assert tour_length(t_large) <= tour_length(t_small) + slack
@@ -120,7 +120,7 @@ def test_larger_realized_diameters_never_lengthen_coupled_runs():
 
 def test_online_rejects_overlapping_outer_balls():
     centers = [("a", Point3(0, 0, 0)), ("b", Point3(3.0, 0, 0))]
-    oracle = SimulationOracle(centers, 2.0, 4.0, seed=0)
+    oracle = SimulationOracle(centers, drawn_diameters(centers, 2.0, 4.0, 0))
     with pytest.raises(ContractError):
         plan_online(Point3(-5, 0, 0), centers, 2.0, 4.0, oracle)
 
@@ -139,10 +139,10 @@ def test_online_deterministic_given_seed():
     rng = np.random.default_rng(33)
     centers = spread_centers(rng, 6, 5.0)
     a1 = plan_online(
-        Point3(0, 0, 0), centers, 3.0, 5.0, SimulationOracle(centers, 3.0, 5.0, seed=4)
+        Point3(0, 0, 0), centers, 3.0, 5.0, SimulationOracle(centers, drawn_diameters(centers, 3.0, 5.0, 4))
     )
     a2 = plan_online(
-        Point3(0, 0, 0), centers, 3.0, 5.0, SimulationOracle(centers, 3.0, 5.0, seed=4)
+        Point3(0, 0, 0), centers, 3.0, 5.0, SimulationOracle(centers, drawn_diameters(centers, 3.0, 5.0, 4))
     )
     assert a1[0].waypoints.tolist() == a2[0].waypoints.tolist()
 
@@ -151,7 +151,7 @@ def test_close_centers_rejected_naming_the_closest_pair():
     # (b, c) are 3 m apart, (a, d) 3.5 m: both within d_max, (b, c) is closest.
     centers = [("a", Point3(0, 0, 0)), ("b", Point3(20, 0, 0)),
                ("c", Point3(20, 3, 0)), ("d", Point3(0, 3.5, 0))]
-    oracle = SimulationOracle(centers, 2.0, 4.0, diameters={oid: 4.0 for oid, _ in centers})
+    oracle = SimulationOracle(centers, {oid: 4.0 for oid, _ in centers})
     with pytest.raises(ContractError) as err:
         plan_online(Point3(0, 0, 0), centers, 2.0, 4.0, oracle)
     assert str(err.value) == (
@@ -162,7 +162,7 @@ def test_close_centers_rejected_naming_the_closest_pair():
 def test_close_centers_tie_names_the_first_pair_in_input_order():
     centers = [("p", Point3(10, 0, 0)), ("q", Point3(0, 0, 0)),
                ("r", Point3(10, 4, 0)), ("s", Point3(0, 4, 0))]
-    oracle = SimulationOracle(centers, 2.0, 4.0, diameters={oid: 4.0 for oid, _ in centers})
+    oracle = SimulationOracle(centers, {oid: 4.0 for oid, _ in centers})
     with pytest.raises(ContractError, match="centers 'p' and 'r' closer than d_max"):
         plan_online(Point3(0, 0, 0), centers, 2.0, 4.0, oracle)
 
@@ -199,10 +199,13 @@ def test_poll_window_matches_full_lattice_reference(seed, n, d_min, spread, size
         start = Point3.from_array(centers[0][1].as_array() + rng.normal(size=3) * d_max / 4.0)
     else:
         start = Point3.from_array(rng.uniform(0.0, 100.0, size=3))
-    diameters = {oid: d_max for oid, _ in centers} if sizes == "all d_max" else None
+    if sizes == "all d_max":
+        diameters = {oid: d_max for oid, _ in centers}
+    else:
+        diameters = drawn_diameters(centers, d_min, d_max, seed)
 
     def oracle():
-        return SimulationOracle(centers, d_min, d_max, seed=seed, diameters=diameters)
+        return SimulationOracle(centers, diameters)
 
     counting = CountingOracle(oracle())
     tour, outcomes = plan_online(start, centers, d_min, d_max, counting)

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tspn import SizeLimitError, TspConfig, exact_tour, heuristic_tour, solve_tour
-from tspn.geom import tour_length
+from tspn import SizeLimitError, TspConfig
+from tspn.geom import polyline_length
 from tspn.tsp import (
     CANDIDATES,
     candidate_lists,
@@ -13,6 +13,7 @@ from tspn.tsp import (
     heuristic_order,
     local_search,
     nearest_neighbor_order,
+    solve_order,
 )
 
 from oracles import (
@@ -31,64 +32,65 @@ def as_points(arr):
 UNIT_SQUARE = as_points([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
 
 
+def exact_length(pts):
+    return polyline_length(pts[exact_order(pts)], closed=True)
+
+
+def heuristic_length(pts):
+    return polyline_length(pts[heuristic_order(pts)], closed=True)
+
+
 def test_exact_unit_square():
-    t = exact_tour(UNIT_SQUARE)
-    assert math.isclose(tour_length(t), 4.0)
+    assert math.isclose(exact_length(UNIT_SQUARE), 4.0)
 
 
 def test_exact_two_points():
-    t = exact_tour(as_points([[0, 0, 0], [3, 4, 0]]))
-    assert math.isclose(tour_length(t), 10.0)
+    assert math.isclose(exact_length(as_points([[0, 0, 0], [3, 4, 0]])), 10.0)
 
 
 def test_exact_empty_and_single():
-    assert tour_length(exact_tour(np.empty((0, 3)))) == 0.0
-    assert tour_length(exact_tour(as_points([[1, 1, 1]]))) == 0.0
+    assert exact_length(np.empty((0, 3))) == 0.0
+    assert exact_length(as_points([[1, 1, 1]])) == 0.0
 
 
 def test_exact_size_guard():
     pts = as_points(np.random.default_rng(0).uniform(size=(13, 3)))
     with pytest.raises(SizeLimitError):
-        exact_tour(pts, exact_max_n=12)
+        exact_order(pts)
 
 
 def test_exact_matches_permutation_search():
     rng = np.random.default_rng(42)
     for _ in range(5):
         arr = rng.uniform(size=(9, 3))
-        t = exact_tour(as_points(arr))
-        assert math.isclose(tour_length(t), brute_force_tsp(arr), rel_tol=1e-9)
+        assert math.isclose(exact_length(as_points(arr)), brute_force_tsp(arr), rel_tol=1e-9)
 
 
 def test_exact_is_permutation_of_input():
     rng = np.random.default_rng(1)
     arr = rng.uniform(size=(8, 3))
     pts = as_points(arr)
-    t = exact_tour(pts)
-    assert sorted(map(tuple, t.waypoints.tolist())) == sorted(
+    assert sorted(map(tuple, pts[exact_order(pts)].tolist())) == sorted(
         map(tuple, arr.tolist())
     )
 
 
 def test_heuristic_unit_square():
-    t = heuristic_tour(UNIT_SQUARE, TspConfig())
-    assert math.isclose(tour_length(t), 4.0)
+    assert math.isclose(heuristic_length(UNIT_SQUARE), 4.0)
 
 
 def test_heuristic_collinear():
     pts = as_points([[i, 0, 0] for i in range(10)])
-    t = heuristic_tour(pts, TspConfig())
-    assert math.isclose(tour_length(t), 18.0)
+    assert math.isclose(heuristic_length(pts), 18.0)
 
 
 def test_heuristic_within_5pct_of_exact_on_50_instances():
     rng = np.random.default_rng(2024)
-    cfg = TspConfig()
     for k in range(50):
         arr = rng.uniform(size=(10, 3))
         pts = as_points(arr)
-        h = tour_length(heuristic_tour(pts, cfg))
-        e = tour_length(exact_tour(pts))
+        h = heuristic_length(pts)
+        e = exact_length(pts)
         assert h <= 1.05 * e + 1e-12, f"instance {k}: {h} vs exact {e}"
         assert h >= e - 1e-9
 
@@ -96,8 +98,7 @@ def test_heuristic_within_5pct_of_exact_on_50_instances():
 def test_heuristic_is_permutation_of_input():
     rng = np.random.default_rng(3)
     arr = rng.uniform(size=(40, 3))
-    t = heuristic_tour(as_points(arr), TspConfig())
-    assert sorted(map(tuple, t.waypoints.tolist())) == sorted(
+    assert sorted(map(tuple, arr[heuristic_order(as_points(arr))].tolist())) == sorted(
         map(tuple, arr.tolist())
     )
 
@@ -105,10 +106,7 @@ def test_heuristic_is_permutation_of_input():
 def test_heuristic_deterministic():
     rng = np.random.default_rng(4)
     arr = rng.uniform(size=(30, 3))
-    cfg = TspConfig()
-    t1 = heuristic_tour(as_points(arr), cfg)
-    t2 = heuristic_tour(as_points(arr), cfg)
-    assert t1.waypoints.tolist() == t2.waypoints.tolist()
+    assert heuristic_order(as_points(arr)) == heuristic_order(as_points(arr))
 
 
 def _rigid(arr, rng):
@@ -128,14 +126,12 @@ def _rigid(arr, rng):
 def test_solvers_rigid_invariance():
     rng = np.random.default_rng(6)
     arr = rng.uniform(size=(9, 3))
-    base_exact = tour_length(exact_tour(as_points(arr)))
-    base_heur = tour_length(heuristic_tour(as_points(arr), TspConfig()))
+    base_exact = exact_length(as_points(arr))
+    base_heur = heuristic_length(as_points(arr))
     for _ in range(3):
         moved = _rigid(arr, rng)
-        assert math.isclose(tour_length(exact_tour(as_points(moved))), base_exact, rel_tol=1e-9)
-        assert math.isclose(
-            tour_length(heuristic_tour(as_points(moved), TspConfig())), base_heur, rel_tol=1e-9
-        )
+        assert math.isclose(exact_length(as_points(moved)), base_exact, rel_tol=1e-9)
+        assert math.isclose(heuristic_length(as_points(moved)), base_heur, rel_tol=1e-9)
 
 
 def _closed_len(order, pts):
@@ -272,14 +268,12 @@ def test_heuristic_order_degenerate_inputs():
             assert math.isclose(_closed_len(order, pts), _closed_len(exact_order(pts), pts)), name
 
 
-def test_solve_tour_dispatch():
+def test_solve_order_dispatch():
     pts = UNIT_SQUARE
-    assert math.isclose(tour_length(solve_tour(pts, TspConfig(solver="exact"))), 4.0)
-    assert math.isclose(tour_length(solve_tour(pts, TspConfig(solver="heuristic"))), 4.0)
+    for solver in ("exact", "heuristic"):
+        assert math.isclose(polyline_length(pts[solve_order(pts, TspConfig(solver))], closed=True), 4.0)
 
 
 def test_config_validation():
     with pytest.raises(Exception):
         TspConfig(solver="annealing")
-    with pytest.raises(Exception):
-        TspConfig(exact_max_n=14)
