@@ -268,17 +268,18 @@ def _check_coordinate_spacing(scene: Scene) -> None:
     fails its own coverage check. Centers and sampled points are checked.
     """
     tol = EXACT_TOUCH_FRACTION * scene.d_min_global
-    for i, o in enumerate(scene.objects):
-        c, shape = o.region.center, o.region.shape
-        far = max(abs(c.x), abs(c.y), abs(c.z))
-        if isinstance(shape, Sampled):
-            far = max(far, float(np.abs(shape.points).max()))
-        if 4.0 * math.ulp(far) > tol:
-            raise ContractError(
-                f"objects[{i}] ({o.id!r}): |coordinate| {far!r} m is too far from the origin "
-                f"to plan in: its float spacing {math.ulp(far):.3g} m is over a quarter of "
-                f"the touch tolerance {tol:.3g} m"
-            )
+    far = np.abs(scene.centers).max(axis=1)
+    for i in np.flatnonzero(~scene.exact).tolist():
+        far[i] = max(far[i], np.abs(scene.objects[i].region.shape.points).max())
+    # np.spacing is math.ulp for the non-negative floats here.
+    bad = np.flatnonzero(4.0 * np.spacing(far) > tol)
+    if bad.size:
+        i, far_i = int(bad[0]), float(far[bad[0]])
+        raise ContractError(
+            f"objects[{i}] ({scene.objects[i].id!r}): |coordinate| {far_i!r} m is too far from "
+            f"the origin to plan in: its float spacing {math.ulp(far_i):.3g} m is over a quarter "
+            f"of the touch tolerance {tol:.3g} m"
+        )
 
 
 def tour_to_json(tour: Tour) -> str:

@@ -9,7 +9,8 @@ Regions come in three shapes. ``Sphere`` and ``Shell`` are exact solids
 non-convex region represented by a boundary point cloud with outward
 normals; containment and closest-point queries on it are approximate at
 the sampling resolution, which is why sampled shapes carry a larger touch
-tolerance than exact ones.
+tolerance than exact ones. Every shape gives ``d_min``, ``d_max`` and
+``r_in``, the radius of the hole about its center (0 if it has none).
 """
 
 from __future__ import annotations
@@ -51,15 +52,19 @@ class Point3:
     def from_array(a) -> "Point3":
         return Point3(float(a[0]), float(a[1]), float(a[2]))
 
-    def distance_to(self, other: "Point3") -> float:
-        return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
-
 
 @dataclass(frozen=True)
 class Sphere:
     """Solid ball given by its diameter."""
 
     diameter: float
+    r_in = 0.0
+
+    @property
+    def d_min(self) -> float:
+        return self.diameter
+
+    d_max = d_min
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,18 @@ class Shell:
 
     inner_diameter: float
     outer_diameter: float
+
+    @property
+    def d_min(self) -> float:
+        return self.inner_diameter
+
+    @property
+    def d_max(self) -> float:
+        return self.outer_diameter
+
+    @property
+    def r_in(self) -> float:
+        return self.inner_diameter / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +101,7 @@ class Sampled:
     normals: np.ndarray
     d_min: float
     d_max: float
+    r_in = 0.0
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -109,21 +127,11 @@ class Region:
 
     @property
     def d_min(self) -> float:
-        s = self.shape
-        if isinstance(s, Sphere):
-            return s.diameter
-        if isinstance(s, Shell):
-            return s.inner_diameter
-        return s.d_min
+        return self.shape.d_min
 
     @property
     def d_max(self) -> float:
-        s = self.shape
-        if isinstance(s, Sphere):
-            return s.diameter
-        if isinstance(s, Shell):
-            return s.outer_diameter
-        return s.d_max
+        return self.shape.d_max
 
 
 def _validate_region(region: Region) -> None:
@@ -227,33 +235,51 @@ def _boundary_radii(shape: Sampled, center: np.ndarray, units: np.ndarray) -> np
     return radii[np.argmax(dirs @ units.T, axis=0)]
 
 
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between the rows of ``a`` and ``b`` (..., 3), broadcast: the one distance
+    contacts and nearest-point searches use.
+
+    Bitwise ``np.linalg.norm(b - a, axis=-1)``: the same ``(dx*dx + dy*dy) + dz*dz``,
+    summed one coordinate at a time instead of by its slow reduction over the last axis.
+    """
+    sq = 0.0
+    for k in range(3):
+        d = b[..., k] - a[..., k]
+        sq += d * d
+    return np.sqrt(sq)
+
+
+def in_ball(r, r_in, r_out, tol):
+    """Elementwise: a point ``r`` from a sphere's or shell's center lies in it within ``tol``."""
+    return (r >= r_in - tol) & (r <= r_out + tol)
+
+
+def balls_meet(dist, in_a, out_a, in_b, out_b):
+    """Elementwise: sphere or shell solids ``dist`` apart meet (neither is past or in the other)."""
+    return (dist <= out_a + out_b) & (dist + out_a >= in_b) & (dist + out_b >= in_a)
+
+
 def contains(region: Region, points: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Boolean mask of the rows of ``points`` (k, 3) inside the region solid within ``tol``.
 
     ``tol`` defaults to ``touch_tolerance(region)``. Spheres and shells
-    test the distance to the center against the ball interval. Sampled
-    regions accept anything within the nearest boundary sample's radius,
-    reject anything beyond the farthest one's, and test the rest radially
+    test the distance to the center with ``in_ball``. Sampled regions
+    accept anything within the nearest boundary sample's radius, reject
+    anything beyond the farthest one's, and test the rest radially
     against the boundary sample nearest in direction (star-shaped).
     """
     if tol is None:
         tol = touch_tolerance(region)
     c = region.center.as_array()
-    v = points - c
-    # np.linalg.norm(v, axis=1) to the bit, without its per-call overhead.
-    r = np.sqrt(np.add.reduce(v * v, axis=1))
+    r = distances(c, points)
     s = region.shape
     if not isinstance(s, Sampled):
-        r_in, r_out = _ball_intervals(region)
-        inside = r <= r_out + tol
-        if r_in - tol > 0.0:  # otherwise every r >= 0 clears the inner bound
-            inside &= r >= r_in - tol
-        return inside
+        return in_ball(r, s.r_in, s.d_max / 2.0, tol)
     radii = np.linalg.norm(s.points - c, axis=1)
     inside = r <= radii.min() + tol
     radial = ~inside & (r <= radii.max() + tol)
     if radial.any():
-        q = v[radial] / r[radial, None]
+        q = (points[radial] - c) / r[radial, None]
         inside[radial] = r[radial] <= _boundary_radii(s, c, q) + tol
     return inside
 
@@ -277,13 +303,13 @@ def closest_point_on_region(region: Region, p: np.ndarray) -> np.ndarray:
             raise InvalidRegionError("sampled region has no boundary points")
         d2 = np.sum((s.points - p) ** 2, axis=1)
         return s.points[int(np.argmin(d2))]
-    r_in, r_out = _ball_intervals(region)
+    r_in, r_out = s.r_in, s.d_max / 2.0
     # contains(region, p[None, :], tol=0.0) to the bit, without numpy's
     # per-call overhead: the same differences, squares and summation order.
     o = region.center
     px, py, pz = p.tolist()
     dx, dy, dz = px - o.x, py - o.y, pz - o.z
-    if r_in <= math.sqrt(dx * dx + dy * dy + dz * dz) <= r_out:
+    if in_ball(math.sqrt(dx * dx + dy * dy + dz * dz), r_in, r_out, 0.0):
         return p
     c = o.as_array()
     v = p - c
@@ -297,34 +323,17 @@ def closest_point_on_region(region: Region, p: np.ndarray) -> np.ndarray:
     return c + v * (r_in / r)
 
 
-def _ball_intervals(region: Region) -> tuple[float, float]:
-    """(inner_radius, outer_radius) of the solid for exact shapes."""
-    s = region.shape
-    if isinstance(s, Sphere):
-        return 0.0, s.diameter / 2.0
-    if isinstance(s, Shell):
-        return s.inner_diameter / 2.0, s.outer_diameter / 2.0
-    raise TypeError("exact shape expected")
-
-
 def regions_intersect(a: Region, b: Region) -> bool:
     """True if the two region solids overlap.
 
-    Sphere/shell pairs are decided analytically. Any pair involving a
+    Sphere/shell pairs are decided by ``balls_meet``. Any pair involving a
     sampled boundary is decided by testing boundary samples of one
     region for containment in the other, both ways.
     """
     sa, sb = a.shape, b.shape
     if not isinstance(sa, Sampled) and not isinstance(sb, Sampled):
-        dist = a.center.distance_to(b.center)
-        in_a, out_a = _ball_intervals(a)
-        in_b, out_b = _ball_intervals(b)
-        if dist > out_a + out_b:
-            return False
-        # One solid entirely inside the other's hole.
-        if dist + out_a < in_b or dist + out_b < in_a:
-            return False
-        return True
+        dist = distances(a.center.as_array(), b.center.as_array())
+        return bool(balls_meet(dist, sa.r_in, sa.d_max / 2.0, sb.r_in, sb.d_max / 2.0))
     for first, second in ((a, b), (b, a)):
         if isinstance(first.shape, Sampled) and contains(
             second, first.shape.points, touch_tolerance(second)
@@ -457,14 +466,9 @@ def candidate_pairs(queries: np.ndarray, points: np.ndarray, radius: float):
         b0 = b1
 
 
-def region_reach(region: Region, d_min_global: float | None = None) -> float:
-    """Radius about the center holding the region plus its touch tolerance.
-
-    Two regions whose centers are farther apart than the sum of their
-    reaches never intersect, and no point beyond the reach touches the
-    region within ``touch_tolerance(region, d_min_global)``.
-    """
-    return region.d_max / 2.0 * (1.0 + EPS_TOL) + EPS_TOL + touch_tolerance(region, d_min_global)
+def _reach(r_out, tol):
+    """Radius about a center holding a region, to its validated limit, plus ``tol``."""
+    return r_out * (1.0 + EPS_TOL) + EPS_TOL + tol
 
 
 def _later_pairs(points: np.ndarray, radius: float):
@@ -475,51 +479,51 @@ def _later_pairs(points: np.ndarray, radius: float):
     for i, j in candidate_pairs(points, points, radius):
         later = j > i
         i, j = i[later], j[later]
-        yield i, j, np.linalg.norm(points[j] - points[i], axis=1)
+        yield i, j, distances(points[i], points[j])
 
 
-def intersecting_pairs(regions) -> list[tuple[int, int]]:
-    """Every index pair (i, j), i < j, of intersecting regions, ascending.
+def intersecting_pairs(scene: Scene) -> list[tuple[int, int]]:
+    """Every index pair (i, j), i < j, of intersecting scene objects, ascending.
 
     Broad phase: ``candidate_pairs`` of the centers with cell edge twice
-    the largest reach, then a center-distance filter ``<= reach_i +
-    reach_j``. Narrow phase: ``regions_intersect`` on the survivors, in
-    ascending (i, j) order.
+    the largest reach, then the filter ``distance <= reach_i + reach_j``.
+    Narrow phase: ``balls_meet`` on a block's sphere and shell pairs,
+    ``regions_intersect`` on a pair with a sampled region.
     """
-    if len(regions) < 2:
+    if len(scene) < 2:
         return []
-    centers = points_array(r.center for r in regions)
-    reach = np.array([region_reach(r) for r in regions])
     pairs: list[tuple[int, int]] = []
-    for i, j, dist in _later_pairs(centers, 2.0 * float(reach.max())):
-        near = dist <= reach[i] + reach[j]
-        for a, b in zip(i[near].tolist(), j[near].tolist()):
-            if regions_intersect(regions[a], regions[b]):
-                pairs.append((a, b))
+    for i, j, dist in _later_pairs(scene.centers, 2.0 * float(scene.reach.max())):
+        near = dist <= scene.reach[i] + scene.reach[j]
+        i, j, dist = i[near], j[near], dist[near]
+        meet = balls_meet(dist, scene.r_in[i], scene.r_out[i], scene.r_in[j], scene.r_out[j])
+        for k in np.flatnonzero(~(scene.exact[i] & scene.exact[j])).tolist():
+            meet[k] = regions_intersect(scene.objects[i[k]].region, scene.objects[j[k]].region)
+        pairs += zip(i[meet].tolist(), j[meet].tolist())
     return pairs
 
 
-def first_touch_indices(regions, points: np.ndarray, d_min_global: float) -> np.ndarray:
-    """Per region, the index of the first row of ``points`` (W, 3) touching it, or -1.
+def first_touch_indices(scene: Scene, points: np.ndarray) -> np.ndarray:
+    """Per scene object, the index of the first row of ``points`` (W, 3) touching it, or -1.
 
-    A row touches a region when ``contains`` accepts it within
-    ``touch_tolerance(region, d_min_global)``. With the largest reach as
-    cell edge, only the rows ``candidate_pairs`` gives for a region's
-    center can touch it; those are tested in index order.
+    A row touches an object when it lies in its region within ``scene.tol``.
+    With the largest reach as cell edge, only the rows ``candidate_pairs``
+    gives for a region's center can touch it: ``in_ball`` tests a block's
+    spheres and shells, ``contains`` a sampled region.
     """
-    first = np.full(len(regions), -1)
-    if len(regions) == 0 or len(points) == 0:
+    first = np.full(len(scene), -1)
+    if len(scene) == 0 or len(points) == 0:
         return first
-    centers = points_array(r.center for r in regions)
-    reach = max(region_reach(r, d_min_global) for r in regions)
-    for q, p in candidate_pairs(centers, points, reach):
-        cut = np.flatnonzero(np.diff(q)) + 1
-        for i, near in zip(q[np.r_[0, cut]].tolist(), np.split(p, cut)):
-            region = regions[i]
-            tol = touch_tolerance(region, d_min_global)
-            hit = np.flatnonzero(contains(region, points[near], tol))
-            if hit.size:
-                first[i] = near[hit[0]]
+    c, tol = scene.centers, scene.tol
+    radius = float(_reach(scene.r_out, tol).max())
+    for q, p in candidate_pairs(c, points, radius):
+        hit = in_ball(distances(c[q], points[p]), scene.r_in[q], scene.r_out[q], tol[q])
+        for i in np.unique(q[~scene.exact[q]]).tolist():
+            lo, hi = q.searchsorted((i, i + 1))
+            hit[lo:hi] = contains(scene.objects[i].region, points[p[lo:hi]], tol[i])
+        # Pairs are sorted by q, then p: the first hit of each q is its least row.
+        touched, at = np.unique(q[hit], return_index=True)
+        first[touched] = p[hit][at]
     return first
 
 
@@ -564,7 +568,14 @@ class SceneObject:
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """A set of objects with global diameter bounds inside a cube."""
+    """A set of objects with global diameter bounds inside a cube.
+
+    Scene-wide passes read read-only per-object columns made once here:
+    ``centers`` (n, 3), each shape's ``r_in`` and ``r_out = d_max / 2``,
+    ``tol = touch_tolerance(region, d_min_global)``, ``reach`` (the radius
+    holding the region plus ``touch_tolerance(region)``) and ``exact``
+    (sphere or shell).
+    """
 
     objects: tuple[SceneObject, ...]
     d_min_global: float
@@ -577,19 +588,36 @@ class Scene:
             raise ContractError(
                 f"need 0 < d_min_global <= d_max_global, got ({self.d_min_global}, {self.d_max_global})"
             )
+        lo, hi = self.d_min_global * (1.0 - EPS_TOL), self.d_max_global * (1.0 + EPS_TOL)
         index: dict[str, int] = {}
+        rows: list[float] = []
         for i, obj in enumerate(self.objects):
             if index.setdefault(obj.id, i) != i:
                 raise ContractError(f"duplicate object id {obj.id!r}")
-            r = obj.region
-            if r.d_min < self.d_min_global * (1.0 - EPS_TOL) or r.d_max > self.d_max_global * (
-                1.0 + EPS_TOL
-            ):
+            c, s = obj.region.center, obj.region.shape
+            d_min, d_max = s.d_min, s.d_max
+            if d_min < lo or d_max > hi:
                 raise ContractError(
-                    f"object {obj.id!r} diameters [{r.d_min}, {r.d_max}] outside global "
+                    f"object {obj.id!r} diameters [{d_min}, {d_max}] outside global "
                     f"bounds [{self.d_min_global}, {self.d_max_global}]"
                 )
+            rows += (c.x, c.y, c.z, s.r_in, d_max, d_min, isinstance(s, Sampled))
         object.__setattr__(self, "_index", index)
+        cols = np.fromiter(rows, float, len(rows)).reshape(-1, 7)
+        del rows  # free it before deriving the columns: a scene load peaks in memory here
+        exact = cols[:, 6] == 0.0
+        r_out = cols[:, 4] / 2.0
+        own_tol = np.where(exact, EXACT_TOUCH_FRACTION, SAMPLED_TOUCH_FRACTION) * cols[:, 5]
+        for name, col in (
+            ("centers", cols[:, :3].copy()),
+            ("r_in", cols[:, 3].copy()),
+            ("r_out", r_out),
+            ("tol", np.where(exact, EXACT_TOUCH_FRACTION * self.d_min_global, own_tol)),
+            ("reach", _reach(r_out, own_tol)),
+            ("exact", exact),
+        ):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -635,11 +663,6 @@ class Tour:
     @property
     def length(self) -> float:
         return tour_length(self)
-
-
-def points_array(points) -> np.ndarray:
-    """(n, 3) float array of the user-given ``Point3`` positions in ``points``."""
-    return np.array([(p.x, p.y, p.z) for p in points], dtype=float).reshape(-1, 3)
 
 
 def polyline_length(points: np.ndarray, closed: bool = False) -> float:

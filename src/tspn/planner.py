@@ -10,7 +10,7 @@ for the analytic length bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,11 +29,10 @@ from .geom import (
     closest_point_on_region,
     closest_pair_within,
     contains,
+    distances,
     first_touch_indices,
     intersecting_pairs,
     max_diameter_segment,
-    pairwise_sq_distances,
-    points_array,
     polyline_length,
     touch_tolerance,
     tour_length,
@@ -91,8 +90,7 @@ def center_visit(start: Point3, scene: Scene, tsp: TspConfig = TspConfig()) -> T
     waypoints = [start.as_array()]
     if len(scene) == 0:
         return Tour(waypoints=waypoints)
-    centers = points_array(obj.region.center for obj in scene.objects)
-    order = _rotate_to_nearest(solve_order(centers, tsp), centers, start)
+    order = _rotate_to_nearest(solve_order(scene.centers, tsp), scene.centers, start)
     visits = []
     for idx in order:
         obj = scene.objects[idx]
@@ -120,10 +118,11 @@ def maximal_independent_set(scene: Scene) -> MisResult:
     recorded in that same order.
     """
     objs = scene.objects
-    order = sorted(range(len(objs)), key=lambda k: (objs[k].region.d_max, objs[k].id))
+    r_out = scene.r_out.tolist()
+    order = sorted(range(len(objs)), key=lambda k: (r_out[k], objs[k].id))
     rank = {k: r for r, k in enumerate(order)}
     neighbours: list[list[int]] = [[] for _ in objs]
-    for i, j in intersecting_pairs([o.region for o in objs]):
+    for i, j in intersecting_pairs(scene):
         neighbours[i].append(j)
         neighbours[j].append(i)
     decided = [False] * len(objs)
@@ -152,7 +151,8 @@ class DetourPlan:
     farthest-pair endpoints, each ring of ``perimeters`` is (k, 3),
     ``spikes`` is (m, 2, 3) with one (inner tip, outer tip) pair per
     out-and-back probe across the boundary, and ``stitched`` (k, 3) is the
-    path, at least one point long.
+    path, at least one point long. ``limit`` is the length budget the
+    path was built within (``detour_length_limit``).
     """
 
     owner_id: str
@@ -161,6 +161,7 @@ class DetourPlan:
     spikes: np.ndarray
     stitched: np.ndarray
     length: float
+    limit: float
 
     def __post_init__(self):
         for points in (self.axis, self.spikes, self.stitched, *self.perimeters):
@@ -275,15 +276,15 @@ def build_detour(
     if perimeter_step <= 0 or spike_spacing <= 0:
         raise ContractError("perimeter_step and spike_spacing must be positive")
 
+    d = d_min_global
+    budget = detour_length_limit(owner.d_max, d)
     axis = max_diameter_segment(owner)
     a, b = axis
     ab = b - a
     ab_len = float(np.linalg.norm(ab))
     if ab_len < touch_tolerance(owner, d_min_global):
-        return _point_detour(owner_id, axis)
+        return _point_detour(owner_id, axis, budget)
     axis_dir = ab / ab_len
-    d = d_min_global
-    budget = detour_length_limit(owner.d_max, d)
 
     n_planes = max(1, int(math.ceil(ab_len / d)) - 1)
     if n_planes == 1:
@@ -300,7 +301,7 @@ def build_detour(
         mid = _trace_perimeter(owner, a + 0.5 * ab, axis_dir, perimeter_step)
         rings = [mid] if mid is not None else []
     if not rings:
-        return _point_detour(owner_id, axis)
+        return _point_detour(owner_id, axis, budget)
 
     ring_lens = [polyline_length(r, closed=True) for r in rings]
 
@@ -377,10 +378,11 @@ def build_detour(
         spikes=np.array(spikes).reshape(-1, 2, 3),
         stitched=path,
         length=polyline_length(path),
+        limit=budget,
     )
 
 
-def _point_detour(owner_id: str, axis: np.ndarray) -> DetourPlan:
+def _point_detour(owner_id: str, axis: np.ndarray, limit: float) -> DetourPlan:
     """The detour of a region with no perimeter to walk: its first axis endpoint."""
     return DetourPlan(
         owner_id=owner_id,
@@ -389,6 +391,7 @@ def _point_detour(owner_id: str, axis: np.ndarray) -> DetourPlan:
         spikes=np.empty((0, 2, 3)),
         stitched=axis[:1],
         length=0.0,
+        limit=limit,
     )
 
 
@@ -418,28 +421,20 @@ def plan_nondisjoint_detailed(
     out-and-back visit so coverage is always complete.
     """
     mis = maximal_independent_set(scene)
-    kept_set = set(mis.kept)
-    kept_objects = [o for o in scene.objects if o.id in kept_set]
-    kept_scene = Scene(
-        objects=tuple(kept_objects),
-        d_min_global=scene.d_min_global,
-        d_max_global=scene.d_max_global,
-        cube_edge=scene.cube_edge,
-    )
-    base = center_visit(start, kept_scene, tsp)
-    neighbor_count: dict[str, int] = {kid: 0 for kid in mis.kept}
-    for keeper in mis.assignment.values():
-        neighbor_count[keeper] += 1
     if not mis.assignment:
         # Fully disjoint: the plan is exactly the center-visit trajectory.
-        return NondisjointPlan(tour=base, mis=mis, detours=(), patched_ids=())
-
+        tour = center_visit(start, scene, tsp)
+        return NondisjointPlan(tour=tour, mis=mis, detours=(), patched_ids=())
+    kept = set(mis.kept)
+    kept_scene = replace(scene, objects=tuple(o for o in scene.objects if o.id in kept))
+    base = center_visit(start, kept_scene, tsp)
+    owners = set(mis.assignment.values())
     blocks: list[np.ndarray] = [base.waypoints[:1]]
     detours: list[DetourPlan] = []
     for visit in base.visits:
         touch = base.waypoints[visit.waypoint_index]
         blocks.append(touch[None])
-        if neighbor_count.get(visit.object_id, 0) == 0:
+        if visit.object_id not in owners:
             continue
         owner = scene.get(visit.object_id).region
         plan = build_detour(owner, scene.d_min_global, owner_id=visit.object_id)
@@ -466,28 +461,24 @@ def _patch_and_visit(
     gets an out-and-back spike from its nearest waypoint to its closest
     point. Each visit is the first waypoint touching its object.
     """
-    regions = [o.region for o in scene.objects]
-    first = first_touch_indices(regions, arr, scene.d_min_global)
+    first = first_touch_indices(scene, arr)
     patched: list[str] = []
     spikes: list[np.ndarray] = []
-    for obj, hit in zip(scene.objects, first):
-        if hit >= 0:
-            continue
+    for i in np.flatnonzero(first < 0).tolist():
+        obj = scene.objects[i]
         # Rows inserted so far are spike tips or copies of rows already tested.
-        tol = touch_tolerance(obj.region, scene.d_min_global)
-        if spikes and contains(obj.region, np.array(spikes), tol).any():
+        if spikes and contains(obj.region, np.array(spikes), scene.tol[i]).any():
             continue
-        c = obj.region.center.as_array()
-        near = int(np.argmin(np.linalg.norm(arr - c, axis=1)))
+        near = int(np.argmin(np.linalg.norm(arr - scene.centers[i], axis=1)))
         q = closest_point_on_region(obj.region, arr[near])
         arr = np.insert(arr, near + 1, [q, arr[near]], axis=0)
         spikes.append(q)
         patched.append(obj.id)
     if patched:
-        first = first_touch_indices(regions, arr, scene.d_min_global)
-    for obj, hit in zip(scene.objects, first):
-        if hit < 0:
-            raise ContractError(f"object {obj.id!r} left untouched after patching")
+        first = first_touch_indices(scene, arr)
+    missed = np.flatnonzero(first < 0)
+    if missed.size:
+        raise ContractError(f"object {scene.objects[missed[0]].id!r} left untouched after patching")
     visits = tuple(
         Visit(object_id=obj.id, waypoint_index=int(hit)) for obj, hit in zip(scene.objects, first)
     )
@@ -550,7 +541,7 @@ def plan_online(
     """
     if not (0 < d_min <= d_max):
         raise ContractError("need 0 < d_min <= d_max")
-    pts = points_array(c for _, c in centers)
+    pts = np.array([(c.x, c.y, c.z) for _, c in centers], dtype=float).reshape(-1, 3)
     close = closest_pair_within(pts, d_max)
     if close is not None:
         i, j = close
@@ -609,26 +600,15 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def _surface_samples(regions: list[Region], n: int) -> np.ndarray:
-    """(len(regions), n, 3) outer-boundary samples along one Fibonacci pattern."""
+def _surface_samples(scene: Scene, n: int) -> np.ndarray:
+    """(len(scene), n, 3) outer-boundary samples along one Fibonacci pattern."""
     dirs = fibonacci_sphere(n)
-    centers = np.array([r.center.as_array() for r in regions])
-    half_dmax = np.array([r.d_max / 2.0 for r in regions])
-    samples = centers[:, None] + dirs * half_dmax[:, None, None]
-    for i, region in enumerate(regions):
-        if isinstance(region.shape, Sampled):
-            radii = _boundary_radii(region.shape, centers[i], dirs)
-            samples[i] = centers[i] + dirs * radii[:, None]
+    centers = scene.centers
+    samples = centers[:, None] + dirs * scene.r_out[:, None, None]
+    for i in np.flatnonzero(~scene.exact).tolist():
+        radii = _boundary_radii(scene.objects[i].region.shape, centers[i], dirs)
+        samples[i] = centers[i] + dirs * radii[:, None]
     return samples
-
-
-def _distances_from(p: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Distances from the point ``p`` to each row of ``pts`` (k, 3).
-
-    Bitwise equal to ``np.linalg.norm(pts - p, axis=1)``, which reduces over
-    the short last axis and costs about three times as much.
-    """
-    return np.sqrt(pairwise_sq_distances(p[None], pts)[0])
 
 
 def _mst_adjacency(pts: np.ndarray, root: int) -> list[list[int]]:
@@ -639,7 +619,7 @@ def _mst_adjacency(pts: np.ndarray, root: int) -> list[list[int]]:
     n = len(pts)
     in_tree = np.zeros(n, dtype=bool)
     in_tree[root] = True
-    best = _distances_from(pts[root], pts)
+    best = distances(pts[root], pts)
     parent = np.full(n, root)
     adj: list[list[int]] = [[] for _ in range(n)]
     for _ in range(n - 1):
@@ -647,7 +627,7 @@ def _mst_adjacency(pts: np.ndarray, root: int) -> list[list[int]]:
         j = int(np.argmin(masked))
         adj[int(parent[j])].append(j)
         in_tree[j] = True
-        row = _distances_from(pts[j], pts)
+        row = distances(pts[j], pts)
         update = (row < best) & ~in_tree
         best[update] = row[update]
         parent[update] = j
@@ -698,9 +678,8 @@ def alpha_fat_baseline(
     if len(scene) == 0:
         return Tour(waypoints=[start_arr])
     n = len(scene)
-    samples = _surface_samples([obj.region for obj in scene.objects], samples_per_region)
-    centers = np.array([obj.region.center.as_array() for obj in scene.objects])
-    radius = np.linalg.norm(samples - centers[:, None], axis=2).max(axis=1)
+    samples = _surface_samples(scene, samples_per_region)
+    radius = np.linalg.norm(samples - scene.centers[:, None], axis=2).max(axis=1)
 
     first = int(np.argmin(np.linalg.norm(samples.reshape(-1, 3) - start_arr, axis=1)))
     region, sample = divmod(first, samples_per_region)
@@ -718,8 +697,8 @@ def alpha_fat_baseline(
         # relative slack keeps rounding from skipping a region where p would
         # tie or beat its best (tests/test_planner.py builds such a tie).
         reach = (best + radius) * (1.0 + EPS_TOL)
-        near = np.flatnonzero(is_open & (_distances_from(p, centers) <= reach))
-        dist = _distances_from(p, samples[near].reshape(-1, 3)).reshape(-1, samples_per_region)
+        near = np.flatnonzero(is_open & (distances(p, scene.centers) <= reach))
+        dist = distances(p, samples[near].reshape(-1, 3)).reshape(-1, samples_per_region)
         j = np.argmin(dist, axis=1)
         dj = dist[np.arange(len(near)), j]
         better = (dj < best[near]) | ((dj == best[near]) & (j < best_idx[near]))
@@ -769,7 +748,7 @@ class BoundReport:
 
 
 def scene_is_disjoint(scene: Scene) -> bool:
-    return not intersecting_pairs([o.region for o in scene.objects])
+    return not intersecting_pairs(scene)
 
 
 def validate_bounds(
@@ -789,19 +768,15 @@ def validate_bounds(
     disjoint = scene_is_disjoint(scene)
     holds = (n <= bound) if disjoint else None
 
-    detour_rows = []
-    for plan in detours:
-        owner = scene.get(plan.owner_id).region if plan.owner_id else None
-        d_max_owner = owner.d_max if owner is not None else 0.0
-        limit = detour_length_limit(d_max_owner, d_min)
-        detour_rows.append(
-            DetourBound(
-                owner_id=plan.owner_id,
-                limit=limit,
-                actual=plan.length,
-                holds=plan.length <= limit * (1.0 + 1e-9),
-            )
+    detour_rows = [
+        DetourBound(
+            owner_id=plan.owner_id,
+            limit=plan.limit,
+            actual=plan.length,
+            holds=plan.length <= plan.limit * (1.0 + 1e-9),
         )
+        for plan in detours
+    ]
 
     lb = online_tour_lower_bound(n, d_min)
     lower_estimate = max(
@@ -823,6 +798,5 @@ def validate_bounds(
 
 def missed_objects(tour: Tour, scene: Scene) -> list[str]:
     """Ids of scene objects no tour waypoint touches (within tolerance)."""
-    regions = [o.region for o in scene.objects]
-    first = first_touch_indices(regions, tour.waypoints, scene.d_min_global)
+    first = first_touch_indices(scene, tour.waypoints)
     return [obj.id for obj, hit in zip(scene.objects, first) if hit < 0]

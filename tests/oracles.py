@@ -14,9 +14,8 @@ import numpy as np
 
 from tspn.errors import ContractError, InvalidRegionError
 from tspn.geom import (
-    GridIndex, Sampled, Scene, Shell, Sphere, Tour, Visit, _ball_intervals, _boundary_radii,
-    closest_point_on_region, contains, points_array, region_reach, regions_intersect,
-    touch_tolerance,
+    EPS_TOL, GridIndex, Sampled, Scene, SceneObject, Shell, Sphere, Tour, Visit, _boundary_radii,
+    closest_point_on_region, contains, regions_intersect, touch_tolerance,
 )
 from tspn.planner import (
     DetectionOutcome, NondisjointPlan, _doubled_tree_walk, _rotate_to_nearest, build_detour,
@@ -24,6 +23,32 @@ from tspn.planner import (
 )
 from tspn.tsp import TspConfig, solve_order
 from tspn.viewscore import ORIENTATION_BINS, OrientationHistogram
+
+
+def scene_of(regions) -> Scene:
+    """The regions as a scene with ids ``r00``, ``r01``, ..., bounded by their own diameters."""
+    objs = tuple(SceneObject(id=f"r{k:02d}", region=r) for k, r in enumerate(regions))
+    if not objs:
+        return Scene(objects=(), d_min_global=1.0, d_max_global=1.0)
+    return Scene(
+        objects=objs,
+        d_min_global=min(r.d_min for r in regions),
+        d_max_global=max(r.d_max for r in regions),
+    )
+
+
+def ball_interval(region) -> tuple[float, float]:
+    """(inner radius, outer radius) of a sphere or shell solid."""
+    s = region.shape
+    if isinstance(s, Sphere):
+        return 0.0, s.diameter / 2.0
+    return s.inner_diameter / 2.0, s.outer_diameter / 2.0
+
+
+def reach_of(region, d_min_global: float | None = None) -> float:
+    """Radius about the center holding the region (up to the validated ``d_max / 2 * (1 +
+    EPS_TOL) + EPS_TOL``) plus ``touch_tolerance(region, d_min_global)``."""
+    return region.d_max / 2.0 * (1.0 + EPS_TOL) + EPS_TOL + touch_tolerance(region, d_min_global)
 
 
 def drawn_diameters(centers, d_min: float, d_max: float, seed: int) -> dict[str, float]:
@@ -599,7 +624,7 @@ def one_row_contains_closest_point_on_region(region, p: np.ndarray) -> np.ndarra
     c = region.center.as_array()
     v = p - c
     r = float(np.linalg.norm(v))
-    r_in, r_out = _ball_intervals(region)
+    r_in, r_out = ball_interval(region)
     # Outside the solid: past the outer sphere, or in a shell's hole.
     if r > r_in:
         return c + v * (r_out / r)
@@ -752,8 +777,8 @@ def per_point_intersecting_pairs(regions) -> list[tuple[int, int]]:
     """``intersecting_pairs`` over ``per_point_near_pairs``."""
     if len(regions) < 2:
         return []
-    centers = points_array(r.center for r in regions)
-    reach = np.array([region_reach(r) for r in regions])
+    centers = np.array([r.center.as_array() for r in regions])
+    reach = np.array([reach_of(r) for r in regions])
     pairs: list[tuple[int, int]] = []
     for i, near, dist in per_point_near_pairs(centers, 2.0 * float(reach.max())):
         for j in near[dist <= reach[i] + reach[near]].tolist():
@@ -773,7 +798,7 @@ def per_point_first_touch_indices(regions, points: np.ndarray, d_min_global: flo
     first = np.full(len(regions), -1)
     if len(regions) == 0 or len(points) == 0:
         return first
-    grid = grid_of_points(points, max(region_reach(r, d_min_global) for r in regions))
+    grid = grid_of_points(points, max(reach_of(r, d_min_global) for r in regions))
     for i, region in enumerate(regions):
         c = region.center
         near = grid.near((c.x, c.y, c.z))
@@ -795,3 +820,44 @@ def per_point_closest_pair_within(points: np.ndarray, radius: float) -> tuple[in
         if cand[0] <= radius and (best is None or cand < best):
             best = cand
     return None if best is None else (best[1], best[2])
+
+
+# --------------------------------------------------------------------------- sphere/shell if-chains
+# Sphere and shell contacts as they were decided one object or one pair at
+# a time, before one elementwise rule served both the scalar API and the
+# block passes: if-chains over the ball interval, distances from math.dist.
+
+
+def chain_regions_intersect(a, b) -> bool:
+    """Two sphere or shell solids overlap (the parent's ``regions_intersect`` chain)."""
+    dist = math.dist(a.center.as_array(), b.center.as_array())
+    in_a, out_a = ball_interval(a)
+    in_b, out_b = ball_interval(b)
+    if dist > out_a + out_b:
+        return False
+    # One solid entirely inside the other's hole.
+    if dist + out_a < in_b or dist + out_b < in_a:
+        return False
+    return True
+
+
+def chain_contains(region, p, tol: float) -> bool:
+    """The point ``p`` lies in the sphere or shell solid within ``tol``."""
+    r = math.dist(p, region.center.as_array())
+    r_in, r_out = ball_interval(region)
+    if r > r_out + tol:
+        return False
+    if r_in - tol > 0.0 and r < r_in - tol:
+        return False
+    return True
+
+
+def chain_first_touch_indices(regions, points: np.ndarray, tol: float) -> np.ndarray:
+    """Per region, the first row of ``points`` that ``chain_contains`` accepts, or -1."""
+    first = np.full(len(regions), -1)
+    for i, region in enumerate(regions):
+        for k, p in enumerate(points):
+            if chain_contains(region, p, tol):
+                first[i] = k
+                break
+    return first

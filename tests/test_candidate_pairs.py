@@ -28,6 +28,8 @@ from oracles import (
     per_point_closest_pair_within,
     per_point_intersecting_pairs,
     per_point_near_pairs,
+    reach_of,
+    scene_of,
 )
 
 SETTINGS = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -164,7 +166,7 @@ def offset_regions(draw, max_n=12):
 @given(offset_regions(), st.sampled_from(BLOCKS))
 def test_intersecting_pairs_match_the_per_point_walk(regions, block):
     with block_size(block):
-        got = intersecting_pairs(regions)
+        got = intersecting_pairs(scene_of(regions))
     assert got == per_point_intersecting_pairs(regions)
 
 
@@ -199,7 +201,7 @@ def test_skewed_scene_in_one_cell_matches_brute_force_in_bounded_memory():
     centers[:5] = big_c + 190.0 * dirs[:5]
     regions = [big] + [Region(center=Point3(*c), shape=Sphere(float(d)))
                        for c, d in zip(centers, rng.uniform(0.5, 1.0, size=2000))]
-    cell = GridIndex(2.0 * geom.region_reach(big)).cell
+    cell = GridIndex(2.0 * reach_of(big)).cell
     assert not np.floor(np.vstack([centers, big.shape.points, big_c]) / cell).any()
     # Brute force: the sphere centers are at least 25 m apart, so no two
     # spheres meet; every pair with the large region is tested.
@@ -208,7 +210,7 @@ def test_skewed_scene_in_one_cell_matches_brute_force_in_bounded_memory():
     assert gaps.min() > 2.0
     expected = [(0, j) for j in range(1, len(regions)) if regions_intersect(big, regions[j])]
     assert len(expected) == 5
-    got, peak = traced_peak(intersecting_pairs, regions)
+    got, peak = traced_peak(intersecting_pairs, scene_of(regions))
     assert got == expected
     assert peak < PEAK_CAP
 
@@ -225,10 +227,9 @@ def test_coincident_centers_match_brute_force_in_bounded_memory():
     outer = np.array([r.shape.outer_diameter for r in shells]) / 2.0
     apart = (outer[:, None] < inner[None, :]) | (outer[None, :] < inner[:, None])
     expected = [tuple(p) for p in np.argwhere(np.triu(~apart, 1)).tolist()]
-    assert intersecting_pairs(shells) == expected == []
+    assert intersecting_pairs(scene_of(shells)) == expected == []
     # The same 4M candidates under tracemalloc, through the broad phase
-    # that intersecting_pairs shares: 2M narrow-phase calls would take
-    # tens of seconds while traced.
+    # that intersecting_pairs shares.
     points = np.tile(center, (n, 1))
     got, peak = traced_peak(closest_pair_within, points, 1.0)
     assert got == (0, 1)

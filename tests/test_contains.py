@@ -16,6 +16,7 @@ from oracles import (
     per_direction_surface_samples,
     scalar_region_contains,
     scalar_trace_perimeter,
+    scene_of,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -104,7 +105,7 @@ def test_sampled_regions_intersect_matches_point_loop(seed, other, spread):
 def test_surface_samples_bitwise_equal_to_per_direction_lookup(seed, n):
     region = random_region(np.random.default_rng(seed), "sampled")
     want = per_direction_surface_samples(region, fibonacci_sphere(n))
-    assert np.array_equal(_surface_samples([region], n)[0], want)
+    assert np.array_equal(_surface_samples(scene_of([region]), n)[0], want)
 
 
 def _detour_arrays(plan):

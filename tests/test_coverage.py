@@ -16,8 +16,7 @@ from tspn import Point3, Region, Sampled, Scene, SceneObject, Shell, Sphere, Tou
 from tspn.bench import SceneConfig, generate_scene
 from tspn.errors import ContractError
 from tspn.geom import (
-    EPS_TOL, GridIndex, closest_point_on_region, contains, first_touch_indices, region_reach,
-    touch_tolerance,
+    EPS_TOL, GridIndex, closest_point_on_region, contains, first_touch_indices, touch_tolerance,
 )
 from tspn.planner import _patch_and_visit, missed_objects, plan_nondisjoint_detailed
 
@@ -27,6 +26,7 @@ from oracles import (
     dense_plan_nondisjoint_detailed,
     one_row_contains_closest_point_on_region,
     per_point_first_touch_indices,
+    reach_of,
 )
 
 KINDS = (("sphere",), ("shell",), ("sampled",), ("sphere", "shell", "sampled"))
@@ -80,12 +80,12 @@ def probe_waypoints(rng, scene: Scene, m: int) -> np.ndarray:
     centers = np.array([o.region.center.as_array() for o in scene.objects])
     lo, hi = centers.min(axis=0) - 6.0, centers.max(axis=0) + 6.0
     rows = [lo + rng.uniform(size=3) * (hi - lo) for _ in range(m)]
-    cell = GridIndex(max(region_reach(o.region, scene.d_min_global) for o in scene.objects)).cell
+    cell = GridIndex(max(reach_of(o.region, scene.d_min_global) for o in scene.objects)).cell
     for k in rng.choice(len(scene), size=min(3, len(scene)), replace=False):
         region = scene.objects[k].region
         c = region.center.as_array()
         t = touch_distance(region, scene.d_min_global)
-        for dist in (t, math.nextafter(t, math.inf), region_reach(region, scene.d_min_global)):
+        for dist in (t, math.nextafter(t, math.inf), reach_of(region, scene.d_min_global)):
             for axis in range(3):
                 e = np.zeros(3)
                 e[axis] = dist
@@ -193,7 +193,7 @@ def test_first_touch_indices_match_the_per_point_walk(seed, n, m, offset, kinds)
     regions = [o.region for o in scene.objects]
     arr = probe_waypoints(rng, scene, m)
     for points in (arr, arr[:1], arr[:0]):
-        assert np.array_equal(first_touch_indices(regions, points, scene.d_min_global),
+        assert np.array_equal(first_touch_indices(scene, points),
                               per_point_first_touch_indices(regions, points, scene.d_min_global))
 
 
@@ -203,7 +203,8 @@ def test_empty_and_sparse_tours_miss_what_the_dense_audit_misses():
     empty = Tour(waypoints=np.empty((0, 3)))
     assert missed_objects(empty, scene) == dense_missed_objects(empty, scene)
     assert missed_objects(empty, scene) == [o.id for o in scene.objects]
-    assert first_touch_indices([], np.zeros((2, 3)), 1.0).shape == (0,)
+    nothing = Scene(objects=(), d_min_global=1.0, d_max_global=1.0)
+    assert first_touch_indices(nothing, np.zeros((2, 3))).shape == (0,)
     planned = plan_nondisjoint_detailed(Point3(0, 0, 0), scene).tour.waypoints
     for step in (2, 5, 40):
         sparse = Tour(waypoints=planned[::step])
@@ -254,8 +255,8 @@ def test_waypoint_at_the_largest_reach_is_found():
     # edge even one ulp below the reach puts these waypoints two cells away.
     scene = reach_limit_scene()
     far = scene.objects[0].region
-    reach = region_reach(far, scene.d_min_global)
-    assert reach == max(region_reach(o.region, scene.d_min_global) for o in scene.objects)
+    reach = reach_of(far, scene.d_min_global)
+    assert reach == max(reach_of(o.region, scene.d_min_global) for o in scene.objects)
     for axis in range(3):
         p = np.zeros(3)
         p[axis] = -reach

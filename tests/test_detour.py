@@ -192,3 +192,20 @@ def test_nondisjoint_detour_entered_at_nearest_endpoint():
         return any(seq[i : i + m] == block for i in range(len(seq) - m + 1))
 
     assert contains_block(joined, fwd) or contains_block(joined, rev)
+
+
+def test_detour_without_owner_id_is_held_to_the_budget_it_was_built_within():
+    # The bound is the plan's own budget, so an unnamed owner is not held
+    # to a budget of zero.
+    a = sphere_obj("a", (30, 0, 0), 8.0)
+    scene = make_scene([a, sphere_obj("b", (36, 0, 0), 6.0)], 6.0, 8.0)
+    tour = center_visit(Point3(0, 0, 0), scene)
+    rows = []
+    for owner_id in ("", "a"):
+        plan = build_detour(a.region, 6.0, owner_id=owner_id)
+        assert plan.limit == detour_length_limit(8.0, 6.0)
+        (row,) = validate_bounds(scene, tour, (plan,)).detour_bounds
+        assert row.owner_id == owner_id
+        assert (row.limit, row.actual) == (plan.limit, plan.length) and row.holds
+        rows.append((row.limit, row.actual))
+    assert rows[0] == rows[1]

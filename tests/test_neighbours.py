@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tspn import CapacityError, Point3, Region, Sampled, Scene, SceneObject, Shell, Sphere
 from tspn.bench import SceneConfig, generate_scene, scene_to_json
-from tspn.geom import closest_pair_within, intersecting_pairs, region_reach, regions_intersect
+from tspn.geom import closest_pair_within, intersecting_pairs, regions_intersect
 from tspn.planner import maximal_independent_set, scene_is_disjoint
 
 from oracles import (
@@ -15,7 +15,9 @@ from oracles import (
     dense_closest_pair,
     fibonacci_directions,
     greedy_mis,
+    reach_of,
     rejection_sample_disjoint,
+    scene_of,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -62,23 +64,12 @@ def region_lists(draw, max_n=10):
     for _ in range(draw(st.integers(0, 2)) if regions else 0):
         base = regions[draw(st.integers(0, len(regions) - 1))]
         shape = draw(shapes())
-        reach = region_reach(base) + region_reach(make_region((0.0, 0.0, 0.0), shape))
+        reach = reach_of(base) + reach_of(make_region((0.0, 0.0, 0.0), shape))
         axis = draw(st.integers(0, 2))
         c = base.center.as_array()
         c[axis] += reach
         regions.append(make_region(tuple(c), shape))
     return regions
-
-
-def scene_of(regions) -> Scene:
-    objs = tuple(SceneObject(id=f"r{k:02d}", region=r) for k, r in enumerate(regions))
-    if not objs:
-        return Scene(objects=(), d_min_global=1.0, d_max_global=1.0)
-    return Scene(
-        objects=objs,
-        d_min_global=min(r.d_min for r in regions),
-        d_max_global=max(r.d_max for r in regions),
-    )
 
 
 # ------------------------------------------------------------------ intersecting pairs
@@ -88,7 +79,7 @@ def scene_of(regions) -> Scene:
 @given(region_lists())
 def test_intersecting_pairs_match_brute_force(regions):
     expected = brute_intersecting_pairs(regions, regions_intersect)
-    assert intersecting_pairs(regions) == expected
+    assert intersecting_pairs(scene_of(regions)) == expected
     assert scene_is_disjoint(scene_of(regions)) == (not expected)
 
 
@@ -96,23 +87,23 @@ def test_intersecting_pairs_match_brute_force(regions):
 def test_intersecting_pairs_tiny_scenes(n):
     regions = [Region(center=Point3(1.0, 2.0, 3.0), shape=Sphere(2.0)) for _ in range(n)]
     expected = [(0, 1)] if n == 2 else []  # coincident centers intersect
-    assert intersecting_pairs(regions) == expected
+    assert intersecting_pairs(scene_of(regions)) == expected
     assert brute_intersecting_pairs(regions, regions_intersect) == expected
 
 
 def test_spheres_exactly_at_summed_reach_do_not_intersect():
     a = Region(center=Point3(0.0, 0.0, 0.0), shape=Sphere(2.0))
-    b = Region(center=Point3(region_reach(a) * 2.0, 0.0, 0.0), shape=Sphere(2.0))
-    assert intersecting_pairs([a, b]) == []
+    b = Region(center=Point3(reach_of(a) * 2.0, 0.0, 0.0), shape=Sphere(2.0))
+    assert intersecting_pairs(scene_of([a, b])) == []
     touching = Region(center=Point3(2.0, 0.0, 0.0), shape=Sphere(2.0))
-    assert intersecting_pairs([a, b, touching]) == [(0, 2), (1, 2)]
+    assert intersecting_pairs(scene_of([a, b, touching])) == [(0, 2), (1, 2)]
 
 
 def test_intersecting_pairs_on_generated_overlap_scene():
     scene = generate_scene(SceneConfig(n_objects=150, d_min=5.4, d_max=8.2, cube_edge=60.0,
                                        disjoint=False, overlap_rate=0.35, seed=4))
     regions = [o.region for o in scene.objects]
-    pairs = intersecting_pairs(regions)
+    pairs = intersecting_pairs(scene)
     assert pairs and pairs == brute_intersecting_pairs(regions, regions_intersect)
 
 
