@@ -40,6 +40,7 @@ from .planner import (
     missed_objects,
     plan_nondisjoint_detailed,
     plan_online,
+    realized_diameters,
 )
 
 METHODS = ("center-visit", "alpha-fat", "online")
@@ -153,11 +154,16 @@ def _field(doc, key: str, path: str = ""):
     return doc[key]
 
 
-def _list(doc, key: str, path: str = "") -> list:
+def _typed(doc, key: str, path: str, kind: type, expected: str):
+    """``doc[key]`` of exactly type ``kind``; anything else is named by its path."""
     v = _field(doc, key, path)
-    if not isinstance(v, list):
-        raise ContractError(f"{path}{key}: expected a list, got {json.dumps(v)}")
+    if type(v) is not kind:
+        raise ContractError(f"{path}{key}: expected {expected}, got {json.dumps(v)}")
     return v
+
+
+def _list(doc, key: str, path: str = "") -> list:
+    return _typed(doc, key, path, list, "a list")
 
 
 # The types json.loads gives numbers; bool is not among them.
@@ -249,7 +255,7 @@ def scene_from_json(text: str) -> Scene:
             center=Point3(*_point(_field(o, "center_m", at), at + "center_m")),
             shape=_shape_from_json(_field(o, "shape", at), at + "shape."),
         )
-        objects.append(SceneObject(id=_field(o, "id", at), region=region))
+        objects.append(SceneObject(id=_typed(o, "id", at, str, "a string"), region=region))
     scene = Scene(
         objects=tuple(objects),
         d_min_global=_number(doc, "d_min_m"),
@@ -316,8 +322,8 @@ def tour_from_json(text: str) -> Tour:
         waypoints=np.array(waypoints, dtype=float).reshape(-1, 3),
         visits=tuple(
             Visit(
-                object_id=_field(v, "object_id", f"visits[{i}]."),
-                waypoint_index=int(_number(v, "waypoint_index", f"visits[{i}].")),
+                object_id=_typed(v, "object_id", f"visits[{i}].", str, "a string"),
+                waypoint_index=_typed(v, "waypoint_index", f"visits[{i}].", int, "an integer"),
             )
             for i, v in enumerate(_list(doc, "visits"))
         ),
@@ -379,12 +385,9 @@ def _run_cell(config: SceneConfig, seed: int, method: str, samples_per_region: i
             tour = plan_nondisjoint_detailed(start, scene).tour
     elif method == "alpha-fat":
         tour = alpha_fat_baseline(start, scene, samples_per_region=samples_per_region)
-    elif method == "online":
-        centers = [(obj.id, obj.region.center) for obj in scene.objects]
-        oracle = SimulationOracle(centers, {obj.id: obj.region.d_max for obj in scene.objects})
-        tour, _ = plan_online(start, centers, scene.d_min_global, scene.d_max_global, oracle)
-    else:
-        raise ContractError(f"unknown method {method!r}; choose from {METHODS}")
+    else:  # "online"; run_comparison rejects unknown methods
+        oracle = SimulationOracle(scene, realized_diameters(scene, np.random.default_rng(seed)))
+        tour, _ = plan_online(start, scene, oracle)
     runtime = time.perf_counter() - t0
     valid = missed_objects(tour, scene) == []
     return ComparisonRow(

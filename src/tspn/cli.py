@@ -29,7 +29,7 @@ from .bench import (
     tour_to_json,
 )
 from .errors import TspnError
-from .geom import Point3, Sphere
+from .geom import Point3
 from .planner import (
     DEFAULT_SAMPLES_PER_REGION,
     SimulationOracle,
@@ -38,6 +38,7 @@ from .planner import (
     maximal_independent_set,
     plan_nondisjoint_detailed,
     plan_online,
+    realized_diameters,
     validate_bounds,
 )
 from .tsp import TspConfig
@@ -197,22 +198,8 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_online(args) -> int:
     scene = _read_scene(args.scene)
-    centers = [(obj.id, obj.region.center) for obj in scene.objects]
-    rng = np.random.default_rng(args.seed)
-    diameters = {}
-    for obj in scene.objects:
-        if isinstance(obj.region.shape, Sphere):
-            diameters[obj.id] = float(obj.region.shape.diameter)
-        else:
-            diameters[obj.id] = float(rng.uniform(obj.region.d_min, obj.region.d_max))
-    oracle = SimulationOracle(centers, diameters)
-    tour, outcomes = plan_online(
-        _parse_point(args.start),
-        centers,
-        scene.d_min_global,
-        scene.d_max_global,
-        oracle,
-    )
+    oracle = SimulationOracle(scene, realized_diameters(scene, np.random.default_rng(args.seed)))
+    tour, outcomes = plan_online(_parse_point(args.start), scene, oracle)
     _write(args.out, tour_to_json(tour))
     if args.outcomes:
         doc = [

@@ -592,6 +592,8 @@ class Scene:
         index: dict[str, int] = {}
         rows: list[float] = []
         for i, obj in enumerate(self.objects):
+            if not isinstance(obj.id, str):
+                raise ContractError(f"object {i}: id must be a string, got {obj.id!r}")
             if index.setdefault(obj.id, i) != i:
                 raise ContractError(f"duplicate object id {obj.id!r}")
             c, s = obj.region.center, obj.region.shape

@@ -41,10 +41,6 @@ from .tsp import TspConfig, solve_order
 
 # Ball-packing constant of the region-count bound: N <= (27 / 20 d_min) (L + 2 d_min).
 REGION_COUNT_COEFF = 27.0 / 20.0
-# Minimum fraction of a swept ball's volume overlapping a region when the
-# ball's center sits on that region's boundary (worst case: two equal balls
-# whose surfaces pass through each other's centers).
-MIN_OVERLAP_FRACTION = 5.0 / 12.0
 # Default boundary samples per region for the surface-representative baseline.
 DEFAULT_SAMPLES_PER_REGION = 108
 # Planar disk-tour packing constant: a tour of N disjoint diameter-D disks
@@ -80,23 +76,27 @@ def _rotate_to_nearest(order: list[int], points: np.ndarray, start: Point3) -> l
     return order[k:] + order[:k]
 
 
-def center_visit(start: Point3, scene: Scene, tsp: TspConfig = TspConfig()) -> Tour:
-    """Visit every region at its closest point to the previous waypoint.
+def _center_order_walk(start: Point3, scene: Scene, tsp: TspConfig, place) -> Tour:
+    """One waypoint and visit per object, in a point tour over the centers.
 
-    The visiting order is a point tour over the region centers, rotated so
-    the center nearest the start comes first. The trajectory is open and
-    begins at ``start``.
+    The order is rotated so the center nearest the start comes first, and
+    ``place(index, previous_waypoint)`` gives object ``index``'s waypoint.
+    The trajectory is open and begins at ``start``.
     """
     waypoints = [start.as_array()]
-    if len(scene) == 0:
-        return Tour(waypoints=waypoints)
-    order = _rotate_to_nearest(solve_order(scene.centers, tsp), scene.centers, start)
     visits = []
-    for idx in order:
-        obj = scene.objects[idx]
-        waypoints.append(closest_point_on_region(obj.region, waypoints[-1]))
-        visits.append(Visit(object_id=obj.id, waypoint_index=len(waypoints) - 1))
+    for idx in _rotate_to_nearest(solve_order(scene.centers, tsp), scene.centers, start):
+        waypoints.append(place(idx, waypoints[-1]))
+        visits.append(Visit(object_id=scene.objects[idx].id, waypoint_index=len(waypoints) - 1))
     return Tour(waypoints=waypoints, visits=tuple(visits))
+
+
+def center_visit(start: Point3, scene: Scene, tsp: TspConfig = TspConfig()) -> Tour:
+    """Visit every region, in center order, at its closest point to the previous waypoint."""
+    regions = [obj.region for obj in scene.objects]
+    return _center_order_walk(
+        start, scene, tsp, lambda idx, prev: closest_point_on_region(regions[idx], prev)
+    )
 
 
 # --------------------------------------------------------------------------- independent set
@@ -498,15 +498,16 @@ class DetectionOutcome:
 
 
 class SimulationOracle:
-    """Detection oracle over given realized per-object diameters.
+    """Detection oracle over realized diameters, one per scene object in scene order.
 
     An object is detected from any position (a (3,) array) within its
     realized radius.
     """
 
-    def __init__(self, centers: list[tuple[str, Point3]], diameters: dict[str, float]):
-        self._centers = {oid: (c.x, c.y, c.z) for oid, c in centers}
-        self._diameters = dict(diameters)
+    def __init__(self, scene: Scene, diameters):
+        ids = [obj.id for obj in scene.objects]
+        self._centers = dict(zip(ids, scene.centers.tolist()))
+        self._diameters = dict(zip(ids, diameters, strict=True))
 
     def __call__(self, object_id: str, position: np.ndarray) -> bool:
         return math.dist(position, self._centers[object_id]) <= self._diameters[object_id] / 2.0
@@ -515,17 +516,25 @@ class SimulationOracle:
         return self._diameters[object_id]
 
 
+def realized_diameters(scene: Scene, rng: np.random.Generator) -> list[float]:
+    """Realized diameters in scene order: a sphere keeps its own and draws nothing;
+    any other shape draws uniformly from its own [d_min, d_max]."""
+    return [
+        float(s.diameter) if isinstance(s, Sphere) else float(rng.uniform(s.d_min, s.d_max))
+        for s in (obj.region.shape for obj in scene.objects)
+    ]
+
+
 def plan_online(
     start: Point3,
-    centers: list[tuple[str, Point3]],
-    d_min: float,
-    d_max: float,
+    scene: Scene,
     oracle,
     tsp: TspConfig = TspConfig(),
 ) -> tuple[Tour, list[DetectionOutcome]]:
-    """Walk toward each center until its detection oracle fires.
+    """Walk toward each center, in ``center_visit``'s order, until its detection oracle fires.
 
-    Objects are ordered by a point tour over the centers; motion toward
+    Each region is taken as a hollow ball of unknown diameter in the
+    scene's [d_min, d_max]: only its center and id are read. Motion toward
     each center is polled at step resolution ``d_min / 10`` (the oracle is
     called as ``oracle(object_id, position)`` with a (3,) array) and stops
     at the first detecting position. Raises if an oracle never fires
@@ -539,53 +548,42 @@ def plan_online(
     at most ``ceil(5 * d_max / d_min) + 2`` polls. Detection points are
     those of polling the whole lattice from the leg's start.
     """
-    if not (0 < d_min <= d_max):
-        raise ContractError("need 0 < d_min <= d_max")
-    pts = np.array([(c.x, c.y, c.z) for _, c in centers], dtype=float).reshape(-1, 3)
-    close = closest_pair_within(pts, d_max)
+    d_min, d_max = scene.d_min_global, scene.d_max_global
+    close = closest_pair_within(scene.centers, d_max)
     if close is not None:
-        i, j = close
+        i, j = (scene.objects[k].id for k in close)
         raise ContractError(
-            f"centers {centers[i][0]!r} and {centers[j][0]!r} closer than d_max; "
+            f"centers {i!r} and {j!r} closer than d_max; "
             "online planning assumes disjoint outer balls"
         )
     step = d_min / 10.0
-    order = _rotate_to_nearest(solve_order(pts, tsp), pts, start)
-    pos = start.as_array()
-    waypoints = [pos]
-    visits = []
     outcomes = []
-    for idx in order:
-        oid = centers[idx][0]
-        c = pts[idx]
+
+    def detect(idx: int, pos: np.ndarray) -> np.ndarray:
+        oid = scene.objects[idx].id
+        c = scene.centers[idx]
         delta = c - pos
         dist = float(np.linalg.norm(delta))
         direction = delta / dist if dist > 0 else np.zeros(3)
-        detected = None
         k = max(0, math.ceil((dist - d_max / 2.0) / step) - 1)
         while True:
             t = min(k * step, dist)
             p = pos + direction * t
             if oracle(oid, p):
-                detected = p
                 break
             if t >= dist:
                 raise DegenerateDetectionError(
                     f"oracle for {oid!r} never fired before its center was reached"
                 )
             k += 1
-        pos = detected
-        waypoints.append(detected)
-        visits.append(Visit(object_id=oid, waypoint_index=len(waypoints) - 1))
         if hasattr(oracle, "realized_diameter"):
             realized = float(oracle.realized_diameter(oid))
         else:
-            realized = min(max(2.0 * float(np.linalg.norm(detected - c)), d_min), d_max)
-        outcomes.append(
-            DetectionOutcome(object_id=oid, realized_diameter=realized, detected_at=detected)
-        )
-    tour = Tour(waypoints=waypoints, visits=tuple(visits))
-    return tour, outcomes
+            realized = min(max(2.0 * float(np.linalg.norm(p - c)), d_min), d_max)
+        outcomes.append(DetectionOutcome(object_id=oid, realized_diameter=realized, detected_at=p))
+        return p
+
+    return _center_order_walk(start, scene, tsp, detect), outcomes
 
 
 # --------------------------------------------------------------------------- surface-representative baseline

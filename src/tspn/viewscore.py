@@ -372,12 +372,14 @@ def read_score_csv(path) -> list[ViewSample]:
             raise ContractError(
                 f"{path}: expected header {','.join(SCORE_CSV_HEADER)}, got {header}"
             )
-        return [
-            ViewSample(
-                azimuth=float(r[0]), elevation=float(r[1]), distance=float(r[2]), score=float(r[3])
-            )
-            for r in reader
-        ]
+        samples = []
+        for r in reader:
+            if len(r) != 4:
+                raise ContractError(
+                    f"{path}: line {reader.line_num}: expected 4 fields, got {len(r)}"
+                )
+            samples.append(ViewSample(*map(float, r)))
+        return samples
 
 
 def write_score_csv(path, samples: list[ViewSample]) -> None:

@@ -51,10 +51,11 @@ def reach_of(region, d_min_global: float | None = None) -> float:
     return region.d_max / 2.0 * (1.0 + EPS_TOL) + EPS_TOL + touch_tolerance(region, d_min_global)
 
 
-def drawn_diameters(centers, d_min: float, d_max: float, seed: int) -> dict[str, float]:
-    """Realized diameters for a ``SimulationOracle``: one uniform draw in [d_min, d_max] per center."""
-    draws = np.random.default_rng(seed).uniform(d_min, d_max, size=len(centers))
-    return {oid: float(v) for (oid, _), v in zip(centers, draws)}
+def drawn_diameters(scene: Scene, seed: int) -> list[float]:
+    """Realized diameters for a ``SimulationOracle``: one uniform draw in the scene's
+    [d_min_global, d_max_global] per object, in scene order."""
+    rng = np.random.default_rng(seed)
+    return [float(v) for v in rng.uniform(scene.d_min_global, scene.d_max_global, size=len(scene))]
 
 
 def brute_closest_sample(samples: np.ndarray, p) -> np.ndarray:
@@ -713,17 +714,17 @@ def dense_missed_objects(tour: Tour, scene) -> list[str]:
     ]
 
 
-def full_lattice_plan_online(start, centers, d_min: float, d_max: float, oracle, tsp=None):
+def full_lattice_plan_online(start, scene: Scene, oracle, tsp=None):
     """``plan_online`` as it stood before the poll window, for disjoint centers:
-    each leg polls every ``d_min / 10`` step from its start until the oracle
-    fires."""
-    pts = np.array([c.as_array() for _, c in centers], dtype=float).reshape(-1, 3)
-    step = d_min / 10.0
+    each leg polls every ``scene.d_min_global / 10`` step from its start until
+    the oracle fires."""
+    pts = np.array([o.region.center.as_array() for o in scene.objects], dtype=float).reshape(-1, 3)
+    step = scene.d_min_global / 10.0
     order = _rotate_to_nearest(solve_order(pts, tsp or TspConfig()), pts, start)
     pos = start.as_array()
     waypoints, visits, outcomes = [pos], [], []
     for idx in order:
-        oid = centers[idx][0]
+        oid = scene.objects[idx].id
         c = pts[idx]
         delta = c - pos
         dist = float(np.linalg.norm(delta))

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from tspn import Point3, Region, Scene, SceneObject, Sphere, TspConfig, tour_length
+from tspn import Point3, Region, Scene, SceneObject, Shell, Sphere, TspConfig, tour_length
 from tspn.bench import SceneConfig, generate_scene, run_comparison
 from tspn.cli import main as cli_main
 from tspn.geom import regions_intersect
@@ -194,15 +194,22 @@ def test_criterion_8_online_lower_bound():
         c = rng.uniform(0, 100, size=3)
         if all(np.linalg.norm(c - e) > d_max * 1.0001 for e in centers):
             centers.append(c)
-    centers = [(f"obj-{i:03d}", Point3.from_array(c)) for i, c in enumerate(centers)]
+    scene = Scene(
+        objects=tuple(
+            SceneObject(id=f"obj-{i:03d}", region=Region(Point3.from_array(c), Shell(d_min, d_max)))
+            for i, c in enumerate(centers)
+        ),
+        d_min_global=d_min,
+        d_max_global=d_max,
+    )
     lb = online_tour_lower_bound(50, d_min)
     assert math.isclose(lb, 0.25 * 50 * ONLINE_PACKING_ALPHA * d_min)
     shortest = np.inf
     for seed in range(20):
-        oracle = SimulationOracle(centers, drawn_diameters(centers, d_min, d_max, seed))
-        tour, outcomes = plan_online(Point3(0, 0, 0), centers, d_min, d_max, oracle)
+        oracle = SimulationOracle(scene, drawn_diameters(scene, seed))
+        tour, outcomes = plan_online(Point3(0, 0, 0), scene, oracle)
         assert len(outcomes) == 50
-        assert {o.object_id for o in outcomes} == {oid for oid, _ in centers}
+        assert {o.object_id for o in outcomes} == {o.id for o in scene.objects}
         length = tour_length(tour)
         shortest = min(shortest, length)
         assert length >= lb

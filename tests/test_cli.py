@@ -3,8 +3,12 @@ import json
 import math
 
 import numpy as np
+import pytest
 
-from tspn import Point3, TspConfig, center_visit, missed_objects
+from tspn import (
+    ContractError, Point3, Region, Scene, SceneObject, Sphere, TspConfig, center_visit,
+    missed_objects,
+)
 from tspn.bench import scene_from_json, scene_to_json, tour_from_json, tour_to_json
 from tspn.cli import main
 from tspn.viewscore import GrayImage, write_pgm
@@ -303,6 +307,58 @@ def test_non_finite_json_numbers_name_the_field(tmp_path, capsys):
     traj.write_text(json.dumps(doc))
     _malformed_exits_1(capsys, ["validate", "--scene", str(scene), "--traj", str(traj)],
                        "waypoints_m[1]: expected 3 finite numbers, got [NaN, 0.0, 1.0]")
+
+
+def _scene_and_trajectory(tmp_path):
+    """A 3-object scene and its plan, written and read back as JSON documents."""
+    scene, traj = tmp_path / "scene.json", tmp_path / "traj.json"
+    assert run(["gen-scene", "--n", "3", "--dmin", "4", "--dmax", "6",
+                "--disjoint", "--seed", "2", "--out", str(scene)]) == 0
+    assert run(["plan", "--scene", str(scene), "--seed", "2", "--out", str(traj)]) == 0
+    return scene, traj, json.loads(scene.read_text()), json.loads(traj.read_text())
+
+
+def test_scene_id_that_is_a_list_is_named(tmp_path, capsys):
+    scene, _, doc, _ = _scene_and_trajectory(tmp_path)
+    doc["objects"][1]["id"] = ["a"]
+    scene.write_text(json.dumps(doc))
+    _malformed_exits_1(capsys, ["plan", "--scene", str(scene), "--seed", "1",
+                                "--out", str(tmp_path / "t.json")],
+                       'objects[1].id: expected a string, got ["a"]')
+    obj = SceneObject(id=["a"], region=Region(center=Point3(0, 0, 0), shape=Sphere(4.0)))
+    with pytest.raises(ContractError, match="object 0: id must be a string"):
+        Scene(objects=(obj,), d_min_global=4.0, d_max_global=4.0)
+
+
+def test_scene_ids_of_mixed_types_are_named(tmp_path, capsys):
+    scene, _, doc, _ = _scene_and_trajectory(tmp_path)
+    doc["objects"][0]["id"], doc["objects"][1]["id"] = 7, "7"
+    scene.write_text(json.dumps(doc))
+    _malformed_exits_1(capsys, ["plan", "--scene", str(scene), "--seed", "1",
+                                "--out", str(tmp_path / "t.json")],
+                       "objects[0].id: expected a string, got 7")
+
+
+def test_score_csv_row_without_four_fields_names_its_line(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("azimuth_rad,elevation_rad,distance_m,score\n0,0,4,0.9\n0,0,5\n")
+    _malformed_exits_1(capsys, ["region", "--center", "0,0,0", "--scores", str(scores),
+                                "--out", str(tmp_path / "r.json")],
+                       f"{scores}: line 3: expected 4 fields, got 3")
+
+
+def test_visit_fields_of_the_wrong_type_are_named(tmp_path, capsys):
+    scene, traj, _, good = _scene_and_trajectory(tmp_path)
+    for key, value, expected in [
+        ("waypoint_index", 0.5, "an integer, got 0.5"),
+        ("waypoint_index", True, "an integer, got true"),
+        ("object_id", ["a"], 'a string, got ["a"]'),
+    ]:
+        doc = json.loads(json.dumps(good))
+        doc["visits"][0][key] = value
+        traj.write_text(json.dumps(doc))
+        _malformed_exits_1(capsys, ["validate", "--scene", str(scene), "--traj", str(traj)],
+                           f"visits[0].{key}: expected {expected}")
 
 
 def test_detour_unknown_object_names_the_id(tmp_path, capsys):
