@@ -409,13 +409,20 @@ def run_comparison(
     """Plan every (config, seed, method) cell from the origin and aggregate lengths/runtimes.
 
     Scene seeds are ``config.seed + k`` for k in range(seeds). Coverage is
-    audited before a row is recorded; failures mark the row invalid.
+    audited before a row is recorded; failures mark the row invalid. The
+    ``online`` method is refused before any cell runs when a config is not
+    disjoint.
     """
     for m in methods:
         if m not in METHODS:
             raise ContractError(f"unknown method {m!r}; choose from {METHODS}")
     if seeds < 1:
         raise ContractError("seeds must be >= 1")
+    if "online" in methods and not all(config.disjoint for config in configs):
+        raise ContractError(
+            "method 'online' plans only disjoint scenes (it assumes disjoint outer balls); "
+            "drop it or --nondisjoint"
+        )
 
     rows = [
         _run_cell(config, config.seed + k, method, samples_per_region)

@@ -671,7 +671,7 @@ def polyline_length(points: np.ndarray, closed: bool = False) -> float:
     """Sum of the edge lengths of a (k, 3) polyline, plus the closing edge if ``closed``."""
     if len(points) < 2:
         return 0.0
-    total = float(np.sum(np.linalg.norm(np.diff(points, axis=0), axis=1)))
+    total = float(np.sum(distances(points[:-1], points[1:])))
     if closed:
         total += float(np.linalg.norm(points[-1] - points[0]))
     return total

@@ -169,13 +169,22 @@ class DetourPlan:
 
 
 def _plane_basis(axis_dir: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal basis of the plane perpendicular to the axis."""
-    ref = np.zeros(3)
-    ref[int(np.argmin(np.abs(axis_dir)))] = 1.0
-    e1 = np.cross(ref, axis_dir)
+    """Deterministic orthonormal basis of the plane perpendicular to the axis.
+
+    ``e1`` is the unit axis with the least ``|axis_dir|`` component (the
+    first on a tie) crossed with the axis; ``e2`` is the axis crossed with
+    ``e1``. Both cross products take ``np.cross``'s products and
+    differences in its order, on Python floats, so they are bitwise its.
+    """
+    x, y, z = axis_dir.tolist()
+    mags = [abs(x), abs(y), abs(z)]
+    ref = [0.0, 0.0, 0.0]
+    ref[mags.index(min(mags))] = 1.0
+    r0, r1, r2 = ref
+    e1 = np.array([r1 * z - r2 * y, r2 * x - r0 * z, r0 * y - r1 * x])
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis_dir, e1)
-    return e1, e2
+    u0, u1, u2 = e1.tolist()
+    return e1, np.array([y * u2 - z * u1, z * u0 - x * u2, x * u1 - y * u0])
 
 
 def _trace_perimeter(
@@ -186,27 +195,26 @@ def _trace_perimeter(
     e1, e2 = _plane_basis(axis_dir)
     h_vec = plane_point - c
     h_axial = float(h_vec @ axis_dir)
-    shape = region.shape
-    if isinstance(shape, (Sphere, Shell)):
+    exact = isinstance(region.shape, (Sphere, Shell))
+    if exact:
         rad = region.d_max / 2.0
         rho_sq = rad * rad - h_axial * h_axial
         if rho_sq <= 0.0:
             return None
         rho = math.sqrt(rho_sq)
         n_seg = max(8, int(math.ceil(2.0 * math.pi * rho / perimeter_step)))
-        thetas = np.linspace(0.0, 2.0 * math.pi, n_seg, endpoint=False)
-        ring = c + h_axial * axis_dir + rho * (
-            np.cos(thetas)[:, None] * e1 + np.sin(thetas)[:, None] * e2
-        )
-        return ring
+    else:
+        d_hi = region.d_max / 2.0
+        n_seg = max(16, int(math.ceil(2.0 * math.pi * d_hi / perimeter_step)))
+    # np.linspace(0, 2 pi, n_seg, endpoint=False), by its own arithmetic.
+    thetas = np.arange(n_seg) * (2.0 * math.pi / n_seg)
+    rays = np.cos(thetas)[:, None] * e1 + np.sin(thetas)[:, None] * e2
+    base = c + h_axial * axis_dir
+    if exact:
+        return base + rho * rays
     # Sampled boundary: bisect the in-plane radius along every angle at
     # once (star-shaped assumption). A ray whose final ``lo`` is still 0
     # never entered the region.
-    d_hi = region.d_max / 2.0
-    n_seg = max(16, int(math.ceil(2.0 * math.pi * d_hi / perimeter_step)))
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_seg, endpoint=False)
-    rays = np.cos(thetas)[:, None] * e1 + np.sin(thetas)[:, None] * e2
-    base = c + h_axial * axis_dir
     lo = np.zeros(n_seg)
     hi = np.full(n_seg, d_hi * 1.5)
     for _ in range(48):
@@ -236,17 +244,26 @@ def _boundary_normal(region: Region, p: np.ndarray) -> np.ndarray:
     return v / r
 
 
-def _arc_positions(ring: np.ndarray, count: int) -> list[int]:
-    """Indices of ``count`` ring vertices evenly spaced by arc length."""
-    n = len(ring)
-    seg = np.linalg.norm(np.roll(ring, -1, axis=0) - ring, axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])[:-1]
-    total = float(cum[-1] + seg[-1])
-    targets = [k * total / count for k in range(count)]
-    out = []
-    for t in targets:
-        out.append(int(np.searchsorted(cum, t, side="right") - 1))
-    return sorted(set(out))
+def _ring_edges(ring: np.ndarray) -> tuple[np.ndarray, float]:
+    """Edge lengths of a closed (k, 3) ring, edge ``i`` leaving vertex ``i``, and its length.
+
+    The length is bitwise ``polyline_length(ring, closed=True)``: the sum of
+    the same open edges, plus the closing edge as a 1-D norm.
+    """
+    edges = distances(ring, np.concatenate([ring[1:], ring[:1]]))
+    return edges, float(np.sum(edges[:-1])) + float(np.linalg.norm(ring[-1] - ring[0]))
+
+
+def _arc_positions(edges: np.ndarray, count: int) -> list[int]:
+    """Ascending distinct indices of ``count`` vertices evenly spaced by arc length
+    around a closed ring with edge lengths ``edges`` (edge ``i`` leaves vertex ``i``).
+
+    Target ``k`` is ``k * total / count`` along the ring; each maps to the
+    last vertex whose arc position does not exceed it.
+    """
+    cum = np.concatenate([[0.0], np.cumsum(edges)])
+    targets = np.arange(count) * cum[-1] / count
+    return sorted(set((cum[:-1].searchsorted(targets, side="right") - 1).tolist()))
 
 
 def build_detour(
@@ -303,14 +320,14 @@ def build_detour(
     if not rings:
         return _point_detour(owner_id, axis, budget)
 
-    ring_lens = [polyline_length(r, closed=True) for r in rings]
+    edges, ring_lens = zip(*(_ring_edges(r) for r in rings))
 
     # Endpoint spikes along the boundary normals at a and b give the
     # stitched path polar reach; include them when the budget allows.
-    na = _boundary_normal(owner, a)
-    nb = _boundary_normal(owner, b)
-    a_in, a_out = a - 0.5 * d * na, a + 0.5 * d * na
-    b_in, b_out = b - 0.5 * d * nb, b + 0.5 * d * nb
+    a_arm = 0.5 * d * _boundary_normal(owner, a)
+    b_arm = 0.5 * d * _boundary_normal(owner, b)
+    poles = np.array([[a - a_arm, a + a_arm], [b - b_arm, b + b_arm]])  # (inner, outer) tips
+    a_in, b_in = poles[:, 0]
 
     def connection_cost(with_poles: bool) -> float:
         cost = 0.0
@@ -341,41 +358,48 @@ def build_detour(
                 remaining -= 1
                 progressing = True
 
-    stitched: list[np.ndarray] = []
-    spikes: list[tuple[np.ndarray, np.ndarray]] = []
+    # Each ring is walked from its first vertex and closed back to it; after
+    # each anchor vertex p the path runs out to the spike's tips and back
+    # to p: ring[..k], (c_in, c_out, p), ring[k + 1..], ..., ring[0].
+    pieces: list[np.ndarray] = []
+    spikes: list[np.ndarray] = []
     if with_poles:
-        stitched.extend([a_out, a_in])
-        spikes.append((a_in, a_out))
+        pieces.append(poles[0, ::-1])
+        spikes.append(poles[:1])
+    c = owner.center.as_array()
     for j, ring in enumerate(rings):
-        anchor_idx = set(_arc_positions(ring, counts[j])) if counts[j] > 0 else set()
-        for k in range(len(ring)):
+        anchors, rows = [], []
+        for k in _arc_positions(edges[j], counts[j]) if counts[j] > 0 else ():
             p = ring[k]
-            stitched.append(p)
-            if k in anchor_idx:
-                normal = _boundary_normal(owner, p)
-                in_plane = normal - (normal @ axis_dir) * axis_dir
+            normal = _boundary_normal(owner, p)
+            in_plane = normal - (normal @ axis_dir) * axis_dir
+            norm = np.linalg.norm(in_plane)
+            if norm < 1e-12:
+                in_plane = p - (c + ((p - c) @ axis_dir) * axis_dir)
                 norm = np.linalg.norm(in_plane)
                 if norm < 1e-12:
-                    in_plane = p - (owner.center.as_array() + ((p - owner.center.as_array()) @ axis_dir) * axis_dir)
-                    norm = np.linalg.norm(in_plane)
-                    if norm < 1e-12:
-                        continue
-                n_hat = in_plane / norm
-                c_in = p - 0.5 * d * n_hat
-                c_out = p + 0.5 * d * n_hat
-                stitched.extend([c_in, c_out, p])
-                spikes.append((c_in, c_out))
-        stitched.append(ring[0])  # close the loop
+                    continue
+            arm = 0.5 * d * (in_plane / norm)
+            anchors.append(k)
+            rows.append((p - arm, p + arm, p))
+        done = 0
+        if rows:
+            triples = np.array(rows)
+            for k, triple in zip(anchors, triples):
+                pieces += [ring[done : k + 1], triple]
+                done = k + 1
+            spikes.append(triples[:, :2])
+        pieces += [ring[done:], ring[:1]]
     if with_poles:
-        stitched.extend([b_in, b_out])
-        spikes.append((b_in, b_out))
+        pieces.append(poles[1])
+        spikes.append(poles[1:])
 
-    path = np.array(stitched)
+    path = np.concatenate(pieces)
     return DetourPlan(
         owner_id=owner_id,
         axis=axis,
         perimeters=tuple(rings),
-        spikes=np.array(spikes).reshape(-1, 2, 3),
+        spikes=np.concatenate(spikes) if spikes else np.empty((0, 2, 3)),
         stitched=path,
         length=polyline_length(path),
         limit=budget,
@@ -463,19 +487,29 @@ def _patch_and_visit(
     """
     first = first_touch_indices(scene, arr)
     patched: list[str] = []
-    spikes: list[np.ndarray] = []
+    tips: list[np.ndarray] = []
+    # Per row of ``arr``: its input row, or -2 for a spike tip and -1 for the copy after it.
+    source = np.arange(len(arr))
     for i in np.flatnonzero(first < 0).tolist():
         obj = scene.objects[i]
         # Rows inserted so far are spike tips or copies of rows already tested.
-        if spikes and contains(obj.region, np.array(spikes), scene.tol[i]).any():
+        if tips and contains(obj.region, np.array(tips), scene.tol[i]).any():
             continue
-        near = int(np.argmin(np.linalg.norm(arr - scene.centers[i], axis=1)))
+        near = int(np.argmin(distances(scene.centers[i], arr)))
         q = closest_point_on_region(obj.region, arr[near])
         arr = np.insert(arr, near + 1, [q, arr[near]], axis=0)
-        spikes.append(q)
+        source = np.insert(source, near + 1, [-2, -1])
+        tips.append(q)
         patched.append(obj.id)
     if patched:
-        first = first_touch_indices(scene, arr)
+        # A copy row repeats a row before it, so an object's first touch is
+        # its first input row, moved past the inserted rows, or a spike tip.
+        none = len(arr)
+        shifted = np.where(first < 0, none, np.flatnonzero(source >= 0)[first])
+        at = np.flatnonzero(source == -2)
+        tip_first = first_touch_indices(scene, arr[at])
+        first = np.minimum(shifted, np.where(tip_first < 0, none, at[tip_first]))
+        first[first == none] = -1
     missed = np.flatnonzero(first < 0)
     if missed.size:
         raise ContractError(f"object {scene.objects[missed[0]].id!r} left untouched after patching")

@@ -378,7 +378,10 @@ def read_score_csv(path) -> list[ViewSample]:
                 raise ContractError(
                     f"{path}: line {reader.line_num}: expected 4 fields, got {len(r)}"
                 )
-            samples.append(ViewSample(*map(float, r)))
+            try:
+                samples.append(ViewSample(*map(float, r)))
+            except (ValueError, ContractError) as exc:
+                raise ContractError(f"{path}: line {reader.line_num}: {exc}") from None
         return samples
 
 

@@ -15,11 +15,12 @@ import numpy as np
 from tspn.errors import ContractError, InvalidRegionError
 from tspn.geom import (
     EPS_TOL, GridIndex, Sampled, Scene, SceneObject, Shell, Sphere, Tour, Visit, _boundary_radii,
-    closest_point_on_region, contains, regions_intersect, touch_tolerance,
+    closest_point_on_region, contains, max_diameter_segment, regions_intersect, touch_tolerance,
 )
 from tspn.planner import (
-    DetectionOutcome, NondisjointPlan, _doubled_tree_walk, _rotate_to_nearest, build_detour,
-    center_visit, maximal_independent_set,
+    DetectionOutcome, DetourPlan, NondisjointPlan, _boundary_normal, _doubled_tree_walk,
+    _point_detour, _rotate_to_nearest, build_detour, center_visit, detour_length_limit,
+    maximal_independent_set,
 )
 from tspn.tsp import TspConfig, solve_order
 from tspn.viewscore import ORIENTATION_BINS, OrientationHistogram
@@ -862,3 +863,209 @@ def chain_first_touch_indices(regions, points: np.ndarray, tol: float) -> np.nda
                 first[i] = k
                 break
     return first
+
+
+# --------------------------------------------------------------------------- row-list detour
+# ``build_detour`` as it stood before its array stitching: ``np.cross``
+# plane bases, one ``searchsorted`` per spike target, every stitched row
+# appended to a list, and lengths through ``norm(np.diff(...))``. Kept
+# verbatim, apart from the names of the helpers it calls, as the bitwise
+# reference.
+
+
+def norm_diff_polyline_length(points: np.ndarray, closed: bool = False) -> float:
+    """Sum of the edge lengths of a (k, 3) polyline, plus the closing edge if ``closed``."""
+    if len(points) < 2:
+        return 0.0
+    total = float(np.sum(np.linalg.norm(np.diff(points, axis=0), axis=1)))
+    if closed:
+        total += float(np.linalg.norm(points[-1] - points[0]))
+    return total
+
+
+def np_cross_plane_basis(axis_dir: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic orthonormal basis of the plane perpendicular to the axis."""
+    ref = np.zeros(3)
+    ref[int(np.argmin(np.abs(axis_dir)))] = 1.0
+    e1 = np.cross(ref, axis_dir)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis_dir, e1)
+    return e1, e2
+
+
+def np_cross_trace_perimeter(
+    region, plane_point: np.ndarray, axis_dir: np.ndarray, perimeter_step: float
+) -> np.ndarray | None:
+    """Closed polyline where the cutting plane meets the region boundary."""
+    c = region.center.as_array()
+    e1, e2 = np_cross_plane_basis(axis_dir)
+    h_vec = plane_point - c
+    h_axial = float(h_vec @ axis_dir)
+    shape = region.shape
+    if isinstance(shape, (Sphere, Shell)):
+        rad = region.d_max / 2.0
+        rho_sq = rad * rad - h_axial * h_axial
+        if rho_sq <= 0.0:
+            return None
+        rho = math.sqrt(rho_sq)
+        n_seg = max(8, int(math.ceil(2.0 * math.pi * rho / perimeter_step)))
+        thetas = np.linspace(0.0, 2.0 * math.pi, n_seg, endpoint=False)
+        ring = c + h_axial * axis_dir + rho * (
+            np.cos(thetas)[:, None] * e1 + np.sin(thetas)[:, None] * e2
+        )
+        return ring
+    # Sampled boundary: bisect the in-plane radius along every angle at
+    # once (star-shaped assumption). A ray whose final ``lo`` is still 0
+    # never entered the region.
+    d_hi = region.d_max / 2.0
+    n_seg = max(16, int(math.ceil(2.0 * math.pi * d_hi / perimeter_step)))
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_seg, endpoint=False)
+    rays = np.cos(thetas)[:, None] * e1 + np.sin(thetas)[:, None] * e2
+    base = c + h_axial * axis_dir
+    lo = np.zeros(n_seg)
+    hi = np.full(n_seg, d_hi * 1.5)
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        inside = contains(region, base + mid[:, None] * rays, tol=0.0)
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    hit = lo > 0.0
+    if np.count_nonzero(hit) < 3:
+        return None
+    return base + lo[hit, None] * rays[hit]
+
+
+def per_target_arc_positions(ring: np.ndarray, count: int) -> list[int]:
+    """Indices of ``count`` ring vertices evenly spaced by arc length."""
+    n = len(ring)
+    seg = np.linalg.norm(np.roll(ring, -1, axis=0) - ring, axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])[:-1]
+    total = float(cum[-1] + seg[-1])
+    targets = [k * total / count for k in range(count)]
+    out = []
+    for t in targets:
+        out.append(int(np.searchsorted(cum, t, side="right") - 1))
+    return sorted(set(out))
+
+
+def row_list_build_detour(
+    owner,
+    d_min_global: float,
+    perimeter_step: float | None = None,
+    spike_spacing: float | None = None,
+    owner_id: str = "",
+) -> DetourPlan:
+    """Perimeter-and-spike traversal guaranteeing contact with neighbors."""
+    if d_min_global <= 0:
+        raise ContractError("d_min_global must be positive")
+    if perimeter_step is None:
+        perimeter_step = d_min_global / 16.0
+    if spike_spacing is None:
+        spike_spacing = d_min_global
+    if perimeter_step <= 0 or spike_spacing <= 0:
+        raise ContractError("perimeter_step and spike_spacing must be positive")
+
+    d = d_min_global
+    budget = detour_length_limit(owner.d_max, d)
+    axis = max_diameter_segment(owner)
+    a, b = axis
+    ab = b - a
+    ab_len = float(np.linalg.norm(ab))
+    if ab_len < touch_tolerance(owner, d_min_global):
+        return _point_detour(owner_id, axis, budget)
+    axis_dir = ab / ab_len
+
+    n_planes = max(1, int(math.ceil(ab_len / d)) - 1)
+    if n_planes == 1:
+        plane_points = [a + 0.5 * ab]  # a single plane always cuts the midpoint
+    else:
+        plane_points = [a + (i * d) * axis_dir for i in range(1, n_planes + 1)]
+
+    rings: list[np.ndarray] = []
+    for pp in plane_points:
+        ring = np_cross_trace_perimeter(owner, pp, axis_dir, perimeter_step)
+        if ring is not None:
+            rings.append(ring)
+    if not rings:
+        mid = np_cross_trace_perimeter(owner, a + 0.5 * ab, axis_dir, perimeter_step)
+        rings = [mid] if mid is not None else []
+    if not rings:
+        return _point_detour(owner_id, axis, budget)
+
+    ring_lens = [norm_diff_polyline_length(r, closed=True) for r in rings]
+
+    # Endpoint spikes along the boundary normals at a and b give the
+    # stitched path polar reach; include them when the budget allows.
+    na = _boundary_normal(owner, a)
+    nb = _boundary_normal(owner, b)
+    a_in, a_out = a - 0.5 * d * na, a + 0.5 * d * na
+    b_in, b_out = b - 0.5 * d * nb, b + 0.5 * d * nb
+
+    def connection_cost(with_poles: bool) -> float:
+        cost = 0.0
+        if with_poles:
+            cost += 2.0 * d  # traverse each endpoint spike once
+            cost += float(np.linalg.norm(a_in - rings[0][0]))
+            cost += float(np.linalg.norm(rings[-1][0] - b_in))
+        for i in range(len(rings) - 1):
+            cost += float(np.linalg.norm(rings[i][0] - rings[i + 1][0]))
+        return cost
+
+    base_no_poles = sum(ring_lens) + connection_cost(False)
+    base_with_poles = sum(ring_lens) + connection_cost(True)
+    with_poles = base_with_poles <= budget
+    base = base_with_poles if with_poles else base_no_poles
+
+    spike_cost = 2.0 * d  # out to one tip, across, and back to the anchor
+    affordable = max(0, int(math.floor((budget - base) / spike_cost)))
+    targets = [max(1, int(math.floor(L / spike_spacing))) for L in ring_lens]
+    counts = [0] * len(rings)
+    remaining = affordable
+    progressing = True
+    while remaining > 0 and progressing:
+        progressing = False
+        for j in range(len(rings)):
+            if remaining > 0 and counts[j] < targets[j]:
+                counts[j] += 1
+                remaining -= 1
+                progressing = True
+
+    stitched: list[np.ndarray] = []
+    spikes: list[tuple[np.ndarray, np.ndarray]] = []
+    if with_poles:
+        stitched.extend([a_out, a_in])
+        spikes.append((a_in, a_out))
+    for j, ring in enumerate(rings):
+        anchor_idx = set(per_target_arc_positions(ring, counts[j])) if counts[j] > 0 else set()
+        for k in range(len(ring)):
+            p = ring[k]
+            stitched.append(p)
+            if k in anchor_idx:
+                normal = _boundary_normal(owner, p)
+                in_plane = normal - (normal @ axis_dir) * axis_dir
+                norm = np.linalg.norm(in_plane)
+                if norm < 1e-12:
+                    in_plane = p - (owner.center.as_array() + ((p - owner.center.as_array()) @ axis_dir) * axis_dir)
+                    norm = np.linalg.norm(in_plane)
+                    if norm < 1e-12:
+                        continue
+                n_hat = in_plane / norm
+                c_in = p - 0.5 * d * n_hat
+                c_out = p + 0.5 * d * n_hat
+                stitched.extend([c_in, c_out, p])
+                spikes.append((c_in, c_out))
+        stitched.append(ring[0])  # close the loop
+    if with_poles:
+        stitched.extend([b_in, b_out])
+        spikes.append((b_in, b_out))
+
+    path = np.array(stitched)
+    return DetourPlan(
+        owner_id=owner_id,
+        axis=axis,
+        perimeters=tuple(rings),
+        spikes=np.array(spikes).reshape(-1, 2, 3),
+        stitched=path,
+        length=norm_diff_polyline_length(path),
+        limit=budget,
+    )

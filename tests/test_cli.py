@@ -407,3 +407,31 @@ def test_scene_far_from_the_origin_is_rejected_at_load(tmp_path, capsys):
         assert len(err.splitlines()) == 1
         assert err.startswith("error: objects[0] ('o0'): |coordinate| 1099511627")
         assert "too far from the origin" in err
+
+
+def test_compare_refuses_online_on_nondisjoint_scenes_before_planning(tmp_path, capsys):
+    rows_csv = tmp_path / "rows.csv"
+    _malformed_exits_1(capsys, ["compare", "--profile", "car", "--n", "30", "--seeds", "3",
+                                "--seed", "5", "--nondisjoint", "--overlap-rate", "0.3",
+                                "--methods", "center-visit,alpha-fat,online",
+                                "--out", str(rows_csv)],
+                       "method 'online' plans only disjoint scenes (it assumes disjoint outer "
+                       "balls); drop it or --nondisjoint")
+    assert not rows_csv.exists()
+    assert run(["compare", "--profile", "car", "--n", "30", "--seeds", "3", "--seed", "5",
+                "--nondisjoint", "--overlap-rate", "0.3", "--methods", "center-visit,alpha-fat",
+                "--out", str(rows_csv)]) == 0
+    with open(rows_csv) as f:
+        assert len(list(csv.reader(f))) == 1 + 2 * 3
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,0,x,0.9", "could not convert string to float: 'x'"),
+    ("0,0,-4,0.9", "view sample distance must be positive"),
+])
+def test_score_csv_bad_value_names_its_line(tmp_path, capsys, row, message):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(f"azimuth_rad,elevation_rad,distance_m,score\n0,0,4,0.9\n{row}\n")
+    _malformed_exits_1(capsys, ["region", "--center", "0,0,0", "--scores", str(scores),
+                                "--out", str(tmp_path / "r.json")],
+                       f"{scores}: line 3: {message}")

@@ -227,6 +227,33 @@ def test_patch_pass_skips_regions_an_earlier_spike_touches():
     assert got[1] == want[1] and got[2] == want[2]
 
 
+def test_patch_pass_with_tips_that_are_first_touches():
+    # "m" and "c" need spikes. m's tip (0, 7, 0), inserted after waypoint 1,
+    # also touches "b" (missed, so it gets no spike of its own) and "late",
+    # whose first touch was input waypoint 3. "m2" is nearest m's tip, so its
+    # spike goes between that tip and the copy of waypoint 1 after it, and
+    # its tip (2, 7, 0) is the first touch of "z".
+    objs = [
+        sphere_obj("m", (0, 10, 0), 6.0),
+        sphere_obj("late", (8, 7, 0), 17.0),
+        sphere_obj("b", (-1, 7, 0), 3.0),
+        sphere_obj("m2", (3, 7, 0), 2.0),
+        sphere_obj("z", (2, 7.8, 0), 1.8),
+        sphere_obj("c", (20, -26, 0), 4.0),
+    ]
+    scene = Scene(objects=tuple(objs), d_min_global=1.8, d_max_global=17.0)
+    arr = np.array([[-20.0, 0, 0], [0, 0, 0], [20, -20, 0], [16, 7, 0]])
+    assert first_touch_indices(scene, arr).tolist() == [-1, 3, -1, -1, -1, -1]
+    got = _patch_and_visit(arr, scene)
+    want = dense_patch_and_visit(arr, scene)
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1] and got[2] == want[2]
+    assert got[2] == ["m", "m2", "c"]
+    assert got[0][2:5].tolist() == [[0, 7, 0], [2, 7, 0], [0, 7, 0]]
+    first = {v.object_id: v.waypoint_index for v in got[1]}
+    assert first == {"m": 2, "late": 2, "b": 2, "m2": 3, "z": 3, "c": 7}
+
+
 def reach_limit_scene() -> Scene:
     """A sampled region whose farthest samples sit exactly at the validated limit.
 

@@ -1,9 +1,12 @@
 import math
 
 import numpy as np
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from tspn import Point3, Region, Scene, SceneObject, Sphere, TspConfig, tour_length
+from tspn import Point3, Region, Sampled, Scene, SceneObject, Shell, Sphere, TspConfig, tour_length
 from tspn.planner import (
+    _plane_basis,
     build_detour,
     center_visit,
     detour_length_limit,
@@ -11,6 +14,8 @@ from tspn.planner import (
     plan_nondisjoint_detailed,
     validate_bounds,
 )
+
+from oracles import np_cross_plane_basis, row_list_build_detour
 
 
 def poly_min_dist(pts: np.ndarray, c: np.ndarray) -> float:
@@ -209,3 +214,116 @@ def test_detour_without_owner_id_is_held_to_the_budget_it_was_built_within():
         assert (row.limit, row.actual) == (plan.limit, plan.length) and row.holds
         rows.append((row.limit, row.actual))
     assert rows[0] == rows[1]
+
+
+# ------------------------------------------------------------------- bitwise oracle
+
+
+def detour_owner(rng, kind: str, long_axis) -> Region:
+    """A sphere, shell or sampled region about a random center.
+
+    A sampled region is an irregular star-shaped cloud stretched up to 3x
+    along one direction. With ``long_axis`` 0, 1 or 2 its farthest pair is
+    the two samples on that coordinate axis through the center, so the
+    detour axis is a coordinate axis, with two zero components.
+    """
+    c = rng.uniform(-50.0, 50.0, size=3)
+    r = float(rng.uniform(1.0, 6.0))
+    if kind == "sphere":
+        return Region(center=Point3(*c), shape=Sphere(2.0 * r))
+    if kind == "shell":
+        return Region(center=Point3(*c), shape=Shell(2.0 * r * float(rng.uniform(0.3, 1.0)), 2.0 * r))
+    u = rng.normal(size=(int(rng.integers(8, 40)), 3))
+    offsets = u / np.linalg.norm(u, axis=1)[:, None] * rng.uniform(0.5, 1.0, size=(len(u), 1)) * r
+    stretch = np.ones(3)
+    stretch[rng.integers(3) if long_axis is None else long_axis] = rng.uniform(1.0, 3.0)
+    offsets *= stretch
+    if long_axis is not None:
+        tip = np.zeros(3)
+        tip[long_axis] = 1.05 * float(np.linalg.norm(offsets, axis=1).max())
+        offsets = np.vstack([offsets, tip, -tip])
+    radii = np.linalg.norm(offsets, axis=1)
+    return Region(
+        center=Point3(*c),
+        shape=Sampled(points=c + offsets, normals=offsets / radii[:, None],
+                      d_min=2.0 * float(radii.min()), d_max=2.0 * float(radii.max())),
+    )
+
+
+def assert_same_detour(got, want):
+    assert got.owner_id == want.owner_id
+    assert (got.length, got.limit) == (want.length, want.limit)
+    assert len(got.perimeters) == len(want.perimeters)
+    for g, w in zip((got.axis, got.spikes, got.stitched, *got.perimeters),
+                    (want.axis, want.spikes, want.stitched, *want.perimeters)):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def detour_case(seed, kind, long_axis, ratio, step, spacing):
+    """Build one owner and run both detours on it; ``ratio`` is owner d_max over d_min_global,
+    ``step`` and ``spacing`` are multiples of d_min_global (None for the defaults)."""
+    owner = detour_owner(np.random.default_rng(seed), kind, long_axis)
+    d = owner.d_max / ratio
+    kwargs = dict(
+        perimeter_step=None if step is None else step * d,
+        spike_spacing=None if spacing is None else spacing * d,
+        owner_id=f"{kind}-{seed}",
+    )
+    want = row_list_build_detour(owner, d, **kwargs)
+    assert_same_detour(build_detour(owner, d, **kwargs), want)
+    return want
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("sphere", "shell", "sampled")),
+    long_axis=st.sampled_from((None, 0, 1, 2)),
+    ratio=st.floats(0.3, 6.0),
+    step=st.none() | st.floats(1 / 40, 1 / 2),
+    spacing=st.none() | st.floats(0.25, 3.0),
+)
+@example(seed=1, kind="sampled", long_axis=1, ratio=5.0, step=None, spacing=None)
+@example(seed=2, kind="sampled", long_axis=2, ratio=0.4, step=None, spacing=None)
+@example(seed=3, kind="sphere", long_axis=None, ratio=4.0, step=0.1, spacing=0.5)
+def test_detour_is_bitwise_the_row_list_oracle(seed, kind, long_axis, ratio, step, spacing):
+    detour_case(seed, kind, long_axis, ratio, step, spacing)
+
+
+def test_detour_oracle_sweep_reaches_every_branch():
+    # Multi-plane owners, rings without anchors, poles both in and out of
+    # the budget, and axes along every coordinate axis.
+    seen = set()
+    for seed in range(6):
+        for kind in ("sphere", "shell", "sampled"):
+            for long_axis in (None, 0, 1, 2) if kind == "sampled" else (None,):
+                for ratio in (0.3, 0.6, 1.0, 1.5, 3.0, 6.0):
+                    plan = detour_case(seed, kind, long_axis, ratio, None, None)
+                    if not plan.perimeters:
+                        seen.add("point")
+                        continue
+                    poles = not np.array_equal(plan.stitched[0], plan.perimeters[0][0])
+                    anchors = len(plan.spikes) - 2 * poles
+                    axis_dir = plan.axis[1] - plan.axis[0]
+                    seen.add(("poles", poles))
+                    seen.add(("anchors", anchors > 0))
+                    seen.add(("rings", min(len(plan.perimeters), 2)))
+                    seen.add(("zeros", int(np.count_nonzero(axis_dir == 0.0))))
+    assert {("poles", True), ("poles", False), ("anchors", True), ("anchors", False),
+            ("rings", 1), ("rings", 2), ("zeros", 0), ("zeros", 2)} <= seen
+
+
+@given(v=st.lists(st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3e-9)) | st.floats(-10, 10),
+                  min_size=3, max_size=3))
+@example(v=[1.0, 0.0, 0.0])
+@example(v=[0.0, -1.0, 0.0])
+@example(v=[-0.0, 0.0, 1.0])
+@example(v=[1.0, 1.0, 0.5])
+def test_plane_basis_is_bitwise_np_cross(v):
+    axis = np.array(v)
+    norm = np.linalg.norm(axis)
+    if not norm > 0:
+        return
+    axis = axis / norm
+    for got, want in zip(_plane_basis(axis), np_cross_plane_basis(axis)):
+        assert got.tobytes() == want.tobytes()

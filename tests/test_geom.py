@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tspn import (
     ContractError,
@@ -19,8 +21,9 @@ from tspn import (
     tour_length,
 )
 from tspn.geom import farthest_pair_distance, pairwise_sq_distances, polyline_length, touch_tolerance
+from tspn.planner import _ring_edges
 
-from oracles import brute_closest_sample, brute_farthest_pair, voxel_overlap
+from oracles import brute_closest_sample, brute_farthest_pair, norm_diff_polyline_length, voxel_overlap
 
 
 def sphere(cx, cy, cz, d):
@@ -250,6 +253,30 @@ def test_tour_length_open_path():
 def test_polyline_length_closed_square():
     square = np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], dtype=float)
     assert math.isclose(polyline_length(square, closed=True), 4.0)
+
+
+@given(
+    k=st.sampled_from((0, 1, 2, 3, 17)),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from((1e-6, 1.0, 1e4, 2.0**40)),
+)
+def test_polyline_length_is_bitwise_the_norm_diff_sum(k, seed, scale):
+    points = np.random.default_rng(seed).normal(size=(k, 3)) * scale
+    for closed in (False, True):
+        got = polyline_length(points, closed=closed)
+        assert got == norm_diff_polyline_length(points, closed=closed)
+        assert type(got) is float
+
+
+def test_ring_edges_give_the_closed_polyline_length_bitwise():
+    # A 1-D norm and a row norm differ in the last bit on about one row in
+    # ten, so 2 000 rings all but surely include closing edges where they do.
+    rng = np.random.default_rng(14)
+    for _ in range(2000):
+        ring = rng.normal(size=(int(rng.integers(2, 70)), 3)) * rng.choice([1e-3, 1.0, 1e5])
+        edges, length = _ring_edges(ring)
+        assert length == polyline_length(ring, closed=True)
+        assert edges.tobytes() == np.linalg.norm(np.roll(ring, -1, 0) - ring, axis=1).tobytes()
 
 
 def test_tour_length_degenerate():
