@@ -36,7 +36,6 @@ from .planner import (
     DEFAULT_SAMPLES_PER_REGION,
     SimulationOracle,
     alpha_fat_baseline,
-    center_visit,
     missed_objects,
     plan_nondisjoint_detailed,
     plan_online,
@@ -67,6 +66,10 @@ class SceneConfig:
             )
         if not (0.0 <= self.overlap_rate <= 1.0):
             raise ContractError("overlap_rate must be in [0, 1]")
+        if self.disjoint and self.overlap_rate > 0.0:
+            raise ContractError(
+                f"overlap_rate {self.overlap_rate} applies only to non-disjoint scenes"
+            )
 
 
 def generate_scene(config: SceneConfig) -> Scene:
@@ -379,10 +382,7 @@ def _run_cell(config: SceneConfig, seed: int, method: str, samples_per_region: i
     start = Point3(0.0, 0.0, 0.0)
     t0 = time.perf_counter()
     if method == "center-visit":
-        if config.disjoint:
-            tour = center_visit(start, scene)
-        else:
-            tour = plan_nondisjoint_detailed(start, scene).tour
+        tour = plan_nondisjoint_detailed(start, scene).tour
     elif method == "alpha-fat":
         tour = alpha_fat_baseline(start, scene, samples_per_region=samples_per_region)
     else:  # "online"; run_comparison rejects unknown methods

@@ -126,8 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detour", help="perimeter-and-spike detour around one region")
     p.add_argument("--scene", required=True)
     p.add_argument("--object", required=True, help="object id owning the detour")
-    p.add_argument("--perimeter-step", type=float, help="perimeter sampling step (m)")
-    p.add_argument("--spike-spacing", type=float, help="arc spacing between spikes (m)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("score", help="viewing score of an image/mask pair")
@@ -225,13 +223,7 @@ def _cmd_mis(args) -> int:
 def _cmd_detour(args) -> int:
     scene = _read_scene(args.scene)
     obj = scene.get(args.object)
-    plan = build_detour(
-        obj.region,
-        scene.d_min_global,
-        perimeter_step=args.perimeter_step,
-        spike_spacing=args.spike_spacing,
-        owner_id=obj.id,
-    )
+    plan = build_detour(obj.region, scene.d_min_global, owner_id=obj.id)
     doc = {
         "owner_id": plan.owner_id,
         "axis_m": plan.axis.tolist(),

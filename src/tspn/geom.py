@@ -160,6 +160,10 @@ def _validate_region(region: Region) -> None:
             raise InvalidRegionError(f"need 0 < d_min <= d_max, got ({s.d_min}, {s.d_max})")
         c = region.center.as_array()
         radii = np.linalg.norm(pts - c, axis=1)
+        at_center = np.flatnonzero(radii == 0.0)
+        if at_center.size:
+            # The star model takes each point's direction from the center.
+            raise InvalidRegionError(f"boundary point {at_center[0]} lies at the region center")
         if np.any(radii > s.d_max / 2.0 * (1.0 + EPS_TOL) + EPS_TOL):
             raise InvalidRegionError("boundary point farther than d_max/2 from center")
         far = farthest_pair_distance(pts)

@@ -266,32 +266,21 @@ def _arc_positions(edges: np.ndarray, count: int) -> list[int]:
     return sorted(set((cum[:-1].searchsorted(targets, side="right") - 1).tolist()))
 
 
-def build_detour(
-    owner: Region,
-    d_min_global: float,
-    perimeter_step: float | None = None,
-    spike_spacing: float | None = None,
-    owner_id: str = "",
-) -> DetourPlan:
+def build_detour(owner: Region, d_min_global: float, owner_id: str = "") -> DetourPlan:
     """Perimeter-and-spike traversal guaranteeing contact with neighbors.
 
     Cutting planes perpendicular to the farthest-pair axis are spaced
     ``d_min_global`` apart (a single plane through the midpoint when the
     region is not much longer than that spacing). Each plane's boundary
-    curve is walked with out-and-back spikes of total length
-    ``d_min_global`` (half outward, half inward along the boundary normal
-    projected into the plane). Axis-endpoint spikes and the per-perimeter
-    spike count are filled greedily so the stitched length never exceeds
-    the analytic budget ``3 * pi * d_max^2 / d_min``.
+    curve, traced in steps of ``d_min_global / 16``, is walked with
+    out-and-back spikes of total length ``d_min_global`` (half outward,
+    half inward along the boundary normal projected into the plane), one
+    per ``d_min_global`` of arc at most. Axis-endpoint spikes and the
+    per-perimeter spike count are filled greedily so the stitched length
+    never exceeds the analytic budget ``3 * pi * d_max^2 / d_min``.
     """
     if d_min_global <= 0:
         raise ContractError("d_min_global must be positive")
-    if perimeter_step is None:
-        perimeter_step = d_min_global / 16.0
-    if spike_spacing is None:
-        spike_spacing = d_min_global
-    if perimeter_step <= 0 or spike_spacing <= 0:
-        raise ContractError("perimeter_step and spike_spacing must be positive")
 
     d = d_min_global
     budget = detour_length_limit(owner.d_max, d)
@@ -311,11 +300,11 @@ def build_detour(
 
     rings: list[np.ndarray] = []
     for pp in plane_points:
-        ring = _trace_perimeter(owner, pp, axis_dir, perimeter_step)
+        ring = _trace_perimeter(owner, pp, axis_dir, d / 16.0)
         if ring is not None:
             rings.append(ring)
     if not rings:
-        mid = _trace_perimeter(owner, a + 0.5 * ab, axis_dir, perimeter_step)
+        mid = _trace_perimeter(owner, a + 0.5 * ab, axis_dir, d / 16.0)
         rings = [mid] if mid is not None else []
     if not rings:
         return _point_detour(owner_id, axis, budget)
@@ -346,7 +335,7 @@ def build_detour(
 
     spike_cost = 2.0 * d  # out to one tip, across, and back to the anchor
     affordable = max(0, int(math.floor((budget - base) / spike_cost)))
-    targets = [max(1, int(math.floor(L / spike_spacing))) for L in ring_lens]
+    targets = [max(1, int(math.floor(L / d))) for L in ring_lens]
     counts = [0] * len(rings)
     remaining = affordable
     progressing = True
@@ -559,12 +548,7 @@ def realized_diameters(scene: Scene, rng: np.random.Generator) -> list[float]:
     ]
 
 
-def plan_online(
-    start: Point3,
-    scene: Scene,
-    oracle,
-    tsp: TspConfig = TspConfig(),
-) -> tuple[Tour, list[DetectionOutcome]]:
+def plan_online(start: Point3, scene: Scene, oracle) -> tuple[Tour, list[DetectionOutcome]]:
     """Walk toward each center, in ``center_visit``'s order, until its detection oracle fires.
 
     Each region is taken as a hollow ball of unknown diameter in the
@@ -617,7 +601,7 @@ def plan_online(
         outcomes.append(DetectionOutcome(object_id=oid, realized_diameter=realized, detected_at=p))
         return p
 
-    return _center_order_walk(start, scene, tsp, detect), outcomes
+    return _center_order_walk(start, scene, TspConfig(), detect), outcomes
 
 
 # --------------------------------------------------------------------------- surface-representative baseline

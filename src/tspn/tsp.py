@@ -40,7 +40,7 @@ def _distance_matrix(pts: np.ndarray) -> np.ndarray:
 
 
 def exact_order(points: np.ndarray) -> list[int]:
-    """Visiting order of the minimum-length closed tour (subset DP).
+    """Visiting order of the minimum-length closed tour (Held & Karp subset DP).
 
     Among equally-optimal tours the lexicographically smallest visiting
     order (by input index, starting at point 0) is returned.
@@ -48,67 +48,37 @@ def exact_order(points: np.ndarray) -> list[int]:
     n = len(points)
     if n > EXACT_MAX_N:
         raise SizeLimitError(f"exact solver capped at {EXACT_MAX_N} points, got {n}")
-    if n == 0:
-        return []
-    if n == 1:
-        return [0]
-    if n == 2:
-        return [0, 1]
+    if n <= 2:
+        return list(range(n))
 
     dist = _distance_matrix(points)
     full = 1 << n
-
+    bits = 1 << np.arange(n)
     # g[mask, j] = shortest path starting at 0, visiting exactly the set
-    # `mask` (which contains 0 and j), ending at j.
+    # `mask` (which contains 0 and j), ending at j. Ascending odd masks
+    # reach every subset before its supersets.
     g = np.full((full, n), np.inf)
-    g[1 | (1 << 0), 0] = 0.0  # mask {0}, at 0
-    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(full):
-        if mask & 1:
-            masks_by_size[bin(mask).count("1")].append(mask)
-
-    for size in range(2, n + 1):
-        for mask in masks_by_size[size]:
-            members = [j for j in range(1, n) if mask & (1 << j)]
-            for j in members:
-                prev = mask ^ (1 << j)
-                cand = g[prev, :] + dist[:, j]
-                g[mask, j] = cand.min()
-
-    full_mask = full - 1
-    best = float((g[full_mask, 1:] + dist[1:, 0]).min())
+    g[1, 0] = 0.0
+    for mask in range(3, full, 2):
+        js = np.flatnonzero(mask & bits)[1:]
+        g[mask, js] = (g[mask ^ bits[js]] + dist[:, js].T).min(axis=1)
+    best = float((g[full - 1, 1:] + dist[1:, 0]).min())
 
     # Greedy lexicographic reconstruction validated against the optimum:
-    # completion cost of (last -> rest -> 0) equals g over the reversed path.
+    # the completion (c -> the rest of ``left`` -> 0) costs g[left | 1, c].
     tol = 1e-9 * max(1.0, best)
     order = [0]
-    used = 1
+    left = full - 2
     cost = 0.0
-    last = 0
-    for _ in range(n - 1):
-        remaining = [j for j in range(1, n) if not (used & (1 << j))]
-        chosen = None
-        for c in sorted(remaining):
-            rest_mask = 0
-            for j in remaining:
-                if j != c:
-                    rest_mask |= 1 << j
-            completion = g[rest_mask | 1 | (1 << c), c]
-            total = cost + dist[last, c] + completion
-            if total <= best + tol:
-                chosen = c
-                break
-        if chosen is None:  # numeric fallback: take the cheapest completion
-            chosen = min(
-                remaining,
-                key=lambda c: cost
-                + dist[last, c]
-                + g[(sum(1 << j for j in remaining if j != c)) | 1 | (1 << c), c],
-            )
+    while left:
+        last = order[-1]
+        totals = [(cost + dist[last, c] + g[left | 1, c], c) for c in range(1, n) if left >> c & 1]
+        # The lowest index that completes an optimal tour; failing that
+        # (numeric fallback), the cheapest completion.
+        chosen = next((c for total, c in totals if total <= best + tol), min(totals)[1])
         cost += dist[last, chosen]
         order.append(chosen)
-        used |= 1 << chosen
-        last = chosen
+        left ^= 1 << chosen
     return order
 
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from tspn.errors import ContractError, InvalidRegionError
+from tspn.errors import ContractError, InvalidRegionError, SizeLimitError
 from tspn.geom import (
     EPS_TOL, GridIndex, Sampled, Scene, SceneObject, Shell, Sphere, Tour, Visit, _boundary_radii,
     closest_point_on_region, contains, max_diameter_segment, regions_intersect, touch_tolerance,
@@ -22,7 +22,7 @@ from tspn.planner import (
     _point_detour, _rotate_to_nearest, build_detour, center_visit, detour_length_limit,
     maximal_independent_set,
 )
-from tspn.tsp import TspConfig, solve_order
+from tspn.tsp import EXACT_MAX_N, TspConfig, _distance_matrix, solve_order
 from tspn.viewscore import ORIENTATION_BINS, OrientationHistogram
 
 
@@ -113,6 +113,82 @@ def brute_force_tsp(points: np.ndarray) -> float:
         total += dist[order[-1], 0]
         best = min(best, total)
     return best
+
+
+def bucketed_exact_order(points: np.ndarray) -> list[int]:
+    """The subset-DP exact solver filled by popcount buckets with a per-member loop, and
+    its reconstruction rebuilding each rest mask bit by bit.
+
+    Visiting order of the minimum-length closed tour (subset DP).
+
+    Among equally-optimal tours the lexicographically smallest visiting
+    order (by input index, starting at point 0) is returned.
+    """
+    n = len(points)
+    if n > EXACT_MAX_N:
+        raise SizeLimitError(f"exact solver capped at {EXACT_MAX_N} points, got {n}")
+    if n == 0:
+        return []
+    if n == 1:
+        return [0]
+    if n == 2:
+        return [0, 1]
+
+    dist = _distance_matrix(points)
+    full = 1 << n
+
+    # g[mask, j] = shortest path starting at 0, visiting exactly the set
+    # `mask` (which contains 0 and j), ending at j.
+    g = np.full((full, n), np.inf)
+    g[1 | (1 << 0), 0] = 0.0  # mask {0}, at 0
+    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(full):
+        if mask & 1:
+            masks_by_size[bin(mask).count("1")].append(mask)
+
+    for size in range(2, n + 1):
+        for mask in masks_by_size[size]:
+            members = [j for j in range(1, n) if mask & (1 << j)]
+            for j in members:
+                prev = mask ^ (1 << j)
+                cand = g[prev, :] + dist[:, j]
+                g[mask, j] = cand.min()
+
+    full_mask = full - 1
+    best = float((g[full_mask, 1:] + dist[1:, 0]).min())
+
+    # Greedy lexicographic reconstruction validated against the optimum:
+    # completion cost of (last -> rest -> 0) equals g over the reversed path.
+    tol = 1e-9 * max(1.0, best)
+    order = [0]
+    used = 1
+    cost = 0.0
+    last = 0
+    for _ in range(n - 1):
+        remaining = [j for j in range(1, n) if not (used & (1 << j))]
+        chosen = None
+        for c in sorted(remaining):
+            rest_mask = 0
+            for j in remaining:
+                if j != c:
+                    rest_mask |= 1 << j
+            completion = g[rest_mask | 1 | (1 << c), c]
+            total = cost + dist[last, c] + completion
+            if total <= best + tol:
+                chosen = c
+                break
+        if chosen is None:  # numeric fallback: take the cheapest completion
+            chosen = min(
+                remaining,
+                key=lambda c: cost
+                + dist[last, c]
+                + g[(sum(1 << j for j in remaining if j != c)) | 1 | (1 << c), c],
+            )
+        cost += dist[last, chosen]
+        order.append(chosen)
+        used |= 1 << chosen
+        last = chosen
+    return order
 
 
 def fibonacci_directions(n: int) -> np.ndarray:
@@ -715,13 +791,13 @@ def dense_missed_objects(tour: Tour, scene) -> list[str]:
     ]
 
 
-def full_lattice_plan_online(start, scene: Scene, oracle, tsp=None):
+def full_lattice_plan_online(start, scene: Scene, oracle):
     """``plan_online`` as it stood before the poll window, for disjoint centers:
     each leg polls every ``scene.d_min_global / 10`` step from its start until
     the oracle fires."""
     pts = np.array([o.region.center.as_array() for o in scene.objects], dtype=float).reshape(-1, 3)
     step = scene.d_min_global / 10.0
-    order = _rotate_to_nearest(solve_order(pts, tsp or TspConfig()), pts, start)
+    order = _rotate_to_nearest(solve_order(pts, TspConfig()), pts, start)
     pos = start.as_array()
     waypoints, visits, outcomes = [pos], [], []
     for idx in order:

@@ -200,3 +200,6 @@ def test_config_validation():
         SceneConfig(n_objects=5, d_min=5.0, d_max=200.0)
     with pytest.raises(ContractError):
         SceneConfig(n_objects=5, overlap_rate=1.5, **CAR)
+    with pytest.raises(ContractError, match="applies only to non-disjoint scenes"):
+        SceneConfig(n_objects=5, disjoint=True, overlap_rate=0.3, **CAR)
+    SceneConfig(n_objects=5, disjoint=False, overlap_rate=0.3, **CAR)

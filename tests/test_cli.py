@@ -435,3 +435,48 @@ def test_score_csv_bad_value_names_its_line(tmp_path, capsys, row, message):
     _malformed_exits_1(capsys, ["region", "--center", "0,0,0", "--scores", str(scores),
                                 "--out", str(tmp_path / "r.json")],
                        f"{scores}: line 3: {message}")
+
+
+def test_sampled_boundary_point_at_center_is_refused(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    assert run(["gen-scene", "--n", "3", "--dmin", "4", "--dmax", "6",
+                "--disjoint", "--seed", "2", "--out", str(scene)]) == 0
+    doc = json.loads(scene.read_text())
+    center = np.array(doc["objects"][0]["center_m"])
+    k = np.arange(20) + 0.5
+    z = 1.0 - 2.0 * k / 20
+    phi = k * math.pi * (3.0 - math.sqrt(5.0))
+    dirs = np.stack([np.sqrt(1.0 - z * z) * np.cos(phi), np.sqrt(1.0 - z * z) * np.sin(phi), z], axis=1)
+    points = center + 2.5 * dirs
+    points[7] = center
+    doc["objects"][0]["shape"] = {"kind": "sampled", "points_m": points.tolist(),
+                                  "normals": dirs.tolist(), "d_min_m": 4.0, "d_max_m": 6.0}
+    scene.write_text(json.dumps(doc))
+    out = str(tmp_path / "out.json")
+    for argv in (["detour", "--scene", str(scene), "--object", "obj-000", "--out", out],
+                 ["baseline", "--scene", str(scene), "--seed", "1", "--out", out]):
+        _malformed_exits_1(capsys, argv, "boundary point 7 lies at the region center")
+
+
+def test_overlap_rate_on_a_disjoint_scene_is_refused(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    _malformed_exits_1(capsys, ["gen-scene", "--n", "40", "--dmin", "5.4", "--dmax", "8.2",
+                                "--disjoint", "--overlap-rate", "0.5", "--seed", "3",
+                                "--out", str(scene)],
+                       "overlap_rate 0.5 applies only to non-disjoint scenes")
+    assert not scene.exists()
+    rows_csv = tmp_path / "rows.csv"
+    _malformed_exits_1(capsys, ["compare", "--profile", "car", "--n", "6", "--seeds", "2",
+                                "--seed", "5", "--overlap-rate", "0.4", "--out", str(rows_csv)],
+                       "overlap_rate 0.4 applies only to non-disjoint scenes")
+    assert not rows_csv.exists()
+
+
+def test_detour_has_no_spacing_flags(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    assert run(["gen-scene", "--n", "6", "--dmin", "5.4", "--dmax", "8.2",
+                "--overlap-rate", "0.4", "--seed", "5", "--out", str(scene)]) == 0
+    for flag in ("--perimeter-step", "--spike-spacing"):
+        assert run(["detour", "--scene", str(scene), "--object", "obj-000", flag, "1",
+                    "--out", str(tmp_path / "d.json")]) == 1
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err

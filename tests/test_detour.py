@@ -259,18 +259,12 @@ def assert_same_detour(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
-def detour_case(seed, kind, long_axis, ratio, step, spacing):
-    """Build one owner and run both detours on it; ``ratio`` is owner d_max over d_min_global,
-    ``step`` and ``spacing`` are multiples of d_min_global (None for the defaults)."""
+def detour_case(seed, kind, long_axis, ratio):
+    """Build one owner and run both detours on it; ``ratio`` is owner d_max over d_min_global."""
     owner = detour_owner(np.random.default_rng(seed), kind, long_axis)
     d = owner.d_max / ratio
-    kwargs = dict(
-        perimeter_step=None if step is None else step * d,
-        spike_spacing=None if spacing is None else spacing * d,
-        owner_id=f"{kind}-{seed}",
-    )
-    want = row_list_build_detour(owner, d, **kwargs)
-    assert_same_detour(build_detour(owner, d, **kwargs), want)
+    want = row_list_build_detour(owner, d, owner_id=f"{kind}-{seed}")
+    assert_same_detour(build_detour(owner, d, owner_id=f"{kind}-{seed}"), want)
     return want
 
 
@@ -280,14 +274,12 @@ def detour_case(seed, kind, long_axis, ratio, step, spacing):
     kind=st.sampled_from(("sphere", "shell", "sampled")),
     long_axis=st.sampled_from((None, 0, 1, 2)),
     ratio=st.floats(0.3, 6.0),
-    step=st.none() | st.floats(1 / 40, 1 / 2),
-    spacing=st.none() | st.floats(0.25, 3.0),
 )
-@example(seed=1, kind="sampled", long_axis=1, ratio=5.0, step=None, spacing=None)
-@example(seed=2, kind="sampled", long_axis=2, ratio=0.4, step=None, spacing=None)
-@example(seed=3, kind="sphere", long_axis=None, ratio=4.0, step=0.1, spacing=0.5)
-def test_detour_is_bitwise_the_row_list_oracle(seed, kind, long_axis, ratio, step, spacing):
-    detour_case(seed, kind, long_axis, ratio, step, spacing)
+@example(seed=1, kind="sampled", long_axis=1, ratio=5.0)
+@example(seed=2, kind="sampled", long_axis=2, ratio=0.4)
+@example(seed=3, kind="sphere", long_axis=None, ratio=4.0)
+def test_detour_is_bitwise_the_row_list_oracle(seed, kind, long_axis, ratio):
+    detour_case(seed, kind, long_axis, ratio)
 
 
 def test_detour_oracle_sweep_reaches_every_branch():
@@ -298,7 +290,7 @@ def test_detour_oracle_sweep_reaches_every_branch():
         for kind in ("sphere", "shell", "sampled"):
             for long_axis in (None, 0, 1, 2) if kind == "sampled" else (None,):
                 for ratio in (0.3, 0.6, 1.0, 1.5, 3.0, 6.0):
-                    plan = detour_case(seed, kind, long_axis, ratio, None, None)
+                    plan = detour_case(seed, kind, long_axis, ratio)
                     if not plan.perimeters:
                         seen.add("point")
                         continue

@@ -23,7 +23,10 @@ from tspn import (
 from tspn.geom import farthest_pair_distance, pairwise_sq_distances, polyline_length, touch_tolerance
 from tspn.planner import _ring_edges
 
-from oracles import brute_closest_sample, brute_farthest_pair, norm_diff_polyline_length, voxel_overlap
+from oracles import (
+    brute_closest_sample, brute_farthest_pair, fibonacci_directions, norm_diff_polyline_length,
+    voxel_overlap,
+)
 
 
 def sphere(cx, cy, cz, d):
@@ -107,6 +110,15 @@ def test_sampled_region_needs_points():
     dirs = np.eye(3)
     with pytest.raises(InvalidRegionError):
         Region(center=Point3(0, 0, 0), shape=Sampled(dirs, dirs, 1.0, 2.0))
+
+
+def test_sampled_point_at_center_is_refused():
+    # The star model takes each boundary point's direction from the center: 0/0 there.
+    dirs = fibonacci_directions(12)
+    pts = np.array([1.0, 2.0, 3.0]) + 2.0 * dirs
+    pts[4] = [1.0, 2.0, 3.0]
+    with pytest.raises(InvalidRegionError, match="boundary point 4 lies at the region center"):
+        Region(center=Point3(1, 2, 3), shape=Sampled(pts, dirs, 3.0, 4.0))
 
 
 def test_sampled_stores_read_only_copies():

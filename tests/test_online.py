@@ -14,7 +14,6 @@ from tspn import (
     Scene,
     SceneObject,
     Shell,
-    TspConfig,
     tour_length,
 )
 from tspn.planner import (
@@ -70,9 +69,8 @@ def test_all_max_diameters_matches_offline_center_visit():
     scene = spread_centers(rng, 8, d_min, d_max)
     oracle = SimulationOracle(scene, [d_max] * len(scene))
     start = Point3(0, 0, 0)
-    cfg = TspConfig()
-    tour, outcomes = plan_online(start, scene, oracle, cfg)
-    offline = center_visit(start, scene, cfg)
+    tour, outcomes = plan_online(start, scene, oracle)
+    offline = center_visit(start, scene)
     step = d_min / 10.0
     assert abs(tour_length(tour) - tour_length(offline)) <= step * len(scene) + 1e-6
 

@@ -18,6 +18,7 @@ from tspn.tsp import (
 
 from oracles import (
     brute_force_tsp,
+    bucketed_exact_order,
     dense_candidate_lists,
     dense_distance_matrix,
     dense_heuristic_order,
@@ -64,6 +65,24 @@ def test_exact_matches_permutation_search():
     for _ in range(5):
         arr = rng.uniform(size=(9, 3))
         assert math.isclose(exact_length(as_points(arr)), brute_force_tsp(arr), rel_tol=1e-9)
+
+
+def exact_instances(rng, n):
+    """Uniform points, integer-lattice points (many tied distances) and collinear points."""
+    lattice = np.stack(np.meshgrid(*[np.arange(3)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    t = rng.choice(20, size=n, replace=False)[:, None]
+    yield rng.uniform(-5.0, 5.0, size=(n, 3))
+    yield lattice[rng.choice(len(lattice), size=n, replace=False)].astype(float)
+    yield rng.uniform(-5.0, 5.0, size=3) + t * rng.normal(size=3)
+
+
+def test_exact_matches_bucketed_oracle():
+    # 13 sizes x 8 draws x 3 kinds = 312 instances.
+    rng = np.random.default_rng(15)
+    for n in range(13):
+        for _ in range(8):
+            for pts in exact_instances(rng, n):
+                assert exact_order(pts) == bucketed_exact_order(pts)
 
 
 def test_exact_is_permutation_of_input():
