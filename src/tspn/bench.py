@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapacityError, ContractError
+from .errors import CapacityError, ContractError, InvalidRegionError
 from .geom import (
     EXACT_TOUCH_FRACTION,
     GridIndex,
@@ -254,11 +254,14 @@ def scene_from_json(text: str) -> Scene:
     objects = []
     for i, o in enumerate(_list(doc, "objects")):
         at = f"objects[{i}]."
-        region = Region(
-            center=Point3(*_point(_field(o, "center_m", at), at + "center_m")),
-            shape=_shape_from_json(_field(o, "shape", at), at + "shape."),
-        )
-        objects.append(SceneObject(id=_typed(o, "id", at, str, "a string"), region=region))
+        oid = _typed(o, "id", at, str, "a string")
+        center = Point3(*_point(_field(o, "center_m", at), at + "center_m"))
+        shape = _shape_from_json(_field(o, "shape", at), at + "shape.")
+        try:
+            region = Region(center=center, shape=shape)
+        except InvalidRegionError as exc:
+            raise InvalidRegionError(f"objects[{i}] ({oid!r}): {exc}") from None
+        objects.append(SceneObject(id=oid, region=region))
     scene = Scene(
         objects=tuple(objects),
         d_min_global=_number(doc, "d_min_m"),
@@ -455,27 +458,27 @@ ROWS_CSV_HEADER = ["method", "n_objects", "seed", "length_m", "runtime_s"]
 AGG_CSV_HEADER = ["method", "n_objects", "mean_length_m", "std_length_m", "mean_runtime_s"]
 
 
-def report_rows_csv(report: ComparisonReport) -> str:
+def _csv(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ROWS_CSV_HEADER)
-    for r in report.rows:
-        writer.writerow([r.method, r.n_objects, r.seed, repr(r.length_m), repr(r.runtime_s)])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def report_rows_csv(report: ComparisonReport) -> str:
+    return _csv(
+        ROWS_CSV_HEADER,
+        ([r.method, r.n_objects, r.seed, repr(r.length_m), repr(r.runtime_s)] for r in report.rows),
+    )
 
 
 def report_aggregates_csv(report: ComparisonReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(AGG_CSV_HEADER)
-    for a in report.aggregates:
-        writer.writerow(
-            [
-                a.method,
-                a.n_objects,
-                repr(a.mean_length_m),
-                repr(a.std_length_m),
-                repr(a.mean_runtime_s),
-            ]
-        )
-    return buf.getvalue()
+    return _csv(
+        AGG_CSV_HEADER,
+        (
+            [a.method, a.n_objects, repr(a.mean_length_m), repr(a.std_length_m),
+             repr(a.mean_runtime_s)]
+            for a in report.aggregates
+        ),
+    )

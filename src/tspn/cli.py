@@ -11,6 +11,7 @@ I/O errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -53,14 +54,6 @@ from .viewscore import (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser that reports usage problems with exit status 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(f"{self.prog}: error: {message}")
-
-
 def _parse_point(text: str) -> Point3:
     parts = text.split(",")
     if len(parts) != 3:
@@ -82,9 +75,11 @@ def _write_json(path, doc) -> None:
     _write(path, json.dumps(doc, indent=2) + "\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tspn", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on first use and shared by every ``main`` call."""
+    parser = argparse.ArgumentParser(prog="tspn", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-scene", help="generate a seeded random scene")
     p.add_argument("--n", type=int, required=True, help="number of objects")
@@ -326,18 +321,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
-        # argparse --help exits 0; usage errors carry a message string
-        if exc.code in (0, None):
-            return 0
-        if isinstance(exc.code, int):
-            return exc.code
-        print(exc.code, file=sys.stderr)
-        return 1
+        # argparse exits 0 after --help and 2 after printing a usage error
+        return 1 if exc.code else 0
     except (TspnError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

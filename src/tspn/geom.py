@@ -303,8 +303,6 @@ def closest_point_on_region(region: Region, p: np.ndarray) -> np.ndarray:
     """
     s = region.shape
     if isinstance(s, Sampled):
-        if s.points.shape[0] == 0:
-            raise InvalidRegionError("sampled region has no boundary points")
         d2 = np.sum((s.points - p) ** 2, axis=1)
         return s.points[int(np.argmin(d2))]
     r_in, r_out = s.r_in, s.d_max / 2.0

@@ -318,18 +318,17 @@ def build_detour(owner: Region, d_min_global: float, owner_id: str = "") -> Deto
     poles = np.array([[a - a_arm, a + a_arm], [b - b_arm, b + b_arm]])  # (inner, outer) tips
     a_in, b_in = poles[:, 0]
 
-    def connection_cost(with_poles: bool) -> float:
-        cost = 0.0
-        if with_poles:
-            cost += 2.0 * d  # traverse each endpoint spike once
-            cost += float(np.linalg.norm(a_in - rings[0][0]))
-            cost += float(np.linalg.norm(rings[-1][0] - b_in))
-        for i in range(len(rings) - 1):
-            cost += float(np.linalg.norm(rings[i][0] - rings[i + 1][0]))
-        return cost
-
-    base_no_poles = sum(ring_lens) + connection_cost(False)
-    base_with_poles = sum(ring_lens) + connection_cost(True)
+    # The rings are joined first vertex to first vertex. With poles, the
+    # path also traverses each endpoint spike once and runs from a's inner
+    # tip to the first ring and from the last ring to b's.
+    links = [float(np.linalg.norm(r[0] - s[0])) for r, s in zip(rings, rings[1:])]
+    pole_cost = (
+        2.0 * d
+        + float(np.linalg.norm(a_in - rings[0][0]))
+        + float(np.linalg.norm(rings[-1][0] - b_in))
+    )
+    base_no_poles = sum(ring_lens) + sum(links)
+    base_with_poles = sum(ring_lens) + sum(links, pole_cost)
     with_poles = base_with_poles <= budget
     base = base_with_poles if with_poles else base_no_poles
 

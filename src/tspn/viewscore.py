@@ -27,21 +27,20 @@ _RHO = 1e-9
 _ALPHA = 2.0**-1000
 
 # Built-in per-class diameter defaults (meters): mean max / mean min region
-# diameter and the minimum viewing radius for unit-scale models.
+# diameter.
 @dataclass(frozen=True)
 class DiameterProfile:
     d_max: float
     d_min: float
-    unit_distance: float
 
 
 DIAMETER_PROFILES: dict[str, DiameterProfile] = {
-    "car": DiameterProfile(8.2, 5.4, 3.5),
-    "bus": DiameterProfile(17.3, 13.4, 10.4),
-    "piano": DiameterProfile(6.2, 4.5, 3.1),
-    "table": DiameterProfile(5.6, 3.3, 2.5),
-    "chair": DiameterProfile(3.4, 1.3, 0.5),
-    "bed": DiameterProfile(5.2, 3.2, 2.0),
+    "car": DiameterProfile(8.2, 5.4),
+    "bus": DiameterProfile(17.3, 13.4),
+    "piano": DiameterProfile(6.2, 4.5),
+    "table": DiameterProfile(5.6, 3.3),
+    "chair": DiameterProfile(3.4, 1.3),
+    "bed": DiameterProfile(5.2, 3.2),
 }
 
 
@@ -52,17 +51,13 @@ class GrayImage:
     ``pixels`` is stored as a read-only float copy of what is given.
     """
 
-    width: int
-    height: int
     pixels: np.ndarray  # (height, width) float
 
     def __post_init__(self):
         src = np.asarray(self.pixels)
-        if src.shape != (self.height, self.width):
-            raise ContractError(
-                f"pixel array {src.shape} does not match {self.height}x{self.width}"
-            )
-        if self.width < 3 or self.height < 3:
+        if src.ndim != 2:
+            raise ContractError(f"pixel array must be 2-D, got shape {src.shape}")
+        if min(src.shape) < 3:
             raise ContractError("image must be at least 3x3 for gradient windows")
         arr = src.astype(float)
         # uint8 already guarantees the range; NaN fails both comparisons.
@@ -73,8 +68,7 @@ class GrayImage:
 
     @staticmethod
     def from_array(arr) -> "GrayImage":
-        arr = np.asarray(arr)
-        return GrayImage(width=arr.shape[1], height=arr.shape[0], pixels=arr)
+        return GrayImage(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,23 +78,18 @@ class ObjectMask:
     ``bits`` is stored as a read-only bool copy of what is given.
     """
 
-    width: int
-    height: int
     bits: np.ndarray  # (height, width) bool
 
     def __post_init__(self):
         arr = np.asarray(self.bits).astype(bool)
-        if arr.shape != (self.height, self.width):
-            raise ContractError(
-                f"mask array {arr.shape} does not match {self.height}x{self.width}"
-            )
+        if arr.ndim != 2:
+            raise ContractError(f"mask array must be 2-D, got shape {arr.shape}")
         object.__setattr__(self, "bits", arr)
         arr.flags.writeable = False
 
     @staticmethod
     def from_array(arr) -> "ObjectMask":
-        arr = np.asarray(arr)
-        return ObjectMask(width=arr.shape[1], height=arr.shape[0], bits=arr)
+        return ObjectMask(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,16 +97,17 @@ class OrientationHistogram:
     """Edge-orientation counts over 360 one-degree bins."""
 
     bins: np.ndarray  # (360,) int
-    total_edge_pixels: int
 
     def __post_init__(self):
         arr = np.asarray(self.bins, dtype=int)
         if arr.shape != (ORIENTATION_BINS,):
             raise ContractError("histogram needs exactly 360 bins")
-        if int(arr.sum()) != self.total_edge_pixels:
-            raise ContractError("bin counts do not sum to total_edge_pixels")
         object.__setattr__(self, "bins", arr)
         arr.flags.writeable = False
+
+    @property
+    def total_edge_pixels(self) -> int:
+        return int(self.bins.sum())
 
 
 def _sobel_gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,32 +204,29 @@ def edge_orientation_histogram(
     image therefore yields an empty histogram. Orientations map to
     integer-degree bins, bin b covering [b, b+1) degrees.
     """
-    bins, total = _orientation_bins(image.pixels, edge_fraction)
-    return OrientationHistogram(bins=bins, total_edge_pixels=total)
+    return OrientationHistogram(_orientation_bins(image.pixels, edge_fraction)[0])
 
 
 def histogram_entropy(hist: OrientationHistogram) -> float:
     """Natural-log entropy of the orientation distribution; 0 when empty."""
-    if hist.total_edge_pixels == 0:
-        return 0.0
-    return _entropy(hist.bins, hist.total_edge_pixels)
+    total = hist.total_edge_pixels
+    return _entropy(hist.bins, total) if total else 0.0
 
 
 def viewing_score(
     image: GrayImage, mask: ObjectMask, edge_fraction: float = DEFAULT_EDGE_FRACTION
 ) -> float:
     """Edge-orientation entropy times the object-to-image area ratio."""
-    if (mask.width, mask.height) != (image.width, image.height):
-        raise ContractError(
-            f"mask {mask.width}x{mask.height} does not match image {image.width}x{image.height}"
-        )
+    if mask.bits.shape != image.pixels.shape:
+        (h, w), (mh, mw) = image.pixels.shape, mask.bits.shape
+        raise ContractError(f"mask {mw}x{mh} does not match image {w}x{h}")
     bins, total = _orientation_bins(image.pixels, edge_fraction)
     if total == 0:
         return 0.0
     object_pixels = np.count_nonzero(mask.bits)
     if object_pixels == 0:
         return 0.0
-    ratio = object_pixels / (image.width * image.height)
+    ratio = object_pixels / image.pixels.size
     return _entropy(bins, total) * ratio
 
 
@@ -344,21 +331,19 @@ def read_pgm(path) -> GrayImage:
     raw = data[i : i + width * height]
     if len(raw) != width * height:
         raise ContractError(f"{path}: truncated pixel data")
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
-    return GrayImage(width=width, height=height, pixels=arr)
+    return GrayImage(np.frombuffer(raw, dtype=np.uint8).reshape(height, width))
 
 
 def write_pgm(path, image: GrayImage) -> None:
     arr = np.clip(np.rint(image.pixels), 0, 255).astype(np.uint8)
     with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (image.width, image.height))
+        f.write(b"P5\n%d %d\n255\n" % arr.shape[::-1])
         f.write(arr.tobytes())
 
 
 def read_mask_pgm(path) -> ObjectMask:
     """Mask in PGM form: any nonzero pixel belongs to the object."""
-    img = read_pgm(path)
-    return ObjectMask(width=img.width, height=img.height, bits=img.pixels > 0)
+    return ObjectMask(read_pgm(path).pixels > 0)
 
 
 SCORE_CSV_HEADER = ["azimuth_rad", "elevation_rad", "distance_m", "score"]

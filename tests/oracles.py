@@ -298,12 +298,12 @@ def nine_tap_edge_orientation_histogram(image, edge_fraction: float = 0.1) -> Or
     mag = np.hypot(gx, gy)
     peak = float(mag.max()) if mag.size else 0.0
     if peak == 0.0:
-        return OrientationHistogram(bins=np.zeros(ORIENTATION_BINS, dtype=int), total_edge_pixels=0)
+        return OrientationHistogram(bins=np.zeros(ORIENTATION_BINS, dtype=int))
     edge = mag >= edge_fraction * peak
     deg = np.degrees(np.arctan2(gy[edge], gx[edge])) % 360.0
     idx = np.floor(deg).astype(int) % ORIENTATION_BINS
     bins = np.bincount(idx, minlength=ORIENTATION_BINS)
-    return OrientationHistogram(bins=bins, total_edge_pixels=int(bins.sum()))
+    return OrientationHistogram(bins=bins)
 
 
 def nine_tap_histogram_entropy(hist: OrientationHistogram) -> float:
@@ -314,17 +314,16 @@ def nine_tap_histogram_entropy(hist: OrientationHistogram) -> float:
 
 
 def nine_tap_viewing_score(image, mask, edge_fraction: float = 0.1) -> float:
-    if (mask.width, mask.height) != (image.width, image.height):
-        raise ContractError(
-            f"mask {mask.width}x{mask.height} does not match image {image.width}x{image.height}"
-        )
+    if mask.bits.shape != image.pixels.shape:
+        (h, w), (mh, mw) = image.pixels.shape, mask.bits.shape
+        raise ContractError(f"mask {mw}x{mh} does not match image {w}x{h}")
     hist = nine_tap_edge_orientation_histogram(image, edge_fraction)
     if hist.total_edge_pixels == 0:
         return 0.0
     object_pixels = int(mask.bits.sum())
     if object_pixels == 0:
         return 0.0
-    ratio = object_pixels / (image.width * image.height)
+    ratio = object_pixels / image.pixels.size
     return nine_tap_histogram_entropy(hist) * ratio
 
 

@@ -225,13 +225,13 @@ def test_criterion_9_viewing_score_fixtures():
 
     # uniform orientations, full-frame mask -> ln 360
     img = uniform_orientation_image()
-    full = ObjectMask.from_array(np.ones((img.height, img.width), dtype=bool))
+    full = ObjectMask.from_array(np.ones(img.pixels.shape, dtype=bool))
     s_full = viewing_score(img, full, edge_fraction=0.99)
     assert abs(s_full - math.log(360.0)) < 1e-9
 
     # half mask -> exactly half the score
-    bits = np.zeros((img.height, img.width), dtype=bool)
-    bits[:, : img.width // 2] = True
+    bits = np.zeros(img.pixels.shape, dtype=bool)
+    bits[:, : img.pixels.shape[1] // 2] = True
     s_half = viewing_score(img, ObjectMask.from_array(bits), edge_fraction=0.99)
     assert abs(s_half - 0.5 * s_full) <= 1e-12 * s_full
 

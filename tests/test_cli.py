@@ -9,6 +9,7 @@ from tspn import (
     ContractError, Point3, Region, Scene, SceneObject, Sphere, TspConfig, center_visit,
     missed_objects,
 )
+from tspn import cli
 from tspn.bench import scene_from_json, scene_to_json, tour_from_json, tour_to_json
 from tspn.cli import main
 from tspn.viewscore import GrayImage, write_pgm
@@ -455,7 +456,36 @@ def test_sampled_boundary_point_at_center_is_refused(tmp_path, capsys):
     out = str(tmp_path / "out.json")
     for argv in (["detour", "--scene", str(scene), "--object", "obj-000", "--out", out],
                  ["baseline", "--scene", str(scene), "--seed", "1", "--out", out]):
-        _malformed_exits_1(capsys, argv, "boundary point 7 lies at the region center")
+        _malformed_exits_1(capsys, argv,
+                           "objects[0] ('obj-000'): boundary point 7 lies at the region center")
+
+
+def test_region_errors_at_load_name_the_object(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    assert run(["gen-scene", "--n", "3", "--dmin", "4", "--dmax", "6",
+                "--disjoint", "--seed", "2", "--out", str(scene)]) == 0
+    good = json.loads(scene.read_text())
+    center = np.array(good["objects"][1]["center_m"])
+    dirs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]) / math.sqrt(3)
+    points = center + 2.5 * dirs
+    points[4] = center + 3.5 * dirs[4]  # past d_max / 2 = 3 m
+    far = {"kind": "sampled", "points_m": points.tolist(), "normals": dirs.tolist(),
+           "d_min_m": 4.0, "d_max_m": 6.0}
+    out = str(tmp_path / "out.json")
+    for index, shape, message in [
+        (1, far, "objects[1] ('obj-001'): boundary point farther than d_max/2 from center"),
+        (2, {"kind": "sphere", "diameter_m": -1},
+         "objects[2] ('obj-002'): sphere diameter must be positive, got -1.0"),
+    ]:
+        doc = json.loads(json.dumps(good))
+        doc["objects"][index]["shape"] = shape
+        scene.write_text(json.dumps(doc))
+        _malformed_exits_1(capsys, ["mis", "--scene", str(scene), "--out", out], message)
+        # The id is read first, so a bad id is named before a bad region.
+        doc["objects"][index]["id"] = 7
+        scene.write_text(json.dumps(doc))
+        _malformed_exits_1(capsys, ["mis", "--scene", str(scene), "--out", out],
+                           f"objects[{index}].id: expected a string, got 7")
 
 
 def test_overlap_rate_on_a_disjoint_scene_is_refused(tmp_path, capsys):
@@ -480,3 +510,33 @@ def test_detour_has_no_spacing_flags(tmp_path, capsys):
         assert run(["detour", "--scene", str(scene), "--object", "obj-000", flag, "1",
                     "--out", str(tmp_path / "d.json")]) == 1
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_main_calls_share_one_parser_without_leaking_state(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    assert run(["gen-scene", "--n", "10", "--dmin", "4", "--dmax", "7",
+                "--disjoint", "--seed", "5", "--out", str(scene)]) == 0
+    calls = [
+        ["plan", "--scene", str(scene), "--start", "1,2,3", "--solver", "exact", "--seed", "5"],
+        ["plan", "--scene", str(scene), "--solver", "magic", "--seed", "5"],
+        ["plan", "--scene", str(scene), "--start", "1,2,3", "--seed", "5"],
+    ]
+
+    def call(argv):
+        out = tmp_path / "out.json"
+        out.unlink(missing_ok=True)
+        code = run(argv + ["--out", str(out)])
+        return code, capsys.readouterr(), out.read_bytes() if out.exists() else None
+
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(call(argv))
+    parser = cli._parser()
+    shared = [call(argv) for argv in calls]
+    assert cli._parser() is parser
+    assert shared == alone
+    (exact_code, _, exact), (bad_code, bad, _), (heuristic_code, _, heuristic) = shared
+    assert exact_code == heuristic_code == 0 and exact != heuristic
+    assert bad_code == 1 and bad.err.startswith("usage: tspn plan [-h]")
+    assert "\ntspn plan: error: argument --solver: invalid choice: 'magic'" in bad.err

@@ -37,7 +37,7 @@ from oracles import (
 
 
 def full_mask(img):
-    return ObjectMask.from_array(np.ones((img.height, img.width), dtype=bool))
+    return ObjectMask.from_array(np.ones(img.pixels.shape, dtype=bool))
 
 
 def uniform_orientation_image():
@@ -138,9 +138,9 @@ def test_score_uniform_orientations_full_mask_is_ln_360():
 
 def test_score_halves_with_half_mask():
     img = uniform_orientation_image()
-    bits = np.zeros((img.height, img.width), dtype=bool)
-    bits[:, : img.width // 2] = True
-    assert bits.sum() * 2 == img.width * img.height
+    bits = np.zeros(img.pixels.shape, dtype=bool)
+    bits[:, : img.pixels.shape[1] // 2] = True
+    assert bits.sum() * 2 == img.pixels.size
     s_full = viewing_score(img, full_mask(img), edge_fraction=0.99)
     s_half = viewing_score(img, ObjectMask.from_array(bits), edge_fraction=0.99)
     assert abs(s_half - 0.5 * s_full) <= 1e-12 * s_full
@@ -158,6 +158,21 @@ def test_score_dimension_mismatch_rejected():
     mask = ObjectMask.from_array(np.ones((5, 6), dtype=bool))
     with pytest.raises(ContractError):
         viewing_score(img, mask)
+
+
+def test_score_dimension_mismatch_names_width_by_height():
+    img = GrayImage.from_array(np.zeros((4, 5)))
+    mask = ObjectMask.from_array(np.ones((4, 6), dtype=bool))
+    with pytest.raises(ContractError, match=r"^mask 6x4 does not match image 5x4$"):
+        viewing_score(img, mask)
+
+
+@pytest.mark.parametrize("shape", [(25,), (5, 5, 3)])
+def test_image_and_mask_must_be_2d(shape):
+    with pytest.raises(ContractError, match="must be 2-D"):
+        GrayImage(np.zeros(shape))
+    with pytest.raises(ContractError, match="must be 2-D"):
+        ObjectMask(np.ones(shape, dtype=bool))
 
 
 def test_score_invariant_under_intensity_inversion():
@@ -265,7 +280,7 @@ def test_kernel_bitwise_equal_to_nine_tap_reference(image_mask, edge_fraction):
 
 def test_images_copy_their_input_and_reject_nan():
     arr = np.full((4, 5), 7.0)
-    img = GrayImage(width=5, height=4, pixels=arr)
+    img = GrayImage(arr)
     assert arr.flags.writeable and not img.pixels.flags.writeable
     arr[0, 0] = 9.0
     assert img.pixels[0, 0] == 7.0
@@ -350,7 +365,6 @@ def test_profile_defaults_match_table():
     assert DIAMETER_PROFILES["bus"].d_min == 13.4
     assert DIAMETER_PROFILES["piano"].d_max == 6.2
     assert DIAMETER_PROFILES["table"].d_min == 3.3
-    assert DIAMETER_PROFILES["chair"].unit_distance == 0.5
     assert DIAMETER_PROFILES["bed"].d_max == 5.2
 
 
@@ -364,7 +378,7 @@ def test_pgm_roundtrip(tmp_path):
     path = tmp_path / "img.pgm"
     write_pgm(path, img)
     back = read_pgm(path)
-    assert back.width == 7 and back.height == 9
+    assert back.pixels.shape == (9, 7)
     assert np.array_equal(back.pixels, arr)
     mask = read_mask_pgm(path)
     assert np.array_equal(mask.bits, arr > 0)
@@ -383,9 +397,7 @@ def test_score_csv_roundtrip(tmp_path):
 
 def test_histogram_type_validation():
     with pytest.raises(ContractError):
-        OrientationHistogram(bins=np.zeros(10, dtype=int), total_edge_pixels=0)
-    with pytest.raises(ContractError):
-        OrientationHistogram(bins=np.ones(360, dtype=int), total_edge_pixels=5)
+        OrientationHistogram(bins=np.zeros(10, dtype=int))
 
 
 def test_single_orientation_image_scores_plus_zero():
