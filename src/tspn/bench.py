@@ -20,7 +20,6 @@ import numpy as np
 from .errors import CapacityError, ContractError, InvalidRegionError
 from .geom import (
     EXACT_TOUCH_FRACTION,
-    GridIndex,
     Point3,
     Region,
     Sampled,
@@ -30,6 +29,7 @@ from .geom import (
     Sphere,
     Tour,
     Visit,
+    earlier_within,
     tour_length,
 )
 from .planner import (
@@ -84,29 +84,31 @@ def generate_scene(config: SceneConfig) -> Scene:
     rng = np.random.default_rng(config.seed)
     n = config.n_objects
     diameters = rng.uniform(config.d_min, config.d_max, size=n)
-    centers: list[np.ndarray] = []
     if config.disjoint:
-        # Only centers the grid returns can lie within d_max of a candidate.
-        grid = GridIndex(config.d_max)
+        # Candidates come n at a time, the same stream as one at a time, and nothing
+        # is drawn after them. Each is kept unless an earlier kept row is within d_max.
+        centers = np.empty((0, 3))
         rejections = 0
         while len(centers) < n:
-            c = rng.uniform(0.0, config.cube_edge, size=3)
-            if all(np.linalg.norm(c - centers[j]) > config.d_max for j in grid.near(c)):
-                grid.insert(len(centers), c)
-                centers.append(c)
-                rejections = 0
-            else:
-                rejections += 1
-                if rejections >= REJECTION_LIMIT:
+            m = placed = len(centers)
+            rows = np.vstack([centers, rng.uniform(0.0, config.cube_edge, size=(n, 3))])
+            kept = [True] * m + [False] * n
+            for i, near in earlier_within(rows, m, config.d_max):
+                if not any(kept[j] for j in near):
+                    kept[i] = True
+                    placed, rejections = placed + 1, 0
+                    if placed == n:
+                        break
+                elif (rejections := rejections + 1) >= REJECTION_LIMIT:
                     raise CapacityError(
-                        f"placed only {len(centers)} of {n} disjoint objects in a "
+                        f"placed only {placed} of {n} disjoint objects in a "
                         f"{config.cube_edge} m cube after {REJECTION_LIMIT} consecutive rejections",
-                        placed=len(centers),
+                        placed=placed,
                     )
+            centers = rows[kept]
     else:
         n_overlap = int(math.floor(config.overlap_rate * n)) if n > 1 else 0
-        for _ in range(n - n_overlap):
-            centers.append(rng.uniform(0.0, config.cube_edge, size=3))
+        centers = list(rng.uniform(0.0, config.cube_edge, size=(n - n_overlap, 3)))
         for _ in range(n_overlap):
             # overlapping placement: within d_min of a previously placed center
             while True:
@@ -248,7 +250,7 @@ def scene_from_json(text: str) -> Scene:
     """Parse a scene document; malformed fields raise ContractError naming their path.
 
     A scene with a coordinate too far from the origin to plan in is
-    rejected too (see ``_check_coordinate_spacing``).
+    rejected too (see ``check_spacing``).
     """
     doc = json.loads(text)
     objects = []
@@ -268,29 +270,29 @@ def scene_from_json(text: str) -> Scene:
         d_max_global=_number(doc, "d_max_m"),
         cube_edge=_number(doc, "cube_edge_m"),
     )
-    _check_coordinate_spacing(scene)
-    return scene
-
-
-def _check_coordinate_spacing(scene: Scene) -> None:
-    """Reject the first object with a coordinate whose float spacing nears the touch tolerance.
-
-    Where four float steps exceed ``EXACT_TOUCH_FRACTION * d_min``, a touch
-    point can round off the region it was projected onto, and the plan
-    fails its own coverage check. Centers and sampled points are checked.
-    """
-    tol = EXACT_TOUCH_FRACTION * scene.d_min_global
     far = np.abs(scene.centers).max(axis=1)
     for i in np.flatnonzero(~scene.exact).tolist():
         far[i] = max(far[i], np.abs(scene.objects[i].region.shape.points).max())
+    check_spacing(scene, far, lambda i: f"objects[{i}] ({scene.objects[i].id!r})")
+    return scene
+
+
+def check_spacing(scene: Scene, far: np.ndarray, name) -> None:
+    """Reject the first point i whose largest |coordinate| ``far[i]`` is too far out to plan in.
+
+    Where four float steps exceed ``EXACT_TOUCH_FRACTION * d_min``, a touch
+    point can round off the region it was projected onto, and the plan
+    fails its own coverage check. Scene centers and sampled points are
+    checked at load; ``name(i)`` names point i in the message.
+    """
+    tol = EXACT_TOUCH_FRACTION * scene.d_min_global
     # np.spacing is math.ulp for the non-negative floats here.
     bad = np.flatnonzero(4.0 * np.spacing(far) > tol)
     if bad.size:
         i, far_i = int(bad[0]), float(far[bad[0]])
         raise ContractError(
-            f"objects[{i}] ({scene.objects[i].id!r}): |coordinate| {far_i!r} m is too far from "
-            f"the origin to plan in: its float spacing {math.ulp(far_i):.3g} m is over a quarter "
-            f"of the touch tolerance {tol:.3g} m"
+            f"{name(i)}: |coordinate| {far_i!r} m is too far from the origin to plan in: its "
+            f"float spacing {math.ulp(far_i):.3g} m is over a quarter of the touch tolerance {tol:.3g} m"
         )
 
 

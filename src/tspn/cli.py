@@ -19,6 +19,7 @@ import numpy as np
 
 from .bench import (
     SceneConfig,
+    check_spacing,
     generate_scene,
     object_to_json,
     report_aggregates_csv,
@@ -64,6 +65,14 @@ def _parse_point(text: str) -> Point3:
 def _read_scene(path):
     with open(path) as f:
         return scene_from_json(f.read())
+
+
+def _scene_and_start(args):
+    """The scene, then ``--start``, held to the scene coordinates' spacing rule."""
+    scene = _read_scene(args.scene)
+    start = _parse_point(args.start)
+    check_spacing(scene, np.abs(start.as_array()).max(keepdims=True), lambda _: "--start")
+    return scene, start
 
 
 def _write(path, text: str) -> None:
@@ -175,24 +184,23 @@ def _cmd_gen_scene(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    scene = _read_scene(args.scene)
-    cfg = TspConfig(solver=args.solver)
-    detail = plan_nondisjoint_detailed(_parse_point(args.start), scene, cfg)
+    scene, start = _scene_and_start(args)
+    detail = plan_nondisjoint_detailed(start, scene, TspConfig(solver=args.solver))
     _write(args.out, tour_to_json(detail.tour))
     return 0
 
 
 def _cmd_baseline(args) -> int:
-    scene = _read_scene(args.scene)
-    tour = alpha_fat_baseline(_parse_point(args.start), scene, samples_per_region=args.samples)
+    scene, start = _scene_and_start(args)
+    tour = alpha_fat_baseline(start, scene, samples_per_region=args.samples)
     _write(args.out, tour_to_json(tour))
     return 0
 
 
 def _cmd_online(args) -> int:
-    scene = _read_scene(args.scene)
+    scene, start = _scene_and_start(args)
     oracle = SimulationOracle(scene, realized_diameters(scene, np.random.default_rng(args.seed)))
-    tour, outcomes = plan_online(_parse_point(args.start), scene, oracle)
+    tour, outcomes = plan_online(start, scene, oracle)
     _write(args.out, tour_to_json(tour))
     if args.outcomes:
         doc = [

@@ -344,46 +344,7 @@ def regions_intersect(a: Region, b: Region) -> bool:
     return False
 
 
-# --------------------------------------------------------------------------- neighbour index
-
-_NEIGHBOUR_CELLS = tuple(
-    (dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-)
-
-
-class GridIndex:
-    """Uniform hash grid over points: integer cell -> indices of its points.
-
-    Every point within ``radius`` of a query point ``p`` lies in the 27
-    cells around ``p``'s own (spatial hashing, Teschner et al., VMV 2003).
-    The cell edge is ``radius`` plus a relative 1e-9, so float rounding of
-    the cell keys cannot push such a point two cells away. It serves
-    incremental insertion; queries over a whole point set go through
-    ``candidate_pairs``, which uses the same cells.
-    """
-
-    def __init__(self, radius: float):
-        self.cell = radius * (1.0 + 1e-9)
-        self._cells: dict[tuple[int, int, int], list[int]] = {}
-
-    def _key(self, p) -> tuple[int, int, int]:
-        h = self.cell
-        return (math.floor(p[0] / h), math.floor(p[1] / h), math.floor(p[2] / h))
-
-    def insert(self, index: int, p) -> None:
-        self._cells.setdefault(self._key(p), []).append(index)
-
-    def near(self, p) -> list[int]:
-        """Indices of the points in the 27 cells around ``p``, unordered."""
-        x, y, z = self._key(p)
-        cells = self._cells
-        out: list[int] = []
-        for dx, dy, dz in _NEIGHBOUR_CELLS:
-            hit = cells.get((x + dx, y + dy, z + dz))
-            if hit:
-                out.extend(hit)
-        return out
-
+# --------------------------------------------------------------------------- neighbour queries
 
 # Most pairs one block of ``candidate_pairs`` holds, unless a single query
 # has more candidates than that on its own.
@@ -434,12 +395,13 @@ def _column_ranges(kq: np.ndarray, kp: np.ndarray):
 def candidate_pairs(queries: np.ndarray, points: np.ndarray, radius: float):
     """Index pairs (q, p): row p of ``points`` lies in the 27 cells around row q of ``queries``.
 
-    The cells are ``GridIndex(radius)``'s: edge ``radius * (1 + 1e-9)``
-    and keys ``np.floor(x / cell)``, so every point within ``radius`` of a
-    query is among its candidates. Yields (q, p) int64 arrays in blocks of
-    consecutive queries, each sorted by q, then p. A block holds at most
-    ``CANDIDATE_BLOCK`` pairs unless one query has more on its own, so a
-    skewed input needs O(len(queries) + len(points) + CANDIDATE_BLOCK)
+    Cells (spatial hashing, Teschner et al., VMV 2003) have keys
+    ``np.floor(x / cell)`` and edge ``radius * (1 + 1e-9)``, the 1e-9 so
+    that rounding cannot put a point within ``radius`` of a query two cells
+    away: every such point is a candidate. Yields (q, p) int64 arrays in
+    blocks of consecutive queries, each sorted by q, then p. A block holds
+    at most ``CANDIDATE_BLOCK`` pairs unless one query has more on its own,
+    so a skewed input needs O(len(queries) + len(points) + CANDIDATE_BLOCK)
     memory.
 
     A query's neighbour keys on an axis are those in [key - 1, key + 1].
@@ -482,6 +444,18 @@ def _later_pairs(points: np.ndarray, radius: float):
         later = j > i
         i, j = i[later], j[later]
         yield i, j, distances(points[i], points[j])
+
+
+def earlier_within(points: np.ndarray, start: int, radius: float):
+    """Per row i >= ``start`` of ``points``, in order: (i, the rows j < i within ``radius``)."""
+    # One candidate_pairs pass, read a block at a time. Every row is its own
+    # candidate, so a block holds all pairs of the rows it covers.
+    for q, p in candidate_pairs(points[start:], points, radius):
+        lo, hi = int(q[0]), int(q[-1]) + 1
+        close = (p < start + q) & (distances(points[start + q], points[p]) <= radius)
+        near, ends = p[close].tolist(), np.searchsorted(q[close], np.arange(lo, hi + 1)).tolist()
+        for i in range(lo, hi):
+            yield start + i, near[ends[i - lo]:ends[i - lo + 1]]
 
 
 def intersecting_pairs(scene: Scene) -> list[tuple[int, int]]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,6 +244,9 @@ class ViewSample:
     score: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ContractError(f"view sample {name} must be finite, got {value!r}")
         if self.distance <= 0:
             raise ContractError("view sample distance must be positive")
         if self.score < 0:
@@ -304,31 +308,25 @@ def region_from_profile(center: Point3, profile: str) -> Region:
 # ------------------------------------------------------------------ file formats
 
 
+# Magic, width, height and maxval, each after whitespace or '#' comments,
+# then the one whitespace byte that ends the header.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+
+
 def read_pgm(path) -> GrayImage:
-    """Read a binary portable graymap (magic P5, maxval <= 255)."""
+    """Read a binary portable graymap (magic P5, 1 <= maxval <= 255)."""
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(b"P5"):
         raise ContractError(f"{path}: not a binary PGM (P5) file")
-    # header tokens: magic, width, height, maxval; '#' comments allowed
-    tokens: list[bytes] = []
-    i = 2
-    while len(tokens) < 3:
-        while i < len(data) and data[i : i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i : i + 1] == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < len(data) and not data[i : i + 1].isspace():
-            i += 1
-        tokens.append(data[start:i])
-    i += 1  # single whitespace after maxval
-    width, height, maxval = (int(t) for t in tokens)
-    if maxval > 255:
-        raise ContractError(f"{path}: maxval {maxval} unsupported (need <= 255)")
-    raw = data[i : i + width * height]
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ContractError(f"{path}: malformed PGM header: need P5, then width, height and maxval "
+                            f"as digits, separated by whitespace or '#' comments")
+    width, height, maxval = map(int, header.groups())
+    if not 1 <= maxval <= 255:
+        raise ContractError(f"{path}: maxval {maxval} unsupported (need 1 to 255)")
+    raw = data[header.end() : header.end() + width * height]
     if len(raw) != width * height:
         raise ContractError(f"{path}: truncated pixel data")
     return GrayImage(np.frombuffer(raw, dtype=np.uint8).reshape(height, width))

@@ -12,9 +12,9 @@ import math
 
 import numpy as np
 
-from tspn.errors import ContractError, InvalidRegionError, SizeLimitError
+from tspn.errors import CapacityError, ContractError, InvalidRegionError, SizeLimitError
 from tspn.geom import (
-    EPS_TOL, GridIndex, Sampled, Scene, SceneObject, Shell, Sphere, Tour, Visit, _boundary_radii,
+    EPS_TOL, Sampled, Scene, SceneObject, Shell, Sphere, Tour, Visit, _boundary_radii,
     closest_point_on_region, contains, max_diameter_segment, regions_intersect, touch_tolerance,
 )
 from tspn.planner import (
@@ -359,16 +359,17 @@ def greedy_mis(objects, intersect) -> tuple[tuple[str, ...], dict[str, str]]:
     return tuple(kept), assignment
 
 
-def rejection_sample_disjoint(seed: int, n: int, d_min: float, d_max: float, cube_edge: float,
-                              limit: int = 10_000) -> tuple[np.ndarray, list[np.ndarray], int]:
-    """Reference disjoint-scene sampler checking each candidate against every center.
+def one_at_a_time_disjoint_centers(config) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A disjoint ``SceneConfig``'s (diameters, centers), drawing one candidate center at a time.
 
-    Draws the diameters, then uniform centers, rejecting a candidate within
-    d_max of any placed center. Returns (diameters, centers, placed); it
-    stops with ``placed < n`` after ``limit`` consecutive rejections.
+    Draws the diameters, then uniform centers, keeping a candidate ``c``
+    when ``np.linalg.norm(c - e) > d_max`` for every kept center ``e``.
+    After 10 000 consecutive rejections it raises the ``CapacityError``
+    that ``generate_scene`` raises.
     """
-    rng = np.random.default_rng(seed)
-    diameters = rng.uniform(d_min, d_max, size=n)
+    rng = np.random.default_rng(config.seed)
+    n, d_max, cube_edge = config.n_objects, config.d_max, config.cube_edge
+    diameters = rng.uniform(config.d_min, d_max, size=n)
     centers: list[np.ndarray] = []
     rejections = 0
     while len(centers) < n:
@@ -378,9 +379,13 @@ def rejection_sample_disjoint(seed: int, n: int, d_min: float, d_max: float, cub
             rejections = 0
         else:
             rejections += 1
-            if rejections >= limit:
-                break
-    return diameters, centers, len(centers)
+            if rejections >= 10_000:
+                raise CapacityError(
+                    f"placed only {len(centers)} of {n} disjoint objects in a {cube_edge} m "
+                    f"cube after 10000 consecutive rejections",
+                    placed=len(centers),
+                )
+    return diameters, centers
 
 
 def dense_closest_pair(points: np.ndarray) -> tuple[int, int, float]:
@@ -823,18 +828,29 @@ def full_lattice_plan_online(start, scene: Scene, oracle):
     return Tour(waypoints=waypoints, visits=tuple(visits)), outcomes
 
 
-# --------------------------------------------------------------------------- per-point grid walks
-# The neighbour queries that ``geom.candidate_pairs`` replaced: each point
-# walks the 27 cells of a ``GridIndex`` keyed by Python integers.
+# --------------------------------------------------------------------------- per-point cell walks
+# The neighbour queries that ``geom.candidate_pairs`` replaced, one point at
+# a time. A row's cell keys are the Python integers floor(x / cell) on each
+# axis, with cell edge ``cell_edge(radius)``; a row is a candidate of a
+# query when every key differs from the query's by at most 1. Python
+# integers stay exact where a float key's ``+ 1`` rounds (above 2**53) and
+# where an int64 cast would overflow (at +-1e20).
 
 
-def grid_of_points(points: np.ndarray, radius: float) -> GridIndex:
-    """A grid holding row i of ``points`` (k, 3) as index i, under ``_key``'s keys."""
-    grid = GridIndex(radius)
-    cells = grid._cells
-    for i, (x, y, z) in enumerate(np.floor(points / grid.cell).tolist()):
-        cells.setdefault((int(x), int(y), int(z)), []).append(i)
-    return grid
+def cell_edge(radius: float) -> float:
+    """The grid's cell edge: ``radius`` plus a relative 1e-9, so float rounding of a key
+    cannot push a point within ``radius`` of a query two cells away."""
+    return radius * (1.0 + 1e-9)
+
+
+def cell_keys(points: np.ndarray, radius: float) -> list[tuple[int, ...]]:
+    """Per row of ``points`` (k, 3), its cell keys as Python integers."""
+    return [tuple(map(math.floor, row)) for row in (points / cell_edge(radius)).tolist()]
+
+
+def near_rows(key: tuple[int, ...], keys: list[tuple[int, ...]]) -> list[int]:
+    """Ascending indices of the ``keys`` that differ from ``key`` by at most 1 on every axis."""
+    return [j for j, other in enumerate(keys) if all(abs(a - b) <= 1 for a, b in zip(key, other))]
 
 
 def per_point_near_pairs(points: np.ndarray, radius: float):
@@ -842,10 +858,9 @@ def per_point_near_pairs(points: np.ndarray, radius: float):
 
     Yields (i, js, distances) for every i with at least one candidate.
     """
-    grid = grid_of_points(points, radius)
+    keys = cell_keys(points, radius)
     for i in range(len(points)):
-        near = np.array(grid.near(points[i]))
-        near = np.sort(near[near > i])
+        near = np.array([j for j in near_rows(keys[i], keys) if j > i], dtype=int)
         if near.size:
             yield i, near, np.linalg.norm(points[near] - points[i], axis=1)
 
@@ -868,20 +883,19 @@ def per_point_first_touch_indices(regions, points: np.ndarray, d_min_global: flo
     """Per region, the index of the first row of ``points`` (W, 3) touching it, or -1.
 
     A row touches a region when ``contains`` accepts it within
-    ``touch_tolerance(region, d_min_global)``. The rows sit in a grid whose
-    cell edge is the largest reach, so only the 27 cells around a region's
-    center can hold a touching row; those are tested in index order.
+    ``touch_tolerance(region, d_min_global)``. With the largest reach as
+    cell edge, only the rows near a region's center in cell keys can touch
+    it; those are tested in index order.
     """
     first = np.full(len(regions), -1)
     if len(regions) == 0 or len(points) == 0:
         return first
-    grid = grid_of_points(points, max(reach_of(r, d_min_global) for r in regions))
+    radius = max(reach_of(r, d_min_global) for r in regions)
+    keys = cell_keys(points, radius)
     for i, region in enumerate(regions):
-        c = region.center
-        near = grid.near((c.x, c.y, c.z))
+        near = near_rows(cell_keys(region.center.as_array()[None], radius)[0], keys)
         if not near:
             continue
-        near = np.sort(np.array(near))
         hit = np.flatnonzero(contains(region, points[near], touch_tolerance(region, d_min_global)))
         if hit.size:
             first[i] = near[hit[0]]

@@ -1,10 +1,11 @@
 """Batched cell queries (``geom.candidate_pairs``) against the per-point grid walks they replaced.
 
-``tests/oracles.py`` keeps the per-point walks: each point looks up the 27
-cells of a ``GridIndex`` keyed by Python integers. Above 2**53 a float
-key's ``+ 1`` can round up to the next float, so there the batched query
-may return more candidates than the walk, never fewer; everything decided
-from the candidates must still be equal.
+``tests/oracles.py`` keeps the per-point walks: a row is a candidate of a
+query when each of its cell keys, as Python integers, differs from the
+query's by at most 1. Above 2**53 a float key's ``+ 1`` can round up to
+the next float, so there the batched query may return more candidates
+than the walk, never fewer; everything decided from the candidates must
+still be equal.
 """
 
 import tracemalloc
@@ -17,14 +18,16 @@ from hypothesis import strategies as st
 from tspn import Point3, Region, Sampled, Shell, Sphere
 from tspn import geom
 from tspn.geom import (
-    GridIndex, _later_pairs, candidate_pairs, closest_pair_within, intersecting_pairs,
+    _later_pairs, candidate_pairs, closest_pair_within, intersecting_pairs,
     regions_intersect,
 )
 
 from oracles import (
+    cell_edge,
+    cell_keys,
     dense_closest_pair,
     fibonacci_directions,
-    grid_of_points,
+    near_rows,
     per_point_closest_pair_within,
     per_point_intersecting_pairs,
     per_point_near_pairs,
@@ -59,7 +62,7 @@ def point_sets(draw, max_n=30, max_queries=0):
     offset = draw(st.sampled_from(OFFSETS))
     radius = draw(st.floats(0.3, 4.0))
     spacing = draw(st.sampled_from((0.5, 1.25, 3.0)))
-    cell = GridIndex(radius).cell
+    cell = cell_edge(radius)
     sets = []
     for most in (max_n, max_queries):
         rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * 3), max_size=most))
@@ -78,7 +81,7 @@ def all_pairs(blocks) -> tuple[np.ndarray, ...]:
 
 
 def keys_below_2_53(points, radius) -> bool:
-    keys = np.floor(points / GridIndex(radius).cell)
+    keys = np.floor(points / cell_edge(radius))
     return not len(keys) or float(np.abs(keys).max()) < 2.0**53
 
 
@@ -92,7 +95,7 @@ def keys_below_2_53(points, radius) -> bool:
 @example((np.full((5, 3), 1e20), np.full((2, 3), 1e20), 2.0), BLOCKS[1])
 def test_candidates_are_the_27_cells_around_each_query(sets, block):
     points, queries, radius = sets
-    grid = grid_of_points(points, radius)
+    keys, query_keys = cell_keys(points, radius), cell_keys(queries, radius)
     with block_size(block):
         blocks = list(candidate_pairs(queries, points, radius))
     for q, p in blocks:
@@ -101,7 +104,7 @@ def test_candidates_are_the_27_cells_around_each_query(sets, block):
         assert all(a[0][-1] < b[0][0] for a, b in zip(blocks, blocks[1:]))
     q, p = all_pairs(blocks)
     for k in range(len(queries)):
-        want = sorted(grid.near(queries[k]))
+        want = near_rows(query_keys[k], keys)
         got = p[q == k].tolist()
         if keys_below_2_53(np.vstack([points, queries]), radius):
             assert got == want
@@ -201,7 +204,7 @@ def test_skewed_scene_in_one_cell_matches_brute_force_in_bounded_memory():
     centers[:5] = big_c + 190.0 * dirs[:5]
     regions = [big] + [Region(center=Point3(*c), shape=Sphere(float(d)))
                        for c, d in zip(centers, rng.uniform(0.5, 1.0, size=2000))]
-    cell = GridIndex(2.0 * reach_of(big)).cell
+    cell = cell_edge(2.0 * reach_of(big))
     assert not np.floor(np.vstack([centers, big.shape.points, big_c]) / cell).any()
     # Brute force: the sphere centers are at least 25 m apart, so no two
     # spheres meet; every pair with the large region is tested.

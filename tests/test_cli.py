@@ -118,6 +118,34 @@ def test_score_constant_image_prints_zero(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "0.0"
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"P5\n3", "malformed PGM header: need P5, then width, height and maxval as digits, "
+                "separated by whitespace or '#' comments"),
+    (b"P5\n-3 3\n255\n" + bytes(range(9)),
+     "malformed PGM header: need P5, then width, height and maxval as digits, "
+     "separated by whitespace or '#' comments"),
+    (b"P5\n3 3\n0\n" + bytes(range(9)), "maxval 0 unsupported (need 1 to 255)"),
+])
+def test_score_refuses_a_bad_pgm_header(tmp_path, capsys, data, message):
+    img, msk = tmp_path / "img.pgm", tmp_path / "mask.pgm"
+    img.write_bytes(data)
+    write_pgm(msk, GrayImage.from_array(np.full((3, 3), 255.0)))
+    _malformed_exits_1(capsys, ["score", "--image", str(img), "--mask", str(msk)],
+                       f"{img}: {message}")
+
+
+def test_pgm_header_comments_and_whitespace_between_tokens(tmp_path, capsys):
+    pixels = bytes(k * 37 % 256 for k in range(20))
+    plain, commented = tmp_path / "plain.pgm", tmp_path / "commented.pgm"
+    plain.write_bytes(b"P5\n5 4\n255\n" + pixels)
+    commented.write_bytes(b"P5# made by hand\n\t5\r\n# rows:\n4 #\n255 " + pixels)
+    scores = []
+    for img in (plain, commented):
+        assert run(["score", "--image", str(img), "--mask", str(plain)]) == 0
+        scores.append(capsys.readouterr().out)
+    assert scores[0] == scores[1] != "0.0\n"
+
+
 def test_region_from_profile_and_scores(tmp_path):
     out = tmp_path / "region.json"
     assert run(["region", "--center", "1,2,3", "--profile", "car", "--out", str(out)]) == 0
@@ -436,6 +464,48 @@ def test_score_csv_bad_value_names_its_line(tmp_path, capsys, row, message):
     _malformed_exits_1(capsys, ["region", "--center", "0,0,0", "--scores", str(scores),
                                 "--out", str(tmp_path / "r.json")],
                        f"{scores}: line 3: {message}")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("inf,0,3,0.9", "view sample azimuth must be finite, got inf"),
+    ("0,0,nan,0.9", "view sample distance must be finite, got nan"),
+    ("0,0,3,nan", "view sample score must be finite, got nan"),
+])
+def test_score_csv_non_finite_field_names_its_line(tmp_path, capsys, row, message):
+    # Eight good rows first, enough for a region, so the bad row decides the outcome.
+    good = "".join(f"{0.7 * k},{0.2 * (k % 3) - 0.2},4,0.9\n" for k in range(8))
+    scores = tmp_path / "scores.csv"
+    scores.write_text(f"azimuth_rad,elevation_rad,distance_m,score\n{good}{row}\n")
+    argv = ["region", "--center", "0,0,0", "--scores", str(scores), "--out", str(tmp_path / "r.json")]
+    _malformed_exits_1(capsys, argv, f"{scores}: line 10: {message}")
+    scores.write_text(f"azimuth_rad,elevation_rad,distance_m,score\n{good}")
+    assert run(argv) == 0
+
+
+@pytest.mark.parametrize("command", ["plan", "baseline", "online"])
+def test_far_start_is_held_to_the_scene_coordinate_rule(tmp_path, capsys, command):
+    scene, out = tmp_path / "scene.json", tmp_path / "out.json"
+    assert run(["gen-scene", "--n", "20", "--dmin", "5.4", "--dmax", "8.2",
+                "--disjoint", "--seed", "1", "--out", str(scene)]) == 0
+    argv = [command, "--scene", str(scene), "--seed", "1", "--out", str(out), "--start"]
+    # With d_min 5.4 m, 2**33 m is the least magnitude whose float spacing
+    # (2**-19 m) is over a quarter of the touch tolerance (5.4e-6 m).
+    assert run(argv + [f"{2.0**33 - 1},0,0"]) == 0
+    out.unlink()
+    tail = " m is too far from the origin to plan in: its float spacing 1.91e-06 m is over a " \
+           "quarter of the touch tolerance 5.4e-06 m\n"
+    _malformed_exits_1(capsys, argv + ["0,-8589934592,0"],
+                       "--start: |coordinate| 8589934592.0" + tail[:-1])
+    _malformed_exits_1(capsys, argv + ["1e200,0,0"], "--start: |coordinate| 1e+200 m is too far "
+                       "from the origin to plan in: its float spacing 1.7e+184 m is over a quarter "
+                       "of the touch tolerance 5.4e-06 m")
+    assert not out.exists()
+    # The scene's own coordinates are held to the same rule.
+    doc = json.loads(scene.read_text())
+    doc["objects"][3]["center_m"] = [0.0, 0.0, 2.0**33]
+    scene.write_text(json.dumps(doc))
+    assert run(argv + ["0,0,0"]) == 1
+    assert capsys.readouterr().err == "error: objects[3] ('obj-003'): |coordinate| 8589934592.0" + tail
 
 
 def test_sampled_boundary_point_at_center_is_refused(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Grid-backed coverage passes against the dense scans they replace.
 
 ``plan_nondisjoint_detailed``'s patch and visit passes and
-``missed_objects`` look up candidate waypoints in a grid around each
-region; ``tests/oracles.py`` keeps the dense region-by-waypoint scans as
-the bitwise reference.
+``missed_objects`` take a region's candidate waypoints from
+``candidate_pairs`` around its center. ``tests/oracles.py`` keeps the
+bitwise references: the dense region-by-waypoint scans, and a per-point
+walk that compares each waypoint's Python-integer cell keys with the
+center's (``cell_edge``, ``cell_keys``).
 """
 
 import math
@@ -16,11 +18,12 @@ from tspn import Point3, Region, Sampled, Scene, SceneObject, Shell, Sphere, Tou
 from tspn.bench import SceneConfig, generate_scene
 from tspn.errors import ContractError
 from tspn.geom import (
-    EPS_TOL, GridIndex, closest_point_on_region, contains, first_touch_indices, touch_tolerance,
+    EPS_TOL, closest_point_on_region, contains, first_touch_indices, touch_tolerance,
 )
 from tspn.planner import _patch_and_visit, missed_objects, plan_nondisjoint_detailed
 
 from oracles import (
+    cell_edge,
     dense_missed_objects,
     dense_patch_and_visit,
     dense_plan_nondisjoint_detailed,
@@ -80,7 +83,7 @@ def probe_waypoints(rng, scene: Scene, m: int) -> np.ndarray:
     centers = np.array([o.region.center.as_array() for o in scene.objects])
     lo, hi = centers.min(axis=0) - 6.0, centers.max(axis=0) + 6.0
     rows = [lo + rng.uniform(size=3) * (hi - lo) for _ in range(m)]
-    cell = GridIndex(max(reach_of(o.region, scene.d_min_global) for o in scene.objects)).cell
+    cell = cell_edge(max(reach_of(o.region, scene.d_min_global) for o in scene.objects))
     for k in rng.choice(len(scene), size=min(3, len(scene)), replace=False):
         region = scene.objects[k].region
         c = region.center.as_array()

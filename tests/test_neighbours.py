@@ -1,8 +1,8 @@
-"""Grid-indexed neighbour queries against the brute-force references."""
+"""Scene-wide neighbour queries, and the scenes drawn through them, against brute-force references."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tspn import CapacityError, Point3, Region, Sampled, Scene, SceneObject, Shell, Sphere
@@ -15,8 +15,8 @@ from oracles import (
     dense_closest_pair,
     fibonacci_directions,
     greedy_mis,
+    one_at_a_time_disjoint_centers,
     reach_of,
-    rejection_sample_disjoint,
     scene_of,
 )
 
@@ -147,8 +147,8 @@ def reference_scene_json(config: SceneConfig, diameters, centers) -> str:
        cube=st.sampled_from([40.0, 60.0, 100.0]), d_max=st.floats(2.0, 9.0))
 def test_generate_scene_matches_reference_sampler(seed, n, cube, d_max):
     config = SceneConfig(n_objects=n, d_min=1.0, d_max=d_max, cube_edge=cube, seed=seed)
-    diameters, centers, placed = rejection_sample_disjoint(seed, n, 1.0, d_max, cube)
-    assert placed == n
+    diameters, centers = one_at_a_time_disjoint_centers(config)
+    assert len(centers) == n
     assert scene_to_json(generate_scene(config)) == reference_scene_json(config, diameters, centers)
 
 
@@ -156,11 +156,37 @@ def test_generate_scene_matches_reference_sampler(seed, n, cube, d_max):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_generate_scene_capacity_error_matches_reference_sampler(seed):
     config = SceneConfig(n_objects=30, d_min=5.4, d_max=8.2, cube_edge=12.0, seed=seed)
-    _, _, placed = rejection_sample_disjoint(seed, 30, 5.4, 8.2, 12.0)
-    assert placed < 30
+    with pytest.raises(CapacityError) as want:
+        one_at_a_time_disjoint_centers(config)
     with pytest.raises(CapacityError) as err:
         generate_scene(config)
-    assert err.value.placed == placed
+    assert err.value.placed == want.value.placed
+
+
+# (cube edge, d_max): the roomy cubes hold 400 centers; the 12-20 m cubes
+# stall after about 20, so generate_scene raises CapacityError. Packings in
+# between stall only after a long approach to jamming, which costs the
+# one-at-a-time oracle seconds per example.
+PACKINGS = ((12.0, 8.2), (15.0, 6.0), (20.0, 9.0), (60.0, 2.0), (100.0, 8.2), (200.0, 8.2))
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 400), packing=st.sampled_from(PACKINGS))
+@example(seed=1, n=0, packing=PACKINGS[0])
+@example(seed=1, n=400, packing=PACKINGS[0])
+@example(seed=7, n=400, packing=PACKINGS[4])
+def test_generate_scene_is_the_one_at_a_time_sampler(seed, n, packing):
+    # Bitwise: the same scene bytes, or the same CapacityError message and count.
+    cube, d_max = packing
+    config = SceneConfig(n_objects=n, d_min=1.0, d_max=d_max, cube_edge=cube, seed=seed)
+    try:
+        diameters, centers = one_at_a_time_disjoint_centers(config)
+    except CapacityError as want:
+        with pytest.raises(CapacityError) as got:
+            generate_scene(config)
+        assert (str(got.value), got.value.placed) == (str(want), want.placed)
+    else:
+        assert scene_to_json(generate_scene(config)) == reference_scene_json(config, diameters, centers)
 
 
 # ------------------------------------------------------------------ closest pair
