@@ -1,9 +1,9 @@
 """Random-scene generation, the method-comparison harness, and file formats.
 
 Scenes are seeded and fully reproducible: fixed seeds give byte-identical
-serializations. The harness times each (config, seed, method) cell with
+serializations. The harness times each (seed, method) cell with
 ``time.perf_counter``, audits trajectory coverage before recording a row, and
-aggregates mean/std per method and scene size.
+aggregates mean/std per method.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ from .planner import (
 
 METHODS = ("center-visit", "alpha-fat", "online")
 REJECTION_LIMIT = 10_000
+# The largest |coordinate| plus outer radius planned in. Within it a coordinate
+# difference is at most twice it, so a sum of three squared differences, 12 times
+# its square, stays finite.
+FAR_LIMIT = math.sqrt(np.finfo(float).max / 12.0)
 
 
 @dataclass(frozen=True)
@@ -85,14 +89,21 @@ def generate_scene(config: SceneConfig) -> Scene:
     n = config.n_objects
     diameters = rng.uniform(config.d_min, config.d_max, size=n)
     if config.disjoint:
-        # Candidates come n at a time, the same stream as one at a time, and nothing
+        # Candidates come a batch at a time, the same stream as one at a time, and nothing
         # is drawn after them. Each is kept unless an earlier kept row is within d_max.
+        # Kept centers are over d_max apart, so balls of diameter d_max about them are
+        # disjoint and lie in the cube grown by d_max / 2 a side: at most
+        # (edge / d_max + 1)**3 / (pi / 6) fit. A batch held to that stays small in a
+        # tight cube, where every row neighbours every other. Capping the base at n
+        # before cubing keeps a huge cube from overflowing.
+        fit = min(config.cube_edge / config.d_max + 1.0, n) ** 3 / (math.pi / 6.0)
+        batch = min(n, int(fit))
         centers = np.empty((0, 3))
         rejections = 0
         while len(centers) < n:
             m = placed = len(centers)
-            rows = np.vstack([centers, rng.uniform(0.0, config.cube_edge, size=(n, 3))])
-            kept = [True] * m + [False] * n
+            rows = np.vstack([centers, rng.uniform(0.0, config.cube_edge, size=(batch, 3))])
+            kept = [True] * m + [False] * batch
             for i, near in earlier_within(rows, m, config.d_max):
                 if not any(kept[j] for j in near):
                     kept[i] = True
@@ -273,17 +284,19 @@ def scene_from_json(text: str) -> Scene:
     far = np.abs(scene.centers).max(axis=1)
     for i in np.flatnonzero(~scene.exact).tolist():
         far[i] = max(far[i], np.abs(scene.objects[i].region.shape.points).max())
-    check_spacing(scene, far, lambda i: f"objects[{i}] ({scene.objects[i].id!r})")
+    check_spacing(scene, far, scene.r_out, lambda i: f"objects[{i}] ({scene.objects[i].id!r})")
     return scene
 
 
-def check_spacing(scene: Scene, far: np.ndarray, name) -> None:
+def check_spacing(scene: Scene, far: np.ndarray, r_out: np.ndarray, name) -> None:
     """Reject the first point i whose largest |coordinate| ``far[i]`` is too far out to plan in.
 
     Where four float steps exceed ``EXACT_TOUCH_FRACTION * d_min``, a touch
     point can round off the region it was projected onto, and the plan
-    fails its own coverage check. Scene centers and sampled points are
-    checked at load; ``name(i)`` names point i in the message.
+    fails its own coverage check. Past ``FAR_LIMIT``, distances overflow:
+    ``far[i]`` plus the outer radius ``r_out[i]`` of the region about the
+    point must stay within it. Scene centers and sampled points are checked
+    at load; ``name(i)`` names point i in the message.
     """
     tol = EXACT_TOUCH_FRACTION * scene.d_min_global
     # np.spacing is math.ulp for the non-negative floats here.
@@ -293,6 +306,14 @@ def check_spacing(scene: Scene, far: np.ndarray, name) -> None:
         raise ContractError(
             f"{name(i)}: |coordinate| {far_i!r} m is too far from the origin to plan in: its "
             f"float spacing {math.ulp(far_i):.3g} m is over a quarter of the touch tolerance {tol:.3g} m"
+        )
+    # Subtracting, so that the test cannot overflow.
+    bad = np.flatnonzero(far > FAR_LIMIT - r_out)
+    if bad.size:
+        i = int(bad[0])
+        raise ContractError(
+            f"{name(i)}: |coordinate| {float(far[i])!r} m plus outer radius {float(r_out[i])!r} m "
+            f"is too far from the origin to plan in: distances past {FAR_LIMIT:.3g} m overflow"
         )
 
 
@@ -406,16 +427,16 @@ def _run_cell(config: SceneConfig, seed: int, method: str, samples_per_region: i
 
 
 def run_comparison(
-    configs: list[SceneConfig],
+    config: SceneConfig,
     methods: list[str],
     seeds: int,
     samples_per_region: int = DEFAULT_SAMPLES_PER_REGION,
 ) -> ComparisonReport:
-    """Plan every (config, seed, method) cell from the origin and aggregate lengths/runtimes.
+    """Plan every (seed, method) cell from the origin and aggregate lengths/runtimes.
 
     Scene seeds are ``config.seed + k`` for k in range(seeds). Coverage is
     audited before a row is recorded; failures mark the row invalid. The
-    ``online`` method is refused before any cell runs when a config is not
+    ``online`` method is refused before any cell runs when the config is not
     disjoint.
     """
     for m in methods:
@@ -423,7 +444,7 @@ def run_comparison(
             raise ContractError(f"unknown method {m!r}; choose from {METHODS}")
     if seeds < 1:
         raise ContractError("seeds must be >= 1")
-    if "online" in methods and not all(config.disjoint for config in configs):
+    if "online" in methods and not config.disjoint:
         raise ContractError(
             "method 'online' plans only disjoint scenes (it assumes disjoint outer balls); "
             "drop it or --nondisjoint"
@@ -431,23 +452,19 @@ def run_comparison(
 
     rows = [
         _run_cell(config, config.seed + k, method, samples_per_region)
-        for config in configs
         for k in range(seeds)
         for method in methods
     ]
 
-    groups: dict[tuple[str, int], list[ComparisonRow]] = {}
-    for row in rows:
-        groups.setdefault((row.method, row.n_objects), []).append(row)
     aggregates = []
-    for (method, n), grp in sorted(groups.items()):
-        lengths = np.array([r.length_m for r in grp])
-        runtimes = np.array([r.runtime_s for r in grp])
-        std = float(np.std(lengths, ddof=1)) if len(grp) >= 2 else 0.0
+    for method in sorted(set(methods)):
+        lengths = np.array([r.length_m for r in rows if r.method == method])
+        runtimes = np.array([r.runtime_s for r in rows if r.method == method])
+        std = float(np.std(lengths, ddof=1)) if len(lengths) >= 2 else 0.0
         aggregates.append(
             Aggregate(
                 method=method,
-                n_objects=n,
+                n_objects=config.n_objects,
                 mean_length_m=float(np.mean(lengths)),
                 std_length_m=std,
                 mean_runtime_s=float(np.mean(runtimes)),

@@ -71,7 +71,7 @@ def _scene_and_start(args):
     """The scene, then ``--start``, held to the scene coordinates' spacing rule."""
     scene = _read_scene(args.scene)
     start = _parse_point(args.start)
-    check_spacing(scene, np.abs(start.as_array()).max(keepdims=True), lambda _: "--start")
+    check_spacing(scene, np.abs(start.as_array()).max(keepdims=True), np.zeros(1), lambda _: "--start")
     return scene, start
 
 
@@ -302,9 +302,7 @@ def _cmd_compare(args) -> int:
         seed=args.seed,
     )
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    report = run_comparison(
-        [cfg], methods, seeds=args.seeds, samples_per_region=args.samples
-    )
+    report = run_comparison(cfg, methods, seeds=args.seeds, samples_per_region=args.samples)
     _write(args.out, report_rows_csv(report))
     if args.aggregate_out:
         _write(args.aggregate_out, report_aggregates_csv(report))

@@ -215,17 +215,16 @@ def farthest_pair_distance(points: np.ndarray) -> float:
     return math.sqrt(_farthest_pair(points)[0])
 
 
-def touch_tolerance(region: Region, d_min_global: float | None = None) -> float:
-    """Containment slack for a region.
+def touch_tolerance(region: Region, d_min_global: float) -> float:
+    """Containment slack for a region in a scene of minimum diameter ``d_min_global``.
 
-    Exact shapes use a tiny fraction of the scene-wide minimum diameter
-    (falling back to the region's own d_min); sampled boundaries get a
-    fraction of their d_min to absorb discretization.
+    Exact shapes use a tiny fraction of the scene-wide minimum diameter;
+    sampled boundaries get a fraction of their d_min to absorb
+    discretization. ``Scene.tol`` holds this per object.
     """
     if isinstance(region.shape, Sampled):
         return SAMPLED_TOUCH_FRACTION * region.d_min
-    base = d_min_global if d_min_global is not None else region.d_min
-    return EXACT_TOUCH_FRACTION * base
+    return EXACT_TOUCH_FRACTION * d_min_global
 
 
 def _boundary_radii(shape: Sampled, center: np.ndarray, units: np.ndarray) -> np.ndarray:
@@ -263,17 +262,15 @@ def balls_meet(dist, in_a, out_a, in_b, out_b):
     return (dist <= out_a + out_b) & (dist + out_a >= in_b) & (dist + out_b >= in_a)
 
 
-def contains(region: Region, points: np.ndarray, tol: float | None = None) -> np.ndarray:
+def contains(region: Region, points: np.ndarray, tol: float) -> np.ndarray:
     """Boolean mask of the rows of ``points`` (k, 3) inside the region solid within ``tol``.
 
-    ``tol`` defaults to ``touch_tolerance(region)``. Spheres and shells
+    A touch test passes the scene's ``touch_tolerance``. Spheres and shells
     test the distance to the center with ``in_ball``. Sampled regions
     accept anything within the nearest boundary sample's radius, reject
     anything beyond the farthest one's, and test the rest radially
     against the boundary sample nearest in direction (star-shaped).
     """
-    if tol is None:
-        tol = touch_tolerance(region)
     c = region.center.as_array()
     r = distances(c, points)
     s = region.shape
@@ -288,7 +285,7 @@ def contains(region: Region, points: np.ndarray, tol: float | None = None) -> np
     return inside
 
 
-def region_contains(region: Region, p: Point3, tol: float | None = None) -> bool:
+def region_contains(region: Region, p: Point3, tol: float) -> bool:
     """True if ``p`` lies in the region solid within tolerance (see ``contains``)."""
     return bool(contains(region, p.as_array()[None, :], tol)[0])
 
@@ -325,12 +322,13 @@ def closest_point_on_region(region: Region, p: np.ndarray) -> np.ndarray:
     return c + v * (r_in / r)
 
 
-def regions_intersect(a: Region, b: Region) -> bool:
-    """True if the two region solids overlap.
+def regions_intersect(a: Region, b: Region, d_min_global: float) -> bool:
+    """True if the two region solids of a scene of minimum diameter ``d_min_global`` overlap.
 
     Sphere/shell pairs are decided by ``balls_meet``. Any pair involving a
     sampled boundary is decided by testing boundary samples of one
-    region for containment in the other, both ways.
+    region for containment in the other, both ways, within the other's
+    ``touch_tolerance``.
     """
     sa, sb = a.shape, b.shape
     if not isinstance(sa, Sampled) and not isinstance(sb, Sampled):
@@ -338,7 +336,7 @@ def regions_intersect(a: Region, b: Region) -> bool:
         return bool(balls_meet(dist, sa.r_in, sa.d_max / 2.0, sb.r_in, sb.d_max / 2.0))
     for first, second in ((a, b), (b, a)):
         if isinstance(first.shape, Sampled) and contains(
-            second, first.shape.points, touch_tolerance(second)
+            second, first.shape.points, touch_tolerance(second, d_min_global)
         ).any():
             return True
     return False
@@ -474,7 +472,8 @@ def intersecting_pairs(scene: Scene) -> list[tuple[int, int]]:
         i, j, dist = i[near], j[near], dist[near]
         meet = balls_meet(dist, scene.r_in[i], scene.r_out[i], scene.r_in[j], scene.r_out[j])
         for k in np.flatnonzero(~(scene.exact[i] & scene.exact[j])).tolist():
-            meet[k] = regions_intersect(scene.objects[i[k]].region, scene.objects[j[k]].region)
+            a, b = scene.objects[i[k]].region, scene.objects[j[k]].region
+            meet[k] = regions_intersect(a, b, scene.d_min_global)
         pairs += zip(i[meet].tolist(), j[meet].tolist())
     return pairs
 
@@ -483,7 +482,7 @@ def first_touch_indices(scene: Scene, points: np.ndarray) -> np.ndarray:
     """Per scene object, the index of the first row of ``points`` (W, 3) touching it, or -1.
 
     A row touches an object when it lies in its region within ``scene.tol``.
-    With the largest reach as cell edge, only the rows ``candidate_pairs``
+    With the largest ``scene.reach`` as cell edge, only the rows ``candidate_pairs``
     gives for a region's center can touch it: ``in_ball`` tests a block's
     spheres and shells, ``contains`` a sampled region.
     """
@@ -491,8 +490,7 @@ def first_touch_indices(scene: Scene, points: np.ndarray) -> np.ndarray:
     if len(scene) == 0 or len(points) == 0:
         return first
     c, tol = scene.centers, scene.tol
-    radius = float(_reach(scene.r_out, tol).max())
-    for q, p in candidate_pairs(c, points, radius):
+    for q, p in candidate_pairs(c, points, float(scene.reach.max())):
         hit = in_ball(distances(c[q], points[p]), scene.r_in[q], scene.r_out[q], tol[q])
         for i in np.unique(q[~scene.exact[q]]).tolist():
             lo, hi = q.searchsorted((i, i + 1))
@@ -549,8 +547,7 @@ class Scene:
     Scene-wide passes read read-only per-object columns made once here:
     ``centers`` (n, 3), each shape's ``r_in`` and ``r_out = d_max / 2``,
     ``tol = touch_tolerance(region, d_min_global)``, ``reach`` (the radius
-    holding the region plus ``touch_tolerance(region)``) and ``exact``
-    (sphere or shell).
+    holding the region plus ``tol``) and ``exact`` (sphere or shell).
     """
 
     objects: tuple[SceneObject, ...]
@@ -585,13 +582,14 @@ class Scene:
         del rows  # free it before deriving the columns: a scene load peaks in memory here
         exact = cols[:, 6] == 0.0
         r_out = cols[:, 4] / 2.0
-        own_tol = np.where(exact, EXACT_TOUCH_FRACTION, SAMPLED_TOUCH_FRACTION) * cols[:, 5]
+        tol = SAMPLED_TOUCH_FRACTION * cols[:, 5]
+        tol[exact] = EXACT_TOUCH_FRACTION * self.d_min_global
         for name, col in (
             ("centers", cols[:, :3].copy()),
             ("r_in", cols[:, 3].copy()),
             ("r_out", r_out),
-            ("tol", np.where(exact, EXACT_TOUCH_FRACTION * self.d_min_global, own_tol)),
-            ("reach", _reach(r_out, own_tol)),
+            ("tol", tol),
+            ("reach", _reach(r_out, tol)),
             ("exact", exact),
         ):
             col.flags.writeable = False

@@ -46,7 +46,7 @@ def ball_interval(region) -> tuple[float, float]:
     return s.inner_diameter / 2.0, s.outer_diameter / 2.0
 
 
-def reach_of(region, d_min_global: float | None = None) -> float:
+def reach_of(region, d_min_global: float) -> float:
     """Radius about the center holding the region (up to the validated ``d_max / 2 * (1 +
     EPS_TOL) + EPS_TOL``) plus ``touch_tolerance(region, d_min_global)``."""
     return region.d_max / 2.0 * (1.0 + EPS_TOL) + EPS_TOL + touch_tolerance(region, d_min_global)
@@ -435,12 +435,12 @@ def per_direction_surface_samples(region, dirs: np.ndarray) -> np.ndarray:
     return c + dirs * radii[:, None]
 
 
-def loop_regions_intersect(a, b, touch_tolerance) -> bool:
+def loop_regions_intersect(a, b, d_min_global: float) -> bool:
     """Sampled-pair intersection: boundary samples tested one at a time, both ways."""
     for first, second in ((a, b), (b, a)):
         if not isinstance(first.shape, Sampled):
             continue
-        tol = touch_tolerance(second)
+        tol = touch_tolerance(second, d_min_global)
         if any(scalar_region_contains(second, q, tol) for q in first.shape.points):
             return True
     return False
@@ -866,15 +866,16 @@ def per_point_near_pairs(points: np.ndarray, radius: float):
 
 
 def per_point_intersecting_pairs(regions) -> list[tuple[int, int]]:
-    """``intersecting_pairs`` over ``per_point_near_pairs``."""
+    """``intersecting_pairs(scene_of(regions))`` over ``per_point_near_pairs``."""
     if len(regions) < 2:
         return []
+    d_min_global = scene_of(regions).d_min_global
     centers = np.array([r.center.as_array() for r in regions])
-    reach = np.array([reach_of(r) for r in regions])
+    reach = np.array([reach_of(r, d_min_global) for r in regions])
     pairs: list[tuple[int, int]] = []
     for i, near, dist in per_point_near_pairs(centers, 2.0 * float(reach.max())):
         for j in near[dist <= reach[i] + reach[near]].tolist():
-            if regions_intersect(regions[i], regions[j]):
+            if regions_intersect(regions[i], regions[j], d_min_global):
                 pairs.append((i, j))
     return pairs
 

@@ -45,7 +45,7 @@ def _report(num: int, text: str) -> None:
 def test_criterion_1_benchmark_ratio():
     t0 = time.monotonic()
     cfg = SceneConfig(n_objects=100, cube_edge=100.0, disjoint=True, seed=1000, **CAR)
-    report = run_comparison([cfg], ["center-visit", "alpha-fat"], seeds=10)
+    report = run_comparison(cfg, ["center-visit", "alpha-fat"], seeds=10)
     elapsed = time.monotonic() - t0
     cv = report.mean_length("center-visit", 100)
     af = report.mean_length("alpha-fat", 100)
@@ -60,7 +60,7 @@ def test_criterion_2_runtime_ordering():
     results = {}
     for n, seeds in ((100, 10), (250, 5)):
         cfg = SceneConfig(n_objects=n, cube_edge=100.0, disjoint=True, seed=5000 + n, **CAR)
-        report = run_comparison([cfg], ["center-visit", "alpha-fat"], seeds=seeds)
+        report = run_comparison(cfg, ["center-visit", "alpha-fat"], seeds=seeds)
         cv = report.mean_runtime("center-visit", n)
         af = report.mean_runtime("alpha-fat", n)
         assert cv < af, f"n={n}: center-visit {cv:.4f}s not faster than alpha-fat {af:.4f}s"
@@ -175,9 +175,10 @@ def test_criterion_7_mis_properties_and_coverage():
         kept = [by_id[i] for i in res.kept]
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
-                assert not regions_intersect(kept[i].region, kept[j].region)
+                assert not regions_intersect(kept[i].region, kept[j].region, scene.d_min_global)
         for removed, keeper in res.assignment.items():
-            assert regions_intersect(by_id[removed].region, by_id[keeper].region)
+            removed_region, keeper_region = by_id[removed].region, by_id[keeper].region
+            assert regions_intersect(removed_region, keeper_region, scene.d_min_global)
         assert set(res.kept) | set(res.assignment) == {o.id for o in scene.objects}
         detail = plan_nondisjoint_detailed(Point3(0, 0, 0), scene, TspConfig())
         assert missed_objects(detail.tour, scene) == []

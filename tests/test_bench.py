@@ -140,7 +140,7 @@ def test_tour_json_equals_the_indented_json_encoder(rows, ids):
 
 def test_single_cell_report():
     cfg = SceneConfig(n_objects=6, seed=4, **CAR)
-    report = run_comparison([cfg], ["center-visit"], seeds=1)
+    report = run_comparison(cfg, ["center-visit"], seeds=1)
     assert len(report.rows) == 1
     row = report.rows[0]
     assert row.method == "center-visit" and row.valid and row.length_m > 0
@@ -148,7 +148,7 @@ def test_single_cell_report():
 
 def test_aggregate_mean_matches_rows():
     cfg = SceneConfig(n_objects=10, seed=40, **CAR)
-    report = run_comparison([cfg], ["center-visit", "online"], seeds=4)
+    report = run_comparison(cfg, ["center-visit", "online"], seeds=4)
     for agg in report.aggregates:
         rows = [r for r in report.rows if r.method == agg.method]
         assert math.isclose(agg.mean_length_m, sum(r.length_m for r in rows) / len(rows),
@@ -158,8 +158,8 @@ def test_aggregate_mean_matches_rows():
 
 def test_report_lengths_deterministic_across_runs():
     cfg = SceneConfig(n_objects=8, seed=15, **CAR)
-    r1 = run_comparison([cfg], ["center-visit", "alpha-fat", "online"], seeds=2)
-    r2 = run_comparison([cfg], ["center-visit", "alpha-fat", "online"], seeds=2)
+    r1 = run_comparison(cfg, ["center-visit", "alpha-fat", "online"], seeds=2)
+    r2 = run_comparison(cfg, ["center-visit", "alpha-fat", "online"], seeds=2)
     assert [(r.method, r.seed, r.length_m) for r in r1.rows] == [
         (r.method, r.seed, r.length_m) for r in r2.rows
     ]
@@ -167,14 +167,14 @@ def test_report_lengths_deterministic_across_runs():
 
 def test_every_row_passed_coverage_audit():
     cfg = SceneConfig(n_objects=12, seed=33, **CAR)
-    report = run_comparison([cfg], ["center-visit", "alpha-fat", "online"], seeds=3)
+    report = run_comparison(cfg, ["center-visit", "alpha-fat", "online"], seeds=3)
     assert not report.has_invalid_rows
     assert all(r.valid for r in report.rows)
 
 
 def test_csv_headers_and_shape():
     cfg = SceneConfig(n_objects=5, seed=77, **CAR)
-    report = run_comparison([cfg], ["center-visit"], seeds=2)
+    report = run_comparison(cfg, ["center-visit"], seeds=2)
     rows_csv = report_rows_csv(report)
     agg_csv = report_aggregates_csv(report)
     assert rows_csv.splitlines()[0] == ",".join(ROWS_CSV_HEADER)
@@ -186,7 +186,7 @@ def test_csv_headers_and_shape():
 def test_unknown_method_rejected():
     cfg = SceneConfig(n_objects=3, seed=1, **CAR)
     with pytest.raises(ContractError):
-        run_comparison([cfg], ["simulated-annealing"], seeds=1)
+        run_comparison(cfg, ["simulated-annealing"], seeds=1)
 
 
 def test_config_validation():

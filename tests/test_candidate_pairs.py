@@ -204,14 +204,16 @@ def test_skewed_scene_in_one_cell_matches_brute_force_in_bounded_memory():
     centers[:5] = big_c + 190.0 * dirs[:5]
     regions = [big] + [Region(center=Point3(*c), shape=Sphere(float(d)))
                        for c, d in zip(centers, rng.uniform(0.5, 1.0, size=2000))]
-    cell = cell_edge(2.0 * reach_of(big))
+    scene = scene_of(regions)
+    cell = cell_edge(2.0 * reach_of(big, scene.d_min_global))
     assert not np.floor(np.vstack([centers, big.shape.points, big_c]) / cell).any()
     # Brute force: the sphere centers are at least 25 m apart, so no two
     # spheres meet; every pair with the large region is tested.
     gaps = np.sqrt(geom.pairwise_sq_distances(centers, centers))
     gaps[np.diag_indices(len(centers))] = np.inf
     assert gaps.min() > 2.0
-    expected = [(0, j) for j in range(1, len(regions)) if regions_intersect(big, regions[j])]
+    expected = [(0, j) for j in range(1, len(regions))
+                if regions_intersect(big, regions[j], scene.d_min_global)]
     assert len(expected) == 5
     got, peak = traced_peak(intersecting_pairs, scene_of(regions))
     assert got == expected

@@ -508,6 +508,34 @@ def test_far_start_is_held_to_the_scene_coordinate_rule(tmp_path, capsys, comman
     assert capsys.readouterr().err == "error: objects[3] ('obj-003'): |coordinate| 8589934592.0" + tail
 
 
+@pytest.mark.parametrize("command", ["plan", "baseline", "online", "validate"])
+def test_scene_whose_distances_overflow_is_refused(tmp_path, capsys, command):
+    # At d_min 1e299 m the float spacing of 1e300 m (1.5e284 m) is far below the
+    # touch tolerance, so only the overflow limit refuses these coordinates.
+    scene, traj, out = tmp_path / "scene.json", tmp_path / "traj.json", tmp_path / "out.json"
+    scene.write_text(json.dumps({"cube_edge_m": 1e300, "d_min_m": 1e299, "d_max_m": 2e299, "objects": [
+        {"id": "a", "center_m": [1e300, 0, 0], "shape": {"kind": "sphere", "diameter_m": 1e299}},
+        {"id": "b", "center_m": [-1e300, 0, 0], "shape": {"kind": "sphere", "diameter_m": 1e299}},
+    ]}))
+    traj.write_text(json.dumps({"length_m": 0.0, "waypoints_m": [[0.0, 0.0, 0.0]], "visits": []}))
+    if command == "validate":
+        argv = [command, "--scene", str(scene), "--traj", str(traj)]
+    else:
+        argv = [command, "--scene", str(scene), "--start", "0,1e300,0", "--seed", "1", "--out", str(out)]
+    _malformed_exits_1(capsys, argv, "objects[0] ('a'): |coordinate| 1e+300 m plus outer radius "
+                       "5e+298 m is too far from the origin to plan in: distances past 3.87e+153 m "
+                       "overflow")
+    assert not out.exists()
+    if command != "validate":
+        # --start is held to the same limit, with no region about it.
+        scene.write_text(json.dumps({"cube_edge_m": 1.0, "d_min_m": 1e299, "d_max_m": 1e299,
+                                     "objects": []}))
+        _malformed_exits_1(capsys, argv, "--start: |coordinate| 1e+300 m plus outer radius 0.0 m "
+                           "is too far from the origin to plan in: distances past 3.87e+153 m "
+                           "overflow")
+        assert not out.exists()
+
+
 def test_sampled_boundary_point_at_center_is_refused(tmp_path, capsys):
     scene = tmp_path / "scene.json"
     assert run(["gen-scene", "--n", "3", "--dmin", "4", "--dmax", "6",

@@ -8,6 +8,7 @@ sphere/shell-only scenes every decision takes the block path.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -78,7 +79,8 @@ def assert_block_decisions_match_the_chains(regions, points):
     tol = EXACT_TOUCH_FRACTION * scene.d_min_global
     want = brute_intersecting_pairs(regions, chain_regions_intersect)
     assert intersecting_pairs(scene) == want
-    assert brute_intersecting_pairs(regions, regions_intersect) == want
+    intersect = partial(regions_intersect, d_min_global=scene.d_min_global)
+    assert brute_intersecting_pairs(regions, intersect) == want
     assert np.array_equal(first_touch_indices(scene, points),
                           chain_first_touch_indices(regions, points, tol))
     for region in regions:
@@ -128,7 +130,8 @@ def test_hand_built_edge_pairs(name, offset):
     a, b = (ball(r.center.as_array() + offset, r.shape) for r in (a, b))
     assert chain_regions_intersect(a, b) == chain_regions_intersect(b, a) == meet
     assert intersecting_pairs(scene_of([a, b])) == ([(0, 1)] if meet else [])
-    assert regions_intersect(a, b) == regions_intersect(b, a) == meet
+    d_min_global = min(a.d_min, b.d_min)
+    assert regions_intersect(a, b, d_min_global) == regions_intersect(b, a, d_min_global) == meet
     rng = np.random.default_rng(len(name))
     tol = EXACT_TOUCH_FRACTION * min(a.d_min, b.d_min)
     assert_block_decisions_match_the_chains([a, b], probe_points(rng, [a, b], tol))

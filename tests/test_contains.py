@@ -76,15 +76,14 @@ def probe_points(rng, region: Region, tol: float) -> np.ndarray:
 def test_contains_matches_scalar_reference(seed, kind, k):
     rng = np.random.default_rng(seed)
     region = random_region(rng, kind)
-    tol = touch_tolerance(region)
+    tol = touch_tolerance(region, region.d_min)
     pts = probe_points(rng, region, tol)
     if k is not None:
         pts = pts[rng.permutation(len(pts))[:k]]
     got = contains(region, pts, tol)
     assert got.dtype == bool and got.shape == (len(pts),)
     assert got.tolist() == [scalar_region_contains(region, p, tol) for p in pts]
-    assert np.array_equal(contains(region, pts), got)  # tol defaults to touch_tolerance
-    assert [region_contains(region, Point3(*p)) for p in pts] == got.tolist()
+    assert [region_contains(region, Point3(*p), tol) for p in pts] == got.tolist()
 
 
 @SETTINGS
@@ -95,9 +94,9 @@ def test_sampled_regions_intersect_matches_point_loop(seed, other, spread):
     reach = (a.d_max + 10.0) / 2.0
     offset = unit_rows(rng, 1)[0] * spread * reach
     b = random_region(rng, other, center=a.center.as_array() + offset)
-    want = loop_regions_intersect(a, b, touch_tolerance)
-    assert regions_intersect(a, b) == want
-    assert regions_intersect(b, a) == want
+    want = loop_regions_intersect(a, b, b.d_min)
+    assert regions_intersect(a, b, b.d_min) == want
+    assert regions_intersect(b, a, b.d_min) == want
 
 
 @SETTINGS

@@ -103,7 +103,7 @@ def test_closest_point_output_contained():
         for _ in range(25):
             p = rng.uniform(-4, 4, size=3)
             q = closest_point_on_region(region, p)
-            assert region_contains(region, Point3(*q), tol=touch_tolerance(region))
+            assert region_contains(region, Point3(*q), tol=touch_tolerance(region, region.d_min))
 
 
 def test_sampled_region_needs_points():
@@ -134,18 +134,18 @@ def test_sampled_stores_read_only_copies():
 
 
 def test_spheres_overlap_and_miss():
-    assert regions_intersect(sphere(0, 0, 0, 2), sphere(1.5, 0, 0, 2))
-    assert not regions_intersect(sphere(0, 0, 0, 2), sphere(3, 0, 0, 2))
+    assert regions_intersect(sphere(0, 0, 0, 2), sphere(1.5, 0, 0, 2), 2.0)
+    assert not regions_intersect(sphere(0, 0, 0, 2), sphere(3, 0, 0, 2), 2.0)
 
 
 def test_sphere_tangent_counts_as_intersecting():
-    assert regions_intersect(sphere(0, 0, 0, 2), sphere(2.0, 0, 0, 2))
+    assert regions_intersect(sphere(0, 0, 0, 2), sphere(2.0, 0, 0, 2), 2.0)
 
 
 def test_sphere_inside_shell_hole_does_not_intersect():
     hole = shell_region(0, 0, 0, 6, 8)
-    assert not regions_intersect(hole, sphere(0, 0, 0, 2))
-    assert regions_intersect(hole, sphere(3.0, 0, 0, 2))
+    assert not regions_intersect(hole, sphere(0, 0, 0, 2), 2.0)
+    assert regions_intersect(hole, sphere(3.0, 0, 0, 2), 2.0)
 
 
 def test_intersect_symmetry():
@@ -157,9 +157,10 @@ def test_intersect_symmetry():
         random_star_region(rng, (0.8, 0.0, 0.0)),
         random_star_region(rng, (4.0, 4.0, 4.0)),
     ]
+    d_min_global = min(r.d_min for r in pool)
     for a in pool:
         for b in pool:
-            assert regions_intersect(a, b) == regions_intersect(b, a)
+            assert regions_intersect(a, b, d_min_global) == regions_intersect(b, a, d_min_global)
 
 
 def _ellipsoid_samples(center, axes, n=400, seed=0):
@@ -195,10 +196,10 @@ def test_sampled_overlap_matches_voxel_oracle():
     res = 0.05 * a.d_min
     assert voxel_overlap(inside(np.zeros(3)), inside(np.array([2.0, 0, 0])),
                          (-2.5, -1.5, -1.5), (4.5, 1.5, 1.5), res)
-    assert regions_intersect(a, b)
+    assert regions_intersect(a, b, a.d_min)
     assert not voxel_overlap(inside(np.zeros(3)), inside(np.array([10.0, 0, 0])),
                              (-2.5, -1.5, -1.5), (12.5, 1.5, 1.5), 0.25)
-    assert not regions_intersect(a, far)
+    assert not regions_intersect(a, far, a.d_min)
 
 
 # ---------------------------------------------------------------- farthest pair

@@ -9,7 +9,7 @@ from tspn import (
     Point3, Region, Sampled, Scene, SceneObject, Shell, Sphere, Tour, TspConfig, tour_length,
 )
 from tspn.bench import SceneConfig, generate_scene
-from tspn.geom import contains
+from tspn.geom import contains, touch_tolerance
 from tspn.planner import (
     BoundReport,
     ONLINE_PACKING_ALPHA,
@@ -101,7 +101,8 @@ def test_center_visit_degenerate_centers():
         assert sorted(v.object_id for v in tour.visits) == sorted(o.id for o in scene.objects)
         for v in tour.visits:
             region = scene.get(v.object_id).region
-            assert contains(region, tour.waypoints[v.waypoint_index : v.waypoint_index + 1])[0]
+            row = tour.waypoints[v.waypoint_index : v.waypoint_index + 1]
+            assert contains(region, row, touch_tolerance(region, scene.d_min_global))[0]
         assert missed_objects(tour, scene) == []
 
 
@@ -166,10 +167,11 @@ def test_mis_kept_pairwise_disjoint_and_maximal():
         kept = [by_id[k] for k in res.kept]
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
-                assert not regions_intersect(kept[i].region, kept[j].region)
+                assert not regions_intersect(kept[i].region, kept[j].region, scene.d_min_global)
         assert set(res.kept) | set(res.assignment) == {o.id for o in scene.objects}
         for removed, keeper in res.assignment.items():
-            assert regions_intersect(by_id[removed].region, by_id[keeper].region)
+            removed_region, keeper_region = by_id[removed].region, by_id[keeper].region
+            assert regions_intersect(removed_region, keeper_region, scene.d_min_global)
 
 
 def test_mis_idempotent_on_kept_set():
