@@ -74,6 +74,8 @@ class SceneConfig:
             raise ContractError(
                 f"overlap_rate {self.overlap_rate} applies only to non-disjoint scenes"
             )
+        # The worst case of what scene_from_json checks on any scene drawn from here.
+        check_spacing(self.d_min, self.cube_edge, self.d_max / 2.0, lambda _: "cube_edge")
 
 
 def generate_scene(config: SceneConfig) -> Scene:
@@ -94,10 +96,8 @@ def generate_scene(config: SceneConfig) -> Scene:
         # Kept centers are over d_max apart, so balls of diameter d_max about them are
         # disjoint and lie in the cube grown by d_max / 2 a side: at most
         # (edge / d_max + 1)**3 / (pi / 6) fit. A batch held to that stays small in a
-        # tight cube, where every row neighbours every other. Capping the base at n
-        # before cubing keeps a huge cube from overflowing.
-        fit = min(config.cube_edge / config.d_max + 1.0, n) ** 3 / (math.pi / 6.0)
-        batch = min(n, int(fit))
+        # tight cube, where every row neighbours every other.
+        batch = min(n, int((config.cube_edge / config.d_max + 1.0) ** 3 / (math.pi / 6.0)))
         centers = np.empty((0, 3))
         rejections = 0
         while len(centers) < n:
@@ -284,21 +284,22 @@ def scene_from_json(text: str) -> Scene:
     far = np.abs(scene.centers).max(axis=1)
     for i in np.flatnonzero(~scene.exact).tolist():
         far[i] = max(far[i], np.abs(scene.objects[i].region.shape.points).max())
-    check_spacing(scene, far, scene.r_out, lambda i: f"objects[{i}] ({scene.objects[i].id!r})")
+    check_spacing(scene.d_min_global, far, scene.r_out, lambda i: f"objects[{i}] ({scene.objects[i].id!r})")
     return scene
 
 
-def check_spacing(scene: Scene, far: np.ndarray, r_out: np.ndarray, name) -> None:
+def check_spacing(d_min: float, far, r_out, name) -> None:
     """Reject the first point i whose largest |coordinate| ``far[i]`` is too far out to plan in.
 
     Where four float steps exceed ``EXACT_TOUCH_FRACTION * d_min``, a touch
     point can round off the region it was projected onto, and the plan
     fails its own coverage check. Past ``FAR_LIMIT``, distances overflow:
     ``far[i]`` plus the outer radius ``r_out[i]`` of the region about the
-    point must stay within it. Scene centers and sampled points are checked
-    at load; ``name(i)`` names point i in the message.
+    point must stay within it. ``far`` and ``r_out`` are numbers or arrays;
+    ``name(i)`` names point i in the message.
     """
-    tol = EXACT_TOUCH_FRACTION * scene.d_min_global
+    far, r_out = np.atleast_1d(far, r_out)
+    tol = EXACT_TOUCH_FRACTION * d_min
     # np.spacing is math.ulp for the non-negative floats here.
     bad = np.flatnonzero(4.0 * np.spacing(far) > tol)
     if bad.size:
@@ -403,8 +404,7 @@ class ComparisonReport:
         return self._aggregate(method, n_objects).mean_runtime_s
 
 
-def _run_cell(config: SceneConfig, seed: int, method: str, samples_per_region: int) -> ComparisonRow:
-    scene = generate_scene(replace(config, seed=seed))
+def _run_cell(scene: Scene, seed: int, method: str, samples_per_region: int) -> ComparisonRow:
     start = Point3(0.0, 0.0, 0.0)
     t0 = time.perf_counter()
     if method == "center-visit":
@@ -418,7 +418,7 @@ def _run_cell(config: SceneConfig, seed: int, method: str, samples_per_region: i
     valid = missed_objects(tour, scene) == []
     return ComparisonRow(
         method=method,
-        n_objects=config.n_objects,
+        n_objects=len(scene),
         seed=seed,
         length_m=tour_length(tour),
         runtime_s=runtime,
@@ -434,7 +434,8 @@ def run_comparison(
 ) -> ComparisonReport:
     """Plan every (seed, method) cell from the origin and aggregate lengths/runtimes.
 
-    Scene seeds are ``config.seed + k`` for k in range(seeds). Coverage is
+    Scene seeds are ``config.seed + k`` for k in range(seeds); each seed's
+    scene is drawn once and planned by every method, untimed. Coverage is
     audited before a row is recorded; failures mark the row invalid. The
     ``online`` method is refused before any cell runs when the config is not
     disjoint.
@@ -450,11 +451,10 @@ def run_comparison(
             "drop it or --nondisjoint"
         )
 
-    rows = [
-        _run_cell(config, config.seed + k, method, samples_per_region)
-        for k in range(seeds)
-        for method in methods
-    ]
+    rows = []
+    for seed in range(config.seed, config.seed + seeds):
+        scene = generate_scene(replace(config, seed=seed))
+        rows += (_run_cell(scene, seed, method, samples_per_region) for method in methods)
 
     aggregates = []
     for method in sorted(set(methods)):

@@ -71,7 +71,7 @@ def _scene_and_start(args):
     """The scene, then ``--start``, held to the scene coordinates' spacing rule."""
     scene = _read_scene(args.scene)
     start = _parse_point(args.start)
-    check_spacing(scene, np.abs(start.as_array()).max(keepdims=True), np.zeros(1), lambda _: "--start")
+    check_spacing(scene.d_min_global, np.abs(start.as_array()).max(), 0.0, lambda _: "--start")
     return scene, start
 
 

@@ -576,20 +576,19 @@ class Scene:
                     f"object {obj.id!r} diameters [{d_min}, {d_max}] outside global "
                     f"bounds [{self.d_min_global}, {self.d_max_global}]"
                 )
-            rows += (c.x, c.y, c.z, s.r_in, d_max, d_min, isinstance(s, Sampled))
+            tol = touch_tolerance(obj.region, self.d_min_global)
+            rows += (c.x, c.y, c.z, s.r_in, d_max, tol, isinstance(s, Sampled))
         object.__setattr__(self, "_index", index)
         cols = np.fromiter(rows, float, len(rows)).reshape(-1, 7)
         del rows  # free it before deriving the columns: a scene load peaks in memory here
         exact = cols[:, 6] == 0.0
         r_out = cols[:, 4] / 2.0
-        tol = SAMPLED_TOUCH_FRACTION * cols[:, 5]
-        tol[exact] = EXACT_TOUCH_FRACTION * self.d_min_global
         for name, col in (
             ("centers", cols[:, :3].copy()),
             ("r_in", cols[:, 3].copy()),
             ("r_out", r_out),
-            ("tol", tol),
-            ("reach", _reach(r_out, tol)),
+            ("tol", cols[:, 5].copy()),
+            ("reach", _reach(r_out, cols[:, 5])),
             ("exact", exact),
         ):
             col.flags.writeable = False

@@ -14,7 +14,7 @@ import numpy as np
 
 from tspn.errors import CapacityError, ContractError, InvalidRegionError, SizeLimitError
 from tspn.geom import (
-    EPS_TOL, Sampled, Scene, SceneObject, Shell, Sphere, Tour, Visit, _boundary_radii,
+    EPS_TOL, Sampled, Scene, SceneObject, Shell, Sphere, Tour, Visit,
     closest_point_on_region, contains, max_diameter_segment, regions_intersect, touch_tolerance,
 )
 from tspn.planner import (
@@ -615,12 +615,10 @@ def dense_heuristic_order(points: np.ndarray) -> list[int]:
 
 
 def per_region_surface_samples(region, n: int) -> np.ndarray:
-    c = region.center.as_array()
     dirs = fibonacci_directions(n)
-    shape = region.shape
-    if isinstance(shape, (Sphere, Shell)):
-        return c + dirs * (region.d_max / 2.0)
-    return c + dirs * _boundary_radii(shape, c, dirs)[:, None]
+    if isinstance(region.shape, (Sphere, Shell)):
+        return region.center.as_array() + dirs * (region.d_max / 2.0)
+    return per_direction_surface_samples(region, dirs)
 
 
 def dense_prim_adjacency(pts: np.ndarray, root: int) -> list[list[int]]:

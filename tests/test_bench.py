@@ -203,3 +203,43 @@ def test_config_validation():
     with pytest.raises(ContractError, match="applies only to non-disjoint scenes"):
         SceneConfig(n_objects=5, disjoint=True, overlap_rate=0.3, **CAR)
     SceneConfig(n_objects=5, disjoint=False, overlap_rate=0.3, **CAR)
+
+
+@pytest.mark.parametrize(
+    "d_min, d_max, cube_edge",
+    [(1.0, 2.0, math.inf), (1e298, 2e298, 1e300), (1.0, 2.0, 1e10)],
+    ids=["infinite", "overflowing", "too-fine"],
+)
+def test_config_cube_is_held_to_the_scene_coordinate_rule(d_min, d_max, cube_edge):
+    # An infinite cube or one past 3.87e153 m overflows distances; in a 1e10 m cube a
+    # float step is over a quarter of the 1e-6 m touch tolerance. Any n is refused.
+    for n in (0, 3):
+        with pytest.raises(ContractError, match=r"^cube_edge: \|coordinate\| "):
+            SceneConfig(n_objects=n, d_min=d_min, d_max=d_max, cube_edge=cube_edge)
+
+
+def test_largest_allowed_cube_draws_a_scene_that_loads():
+    # The largest cube of a power of two the rule lets 1 m objects have: every scene
+    # it draws passes the same rule again at load.
+    edge = 2.0**30
+    cfg = SceneConfig(n_objects=20, d_min=1.0, d_max=2.0, cube_edge=edge, seed=1)
+    with pytest.raises(ContractError, match="^cube_edge: "):
+        SceneConfig(n_objects=20, d_min=1.0, d_max=2.0, cube_edge=2.0 * edge)
+    scene = generate_scene(cfg)
+    assert scene_to_json(scene_from_json(scene_to_json(scene))) == scene_to_json(scene)
+
+
+def test_comparison_draws_each_seed_scene_once(monkeypatch):
+    drawn = []
+
+    def counting(config):
+        drawn.append(config.seed)
+        return generate_scene(config)
+
+    monkeypatch.setattr("tspn.bench.generate_scene", counting)
+    cfg = SceneConfig(n_objects=5, seed=3, **CAR)
+    report = run_comparison(cfg, ["center-visit", "alpha-fat", "online"], seeds=3)
+    assert drawn == [3, 4, 5]
+    assert [(r.seed, r.method) for r in report.rows] == [
+        (s, m) for s in (3, 4, 5) for m in ("center-visit", "alpha-fat", "online")
+    ]

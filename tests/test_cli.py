@@ -536,6 +536,31 @@ def test_scene_whose_distances_overflow_is_refused(tmp_path, capsys, command):
         assert not out.exists()
 
 
+_OVERFLOW = "is too far from the origin to plan in: distances past 3.87e+153 m overflow"
+_TOO_FINE = "m is too far from the origin to plan in: its float spacing {} m is over a quarter " \
+            "of the touch tolerance 1e-06 m"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--dmin", "1e298", "--dmax", "2e298", "--cube-edge", "1e300", "--n", "3", "--seeds", "1",
+      "--seed", "1", "--methods", "center-visit,alpha-fat"],
+     f"|coordinate| 1e+300 m plus outer radius 1e+298 m {_OVERFLOW}"),
+    (["gen-scene", "--n", "3", "--cube-edge", "inf", "--dmin", "1", "--dmax", "2", "--seed", "1", "--disjoint"],
+     f"|coordinate| inf m plus outer radius 1.0 m {_OVERFLOW}"),
+    (["gen-scene", "--n", "20", "--cube-edge", "1e10", "--dmin", "1", "--dmax", "2", "--seed", "1", "--disjoint"],
+     "|coordinate| 10000000000.0 " + _TOO_FINE.format("1.91e-06")),
+    (["compare", "--dmin", "1", "--dmax", "2", "--cube-edge", "1e11", "--n", "50", "--seeds", "3", "--seed", "1",
+      "--methods", "center-visit,alpha-fat,online"],
+     "|coordinate| 100000000000.0 " + _TOO_FINE.format("1.53e-05")),
+], ids=["compare-overflow", "gen-scene-infinite", "gen-scene-too-fine", "compare-too-fine"])
+def test_generated_scene_cube_is_held_to_the_scene_coordinate_rule(tmp_path, capsys, argv, message):
+    # Before any scene is drawn or planned, a cube a scene file could not hold is
+    # refused, with the rule and the message scene_from_json applies to coordinates.
+    out = tmp_path / "out"
+    _malformed_exits_1(capsys, argv + ["--out", str(out)], f"cube_edge: {message}")
+    assert not out.exists()
+
+
 def test_sampled_boundary_point_at_center_is_refused(tmp_path, capsys):
     scene = tmp_path / "scene.json"
     assert run(["gen-scene", "--n", "3", "--dmin", "4", "--dmax", "6",

@@ -5,11 +5,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tspn import Point3, Region, Sampled, Scene, SceneObject, Shell, Sphere, TspConfig, tour_length
+from tspn.geom import max_diameter_segment
 from tspn.planner import (
+    _boundary_normal,
     _plane_basis,
     build_detour,
     center_visit,
     detour_length_limit,
+    fibonacci_sphere,
     missed_objects,
     plan_nondisjoint_detailed,
     validate_bounds,
@@ -259,13 +262,68 @@ def assert_same_detour(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
+def same_detour(owner, d, owner_id=""):
+    """Run both detours on ``owner`` at spacing ``d``, check they agree, and return one."""
+    want = row_list_build_detour(owner, d, owner_id=owner_id)
+    assert_same_detour(build_detour(owner, d, owner_id=owner_id), want)
+    return want
+
+
 def detour_case(seed, kind, long_axis, ratio):
     """Build one owner and run both detours on it; ``ratio`` is owner d_max over d_min_global."""
     owner = detour_owner(np.random.default_rng(seed), kind, long_axis)
-    d = owner.d_max / ratio
-    want = row_list_build_detour(owner, d, owner_id=f"{kind}-{seed}")
-    assert_same_detour(build_detour(owner, d, owner_id=f"{kind}-{seed}"), want)
-    return want
+    return owner, same_detour(owner, owner.d_max / ratio, owner_id=f"{kind}-{seed}")
+
+
+def horned_ball() -> Region:
+    """A unit ball of samples with two horns 20 m out at +-50 degrees in the xy-plane.
+
+    The farthest pair is the two horn tips, so most cutting planes along it
+    miss the ball and meet too few samples to trace a ring.
+    """
+    a = math.radians(50.0)
+    horns = 20.0 * np.array([[math.cos(a), math.sin(a), 0.0], [math.cos(a), -math.sin(a), 0.0]])
+    points = np.vstack([fibonacci_sphere(64), horns])
+    normals = points / np.linalg.norm(points, axis=1)[:, None]
+    return Region(center=Point3(0.0, 0.0, 0.0),
+                  shape=Sampled(points=points, normals=normals, d_min=2.0, d_max=40.0))
+
+
+def axial_normal_ellipsoid() -> Region:
+    """A 3:1:1 ellipsoid of samples whose every normal is its farthest-pair direction.
+
+    No normal has a part in a cutting plane, so every spike points away from the axis.
+    """
+    points = fibonacci_sphere(64) * (3.0, 1.0, 1.0)
+    i, j = max_diameter_segment(Region(center=Point3(0.0, 0.0, 0.0),
+                                       shape=Sampled(points=points, normals=points, d_min=2.0, d_max=6.0)))
+    u = (j - i) / np.linalg.norm(j - i)
+    return Region(center=Point3(0.0, 0.0, 0.0),
+                  shape=Sampled(points=points, normals=np.tile(u, (len(points), 1)), d_min=2.0, d_max=6.0))
+
+
+def detour_branches(owner, d, plan) -> set:
+    """What ``plan``, built for ``owner`` at spacing ``d``, shows of the branches it took."""
+    if not plan.perimeters:
+        return {"point"}
+    poles = not np.array_equal(plan.stitched[0], plan.perimeters[0][0])
+    anchors = plan.spikes[int(poles) : len(plan.spikes) - poles].mean(axis=1)
+    axis_dir = plan.axis[1] - plan.axis[0]
+    axis_len = float(np.linalg.norm(axis_dir))
+    u = axis_dir / axis_len
+    normals = [_boundary_normal(owner, p) for p in anchors]
+    return {
+        ("poles", poles),
+        ("anchors", len(anchors) > 0),
+        ("rings", min(len(plan.perimeters), 2)),
+        ("zeros", int(np.count_nonzero(axis_dir == 0.0))),
+        # A plane that cuts a sampled region's axis but meets fewer than three of its
+        # samples leaves no ring.
+        ("sampled ring dropped", isinstance(owner.shape, Sampled)
+         and len(plan.perimeters) < max(1, math.ceil(axis_len / d) - 1)),
+        # A normal along the axis has no in-plane part, so the spike runs away from the axis.
+        ("axial normal", any(np.linalg.norm(n - (n @ u) * u) < 1e-12 for n in normals)),
+    }
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -285,24 +343,20 @@ def test_detour_is_bitwise_the_row_list_oracle(seed, kind, long_axis, ratio):
 def test_detour_oracle_sweep_reaches_every_branch():
     # Multi-plane owners, rings without anchors, poles both in and out of
     # the budget, and axes along every coordinate axis.
+    # A sampled plane left without a ring comes only from the first hand-built owner;
+    # the second takes the in-plane radius for every spike.
     seen = set()
     for seed in range(6):
         for kind in ("sphere", "shell", "sampled"):
             for long_axis in (None, 0, 1, 2) if kind == "sampled" else (None,):
                 for ratio in (0.3, 0.6, 1.0, 1.5, 3.0, 6.0):
-                    plan = detour_case(seed, kind, long_axis, ratio)
-                    if not plan.perimeters:
-                        seen.add("point")
-                        continue
-                    poles = not np.array_equal(plan.stitched[0], plan.perimeters[0][0])
-                    anchors = len(plan.spikes) - 2 * poles
-                    axis_dir = plan.axis[1] - plan.axis[0]
-                    seen.add(("poles", poles))
-                    seen.add(("anchors", anchors > 0))
-                    seen.add(("rings", min(len(plan.perimeters), 2)))
-                    seen.add(("zeros", int(np.count_nonzero(axis_dir == 0.0))))
+                    owner, plan = detour_case(seed, kind, long_axis, ratio)
+                    seen |= detour_branches(owner, owner.d_max / ratio, plan)
+    for owner, d in ((horned_ball(), 2.0), (axial_normal_ellipsoid(), 1.0)):
+        seen |= detour_branches(owner, d, same_detour(owner, d))
     assert {("poles", True), ("poles", False), ("anchors", True), ("anchors", False),
-            ("rings", 1), ("rings", 2), ("zeros", 0), ("zeros", 2)} <= seen
+            ("rings", 1), ("rings", 2), ("zeros", 0), ("zeros", 2),
+            ("sampled ring dropped", True), ("axial normal", True)} <= seen
 
 
 @given(v=st.lists(st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3e-9)) | st.floats(-10, 10),
