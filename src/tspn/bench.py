@@ -163,6 +163,14 @@ def _shape_to_json(region: Region) -> dict:
     }
 
 
+def _parse(text: str):
+    """``json.loads(text)``; a document nested too deeply for it raises ContractError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ContractError("JSON nested too deeply to parse") from None
+
+
 def _field(doc, key: str, path: str = ""):
     """``doc[key]``; a missing key, or a ``doc`` that is no JSON object, is named by its path."""
     if not isinstance(doc, dict) or key not in doc:
@@ -263,7 +271,7 @@ def scene_from_json(text: str) -> Scene:
     A scene with a coordinate too far from the origin to plan in is
     rejected too (see ``check_spacing``).
     """
-    doc = json.loads(text)
+    doc = _parse(text)
     objects = []
     for i, o in enumerate(_list(doc, "objects")):
         at = f"objects[{i}]."
@@ -346,7 +354,7 @@ def tour_to_json(tour: Tour) -> str:
 
 def tour_from_json(text: str) -> Tour:
     """Parse a trajectory document; malformed fields raise ContractError naming their path."""
-    doc = json.loads(text)
+    doc = _parse(text)
     waypoints = [_point(w, "waypoints_m", i) for i, w in enumerate(_list(doc, "waypoints_m"))]
     return Tour(
         waypoints=np.array(waypoints, dtype=float).reshape(-1, 3),
@@ -440,9 +448,13 @@ def run_comparison(
     ``online`` method is refused before any cell runs when the config is not
     disjoint.
     """
-    for m in methods:
+    if not methods:
+        raise ContractError(f"no method given; choose from {METHODS}")
+    for k, m in enumerate(methods):
         if m not in METHODS:
             raise ContractError(f"unknown method {m!r}; choose from {METHODS}")
+        if m in methods[:k]:
+            raise ContractError(f"method {m!r} given twice")
     if seeds < 1:
         raise ContractError("seeds must be >= 1")
     if "online" in methods and not config.disjoint:
@@ -457,7 +469,7 @@ def run_comparison(
         rows += (_run_cell(scene, seed, method, samples_per_region) for method in methods)
 
     aggregates = []
-    for method in sorted(set(methods)):
+    for method in sorted(methods):
         lengths = np.array([r.length_m for r in rows if r.method == method])
         runtimes = np.array([r.runtime_s for r in rows if r.method == method])
         std = float(np.std(lengths, ddof=1)) if len(lengths) >= 2 else 0.0

@@ -156,10 +156,13 @@ def _validate_region(region: Region) -> None:
             raise InvalidRegionError("boundary normals must pair 1:1 with boundary points")
         if not np.all(np.isfinite(pts)):
             raise InvalidRegionError("sampled boundary contains non-finite points")
+        if not np.all(np.isfinite(s.normals)):
+            # A zero normal is allowed: the detour falls back to the radial direction.
+            raise InvalidRegionError("sampled boundary contains non-finite normals")
         if not (0 < s.d_min <= s.d_max) or not math.isfinite(s.d_max):
             raise InvalidRegionError(f"need 0 < d_min <= d_max, got ({s.d_min}, {s.d_max})")
         c = region.center.as_array()
-        radii = np.linalg.norm(pts - c, axis=1)
+        radii = distances(c, pts)
         at_center = np.flatnonzero(radii == 0.0)
         if at_center.size:
             # The star model takes each point's direction from the center.
@@ -175,23 +178,6 @@ def _validate_region(region: Region) -> None:
     raise InvalidRegionError(f"unknown shape {type(s).__name__}")
 
 
-def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) squared Euclidean distances between rows of two (k, 3) arrays.
-
-    Accumulates dx*dx + dy*dy + dz*dz one coordinate at a time, the order
-    ``np.sum(diff * diff, axis=2)`` adds in, without its (k, m, 3)
-    temporary.
-    """
-    d2 = np.subtract.outer(a[:, 0], b[:, 0])
-    d2 *= d2
-    t = np.empty_like(d2)
-    for k in (1, 2):
-        np.subtract.outer(a[:, k], b[:, k], out=t)
-        t *= t
-        d2 += t
-    return d2
-
-
 def _farthest_pair(points: np.ndarray) -> tuple[float, int, int]:
     """(squared distance, i, j) of the first farthest pair in row-major order.
 
@@ -202,7 +188,7 @@ def _farthest_pair(points: np.ndarray) -> tuple[float, int, int]:
     step = 512
     for i in range(0, n, step):
         block = points[i : i + step]
-        d2 = pairwise_sq_distances(block, points)
+        d2 = sq_distances(block[:, None], points)
         bi, bj = divmod(int(np.argmax(d2)), n)
         val = float(d2[bi, bj])
         if val > best[0]:
@@ -232,24 +218,32 @@ def _boundary_radii(shape: Sampled, center: np.ndarray, units: np.ndarray) -> np
 
     This is the star-shaped boundary's radius along each unit direction.
     """
-    offsets = shape.points - center
-    radii = np.linalg.norm(offsets, axis=1)
-    dirs = offsets / radii[:, None]
+    radii = distances(center, shape.points)
+    dirs = (shape.points - center) / radii[:, None]
     return radii[np.argmax(dirs @ units.T, axis=0)]
 
 
-def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances between the rows of ``a`` and ``b`` (..., 3), broadcast: the one distance
-    contacts and nearest-point searches use.
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of ``a`` and ``b`` (..., 3), broadcast: the one
+    distance kernel. A table of every pair is ``sq_distances(a[:, None], b)``.
 
-    Bitwise ``np.linalg.norm(b - a, axis=-1)``: the same ``(dx*dx + dy*dy) + dz*dz``,
-    summed one coordinate at a time instead of by its slow reduction over the last axis.
+    Sums ``(dx*dx + dy*dy) + dz*dz``, the order ``np.sum`` and ``np.linalg.norm``
+    add a length-3 axis in, one coordinate at a time into one buffer.
     """
-    sq = 0.0
-    for k in range(3):
-        d = b[..., k] - a[..., k]
-        sq += d * d
-    return np.sqrt(sq)
+    sq = np.subtract(a[..., 0], b[..., 0])
+    sq *= sq
+    d = np.empty_like(sq)
+    for k in (1, 2):
+        np.subtract(a[..., k], b[..., k], out=d)
+        d *= d
+        sq += d
+    return sq
+
+
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between the rows of ``a`` and ``b`` (..., 3), broadcast: bitwise the
+    norm ``np.linalg.norm`` takes of ``b - a`` over its last axis."""
+    return np.sqrt(sq_distances(a, b))
 
 
 def in_ball(r, r_in, r_out, tol):
@@ -276,7 +270,7 @@ def contains(region: Region, points: np.ndarray, tol: float) -> np.ndarray:
     s = region.shape
     if not isinstance(s, Sampled):
         return in_ball(r, s.r_in, s.d_max / 2.0, tol)
-    radii = np.linalg.norm(s.points - c, axis=1)
+    radii = distances(c, s.points)
     inside = r <= radii.min() + tol
     radial = ~inside & (r <= radii.max() + tol)
     if radial.any():
@@ -300,8 +294,7 @@ def closest_point_on_region(region: Region, p: np.ndarray) -> np.ndarray:
     """
     s = region.shape
     if isinstance(s, Sampled):
-        d2 = np.sum((s.points - p) ** 2, axis=1)
-        return s.points[int(np.argmin(d2))]
+        return s.points[int(np.argmin(sq_distances(p, s.points)))]
     r_in, r_out = s.r_in, s.d_max / 2.0
     # contains(region, p[None, :], tol=0.0) to the bit, without numpy's
     # per-call overhead: the same differences, squares and summation order.

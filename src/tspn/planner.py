@@ -34,6 +34,7 @@ from .geom import (
     intersecting_pairs,
     max_diameter_segment,
     polyline_length,
+    sq_distances,
     touch_tolerance,
     tour_length,
 )
@@ -232,8 +233,7 @@ def _boundary_normal(region: Region, p: np.ndarray) -> np.ndarray:
     c = region.center.as_array()
     shape = region.shape
     if isinstance(shape, Sampled):
-        d2 = np.sum((shape.points - p) ** 2, axis=1)
-        n = shape.normals[int(np.argmin(d2))].astype(float)
+        n = shape.normals[int(np.argmin(sq_distances(p, shape.points)))].astype(float)
         nn = np.linalg.norm(n)
         if nn > 1e-12:
             return n / nn
@@ -694,9 +694,9 @@ def alpha_fat_baseline(
         return Tour(waypoints=[start_arr])
     n = len(scene)
     samples = _surface_samples(scene, samples_per_region)
-    radius = np.linalg.norm(samples - scene.centers[:, None], axis=2).max(axis=1)
+    radius = distances(scene.centers[:, None], samples).max(axis=1)
 
-    first = int(np.argmin(np.linalg.norm(samples.reshape(-1, 3) - start_arr, axis=1)))
+    first = int(np.argmin(distances(start_arr, samples.reshape(-1, 3))))
     region, sample = divmod(first, samples_per_region)
     # Per open region: the least sample distance to the representative set,
     # and the lowest sample index that reaches it.
@@ -723,7 +723,7 @@ def alpha_fat_baseline(
         sample = best_idx[region]
     rep_arr[region] = samples[region, sample]
 
-    root = int(np.argmin(np.linalg.norm(rep_arr - start_arr, axis=1)))
+    root = int(np.argmin(distances(start_arr, rep_arr)))
     walk = _doubled_tree_walk(_mst_adjacency(rep_arr, root), root)
 
     visits = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, SizeLimitError
-from .geom import pairwise_sq_distances, polyline_length
+from .geom import distances, polyline_length, sq_distances
 
 # Cap on the exact solver: its subset table has 2^n rows.
 EXACT_MAX_N = 12
@@ -34,11 +34,6 @@ class TspConfig:
             raise ContractError(f"unknown solver {self.solver!r}")
 
 
-def _distance_matrix(pts: np.ndarray) -> np.ndarray:
-    d = pairwise_sq_distances(pts, pts)
-    return np.sqrt(d, out=d)
-
-
 def exact_order(points: np.ndarray) -> list[int]:
     """Visiting order of the minimum-length closed tour (Held & Karp subset DP).
 
@@ -51,7 +46,7 @@ def exact_order(points: np.ndarray) -> list[int]:
     if n <= 2:
         return list(range(n))
 
-    dist = _distance_matrix(points)
+    dist = distances(points[:, None], points)
     full = 1 << n
     bits = 1 << np.arange(n)
     # g[mask, j] = shortest path starting at 0, visiting exactly the set
@@ -113,7 +108,7 @@ def candidate_lists(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
             # Widen the window to every point within ``radius`` in x.
             w_lo = min(w_lo, int(np.searchsorted(xs, xs[lo] - radius, "left")))
             w_hi = max(w_hi, int(np.searchsorted(xs, xs[hi - 1] + radius, "right")))
-            d2 = pairwise_sq_distances(pts[lo:hi], pts[w_lo:w_hi])
+            d2 = sq_distances(pts[lo:hi, None], pts[w_lo:w_hi])
             d2[rows, lo - w_lo + rows] = np.inf
             kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
             left_clear = w_lo == 0 or bool(np.all((xs[lo:hi] - xs[w_lo - 1]) ** 2 > kth))
@@ -154,7 +149,7 @@ def nearest_neighbor_order(points: np.ndarray, cand: np.ndarray, start: int) -> 
             if not seen[nxt]:
                 break
         else:
-            d2 = pairwise_sq_distances(points[cur : cur + 1], points)[0]
+            d2 = sq_distances(points[cur], points)
             d2[visited] = np.inf
             nxt = int(np.argmin(d2))
         seen[nxt] = visited[nxt] = True

@@ -22,7 +22,7 @@ from tspn.planner import (
     _point_detour, _rotate_to_nearest, build_detour, center_visit, detour_length_limit,
     maximal_independent_set,
 )
-from tspn.tsp import EXACT_MAX_N, TspConfig, _distance_matrix, solve_order
+from tspn.tsp import EXACT_MAX_N, TspConfig, solve_order
 from tspn.viewscore import ORIENTATION_BINS, OrientationHistogram
 
 
@@ -134,7 +134,7 @@ def bucketed_exact_order(points: np.ndarray) -> list[int]:
     if n == 2:
         return [0, 1]
 
-    dist = _distance_matrix(points)
+    dist = dense_distance_matrix(points)
     full = 1 << n
 
     # g[mask, j] = shortest path starting at 0, visiting exactly the set

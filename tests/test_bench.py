@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tspn import CapacityError, Point3, Tour, tour_length
+from tspn import (
+    CapacityError, InvalidRegionError, Point3, Region, Sampled, Scene, SceneObject, Tour, tour_length,
+)
 from tspn.bench import (
     AGG_CSV_HEADER,
     ROWS_CSV_HEADER,
@@ -22,7 +24,7 @@ from tspn.bench import (
 )
 from tspn.errors import ContractError
 from tspn.geom import Visit
-from tspn.planner import center_visit, plan_nondisjoint_detailed
+from tspn.planner import center_visit, fibonacci_sphere, plan_nondisjoint_detailed
 from tspn.tsp import TspConfig
 
 
@@ -187,6 +189,29 @@ def test_unknown_method_rejected():
     cfg = SceneConfig(n_objects=3, seed=1, **CAR)
     with pytest.raises(ContractError):
         run_comparison(cfg, ["simulated-annealing"], seeds=1)
+
+
+@pytest.mark.parametrize("methods", [[], ["center-visit", "center-visit"],
+                                     ["alpha-fat", "center-visit", "alpha-fat"]],
+                         ids=["empty", "repeated", "repeated-apart"])
+def test_comparison_refuses_empty_or_repeated_methods(methods):
+    cfg = SceneConfig(n_objects=3, seed=1, **CAR)
+    with pytest.raises(ContractError, match="no method given|given twice"):
+        run_comparison(cfg, methods, seeds=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_every_sampled_region_the_library_accepts_round_trips(bad):
+    points = fibonacci_sphere(64)
+    for normals in (np.full((64, 3), bad), np.where(np.arange(64)[:, None] == 5, bad, points)):
+        with pytest.raises(InvalidRegionError, match="non-finite normals"):
+            Region(Point3(0, 0, 0), Sampled(points=points, normals=normals, d_min=2.0, d_max=2.0))
+    # Zero normals stay allowed: the detour falls back to the radial direction.
+    normals = points * 3.0
+    normals[5] = 0.0
+    region = Region(Point3(0, 0, 0), Sampled(points=points, normals=normals, d_min=2.0, d_max=2.0))
+    text = scene_to_json(Scene((SceneObject("a", region),), d_min_global=2.0, d_max_global=2.0))
+    assert scene_to_json(scene_from_json(text)) == text
 
 
 def test_config_validation():

@@ -209,7 +209,7 @@ def test_skewed_scene_in_one_cell_matches_brute_force_in_bounded_memory():
     assert not np.floor(np.vstack([centers, big.shape.points, big_c]) / cell).any()
     # Brute force: the sphere centers are at least 25 m apart, so no two
     # spheres meet; every pair with the large region is tested.
-    gaps = np.sqrt(geom.pairwise_sq_distances(centers, centers))
+    gaps = geom.distances(centers[:, None], centers)
     gaps[np.diag_indices(len(centers))] = np.inf
     assert gaps.min() > 2.0
     expected = [(0, j) for j in range(1, len(regions))

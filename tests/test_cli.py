@@ -561,6 +561,31 @@ def test_generated_scene_cube_is_held_to_the_scene_coordinate_rule(tmp_path, cap
     assert not out.exists()
 
 
+def test_deeply_nested_json_is_refused(tmp_path, capsys):
+    # json.loads gives up past about 1 000 levels with a RecursionError.
+    scene, _, _, _ = _scene_and_trajectory(tmp_path)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    out = tmp_path / "out.json"
+    message = "JSON nested too deeply to parse"
+    _malformed_exits_1(capsys, ["plan", "--scene", str(deep), "--seed", "1", "--out", str(out)], message)
+    _malformed_exits_1(capsys, ["validate", "--scene", str(scene), "--traj", str(deep), "--out", str(out)],
+                       message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("methods, message", [
+    (",", "no method given; choose from ('center-visit', 'alpha-fat', 'online')"),
+    ("center-visit,center-visit", "method 'center-visit' given twice"),
+], ids=["empty", "repeated"])
+def test_compare_refuses_empty_or_repeated_methods(tmp_path, capsys, methods, message):
+    rows, agg = tmp_path / "rows.csv", tmp_path / "agg.csv"
+    _malformed_exits_1(capsys, ["compare", "--profile", "car", "--n", "5", "--seeds", "1", "--seed", "1",
+                                "--methods", methods, "--out", str(rows), "--aggregate-out", str(agg)],
+                       message)
+    assert not rows.exists() and not agg.exists()
+
+
 def test_sampled_boundary_point_at_center_is_refused(tmp_path, capsys):
     scene = tmp_path / "scene.json"
     assert run(["gen-scene", "--n", "3", "--dmin", "4", "--dmax", "6",

@@ -20,7 +20,9 @@ from tspn import (
     regions_intersect,
     tour_length,
 )
-from tspn.geom import farthest_pair_distance, pairwise_sq_distances, polyline_length, touch_tolerance
+from tspn.geom import (
+    distances, farthest_pair_distance, polyline_length, sq_distances, touch_tolerance,
+)
 from tspn.planner import _ring_edges
 
 from oracles import (
@@ -242,17 +244,62 @@ def test_max_diameter_within_bounds():
 
 
 @pytest.mark.parametrize("duplicates", [False, True])
-def test_pairwise_sq_distances_bitwise_equal_to_summed_diff(duplicates):
+def test_sq_distances_bitwise_equal_to_summed_diff(duplicates):
     rng = np.random.default_rng(31)
     for n in (1, 2, 17, 300):
         pts = rng.uniform(-500.0, 500.0, size=(n, 3))
         if duplicates:
             pts[n // 2 :] = pts[: n - n // 2]
         diff = pts[:, None, :] - pts[None, :, :]
-        assert np.array_equal(pairwise_sq_distances(pts, pts), np.sum(diff * diff, axis=2))
+        assert np.array_equal(sq_distances(pts[:, None], pts), np.sum(diff * diff, axis=2))
         block = pts[: (n + 1) // 2]
         diff = block[:, None, :] - pts[None, :, :]
-        assert np.array_equal(pairwise_sq_distances(block, pts), np.sum(diff * diff, axis=2))
+        assert np.array_equal(sq_distances(block[:, None], pts), np.sum(diff * diff, axis=2))
+
+
+def kernel_rows(rng, shape):
+    """Rows of ``shape`` (..., 3) drawn from a pool at mixed scales that holds duplicate
+    rows, signed zeros, and coordinates near 2**52 and +-1e20."""
+    count = int(np.prod(shape[:-1]))
+    m = max(count, 16)
+    pool = rng.normal(size=(m, 3)) * rng.choice([1e-3, 1.0, 1e5], size=(m, 1))
+    pool[1::5] = np.where(rng.random(pool[1::5].shape) < 0.5, -0.0, 0.0)
+    pool[2::9] = 2.0**52 + rng.integers(-4, 5, size=pool[2::9].shape)
+    pool[3::11] = rng.choice([-1e20, 1e20], size=pool[3::11].shape) * rng.uniform(1, 2, pool[3::11].shape)
+    pool[m // 2 :: 7] = pool[: len(pool[m // 2 :: 7])]
+    return pool[rng.permutation(m)[:count]].reshape(shape)
+
+
+# Every broadcast shape src/ passes to the kernel: blocks against points, one
+# point against rows, row pairs, centers against their samples, two points.
+KERNEL_SHAPES = [((64, 1, 3), (300, 3)), ((3,), (500, 3)), ((400, 3), (400, 3)),
+                 ((40, 1, 3), (40, 16, 3)), ((3,), (3,))]
+KERNEL_IDS = ["blocks", "point-rows", "row-pairs", "center-samples", "two-points"]
+
+
+@pytest.mark.parametrize("a_shape,b_shape", KERNEL_SHAPES, ids=KERNEL_IDS)
+def test_sq_distances_is_the_summed_diff_on_every_broadcast_shape(a_shape, b_shape):
+    rng = np.random.default_rng(47)
+    # Two (3,) points make one value per call; many calls make a last-bit difference likely.
+    for _ in range(2000 if a_shape == b_shape == (3,) else 20):
+        a, b = kernel_rows(rng, a_shape), kernel_rows(rng, b_shape)
+        diff = a - b
+        want = np.sum(diff * diff, axis=-1)
+        got = sq_distances(a, b)
+        assert np.shape(got) == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(sq_distances(b, a), want)
+
+
+@pytest.mark.parametrize("a_shape,b_shape", KERNEL_SHAPES, ids=KERNEL_IDS)
+def test_distances_is_bitwise_the_row_norm(a_shape, b_shape):
+    rng = np.random.default_rng(53)
+    for _ in range(2000 if a_shape == b_shape == (3,) else 20):
+        a, b = kernel_rows(rng, a_shape), kernel_rows(rng, b_shape)
+        want = np.linalg.norm(b - a, axis=-1)
+        got = distances(a, b)
+        assert np.shape(got) == want.shape
+        assert np.asarray(got).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- tour length
