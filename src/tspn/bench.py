@@ -14,6 +14,8 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -178,11 +180,20 @@ def _field(doc, key: str, path: str = ""):
     return doc[key]
 
 
+ECHO_CHARS = 500  # the most characters of an offending value an error message echoes
+
+
+def _echo(v, show=json.dumps) -> str:
+    """``show(v)``, cut to its first ``ECHO_CHARS`` characters and ``…`` when longer."""
+    text = show(v)
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "…"
+
+
 def _typed(doc, key: str, path: str, kind: type, expected: str):
     """``doc[key]`` of exactly type ``kind``; anything else is named by its path."""
     v = _field(doc, key, path)
     if type(v) is not kind:
-        raise ContractError(f"{path}{key}: expected {expected}, got {json.dumps(v)}")
+        raise ContractError(f"{path}{key}: expected {expected}, got {_echo(v)}")
     return v
 
 
@@ -205,9 +216,9 @@ def _finite(values) -> bool:
 def _number(doc, key: str, path: str = "") -> float:
     v = _field(doc, key, path)
     if type(v) not in _NUMBERS:
-        raise ContractError(f"{path}{key}: expected a number, got {json.dumps(v)}")
+        raise ContractError(f"{path}{key}: expected a number, got {_echo(v)}")
     if not _finite((v,)):
-        raise ContractError(f"{path}{key}: expected a finite number, got {json.dumps(v)}")
+        raise ContractError(f"{path}{key}: expected a finite number, got {_echo(v)}")
     return float(v)
 
 
@@ -220,7 +231,23 @@ def _point(v, name: str, index: int | None = None) -> list:
     else:
         expected = "3 numbers"
     where = name if index is None else f"{name}[{index}]"
-    raise ContractError(f"{where}: expected {expected}, got {json.dumps(v)}")
+    raise ContractError(f"{where}: expected {expected}, got {_echo(v)}")
+
+
+def _points(rows: list, name: str | None) -> np.ndarray | None:
+    """A JSON list of ``[x, y, z]`` rows as a float (n, 3) array, checked as one block.
+
+    The block is held to what ``_point`` holds each row to. Only a block that
+    fails is walked row by row, by ``_point``, whose error names the first
+    bad row ``name[i]``; with no ``name``, a failed block gives None.
+    """
+    if {list}.issuperset(map(type, rows)) and {3}.issuperset(map(len, rows)):
+        flat = list(chain.from_iterable(rows))
+        if _NUMBERS.issuperset(map(type, flat)) and _finite(flat):
+            return np.array(flat, dtype=float).reshape(-1, 3)
+    for i, v in enumerate(rows if name is not None else ()):
+        _point(v, name, i)
+    return None
 
 
 def _shape_from_json(obj, path: str):
@@ -233,17 +260,14 @@ def _shape_from_json(obj, path: str):
             outer_diameter=_number(obj, "outer_diameter_m", path),
         )
     if kind == "sampled":
-        points, normals = (
-            [_point(v, path + key, i) for i, v in enumerate(_list(obj, key, path))]
-            for key in ("points_m", "normals")
-        )
+        points, normals = (_points(_list(obj, key, path), path + key) for key in ("points_m", "normals"))
         return Sampled(
             points=points,
             normals=normals,
             d_min=_number(obj, "d_min_m", path),
             d_max=_number(obj, "d_max_m", path),
         )
-    raise ContractError(f"{path}kind: unknown shape kind {kind!r}")
+    raise ContractError(f"{path}kind: unknown shape kind {_echo(kind, repr)}")
 
 
 def object_to_json(object_id: str, region: Region) -> dict:
@@ -272,14 +296,23 @@ def scene_from_json(text: str) -> Scene:
     rejected too (see ``check_spacing``).
     """
     doc = _parse(text)
+    entries = _list(doc, "objects")
+    try:  # every id and every center, checked as a block
+        ids, centers = [o["id"] for o in entries], [o["center_m"] for o in entries]
+        checked = {str}.issuperset(map(type, ids)) and _points(centers, None) is not None
+    except (TypeError, KeyError):  # an entry that is no JSON object, or lacks the key
+        checked = False
     objects = []
-    for i, o in enumerate(_list(doc, "objects")):
+    for i, o in enumerate(entries):
         at = f"objects[{i}]."
-        oid = _typed(o, "id", at, str, "a string")
-        center = Point3(*_point(_field(o, "center_m", at), at + "center_m"))
+        if checked:
+            oid, center = ids[i], centers[i]
+        else:  # field by field, so that the first fault in document order is named
+            oid = _typed(o, "id", at, str, "a string")
+            center = _point(_field(o, "center_m", at), at + "center_m")
         shape = _shape_from_json(_field(o, "shape", at), at + "shape.")
         try:
-            region = Region(center=center, shape=shape)
+            region = Region(center=Point3(*center), shape=shape)
         except InvalidRegionError as exc:
             raise InvalidRegionError(f"objects[{i}] ({oid!r}): {exc}") from None
         objects.append(SceneObject(id=oid, region=region))
@@ -329,35 +362,36 @@ def check_spacing(d_min: float, far, r_out, name) -> None:
 def tour_to_json(tour: Tour) -> str:
     """``json.dumps(doc, indent=2) + "\\n"`` of the trajectory document, to the byte.
 
-    The waypoint block is joined from ``float.__repr__`` (what the json
-    encoder writes for a finite float) and the fixed indent separators;
-    only the rest goes through the pure-Python encoder ``indent`` selects.
+    Each distinct coordinate, told apart by its bits so that ``-0.0`` is not
+    ``0.0``, is formatted once by ``float.__repr__`` (what the json encoder
+    writes for a finite float), and each id by the encoder's own C string
+    escaper; the pure-Python encoder that ``indent`` selects is not used.
     """
-    doc = {
-        "length_m": tour_length(tour),
-        "waypoints_m": None,
-        "visits": [
-            {"object_id": v.object_id, "waypoint_index": v.waypoint_index} for v in tour.visits
-        ],
-    }
-    head, _, tail = json.dumps(doc, indent=2).partition('"waypoints_m": null')
-    coords = list(map(float.__repr__, tour.waypoints.ravel().tolist()))
-    if not coords:
-        return head + '"waypoints_m": []' + tail + "\n"
-    parts = [",\n      ", ",\n      ", "\n    ],\n    [\n      "] * len(tour.waypoints)
-    parts[-1] = "\n    ]\n  ]"
-    block = [None] * (2 * len(coords))
-    block[0::2] = coords
-    block[1::2] = parts
-    return head + '"waypoints_m": [\n    [\n      ' + "".join(block) + tail + "\n"
+    bits, inverse = np.unique(tour.waypoints.ravel().view(np.int64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
+    # Each coordinate, then the separator after it; the last one closes the list.
+    block = [None] * (2 * len(inverse))
+    block[0::2] = texts[inverse].tolist()
+    block[1::2] = [",\n      ", ",\n      ", "\n    ],\n    [\n      "] * len(tour.waypoints)
+    if block:
+        block[-1] = "\n    ]\n  ]"
+    visits = ",\n    ".join(
+        '{\n      "object_id": %s,\n      "waypoint_index": %d\n    }'
+        % (encode_basestring_ascii(v.object_id), v.waypoint_index)
+        for v in tour.visits
+    )
+    return '{\n  "length_m": %s,\n  "waypoints_m": %s,\n  "visits": %s\n}\n' % (
+        json.dumps(tour_length(tour)),
+        "[\n    [\n      " + "".join(block) if block else "[]",
+        "[\n    " + visits + "\n  ]" if visits else "[]",
+    )
 
 
 def tour_from_json(text: str) -> Tour:
     """Parse a trajectory document; malformed fields raise ContractError naming their path."""
     doc = _parse(text)
-    waypoints = [_point(w, "waypoints_m", i) for i, w in enumerate(_list(doc, "waypoints_m"))]
     return Tour(
-        waypoints=np.array(waypoints, dtype=float).reshape(-1, 3),
+        waypoints=_points(_list(doc, "waypoints_m"), "waypoints_m"),
         visits=tuple(
             Visit(
                 object_id=_typed(v, "object_id", f"visits[{i}].", str, "a string"),

@@ -11,6 +11,7 @@ from tspn import (
 )
 from tspn.bench import (
     AGG_CSV_HEADER,
+    ECHO_CHARS,
     ROWS_CSV_HEADER,
     SceneConfig,
     generate_scene,
@@ -126,6 +127,8 @@ COORDS = st.one_of(
 @example(rows=[], ids=[])
 @example(rows=[(-0.0, 5e-324, 1e300)], ids=['"q"', "\\", "\u00e9\u6c34", "\n"])
 @example(rows=[(2.0**52, -(2.0**52) - 2.0, 1e-300)] * 3, ids=["a", "a"])
+# Signed zeros compare equal, so a format cache keyed by value, not by bits, writes one for the other.
+@example(rows=[(0.0, 2.5, -0.0), (-0.0, 2.5, 0.0), (0.0, -2.5, 1.0 / 3.0)] * 7, ids=["z"])
 def test_tour_json_equals_the_indented_json_encoder(rows, ids):
     waypoints = np.array(rows, dtype=float).reshape(-1, 3)
     visits = [Visit(s, k % len(waypoints)) for k, s in enumerate(ids)] if len(waypoints) else []
@@ -138,6 +141,166 @@ def test_tour_json_equals_the_indented_json_encoder(rows, ids):
                        for v in visits],
         }
         assert tour_to_json(tour) == json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(COORDS, COORDS, COORDS), max_size=40),
+       ids=st.lists(st.text(max_size=6), max_size=4))
+@example(rows=[(0.0, -0.0, 5e-324), (-0.0, 0.0, -5e-324)] * 5, ids=["a", "b"])
+def test_tour_json_round_trips_waypoint_bits_and_visits(rows, ids):
+    waypoints = np.array(rows, dtype=float).reshape(-1, 3)
+    visits = tuple(Visit(s, k % len(waypoints)) for k, s in enumerate(ids)) if len(waypoints) else ()
+    tour = Tour(waypoints=waypoints, visits=visits)
+    with np.errstate(over="ignore"):  # lengths over 1e300-scale coordinates overflow to inf
+        back = tour_from_json(tour_to_json(tour))
+    assert back.waypoints.shape == waypoints.shape
+    assert back.waypoints.view(np.int64).tolist() == waypoints.view(np.int64).tolist()
+    assert back.visits == visits
+
+
+def _three_sphere_scene() -> dict:
+    return json.loads(scene_to_json(generate_scene(SceneConfig(n_objects=3, seed=2, d_min=4.0, d_max=6.0))))
+
+
+def _sampled(center) -> dict:
+    """A valid sampled shape: 20 points on a 2.5 m sphere about ``center``."""
+    dirs = fibonacci_sphere(20)
+    return {"kind": "sampled", "points_m": (np.array(center) + 2.5 * dirs).tolist(),
+            "normals": dirs.tolist(), "d_min_m": 4.0, "d_max_m": 6.0}
+
+
+def _waypoints_doc(row) -> str:
+    return json.dumps({"length_m": 0.0, "waypoints_m": [[0.0, 0.0, 0.0], row, [1.0, 2.0, 3.0]],
+                       "visits": []})
+
+
+# Rows that np.array(dtype=float) converts, or that fail only one part of the block
+# check, with the echo _point gives each. Every one must be refused with that echo.
+BAD_ROWS = [
+    ([0.5, "1.5", 1.0], 'expected 3 numbers, got [0.5, "1.5", 1.0]'),
+    ([0.5, True, 1.0], "expected 3 numbers, got [0.5, true, 1.0]"),
+    ([0.5, None, 1.0], "expected 3 numbers, got [0.5, null, 1.0]"),
+    ([0.5, 10**400, 1.0], f"expected 3 finite numbers, got [0.5, {10**400}, 1.0]"),
+    ([0.5, -(10**309), 1], f"expected 3 finite numbers, got [0.5, {-(10**309)}, 1]"),
+    ([float("nan"), 0.0, 1.0], "expected 3 finite numbers, got [NaN, 0.0, 1.0]"),
+    ([0.5, 1.0, float("inf")], "expected 3 finite numbers, got [0.5, 1.0, Infinity]"),
+    ([0.0, float("-inf"), 1.0], "expected 3 finite numbers, got [0.0, -Infinity, 1.0]"),
+    ([0.5, 1.0], "expected 3 numbers, got [0.5, 1.0]"),
+    ([0.5, 1.0, 2.0, 3.0], "expected 3 numbers, got [0.5, 1.0, 2.0, 3.0]"),
+    ([0.5, [1.0], 2.0], "expected 3 numbers, got [0.5, [1.0], 2.0]"),
+    ([[0.5, 1.0, 2.0]], "expected 3 numbers, got [[0.5, 1.0, 2.0]]"),
+    ("0.5", 'expected 3 numbers, got "0.5"'),
+    ({"x": 0.5, "y": 1.0, "z": 2.0}, 'expected 3 numbers, got {"x": 0.5, "y": 1.0, "z": 2.0}'),
+    (1.5, "expected 3 numbers, got 1.5"),
+]
+BAD_ROW_IDS = ["string", "bool", "null", "int-overflow", "negative-int-overflow", "nan", "inf", "-inf",
+               "length-2", "length-4", "nested-element", "nested-row", "string-row", "object-row",
+               "number-row"]
+
+
+@pytest.mark.parametrize("row, echo", BAD_ROWS, ids=BAD_ROW_IDS)
+def test_point_blocks_refuse_what_numpy_would_convert(row, echo):
+    with pytest.raises(ContractError) as err:
+        tour_from_json(_waypoints_doc(row))
+    assert str(err.value) == f"waypoints_m[1]: {echo}"
+    doc = _three_sphere_scene()
+    doc["objects"][1]["center_m"] = row
+    with pytest.raises(ContractError) as err:
+        scene_from_json(json.dumps(doc))
+    assert str(err.value) == f"objects[1].center_m: {echo}"
+    for key in ("points_m", "normals"):
+        doc = _three_sphere_scene()
+        shape = doc["objects"][2]["shape"] = _sampled(doc["objects"][2]["center_m"])
+        shape[key][7] = row
+        with pytest.raises(ContractError) as err:
+            scene_from_json(json.dumps(doc))
+        assert str(err.value) == f"objects[2].shape.{key}[7]: {echo}"
+
+
+def test_integer_coordinates_load_as_their_floats():
+    # Integers within the float range are numbers; they load as float() gives them.
+    tour = tour_from_json(_waypoints_doc([1, -(2**60) - 1, 0]))
+    assert tour.waypoints.dtype == np.float64
+    assert tour.waypoints[1].tolist() == [1.0, float(-(2**60) - 1), 0.0]
+    doc = _three_sphere_scene()
+    doc["objects"][1]["center_m"] = [round(c) for c in doc["objects"][1]["center_m"]]
+    assert scene_from_json(json.dumps(doc)).centers[1].tolist() == doc["objects"][1]["center_m"]
+
+
+@pytest.mark.parametrize("faults, message", [
+    # The earliest faulty object is named, whatever its fault.
+    ({0: ("shape", {"kind": "sphere", "diameter_m": None}), 2: ("center_m", [1.0, 2.0])},
+     "objects[0].shape.diameter_m: expected a number, got null"),
+    ({0: ("shape", {"kind": "sphere", "diameter_m": -1}), 2: ("center_m", [1.0, "2"])},
+     "objects[0] ('obj-000'): sphere diameter must be positive, got -1.0"),
+    ({1: ("shape", {"kind": "cone"}), 2: ("id", 5)}, "objects[1].shape.kind: unknown shape kind 'cone'"),
+    ({1: ("center_m", None), 2: ("id", None)}, "objects[1].center_m: expected 3 numbers, got null"),
+    # Within one object, the id is read first.
+    ({1: ("id", 7), 2: ("center_m", [1.0])}, "objects[1].id: expected a string, got 7"),
+], ids=["shape-before-center", "region-before-center", "kind-before-id", "center-before-id",
+        "id-before-center"])
+def test_scene_load_names_the_first_fault_in_document_order(faults, message):
+    doc = _three_sphere_scene()
+    for index, (key, value) in faults.items():
+        doc["objects"][index][key] = value
+    with pytest.raises((ContractError, InvalidRegionError)) as err:
+        scene_from_json(json.dumps(doc))
+    assert str(err.value) == message
+    # An object with a bad id and a bad center reports the id.
+    doc["objects"][0]["id"], doc["objects"][0]["center_m"] = 7, [0.0, "x", 0.0]
+    with pytest.raises(ContractError) as err:
+        scene_from_json(json.dumps(doc))
+    assert str(err.value) == "objects[0].id: expected a string, got 7"
+
+
+@pytest.mark.parametrize("entry, message", [
+    ([1.0, 2.0, 3.0], "objects[1].id: missing"),
+    ("obj-001", "objects[1].id: missing"),
+    ({"id": "obj-001", "shape": {"kind": "sphere", "diameter_m": 5.0}}, "objects[1].center_m: missing"),
+    ({"id": "obj-001", "center_m": [50.0, 50.0, 50.0]}, "objects[1].shape: missing"),
+], ids=["list", "string", "no-center", "no-shape"])
+def test_scene_entry_that_is_no_object_or_lacks_a_field_is_named(entry, message):
+    doc = _three_sphere_scene()
+    doc["objects"][1] = entry
+    with pytest.raises(ContractError) as err:
+        scene_from_json(json.dumps(doc))
+    assert str(err.value) == message
+
+
+def _echoed(value) -> str:
+    text = json.dumps(value)
+    return text[:ECHO_CHARS] + "…"
+
+
+def test_echoed_values_are_cut_to_a_bounded_prefix():
+    zeros = [0] * 100_000
+    doc = _three_sphere_scene()
+    doc["objects"][0]["center_m"] = zeros
+    cases = [(json.dumps(doc), "objects[0].center_m: expected 3 numbers, got ")]
+    doc = _three_sphere_scene()
+    doc["objects"][1]["id"] = zeros
+    cases.append((json.dumps(doc), "objects[1].id: expected a string, got "))
+    doc = _three_sphere_scene()
+    doc["objects"][2]["shape"]["diameter_m"] = zeros
+    cases.append((json.dumps(doc), "objects[2].shape.diameter_m: expected a number, got "))
+    for text, head in cases:
+        with pytest.raises(ContractError) as err:
+            scene_from_json(text)
+        assert str(err.value) == head + _echoed(zeros)
+    with pytest.raises(ContractError) as err:
+        tour_from_json(_waypoints_doc(zeros))
+    assert str(err.value) == "waypoints_m[1]: expected 3 numbers, got " + _echoed(zeros)
+    doc = _three_sphere_scene()
+    doc["objects"][2]["shape"]["kind"] = "x" * 10_000
+    with pytest.raises(ContractError) as err:
+        scene_from_json(json.dumps(doc))
+    assert str(err.value) == "objects[2].shape.kind: unknown shape kind '" + "x" * (ECHO_CHARS - 1) + "…"
+    # A value whose echo fits is echoed whole.
+    fits = [0.25] * (ECHO_CHARS // 6)  # "[" + "0.25, " * (k - 1) + "0.25]" is 6 k characters
+    assert len(json.dumps(fits)) == ECHO_CHARS - ECHO_CHARS % 6
+    with pytest.raises(ContractError) as err:
+        tour_from_json(_waypoints_doc(fits))
+    assert str(err.value) == "waypoints_m[1]: expected 3 numbers, got " + json.dumps(fits)
 
 
 def test_single_cell_report():

@@ -10,7 +10,7 @@ from tspn import (
     missed_objects,
 )
 from tspn import cli
-from tspn.bench import scene_from_json, scene_to_json, tour_from_json, tour_to_json
+from tspn.bench import ECHO_CHARS, scene_from_json, scene_to_json, tour_from_json, tour_to_json
 from tspn.cli import main
 from tspn.viewscore import GrayImage, write_pgm
 
@@ -688,3 +688,24 @@ def test_main_calls_share_one_parser_without_leaking_state(tmp_path, capsys):
     assert exact_code == heuristic_code == 0 and exact != heuristic
     assert bad_code == 1 and bad.err.startswith("usage: tspn plan [-h]")
     assert "\ntspn plan: error: argument --solver: invalid choice: 'magic'" in bad.err
+
+
+@pytest.mark.parametrize("command", ["plan", "validate"])
+def test_a_point_of_a_million_zeros_is_refused_in_one_short_line(tmp_path, capsys, command):
+    scene, traj, scene_doc, traj_doc = _scene_and_trajectory(tmp_path)
+    zeros = [0] * 1_000_000
+    out = tmp_path / "out.json"
+    if command == "plan":
+        scene_doc["objects"][0]["center_m"] = zeros
+        scene.write_text(json.dumps(scene_doc))
+        argv, where = ["--seed", "1"], "objects[0].center_m"
+    else:
+        traj_doc["waypoints_m"][0] = zeros
+        traj.write_text(json.dumps(traj_doc))
+        argv, where = ["--traj", str(traj)], "waypoints_m[0]"
+    argv = [command, "--scene", str(scene), "--out", str(out)] + argv
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {where}: expected 3 numbers, got {json.dumps(zeros)[:ECHO_CHARS]}…\n"
+    assert len(err.encode()) < 600
+    assert not out.exists()
