@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import CapacityError, ContractError, InvalidRegionError
+from .errors import CapacityError, ContractError, InvalidRegionError, _echo
 from .geom import (
     EXACT_TOUCH_FRACTION,
     Point3,
@@ -180,15 +180,6 @@ def _field(doc, key: str, path: str = ""):
     return doc[key]
 
 
-ECHO_CHARS = 500  # the most characters of an offending value an error message echoes
-
-
-def _echo(v, show=json.dumps) -> str:
-    """``show(v)``, cut to its first ``ECHO_CHARS`` characters and ``…`` when longer."""
-    text = show(v)
-    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "…"
-
-
 def _typed(doc, key: str, path: str, kind: type, expected: str):
     """``doc[key]`` of exactly type ``kind``; anything else is named by its path."""
     v = _field(doc, key, path)
@@ -314,7 +305,7 @@ def scene_from_json(text: str) -> Scene:
         try:
             region = Region(center=Point3(*center), shape=shape)
         except InvalidRegionError as exc:
-            raise InvalidRegionError(f"objects[{i}] ({oid!r}): {exc}") from None
+            raise InvalidRegionError(f"objects[{i}] ({_echo(oid, repr)}): {exc}") from None
         objects.append(SceneObject(id=oid, region=region))
     scene = Scene(
         objects=tuple(objects),
@@ -325,7 +316,9 @@ def scene_from_json(text: str) -> Scene:
     far = np.abs(scene.centers).max(axis=1)
     for i in np.flatnonzero(~scene.exact).tolist():
         far[i] = max(far[i], np.abs(scene.objects[i].region.shape.points).max())
-    check_spacing(scene.d_min_global, far, scene.r_out, lambda i: f"objects[{i}] ({scene.objects[i].id!r})")
+    check_spacing(
+        scene.d_min_global, far, scene.r_out, lambda i: f"objects[{i}] ({_echo(scene.objects[i].id, repr)})"
+    )
     return scene
 
 

@@ -1,4 +1,14 @@
-"""Exception hierarchy shared by all tspn modules."""
+"""Exception hierarchy shared by all tspn modules, and the cut on echoed values."""
+
+import json
+
+ECHO_CHARS = 500  # the most characters of an offending value an error message echoes
+
+
+def _echo(v, show=json.dumps) -> str:
+    """``show(v)``, cut to its first ``ECHO_CHARS`` characters and ``…`` when longer."""
+    text = show(v)
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "…"
 
 
 class TspnError(Exception):

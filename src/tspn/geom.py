@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ContractError, InvalidRegionError
+from .errors import ContractError, InvalidRegionError, _echo
 
 # Relative slack used by shape invariants (farthest-pair vs d_max, etc.).
 EPS_TOL = 1e-9
@@ -559,14 +559,14 @@ class Scene:
         rows: list[float] = []
         for i, obj in enumerate(self.objects):
             if not isinstance(obj.id, str):
-                raise ContractError(f"object {i}: id must be a string, got {obj.id!r}")
+                raise ContractError(f"object {i}: id must be a string, got {_echo(obj.id, repr)}")
             if index.setdefault(obj.id, i) != i:
-                raise ContractError(f"duplicate object id {obj.id!r}")
+                raise ContractError(f"duplicate object id {_echo(obj.id, repr)}")
             c, s = obj.region.center, obj.region.shape
             d_min, d_max = s.d_min, s.d_max
             if d_min < lo or d_max > hi:
                 raise ContractError(
-                    f"object {obj.id!r} diameters [{d_min}, {d_max}] outside global "
+                    f"object {_echo(obj.id, repr)} diameters [{d_min}, {d_max}] outside global "
                     f"bounds [{self.d_min_global}, {self.d_max_global}]"
                 )
             tol = touch_tolerance(obj.region, self.d_min_global)
@@ -592,7 +592,7 @@ class Scene:
 
     def get(self, object_id: str) -> SceneObject:
         if object_id not in self._index:
-            raise ContractError(f"no object with id {object_id!r}")
+            raise ContractError(f"no object with id {_echo(object_id, repr)}")
         return self.objects[self._index[object_id]]
 
 

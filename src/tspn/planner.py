@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError, DegenerateDetectionError
+from .errors import ContractError, DegenerateDetectionError, _echo
 from .geom import (
     EPS_TOL,
     Point3,
@@ -505,7 +505,8 @@ def _patch_and_visit(
         first[first == none] = -1
     missed = np.flatnonzero(first < 0)
     if missed.size:
-        raise ContractError(f"object {scene.objects[missed[0]].id!r} left untouched after patching")
+        missed_id = _echo(scene.objects[missed[0]].id, repr)
+        raise ContractError(f"object {missed_id} left untouched after patching")
     visits = tuple(
         Visit(object_id=obj.id, waypoint_index=int(hit)) for obj, hit in zip(scene.objects, first)
     )
@@ -573,9 +574,9 @@ def plan_online(start: Point3, scene: Scene, oracle) -> tuple[Tour, list[Detecti
     d_min, d_max = scene.d_min_global, scene.d_max_global
     close = closest_pair_within(scene.centers, d_max)
     if close is not None:
-        i, j = (scene.objects[k].id for k in close)
+        i, j = (_echo(scene.objects[k].id, repr) for k in close)
         raise ContractError(
-            f"centers {i!r} and {j!r} closer than d_max; "
+            f"centers {i} and {j} closer than d_max; "
             "online planning assumes disjoint outer balls"
         )
     step = d_min / 10.0
@@ -595,7 +596,7 @@ def plan_online(start: Point3, scene: Scene, oracle) -> tuple[Tour, list[Detecti
                 break
             if t >= dist:
                 raise DegenerateDetectionError(
-                    f"oracle for {oid!r} never fired before its center was reached"
+                    f"oracle for {_echo(oid, repr)} never fired before its center was reached"
                 )
             k += 1
         if hasattr(oracle, "realized_diameter"):

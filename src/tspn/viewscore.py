@@ -49,10 +49,11 @@ DIAMETER_PROFILES: dict[str, DiameterProfile] = {
 class GrayImage:
     """Row-major grayscale image with intensities in [0, 255].
 
-    ``pixels`` is stored as a read-only float copy of what is given.
+    ``pixels`` is stored as a read-only copy of what is given: uint8 stays
+    uint8, for exact integer gradients; any other dtype becomes float.
     """
 
-    pixels: np.ndarray  # (height, width) float
+    pixels: np.ndarray  # (height, width) uint8 or float
 
     def __post_init__(self):
         src = np.asarray(self.pixels)
@@ -60,9 +61,9 @@ class GrayImage:
             raise ContractError(f"pixel array must be 2-D, got shape {src.shape}")
         if min(src.shape) < 3:
             raise ContractError("image must be at least 3x3 for gradient windows")
-        arr = src.astype(float)
+        arr = src.copy() if src.dtype == np.uint8 else src.astype(float)
         # uint8 already guarantees the range; NaN fails both comparisons.
-        if src.dtype != np.uint8 and not (arr.min() >= 0.0 and arr.max() <= 255.0):
+        if arr.dtype != np.uint8 and not (arr.min() >= 0.0 and arr.max() <= 255.0):
             raise ContractError("intensities must lie in [0, 255]")
         object.__setattr__(self, "pixels", arr)
         arr.flags.writeable = False
@@ -118,13 +119,29 @@ def _sobel_gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the last two columns are filler (window sums that wrap into the next
     row, and zeros). Working on the flattened image makes every tap one
     contiguous 1-D slice. The kernels are gx = [[-1, 0, 1], [-2, 0, 2],
-    [-1, 0, 1]] and gy its transpose; only the six non-zero taps of each
-    are applied, in row-major tap order, so every sum rounds as in a full
-    3x3 pass.
+    [-1, 0, 1]] and gy its transpose. A uint8 image is cast once to int32
+    (numpy takes hypot and arctan2 of int16 in float32) and takes the
+    separable form, [1, 2, 1] across rows then [-1, 0, 1] along them for gx
+    and the transpose for gy: integer sums are exact in any order. A float
+    image gets only the six non-zero taps of each kernel, in row-major tap
+    order, so every sum rounds as in a full 3x3 pass.
     """
     h, w = img.shape
-    flat = img.reshape(-1)
     n = (h - 2) * w - 2  # the last interior pixel sits at n - 1
+    if img.dtype == np.uint8:
+        flat = img.reshape(-1).astype(np.int32)
+        m = n + 2
+        gx, gy = np.zeros((2, m), np.int32)
+        v = flat[:m] + flat[2 * w :]  # rows r and r + 2 at every column
+        v += flat[w : w + m]
+        v += flat[w : w + m]
+        np.subtract(v[2:], v[:-2], out=gx[:n])
+        s = flat[:-2] + flat[2:]  # columns c and c + 2 at every row
+        s += flat[1:-1]
+        s += flat[1:-1]
+        np.subtract(s[2 * w :], s[:n], out=gy[:n])
+        return gx.reshape(h - 2, w), gy.reshape(h - 2, w)
+    flat = img.reshape(-1)
 
     def tap(dr: int, dc: int) -> np.ndarray:
         k = dr * w + dc
@@ -164,18 +181,22 @@ def _orientation_bins(pixels: np.ndarray, edge_fraction: float) -> tuple[np.ndar
     # bitwise those of a full hypot pass.
     m2 = gx * gx
     m2 += gy * gy
-    m2[:, -2:] = -1.0  # filler columns hold no pixel, and fall below every cut
+    m2[:, -2:] = -1  # filler columns hold no pixel, and fall below every cut
     top = float(m2.max())
     c2 = edge_fraction * edge_fraction * top
-    edge = m2 > c2 * (1.0 + _RHO) + _ALPHA
-    near = m2 >= c2 * (1.0 - _RHO) - _ALPHA
-    near ^= edge  # edge implies near, so this leaves the pixels between the margins
-    if np.count_nonzero(near):
-        tied = m2 >= top * (1.0 - _RHO) - _ALPHA
-        peak = float(np.hypot(gx[tied], gy[tied]).max())
-        if peak == 0.0:
-            return np.zeros(ORIENTATION_BINS, dtype=np.intp), 0
-        edge[near] = np.hypot(gx[near], gy[near]) >= edge_fraction * peak
+    hi, lo, tie = c2 * (1.0 + _RHO) + _ALPHA, c2 * (1.0 - _RHO) - _ALPHA, top * (1.0 - _RHO) - _ALPHA
+    if m2.dtype != float:  # an integer reaches x iff it reaches ceil(x), exceeds x iff floor(x)
+        hi, lo, tie = math.floor(hi), math.ceil(lo), math.ceil(tie)
+    edge = m2 > hi
+    if lo <= hi:  # integer cuts with lo > hi leave no m2 between them
+        near = m2 >= lo
+        near ^= edge  # edge implies near, so this leaves the pixels between the margins
+        if np.count_nonzero(near):
+            tied = m2 >= tie
+            peak = float(np.hypot(gx[tied], gy[tied]).max())
+            if peak == 0.0:
+                return np.zeros(ORIENTATION_BINS, dtype=np.intp), 0
+            edge[near] = np.hypot(gx[near], gy[near]) >= edge_fraction * peak
     deg = np.arctan2(gy[edge], gx[edge])
     np.degrees(deg, out=deg)
     # deg lies in [-180, 180], where this is bitwise ``deg % 360.0``
@@ -224,7 +245,7 @@ def viewing_score(
     bins, total = _orientation_bins(image.pixels, edge_fraction)
     if total == 0:
         return 0.0
-    object_pixels = np.count_nonzero(mask.bits)
+    object_pixels = int(np.count_nonzero(mask.bits))  # a Python int keeps the score a Python float
     if object_pixels == 0:
         return 0.0
     ratio = object_pixels / image.pixels.size
@@ -333,7 +354,9 @@ def read_pgm(path) -> GrayImage:
 
 
 def write_pgm(path, image: GrayImage) -> None:
-    arr = np.clip(np.rint(image.pixels), 0, 255).astype(np.uint8)
+    arr = image.pixels
+    if arr.dtype != np.uint8:
+        arr = np.clip(np.rint(arr), 0, 255).astype(np.uint8)
     with open(path, "wb") as f:
         f.write(b"P5\n%d %d\n255\n" % arr.shape[::-1])
         f.write(arr.tobytes())

@@ -11,7 +11,6 @@ from tspn import (
 )
 from tspn.bench import (
     AGG_CSV_HEADER,
-    ECHO_CHARS,
     ROWS_CSV_HEADER,
     SceneConfig,
     generate_scene,
@@ -23,7 +22,7 @@ from tspn.bench import (
     tour_from_json,
     tour_to_json,
 )
-from tspn.errors import ContractError
+from tspn.errors import ECHO_CHARS, ContractError
 from tspn.geom import Visit
 from tspn.planner import center_visit, fibonacci_sphere, plan_nondisjoint_detailed
 from tspn.tsp import TspConfig
@@ -301,6 +300,47 @@ def test_echoed_values_are_cut_to_a_bounded_prefix():
     with pytest.raises(ContractError) as err:
         tour_from_json(_waypoints_doc(fits))
     assert str(err.value) == "waypoints_m[1]: expected 3 numbers, got " + json.dumps(fits)
+
+
+def test_echoed_object_ids_are_cut_to_a_bounded_prefix():
+    long_id = "x" * 1_000_000
+    cut = "'" + "x" * (ECHO_CHARS - 1) + "…"
+
+    def refusal(edit) -> str:
+        doc = _three_sphere_scene()
+        edit(doc["objects"])
+        with pytest.raises((ContractError, InvalidRegionError)) as err:
+            scene_from_json(json.dumps(doc))
+        assert len(str(err.value)) < ECHO_CHARS + 200
+        return str(err.value)
+
+    def same_ids(objs):
+        objs[0]["id"] = objs[1]["id"] = long_id
+
+    def negative(objs):
+        objs[0]["id"], objs[0]["shape"]["diameter_m"] = long_id, -6.0
+
+    def too_wide(objs):
+        objs[0]["id"], objs[0]["shape"]["diameter_m"] = long_id, 9.0
+
+    def too_far(objs):
+        objs[2]["id"], objs[2]["center_m"] = long_id, [1e300, 0.0, 0.0]
+
+    assert refusal(same_ids) == "duplicate object id " + cut
+    assert refusal(negative).startswith("objects[0] (" + cut + "): ")
+    assert refusal(too_wide).startswith("object " + cut + " diameters [9.0, 9.0] outside global bounds")
+    assert refusal(too_far).startswith("objects[2] (" + cut + "): |coordinate| 1e+300 m")
+    scene = generate_scene(SceneConfig(n_objects=3, seed=2, d_min=4.0, d_max=6.0))
+    with pytest.raises(ContractError) as err:
+        scene.get(long_id)
+    assert str(err.value) == "no object with id " + cut
+    # An id whose echo fits is echoed whole.
+    fits = "y" * (ECHO_CHARS - 2)
+
+    def fitting_ids(objs):
+        objs[1]["id"] = objs[2]["id"] = fits
+
+    assert refusal(fitting_ids) == f"duplicate object id '{fits}'"
 
 
 def test_single_cell_report():

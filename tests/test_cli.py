@@ -10,9 +10,10 @@ from tspn import (
     missed_objects,
 )
 from tspn import cli
-from tspn.bench import ECHO_CHARS, scene_from_json, scene_to_json, tour_from_json, tour_to_json
+from tspn.bench import scene_from_json, scene_to_json, tour_from_json, tour_to_json
 from tspn.cli import main
-from tspn.viewscore import GrayImage, write_pgm
+from tspn.errors import ECHO_CHARS
+from tspn.viewscore import GrayImage, ObjectMask, viewing_score, write_pgm
 
 from test_coverage import KINDS, overlap_scene
 
@@ -144,6 +145,18 @@ def test_pgm_header_comments_and_whitespace_between_tokens(tmp_path, capsys):
         assert run(["score", "--image", str(img), "--mask", str(plain)]) == 0
         scores.append(capsys.readouterr().out)
     assert scores[0] == scores[1] != "0.0\n"
+
+
+def test_score_prints_the_float_twins_score(tmp_path, capsys):
+    pixels = bytes(k * 37 % 256 for k in range(20))
+    img = tmp_path / "plain.pgm"
+    img.write_bytes(b"P5\n5 4\n255\n" + pixels)
+    twin = GrayImage.from_array(np.frombuffer(pixels, np.uint8).reshape(4, 5).astype(float))
+    mask = ObjectMask.from_array(twin.pixels > 0)
+    # Printed before uint8 images kept their integer pixels.
+    for fraction, printed in (("0.1", "0.960834051471984\n"), ("0.5", "0.5342183873878679\n")):
+        assert run(["score", "--image", str(img), "--mask", str(img), "--edge-fraction", fraction]) == 0
+        assert capsys.readouterr().out == printed == f"{viewing_score(twin, mask, float(fraction))}\n"
 
 
 def test_region_from_profile_and_scores(tmp_path):
@@ -707,5 +720,18 @@ def test_a_point_of_a_million_zeros_is_refused_in_one_short_line(tmp_path, capsy
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: {where}: expected 3 numbers, got {json.dumps(zeros)[:ECHO_CHARS]}…\n"
+    assert len(err.encode()) < 600
+    assert not out.exists()
+
+
+def test_a_duplicated_million_character_id_is_refused_in_one_short_line(tmp_path, capsys):
+    scene, _, doc, _ = _scene_and_trajectory(tmp_path)
+    long_id = "x" * 1_000_000
+    doc["objects"][0]["id"] = doc["objects"][1]["id"] = long_id
+    scene.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert run(["plan", "--scene", str(scene), "--seed", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: duplicate object id {repr(long_id)[:ECHO_CHARS]}…\n"
     assert len(err.encode()) < 600
     assert not out.exists()

@@ -252,6 +252,10 @@ _SUBNORMAL_SQUARES = np.array([[0, 0, 7], [5, 3, 0], [7, 0, 3], [2, 0, 3], [4, 5
 # m2 rounds just below 0.25 * max(m2): only the relative margin of the
 # screen sends it to hypot.
 _HALF_PEAK = np.array([[6, 4, 6], [4, 7, 1], [4, 3, 0], [5, 1, 4], [1, 0, 3]]) * 0.45899935262727753
+# uint8, with gx = 40 and 80 on its two interior pixels: at edge_fraction
+# 0.5 the first one's m2, 1600, equals 0.25 * max(m2) exactly, so the
+# floored and ceiled integer cuts of the screen both land on it.
+_INT_ON_CUT = np.array([[0, 0, 10, 20]] * 3, dtype=np.uint8)
 
 
 @settings(max_examples=300, deadline=None)
@@ -265,6 +269,7 @@ _HALF_PEAK = np.array([[6, 4, 6], [4, 7, 1], [4, 3, 0], [5, 1, 4], [1, 0, 3]]) *
     (GrayImage.from_array(_SUBNORMAL_SQUARES), ObjectMask.from_array(np.ones((5, 3), bool))), 0.5
 )
 @example((GrayImage.from_array(_HALF_PEAK), ObjectMask.from_array(np.ones((5, 3), bool))), 0.5)
+@example((GrayImage.from_array(_INT_ON_CUT), ObjectMask.from_array(np.ones((3, 4), bool))), 0.5)
 def test_kernel_bitwise_equal_to_nine_tap_reference(image_mask, edge_fraction):
     img, mask = image_mask
     gx, gy = _sobel_gradients(img.pixels)
@@ -278,6 +283,64 @@ def test_kernel_bitwise_equal_to_nine_tap_reference(image_mask, edge_fraction):
     assert score.hex() == nine_tap_viewing_score(img, mask, edge_fraction).hex()
 
 
+def textured_view(rng, px: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """A seeded uint8 view as the benchmark draws them: a textured ellipse
+    (four random sinusoids about 128) on a flat background of 40."""
+    yy, xx = np.mgrid[0:px, 0:px] - (px - 1) / 2.0
+    a = rng.uniform(4.0, px / 3.0)
+    b = a * rng.uniform(0.6, 1.0)
+    th = rng.uniform(0.0, math.pi)
+    u = xx * math.cos(th) + yy * math.sin(th)
+    v = -xx * math.sin(th) + yy * math.cos(th)
+    mask = (u / a) ** 2 + (v / b) ** 2 <= 1.0
+    texture = np.zeros((px, px))
+    for _ in range(4):
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        freq = rng.uniform(0.15, 0.6)
+        texture += np.sin(freq * (xx * math.cos(ang) + yy * math.sin(ang)) + rng.uniform(0.0, 2 * math.pi))
+    image = np.clip(np.where(mask, 128.0 + 30.0 * texture, 40.0), 0, 255).astype(np.uint8)
+    return image, mask
+
+
+def extreme_views(px: int = 64) -> list[np.ndarray]:
+    """0/255 steps and an 8-pixel checkerboard (|gx| or |gy| of 1020 on their
+    straight edges), a step of slope 1/2 (where |g| reaches hypot(1020, 510),
+    the most any 3x3 window of uint8 pixels gives), a one-pixel checkerboard
+    (no gradient at all) and single-pixel spikes."""
+    r, c = np.mgrid[0:px, 0:px]
+    spike = np.zeros((px, px), dtype=np.uint8)
+    spike[px // 2, px // 3] = 255
+    views = [c >= px // 2, r >= px // 2, r > c, r + 2 * c >= px, (r // 8 + c // 8) % 2 == 1, (r + c) % 2 == 1]
+    return [255 * v.astype(np.uint8) for v in views] + [spike, 255 - spike]
+
+
+@pytest.mark.parametrize("edge_fraction", [1e-6, 0.1, 0.5, 1.0])
+def test_uint8_views_take_the_exact_integer_path(edge_fraction):
+    rng = np.random.default_rng(22)
+    views = [textured_view(rng) for _ in range(24)]
+    views += [(arr, arr > 0) for arr in extreme_views()]
+    for arr, bits in views:
+        img, twin = GrayImage.from_array(arr), GrayImage.from_array(arr.astype(float))
+        mask = ObjectMask.from_array(bits)
+        assert img.pixels.dtype == np.uint8 and twin.pixels.dtype == np.float64
+        gx, gy = _sobel_gradients(img.pixels)
+        assert gx.dtype == gy.dtype == np.int32
+        want_gx, want_gy = nine_tap_sobel_gradients(img.pixels)
+        assert np.array_equal(gx[:, :-2], want_gx) and np.array_equal(gy[:, :-2], want_gy)
+        hist = edge_orientation_histogram(img, edge_fraction)
+        assert np.array_equal(hist.bins, nine_tap_edge_orientation_histogram(img, edge_fraction).bins)
+        assert np.array_equal(hist.bins, edge_orientation_histogram(twin, edge_fraction).bins)
+        score = viewing_score(img, mask, edge_fraction)
+        assert score.hex() == nine_tap_viewing_score(img, mask, edge_fraction).hex()
+        assert score.hex() == viewing_score(twin, mask, edge_fraction).hex()
+
+
+def test_extreme_views_reach_the_largest_gradient():
+    peaks = [float(np.hypot(*nine_tap_sobel_gradients(arr)).max()) for arr in extreme_views()]
+    assert peaks[:6] == [1020.0, 1020.0, math.hypot(765, 765), math.hypot(1020, 510), 1020.0, 0.0]
+    assert peaks[6:] == [math.hypot(510, 0)] * 2
+
+
 def test_images_copy_their_input_and_reject_nan():
     arr = np.full((4, 5), 7.0)
     img = GrayImage(arr)
@@ -287,6 +350,19 @@ def test_images_copy_their_input_and_reject_nan():
     arr[1, 1] = np.nan
     with pytest.raises(ContractError, match=r"\[0, 255\]"):
         GrayImage.from_array(arr)
+
+
+def test_uint8_images_stay_uint8_and_other_dtypes_become_float():
+    arr = np.full((4, 5), 7, dtype=np.uint8)
+    img = GrayImage(arr)
+    assert img.pixels.dtype == np.uint8 and not np.shares_memory(img.pixels, arr)
+    assert arr.flags.writeable and not img.pixels.flags.writeable
+    arr[0, 0] = 9
+    assert img.pixels[0, 0] == 7
+    for dtype in (np.int64, np.float32, np.uint16, bool):
+        assert GrayImage(arr.astype(dtype)).pixels.dtype == np.float64
+    with pytest.raises(ContractError, match=r"\[0, 255\]"):
+        GrayImage(np.full((3, 3), 256, dtype=np.uint16))
 
 
 # ------------------------------------------------------------------ regions
@@ -384,10 +460,26 @@ def test_pgm_roundtrip(tmp_path):
     assert np.array_equal(mask.bits, arr > 0)
 
 
+def test_pgm_bytes_of_uint8_and_float_images(tmp_path):
+    arr = np.random.default_rng(5).integers(0, 256, size=(9, 7)).astype(np.uint8)
+    want = b"P5\n7 9\n255\n" + arr.tobytes()
+    # Float intensities round to the nearest integer, ties to even; the last
+    # image is a non-contiguous view.
+    noisy = arr + np.where(arr % 2 == 0, 0.5, -0.4)
+    for k, pixels in enumerate([arr, arr.astype(float), noisy, np.repeat(arr, 2, axis=1)[:, ::2]]):
+        path = tmp_path / f"img{k}.pgm"
+        write_pgm(path, GrayImage.from_array(pixels))
+        assert path.read_bytes() == want
+
+
 def test_score_csv_roundtrip(tmp_path):
+    img = uniform_orientation_image()
+    scored = viewing_score(img, full_mask(img), edge_fraction=0.99)
+    assert type(scored) is float  # a numpy scalar would be written as "np.float64(...)"
     samples = [
         ViewSample(azimuth=0.1, elevation=-0.2, distance=3.5, score=0.42),
         ViewSample(azimuth=2.0, elevation=0.7, distance=5.0, score=0.0),
+        ViewSample(azimuth=-1.0, elevation=0.3, distance=4.0, score=scored),
     ]
     path = tmp_path / "scores.csv"
     write_score_csv(path, samples)
