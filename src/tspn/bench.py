@@ -280,45 +280,98 @@ def scene_to_json(scene: Scene) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+# Per shape kind: its class and the JSON fields of its least and largest diameter.
+_KINDS = {
+    "sphere": (Sphere, "diameter_m", "diameter_m"),
+    "shell": (Shell, "inner_diameter_m", "outer_diameter_m"),
+    "sampled": (Sampled, "d_min_m", "d_max_m"),
+}
+
+
+def _shape_columns(entries: list):
+    """Per entry: its shape class, least and largest diameter; None if a block fails.
+
+    Each field is checked as one block and held to what ``_shape_from_json``
+    and ``Region`` hold each entry to: a known kind, finite numbers and
+    0 < least <= largest diameter.
+    """
+    try:
+        shapes = [o["shape"] for o in entries]
+        if not {dict}.issuperset(map(type, shapes)):
+            return None
+        kinds = [_KINDS[s["kind"]] for s in shapes]
+        flat = [s[k[1]] for s, k in zip(shapes, kinds)] + [s[k[2]] for s, k in zip(shapes, kinds)]
+    except (TypeError, KeyError):  # a shape that is no JSON object, or an unknown kind or field
+        return None
+    if not (_NUMBERS.issuperset(map(type, flat)) and _finite(flat)):
+        return None
+    lo, hi = np.array(flat, dtype=float).reshape(2, -1)
+    if not np.all((0.0 < lo) & (lo <= hi)):
+        return None
+    return [k[0] for k in kinds], lo.tolist(), hi.tolist()
+
+
+def _scene_object(i: int, oid: str, center: list, shape) -> SceneObject:
+    """Object i of a scene document; a region error names the object."""
+    try:
+        region = Region(center=Point3(*center), shape=shape)
+    except InvalidRegionError as exc:
+        raise InvalidRegionError(f"objects[{i}] ({_echo(oid, repr)}): {exc}") from None
+    return SceneObject(id=oid, region=region)
+
+
 def scene_from_json(text: str) -> Scene:
     """Parse a scene document; malformed fields raise ContractError naming their path.
 
     A scene with a coordinate too far from the origin to plan in is
-    rejected too (see ``check_spacing``).
+    rejected too (see ``check_spacing``). Ids, centers and sphere and shell
+    fields are checked as blocks and go straight into the scene's columns;
+    only a sampled entry is made into a ``Region`` here. When a block fails,
+    the entries are read one by one, so that the first fault in document
+    order is named.
     """
     doc = _parse(text)
     entries = _list(doc, "objects")
     try:  # every id and every center, checked as a block
-        ids, centers = [o["id"] for o in entries], [o["center_m"] for o in entries]
-        checked = {str}.issuperset(map(type, ids)) and _points(centers, None) is not None
+        ids, rows = [o["id"] for o in entries], [o["center_m"] for o in entries]
+        centers = _points(rows, None) if {str}.issuperset(map(type, ids)) else None
     except (TypeError, KeyError):  # an entry that is no JSON object, or lacks the key
-        checked = False
-    objects = []
-    for i, o in enumerate(entries):
-        at = f"objects[{i}]."
-        if checked:
-            oid, center = ids[i], centers[i]
-        else:  # field by field, so that the first fault in document order is named
-            oid = _typed(o, "id", at, str, "a string")
-            center = _point(_field(o, "center_m", at), at + "center_m")
-        shape = _shape_from_json(_field(o, "shape", at), at + "shape.")
-        try:
-            region = Region(center=Point3(*center), shape=shape)
-        except InvalidRegionError as exc:
-            raise InvalidRegionError(f"objects[{i}] ({_echo(oid, repr)}): {exc}") from None
-        objects.append(SceneObject(id=oid, region=region))
-    scene = Scene(
-        objects=tuple(objects),
-        d_min_global=_number(doc, "d_min_m"),
-        d_max_global=_number(doc, "d_max_m"),
-        cube_edge=_number(doc, "cube_edge_m"),
-    )
+        centers = None
+    columns = None if centers is None else _shape_columns(entries)
+    if columns is None:
+        objects = []
+        for i, o in enumerate(entries):
+            at = f"objects[{i}]."
+            if centers is not None:
+                oid, center = ids[i], rows[i]
+            else:  # field by field, so that the first fault in document order is named
+                oid = _typed(o, "id", at, str, "a string")
+                center = _point(_field(o, "center_m", at), at + "center_m")
+            shape = _shape_from_json(_field(o, "shape", at), at + "shape.")
+            objects.append(_scene_object(i, oid, center, shape))
+        scene = Scene(
+            objects=objects,
+            d_min_global=_number(doc, "d_min_m"),
+            d_max_global=_number(doc, "d_max_m"),
+            cube_edge=_number(doc, "cube_edge_m"),
+        )
+    else:
+        kinds, d_min, d_max = columns
+        built = [None] * len(entries)
+        for i in (i for i, k in enumerate(kinds) if k is Sampled):
+            shape = _shape_from_json(entries[i]["shape"], f"objects[{i}].shape.")
+            built[i] = _scene_object(i, ids[i], rows[i], shape)
+        scene = Scene.from_columns(
+            ids, rows, kinds, d_min, d_max, built,
+            d_min_global=_number(doc, "d_min_m"),
+            d_max_global=_number(doc, "d_max_m"),
+            cube_edge=_number(doc, "cube_edge_m"),
+            centers=centers,
+        )
     far = np.abs(scene.centers).max(axis=1)
     for i in np.flatnonzero(~scene.exact).tolist():
-        far[i] = max(far[i], np.abs(scene.objects[i].region.shape.points).max())
-    check_spacing(
-        scene.d_min_global, far, scene.r_out, lambda i: f"objects[{i}] ({_echo(scene.objects[i].id, repr)})"
-    )
+        far[i] = max(far[i], np.abs(scene.region(i).shape.points).max())
+    check_spacing(scene.d_min_global, far, scene.r_out, lambda i: f"objects[{i}] ({_echo(scene.ids[i], repr)})")
     return scene
 
 

@@ -206,7 +206,8 @@ def touch_tolerance(region: Region, d_min_global: float) -> float:
 
     Exact shapes use a tiny fraction of the scene-wide minimum diameter;
     sampled boundaries get a fraction of their d_min to absorb
-    discretization. ``Scene.tol`` holds this per object.
+    discretization. ``Scene.tol`` holds this per object, taken from the
+    scene's columns by the same rule.
     """
     if isinstance(region.shape, Sampled):
         return SAMPLED_TOUCH_FRACTION * region.d_min
@@ -284,28 +285,28 @@ def region_contains(region: Region, p: Point3, tol: float) -> bool:
     return bool(contains(region, p.as_array()[None, :], tol)[0])
 
 
-def closest_point_on_region(region: Region, p: np.ndarray) -> np.ndarray:
-    """Point (3,) of the region minimizing distance to the point ``p`` (3,).
+def _norm(v: np.ndarray) -> float:
+    """Bitwise ``np.linalg.norm(v)`` of one vector (numpy's own ``sqrt(v.dot(v))``) at less call cost."""
+    return math.sqrt(v.dot(v))
 
-    Spheres and shells are solids: a point already inside is returned
+
+def closest_point_on_ball(c: np.ndarray, r_in: float, r_out: float, p: np.ndarray) -> np.ndarray:
+    """Point (3,) of a sphere or shell solid closest to the point ``p`` (3,).
+
+    The solid has center ``c`` (3,), hole radius ``r_in`` (0 for a sphere)
+    and outer radius ``r_out``. A point already inside is returned
     unchanged, otherwise ``p`` is projected radially onto the nearest
-    bounding sphere. Sampled regions answer with their nearest boundary
-    sample (ties broken by lowest index).
+    bounding sphere.
     """
-    s = region.shape
-    if isinstance(s, Sampled):
-        return s.points[int(np.argmin(sq_distances(p, s.points)))]
-    r_in, r_out = s.r_in, s.d_max / 2.0
     # contains(region, p[None, :], tol=0.0) to the bit, without numpy's
     # per-call overhead: the same differences, squares and summation order.
-    o = region.center
+    cx, cy, cz = c.tolist()
     px, py, pz = p.tolist()
-    dx, dy, dz = px - o.x, py - o.y, pz - o.z
+    dx, dy, dz = px - cx, py - cy, pz - cz
     if in_ball(math.sqrt(dx * dx + dy * dy + dz * dz), r_in, r_out, 0.0):
         return p
-    c = o.as_array()
     v = p - c
-    r = float(np.linalg.norm(v))
+    r = _norm(v)
     # Outside the solid: past the outer sphere, or in a shell's hole.
     if r > r_in:
         return c + v * (r_out / r)
@@ -313,6 +314,19 @@ def closest_point_on_region(region: Region, p: np.ndarray) -> np.ndarray:
         # Center of the hole: any inner-sphere point is closest; fix +x.
         return c + np.array([r_in, 0.0, 0.0])
     return c + v * (r_in / r)
+
+
+def closest_point_on_region(region: Region, p: np.ndarray) -> np.ndarray:
+    """Point (3,) of the region minimizing distance to the point ``p`` (3,).
+
+    Spheres and shells answer with ``closest_point_on_ball``. Sampled
+    regions answer with their nearest boundary sample (ties broken by
+    lowest index).
+    """
+    s = region.shape
+    if isinstance(s, Sampled):
+        return s.points[int(np.argmin(sq_distances(p, s.points)))]
+    return closest_point_on_ball(region.center.as_array(), s.r_in, s.d_max / 2.0, p)
 
 
 def regions_intersect(a: Region, b: Region, d_min_global: float) -> bool:
@@ -465,8 +479,7 @@ def intersecting_pairs(scene: Scene) -> list[tuple[int, int]]:
         i, j, dist = i[near], j[near], dist[near]
         meet = balls_meet(dist, scene.r_in[i], scene.r_out[i], scene.r_in[j], scene.r_out[j])
         for k in np.flatnonzero(~(scene.exact[i] & scene.exact[j])).tolist():
-            a, b = scene.objects[i[k]].region, scene.objects[j[k]].region
-            meet[k] = regions_intersect(a, b, scene.d_min_global)
+            meet[k] = regions_intersect(scene.region(i[k]), scene.region(j[k]), scene.d_min_global)
         pairs += zip(i[meet].tolist(), j[meet].tolist())
     return pairs
 
@@ -487,7 +500,7 @@ def first_touch_indices(scene: Scene, points: np.ndarray) -> np.ndarray:
         hit = in_ball(distances(c[q], points[p]), scene.r_in[q], scene.r_out[q], tol[q])
         for i in np.unique(q[~scene.exact[q]]).tolist():
             lo, hi = q.searchsorted((i, i + 1))
-            hit[lo:hi] = contains(scene.objects[i].region, points[p[lo:hi]], tol[i])
+            hit[lo:hi] = contains(scene.region(i), points[p[lo:hi]], tol[i])
         # Pairs are sorted by q, then p: the first hit of each q is its least row.
         touched, at = np.unique(q[hit], return_index=True)
         first[touched] = p[hit][at]
@@ -533,67 +546,144 @@ class SceneObject:
     region: Region
 
 
-@dataclass(frozen=True, eq=False)
 class Scene:
     """A set of objects with global diameter bounds inside a cube.
 
-    Scene-wide passes read read-only per-object columns made once here:
-    ``centers`` (n, 3), each shape's ``r_in`` and ``r_out = d_max / 2``,
-    ``tol = touch_tolerance(region, d_min_global)``, ``reach`` (the radius
-    holding the region plus ``tol``) and ``exact`` (sphere or shell).
+    Its state is ``ids`` and read-only per-object columns, which scene-wide
+    passes read: ``centers`` (n, 3), each shape's ``d_min`` and ``d_max``,
+    ``r_in`` and ``r_out = d_max / 2``, ``tol = touch_tolerance(region,
+    d_min_global)``, ``reach`` (the radius holding the region plus ``tol``),
+    ``exact`` (sphere or shell) and ``sphere``. ``objects``, ``get`` and
+    ``region`` build an object's ``SceneObject`` and ``Region`` from the
+    columns the first time they are asked for it.
     """
 
-    objects: tuple[SceneObject, ...]
-    d_min_global: float
-    d_max_global: float
-    cube_edge: float = 100.0
+    def __init__(self, objects, d_min_global, d_max_global, cube_edge=100.0):
+        objects = list(objects)
+        regions = [obj.region for obj in objects]
+        shapes = [r.shape for r in regions]
+        self._fill(
+            [obj.id for obj in objects],
+            [(c.x, c.y, c.z) for c in (r.center for r in regions)],
+            list(map(type, shapes)),
+            [s.d_min for s in shapes],
+            [s.d_max for s in shapes],
+            d_min_global,
+            d_max_global,
+            cube_edge,
+            objects,
+            None,
+        )
 
-    def __post_init__(self):
-        object.__setattr__(self, "objects", tuple(self.objects))
-        if not (0 < self.d_min_global <= self.d_max_global):
+    @classmethod
+    def from_columns(
+        cls, ids, rows, kinds, d_min, d_max, built, d_min_global, d_max_global, cube_edge=100.0,
+        centers=None,
+    ) -> Scene:
+        """The scene of objects given as columns, held to the rules ``Scene(objects=...)`` is.
+
+        Object i has id ``ids[i]``, center ``Point3(*rows[i])``, shape class
+        ``kinds[i]`` and diameters ``d_min[i]`` to ``d_max[i]``. ``built[i]`` is
+        its ``SceneObject``, or None for a sphere or shell, which is then made
+        from the columns when asked for. ``centers`` is ``rows`` as a float
+        (n, 3) array, if already made.
+        """
+        scene = cls.__new__(cls)
+        scene._fill(ids, rows, kinds, d_min, d_max, d_min_global, d_max_global, cube_edge, built, centers)
+        return scene
+
+    def _fill(self, ids, rows, kinds, d_min, d_max, d_min_global, d_max_global, cube_edge, built, centers):
+        if not (0 < d_min_global <= d_max_global):
             raise ContractError(
-                f"need 0 < d_min_global <= d_max_global, got ({self.d_min_global}, {self.d_max_global})"
+                f"need 0 < d_min_global <= d_max_global, got ({d_min_global}, {d_max_global})"
             )
-        lo, hi = self.d_min_global * (1.0 - EPS_TOL), self.d_max_global * (1.0 + EPS_TOL)
-        index: dict[str, int] = {}
-        rows: list[float] = []
-        for i, obj in enumerate(self.objects):
-            if not isinstance(obj.id, str):
-                raise ContractError(f"object {i}: id must be a string, got {_echo(obj.id, repr)}")
-            if index.setdefault(obj.id, i) != i:
-                raise ContractError(f"duplicate object id {_echo(obj.id, repr)}")
-            c, s = obj.region.center, obj.region.shape
-            d_min, d_max = s.d_min, s.d_max
-            if d_min < lo or d_max > hi:
-                raise ContractError(
-                    f"object {_echo(obj.id, repr)} diameters [{d_min}, {d_max}] outside global "
-                    f"bounds [{self.d_min_global}, {self.d_max_global}]"
-                )
-            tol = touch_tolerance(obj.region, self.d_min_global)
-            rows += (c.x, c.y, c.z, s.r_in, d_max, tol, isinstance(s, Sampled))
-        object.__setattr__(self, "_index", index)
-        cols = np.fromiter(rows, float, len(rows)).reshape(-1, 7)
-        del rows  # free it before deriving the columns: a scene load peaks in memory here
-        exact = cols[:, 6] == 0.0
-        r_out = cols[:, 4] / 2.0
+        self.d_min_global, self.d_max_global, self.cube_edge = d_min_global, d_max_global, cube_edge
+        n = len(ids)
+        d_lo, d_hi = np.array(d_min, dtype=float), np.array(d_max, dtype=float)
+        # The first object with a fault, and of its faults the first in the order:
+        # id type, duplicate id, diameters outside the global bounds.
+        typed = n
+        if not {str}.issuperset(map(type, ids)):
+            typed = next(i for i, oid in enumerate(ids) if not isinstance(oid, str))
+        index = dict(zip(ids[:typed], range(typed)))
+        repeated = n
+        if len(index) < typed:
+            seen: set[str] = set()
+            repeated = next(i for i, oid in enumerate(ids) if oid in seen or seen.add(oid))
+        lo, hi = d_min_global * (1.0 - EPS_TOL), d_max_global * (1.0 + EPS_TOL)
+        wide = np.flatnonzero((d_lo < lo) | (d_hi > hi))
+        i = min(typed, repeated, int(wide[0]) if wide.size else n)
+        if i == typed < n:
+            raise ContractError(f"object {i}: id must be a string, got {_echo(ids[i], repr)}")
+        if i == repeated < n:
+            raise ContractError(f"duplicate object id {_echo(ids[i], repr)}")
+        if i < n:
+            raise ContractError(
+                f"object {_echo(ids[i], repr)} diameters [{d_min[i]}, {d_max[i]}] outside global "
+                f"bounds [{d_min_global}, {d_max_global}]"
+            )
+        self.ids = tuple(ids)
+        self._index = index
+        self._rows, self._kinds, self._built = rows, kinds, built
+        self._objects = None
+        sphere = np.array([k is Sphere for k in kinds], dtype=bool)
+        exact = np.array([k is not Sampled for k in kinds], dtype=bool)
+        r_out = d_hi / 2.0
+        tol = np.where(exact, EXACT_TOUCH_FRACTION * d_min_global, SAMPLED_TOUCH_FRACTION * d_lo)
         for name, col in (
-            ("centers", cols[:, :3].copy()),
-            ("r_in", cols[:, 3].copy()),
+            ("centers", np.array(rows, dtype=float).reshape(-1, 3) if centers is None else centers),
+            ("d_min", d_lo),
+            ("d_max", d_hi),
+            ("r_in", np.where(exact & ~sphere, d_lo / 2.0, 0.0)),
             ("r_out", r_out),
-            ("tol", cols[:, 5].copy()),
-            ("reach", _reach(r_out, cols[:, 5])),
+            ("tol", tol),
+            ("reach", _reach(r_out, tol)),
             ("exact", exact),
+            ("sphere", sphere),
         ):
             col.flags.writeable = False
-            object.__setattr__(self, name, col)
+            setattr(self, name, col)
 
     def __len__(self) -> int:
-        return len(self.objects)
+        return len(self.ids)
+
+    def _object(self, i: int) -> SceneObject:
+        obj = self._built[i]
+        if obj is None:
+            lo, hi = float(self.d_min[i]), float(self.d_max[i])
+            shape = Sphere(hi) if self._kinds[i] is Sphere else Shell(lo, hi)
+            obj = self._built[i] = SceneObject(self.ids[i], Region(Point3(*self._rows[i]), shape))
+        return obj
+
+    @property
+    def objects(self) -> tuple[SceneObject, ...]:
+        if self._objects is None:
+            self._objects = tuple(map(self._object, range(len(self))))
+        return self._objects
+
+    def region(self, i: int) -> Region:
+        """The region of object i."""
+        return self._object(i).region
 
     def get(self, object_id: str) -> SceneObject:
         if object_id not in self._index:
             raise ContractError(f"no object with id {_echo(object_id, repr)}")
-        return self.objects[self._index[object_id]]
+        return self._object(self._index[object_id])
+
+    def subset(self, rows) -> Scene:
+        """The scene of objects ``rows`` (ascending indices), with the same bounds and cube."""
+        return Scene.from_columns(
+            [self.ids[i] for i in rows],
+            [self._rows[i] for i in rows],
+            [self._kinds[i] for i in rows],
+            self.d_min[rows].tolist(),
+            self.d_max[rows].tolist(),
+            [self._built[i] for i in rows],
+            self.d_min_global,
+            self.d_max_global,
+            self.cube_edge,
+            self.centers[rows],
+        )
 
 
 @dataclass(frozen=True)
@@ -626,7 +716,7 @@ class Tour:
         n = len(w)
         for v in self.visits:
             if not (0 <= v.waypoint_index < n):
-                raise ContractError(f"visit index {v.waypoint_index} out of range")
+                raise ContractError(f"visit index {_echo(v.waypoint_index, str)} out of range")
 
     @property
     def length(self) -> float:

@@ -10,7 +10,7 @@ for the analytic length bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .geom import (
     Tour,
     Visit,
     _boundary_radii,
+    _norm,
+    closest_point_on_ball,
     closest_point_on_region,
     closest_pair_within,
     contains,
@@ -88,16 +90,24 @@ def _center_order_walk(start: Point3, scene: Scene, tsp: TspConfig, place) -> To
     visits = []
     for idx in _rotate_to_nearest(solve_order(scene.centers, tsp), scene.centers, start):
         waypoints.append(place(idx, waypoints[-1]))
-        visits.append(Visit(object_id=scene.objects[idx].id, waypoint_index=len(waypoints) - 1))
+        visits.append(Visit(object_id=scene.ids[idx], waypoint_index=len(waypoints) - 1))
     return Tour(waypoints=waypoints, visits=tuple(visits))
 
 
 def center_visit(start: Point3, scene: Scene, tsp: TspConfig = TspConfig()) -> Tour:
-    """Visit every region, in center order, at its closest point to the previous waypoint."""
-    regions = [obj.region for obj in scene.objects]
-    return _center_order_walk(
-        start, scene, tsp, lambda idx, prev: closest_point_on_region(regions[idx], prev)
-    )
+    """Visit every region, in center order, at its closest point to the previous waypoint.
+
+    Spheres and shells are projected from the scene's columns, so that no
+    region object is built for them.
+    """
+    centers, r_in, r_out, exact = scene.centers, scene.r_in.tolist(), scene.r_out.tolist(), scene.exact.tolist()
+
+    def place(i: int, p: np.ndarray) -> np.ndarray:
+        if exact[i]:
+            return closest_point_on_ball(centers[i], r_in[i], r_out[i], p)
+        return closest_point_on_region(scene.region(i), p)
+
+    return _center_order_walk(start, scene, tsp, place)
 
 
 # --------------------------------------------------------------------------- independent set
@@ -118,26 +128,26 @@ def maximal_independent_set(scene: Scene) -> MisResult:
     assigned to the keeper that removed it; a keeper's removals are
     recorded in that same order.
     """
-    objs = scene.objects
+    ids = scene.ids
     r_out = scene.r_out.tolist()
-    order = sorted(range(len(objs)), key=lambda k: (r_out[k], objs[k].id))
+    order = sorted(range(len(ids)), key=lambda k: (r_out[k], ids[k]))
     rank = {k: r for r, k in enumerate(order)}
-    neighbours: list[list[int]] = [[] for _ in objs]
+    neighbours: list[list[int]] = [[] for _ in ids]
     for i, j in intersecting_pairs(scene):
         neighbours[i].append(j)
         neighbours[j].append(i)
-    decided = [False] * len(objs)
+    decided = [False] * len(ids)
     kept: list[str] = []
     assignment: dict[str, str] = {}
     for k in order:
         if decided[k]:
             continue
         decided[k] = True
-        kept.append(objs[k].id)
+        kept.append(ids[k])
         for j in sorted(neighbours[k], key=rank.__getitem__):
             if not decided[j]:
                 decided[j] = True
-                assignment[objs[j].id] = objs[k].id
+                assignment[ids[j]] = ids[k]
     return MisResult(kept=tuple(kept), assignment=assignment)
 
 
@@ -167,11 +177,6 @@ class DetourPlan:
     def __post_init__(self):
         for points in (self.axis, self.spikes, self.stitched, *self.perimeters):
             points.flags.writeable = False
-
-
-def _norm(v: np.ndarray) -> float:
-    """Bitwise ``np.linalg.norm(v)`` of one vector (numpy's own ``sqrt(v.dot(v))``) at less call cost."""
-    return math.sqrt(v.dot(v))
 
 
 def _plane_basis(axis_dir: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -443,8 +448,7 @@ def plan_nondisjoint_detailed(
         tour = center_visit(start, scene, tsp)
         return NondisjointPlan(tour=tour, mis=mis, detours=(), patched_ids=())
     kept = set(mis.kept)
-    kept_scene = replace(scene, objects=tuple(o for o in scene.objects if o.id in kept))
-    base = center_visit(start, kept_scene, tsp)
+    base = center_visit(start, scene.subset([i for i, oid in enumerate(scene.ids) if oid in kept]), tsp)
     owners = set(mis.assignment.values())
     blocks: list[np.ndarray] = [base.waypoints[:1]]
     detours: list[DetourPlan] = []
@@ -484,16 +488,16 @@ def _patch_and_visit(
     # Per row of ``arr``: its input row, or -2 for a spike tip and -1 for the copy after it.
     source = np.arange(len(arr))
     for i in np.flatnonzero(first < 0).tolist():
-        obj = scene.objects[i]
+        region = scene.region(i)
         # Rows inserted so far are spike tips or copies of rows already tested.
-        if tips and contains(obj.region, np.array(tips), scene.tol[i]).any():
+        if tips and contains(region, np.array(tips), scene.tol[i]).any():
             continue
         near = int(np.argmin(distances(scene.centers[i], arr)))
-        q = closest_point_on_region(obj.region, arr[near])
+        q = closest_point_on_region(region, arr[near])
         arr = np.insert(arr, near + 1, [q, arr[near]], axis=0)
         source = np.insert(source, near + 1, [-2, -1])
         tips.append(q)
-        patched.append(obj.id)
+        patched.append(scene.ids[i])
     if patched:
         # A copy row repeats a row before it, so an object's first touch is
         # its first input row, moved past the inserted rows, or a spike tip.
@@ -505,10 +509,10 @@ def _patch_and_visit(
         first[first == none] = -1
     missed = np.flatnonzero(first < 0)
     if missed.size:
-        missed_id = _echo(scene.objects[missed[0]].id, repr)
+        missed_id = _echo(scene.ids[missed[0]], repr)
         raise ContractError(f"object {missed_id} left untouched after patching")
     visits = tuple(
-        Visit(object_id=obj.id, waypoint_index=int(hit)) for obj, hit in zip(scene.objects, first)
+        Visit(object_id=oid, waypoint_index=hit) for oid, hit in zip(scene.ids, first.tolist())
     )
     return arr, visits, patched
 
@@ -533,9 +537,8 @@ class SimulationOracle:
     """
 
     def __init__(self, scene: Scene, diameters):
-        ids = [obj.id for obj in scene.objects]
-        self._centers = dict(zip(ids, scene.centers.tolist()))
-        self._diameters = dict(zip(ids, diameters, strict=True))
+        self._centers = dict(zip(scene.ids, scene.centers.tolist()))
+        self._diameters = dict(zip(scene.ids, diameters, strict=True))
 
     def __call__(self, object_id: str, position: np.ndarray) -> bool:
         return math.dist(position, self._centers[object_id]) <= self._diameters[object_id] / 2.0
@@ -548,8 +551,8 @@ def realized_diameters(scene: Scene, rng: np.random.Generator) -> list[float]:
     """Realized diameters in scene order: a sphere keeps its own and draws nothing;
     any other shape draws uniformly from its own [d_min, d_max]."""
     return [
-        float(s.diameter) if isinstance(s, Sphere) else float(rng.uniform(s.d_min, s.d_max))
-        for s in (obj.region.shape for obj in scene.objects)
+        hi if sphere else float(rng.uniform(lo, hi))
+        for lo, hi, sphere in zip(scene.d_min.tolist(), scene.d_max.tolist(), scene.sphere.tolist())
     ]
 
 
@@ -574,7 +577,7 @@ def plan_online(start: Point3, scene: Scene, oracle) -> tuple[Tour, list[Detecti
     d_min, d_max = scene.d_min_global, scene.d_max_global
     close = closest_pair_within(scene.centers, d_max)
     if close is not None:
-        i, j = (_echo(scene.objects[k].id, repr) for k in close)
+        i, j = (_echo(scene.ids[k], repr) for k in close)
         raise ContractError(
             f"centers {i} and {j} closer than d_max; "
             "online planning assumes disjoint outer balls"
@@ -583,7 +586,7 @@ def plan_online(start: Point3, scene: Scene, oracle) -> tuple[Tour, list[Detecti
     outcomes = []
 
     def detect(idx: int, pos: np.ndarray) -> np.ndarray:
-        oid = scene.objects[idx].id
+        oid = scene.ids[idx]
         c = scene.centers[idx]
         delta = c - pos
         dist = float(np.linalg.norm(delta))
@@ -627,7 +630,7 @@ def _surface_samples(scene: Scene, n: int) -> np.ndarray:
     centers = scene.centers
     samples = centers[:, None] + dirs * scene.r_out[:, None, None]
     for i in np.flatnonzero(~scene.exact).tolist():
-        radii = _boundary_radii(scene.objects[i].region.shape, centers[i], dirs)
+        radii = _boundary_radii(scene.region(i).shape, centers[i], dirs)
         samples[i] = centers[i] + dirs * radii[:, None]
     return samples
 
@@ -737,7 +740,7 @@ def alpha_fat_baseline(
     for k, idx in enumerate(walk, start=1):
         if idx not in seen:
             seen.add(idx)
-            visits.append(Visit(object_id=scene.objects[idx].id, waypoint_index=k))
+            visits.append(Visit(object_id=scene.ids[idx], waypoint_index=k))
     waypoints = np.concatenate([start_arr[None], rep_arr[walk]])
     return Tour(waypoints=waypoints, visits=tuple(visits))
 
@@ -820,4 +823,4 @@ def validate_bounds(
 def missed_objects(tour: Tour, scene: Scene) -> list[str]:
     """Ids of scene objects no tour waypoint touches (within tolerance)."""
     first = first_touch_indices(scene, tour.waypoints)
-    return [obj.id for obj, hit in zip(scene.objects, first) if hit < 0]
+    return [oid for oid, hit in zip(scene.ids, first.tolist()) if hit < 0]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, InsufficientCoverageError
+from .errors import ContractError, InsufficientCoverageError, _echo
 from .geom import Point3, Region, Sampled, Shell, farthest_pair_distance
 
 ORIENTATION_BINS = 360
@@ -346,7 +346,7 @@ def read_pgm(path) -> GrayImage:
                             f"as digits, separated by whitespace or '#' comments")
     width, height, maxval = map(int, header.groups())
     if not 1 <= maxval <= 255:
-        raise ContractError(f"{path}: maxval {maxval} unsupported (need 1 to 255)")
+        raise ContractError(f"{path}: maxval {_echo(maxval, str)} unsupported (need 1 to 255)")
     raw = data[header.end() : header.end() + width * height]
     if len(raw) != width * height:
         raise ContractError(f"{path}: truncated pixel data")
@@ -376,7 +376,7 @@ def read_score_csv(path) -> list[ViewSample]:
         header = next(reader, None)
         if header != SCORE_CSV_HEADER:
             raise ContractError(
-                f"{path}: expected header {','.join(SCORE_CSV_HEADER)}, got {header}"
+                f"{path}: expected header {','.join(SCORE_CSV_HEADER)}, got {_echo(header, str)}"
             )
         samples = []
         for r in reader:

@@ -10,7 +10,13 @@ from tspn import (
     missed_objects,
 )
 from tspn import cli
-from tspn.bench import scene_from_json, scene_to_json, tour_from_json, tour_to_json
+from tspn.bench import (
+    SceneConfig, generate_scene, scene_from_json, scene_to_json, tour_from_json, tour_to_json,
+)
+from tspn.planner import (
+    SimulationOracle, alpha_fat_baseline, plan_nondisjoint_detailed, plan_online,
+    realized_diameters, validate_bounds,
+)
 from tspn.cli import main
 from tspn.errors import ECHO_CHARS
 from tspn.viewscore import GrayImage, ObjectMask, viewing_score, write_pgm
@@ -735,3 +741,112 @@ def test_a_duplicated_million_character_id_is_refused_in_one_short_line(tmp_path
     assert err == f"error: duplicate object id {repr(long_id)[:ECHO_CHARS]}…\n"
     assert len(err.encode()) < 600
     assert not out.exists()
+
+
+def _overlapping_scene(tmp_path):
+    """A generated 40-object overlapping scene: its file and the library's own copy."""
+    path = tmp_path / "overlap.json"
+    argv = ["gen-scene", "--n", "40", "--dmin", "5.4", "--dmax", "8.2", "--cube-edge", "60",
+            "--overlap-rate", "0.4", "--seed", "5", "--out", str(path)]
+    assert run(argv) == 0
+    config = SceneConfig(n_objects=40, d_min=5.4, d_max=8.2, cube_edge=60.0, disjoint=False,
+                         overlap_rate=0.4, seed=5)
+    return path, generate_scene(config)
+
+
+@pytest.mark.parametrize("command", ["plan", "validate", "baseline", "online"])
+def test_commands_on_a_loaded_overlapping_scene_write_what_the_library_writes(tmp_path, capsys, command):
+    path, scene = _overlapping_scene(tmp_path)
+    assert path.read_text() == scene_to_json(scene)
+    start = Point3(0.0, 0.0, 0.0)
+    out, extra = tmp_path / "out.json", tmp_path / "extra.json"
+    argv = [command, "--scene", str(path), "--out", str(out)]
+    if command == "plan":
+        assert run(argv + ["--seed", "1"]) == 0
+        assert out.read_text() == tour_to_json(plan_nondisjoint_detailed(start, scene).tour)
+    elif command == "validate":
+        traj = tmp_path / "traj.json"
+        tour = plan_nondisjoint_detailed(start, scene).tour
+        traj.write_text(tour_to_json(tour))
+        assert run(argv + ["--traj", str(traj)]) == 0
+        report = validate_bounds(scene, tour)
+        assert report.count_bound_applicable is False
+        assert out.read_text() == json.dumps({
+            "n_objects": report.n_objects,
+            "tour_length_m": report.tour_length,
+            "count_bound": report.count_bound,
+            "count_bound_applicable": report.count_bound_applicable,
+            "count_bound_holds": report.count_bound_holds,
+            "online_lower_bound_m": report.online_lower_bound,
+            "online_lower_bound_holds": report.online_lower_bound_holds,
+            "length_over_lower_bound": report.length_over_lower_bound,
+        }, indent=2) + "\n"
+    elif command == "baseline":
+        assert run(argv + ["--seed", "1"]) == 0
+        assert out.read_text() == tour_to_json(alpha_fat_baseline(start, scene))
+    else:
+        # The online planner assumes disjoint outer balls: both refuse in the same words.
+        assert run(argv + ["--seed", "1", "--outcomes", str(extra)]) == 1
+        oracle = SimulationOracle(scene, realized_diameters(scene, np.random.default_rng(1)))
+        with pytest.raises(ContractError) as err:
+            plan_online(start, scene, oracle)
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+        assert not out.exists() and not extra.exists()
+
+
+def test_online_outcomes_on_a_loaded_scene_are_what_the_library_writes(tmp_path):
+    path, out, outcomes = tmp_path / "scene.json", tmp_path / "out.json", tmp_path / "outcomes.json"
+    scene = generate_scene(SceneConfig(n_objects=40, d_min=5.4, d_max=8.2, seed=5))
+    path.write_text(scene_to_json(scene))
+    assert run(["online", "--scene", str(path), "--seed", "3", "--out", str(out),
+                "--outcomes", str(outcomes)]) == 0
+    oracle = SimulationOracle(scene, realized_diameters(scene, np.random.default_rng(3)))
+    tour, detected = plan_online(Point3(0.0, 0.0, 0.0), scene, oracle)
+    assert out.read_text() == tour_to_json(tour)
+    doc = [{"object_id": o.object_id, "realized_diameter_m": o.realized_diameter,
+            "detected_at_m": o.detected_at.tolist()} for o in detected]
+    assert outcomes.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+def _refused_in_a_short_line(capsys, argv, prefix):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + prefix) and err.count("\n") == 1
+    assert len(err.encode()) < 600
+    return err
+
+
+def test_a_visit_index_of_4000_digits_is_refused_in_one_short_line(tmp_path, capsys):
+    scene, traj, _, traj_doc = _scene_and_trajectory(tmp_path)
+    digits = "9" * 4000
+    traj_doc["visits"][0]["waypoint_index"] = int(digits)
+    traj.write_text(json.dumps(traj_doc))
+    err = _refused_in_a_short_line(
+        capsys, ["validate", "--scene", str(scene), "--traj", str(traj)], "visit index " + digits[:ECHO_CHARS]
+    )
+    assert err.endswith("… out of range\n")
+
+
+def test_a_pgm_maxval_of_4000_digits_is_refused_in_one_short_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the message starts with the path given
+    digits = "9" * 4000
+    with open("img.pgm", "wb") as f:
+        f.write(b"P5\n3 3\n" + digits.encode() + b"\n" + bytes(range(9)))
+    write_pgm("mask.pgm", GrayImage.from_array(np.full((3, 3), 255.0)))
+    err = _refused_in_a_short_line(
+        capsys, ["score", "--image", "img.pgm", "--mask", "mask.pgm"], f"img.pgm: maxval {digits[:ECHO_CHARS]}…"
+    )
+    assert err.endswith("… unsupported (need 1 to 255)\n")
+
+
+def test_a_score_csv_header_of_100000_characters_is_refused_in_one_short_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the message starts with the path given
+    header = "h" * 100_000
+    with open("s.csv", "w") as f:
+        f.write(header + "\n")
+    _refused_in_a_short_line(
+        capsys, ["region", "--center", "0,0,0", "--scores", "s.csv", "--out", "region.json"],
+        "s.csv: expected header azimuth_rad,elevation_rad,distance_m,score, got "
+        + str([header])[:ECHO_CHARS] + "…\n",
+    )
+    assert not (tmp_path / "region.json").exists()
