@@ -88,6 +88,7 @@ def generate_scene(config: SceneConfig) -> Scene:
     the outer d_max balls stay pairwise disjoint; a capacity error names
     the achieved count if packing stalls. Non-disjoint scenes place an
     ``overlap_rate`` fraction of centers within d_min of a prior center.
+    The draws fill the scene's columns; its objects are built on demand.
     """
     rng = np.random.default_rng(config.seed)
     n = config.n_objects
@@ -133,36 +134,15 @@ def generate_scene(config: SceneConfig) -> Scene:
                 if np.all((c >= 0.0) & (c <= config.cube_edge)):
                     break
             centers.append(c)
-    objects = [
-        SceneObject(id=f"obj-{i:03d}", region=Region(center=Point3.from_array(c), shape=Sphere(float(d))))
-        for i, (c, d) in enumerate(zip(centers, diameters))
-    ]
-    return Scene(
-        objects=objects, d_min_global=config.d_min, d_max_global=config.d_max, cube_edge=config.cube_edge
+    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    d = diameters.tolist()
+    return Scene.from_columns(
+        [f"obj-{i:03d}" for i in range(n)], centers.tolist(), [Sphere] * n, d, d, [None] * n,
+        d_min_global=config.d_min, d_max_global=config.d_max, cube_edge=config.cube_edge, centers=centers,
     )
 
 
 # ------------------------------------------------------------------ JSON formats
-
-
-def _shape_to_json(region: Region) -> dict:
-    s = region.shape
-    if isinstance(s, Sphere):
-        return {"kind": "sphere", "diameter_m": float(s.diameter)}
-    if isinstance(s, Shell):
-        return {
-            "kind": "shell",
-            "inner_diameter_m": float(s.inner_diameter),
-            "outer_diameter_m": float(s.outer_diameter),
-        }
-    assert isinstance(s, Sampled)
-    return {
-        "kind": "sampled",
-        "points_m": [[float(v) for v in row] for row in s.points],
-        "normals": [[float(v) for v in row] for row in s.normals],
-        "d_min_m": float(s.d_min),
-        "d_max_m": float(s.d_max),
-    }
 
 
 def _parse(text: str):
@@ -241,51 +221,23 @@ def _points(rows: list, name: str | None) -> np.ndarray | None:
     return None
 
 
-def _shape_from_json(obj, path: str):
-    kind = _field(obj, "kind", path)
-    if kind == "sphere":
-        return Sphere(diameter=_number(obj, "diameter_m", path))
-    if kind == "shell":
-        return Shell(
-            inner_diameter=_number(obj, "inner_diameter_m", path),
-            outer_diameter=_number(obj, "outer_diameter_m", path),
-        )
-    if kind == "sampled":
-        points, normals = (_points(_list(obj, key, path), path + key) for key in ("points_m", "normals"))
-        return Sampled(
-            points=points,
-            normals=normals,
-            d_min=_number(obj, "d_min_m", path),
-            d_max=_number(obj, "d_max_m", path),
-        )
-    raise ContractError(f"{path}kind: unknown shape kind {_echo(kind, repr)}")
-
-
-def object_to_json(object_id: str, region: Region) -> dict:
-    """One entry of a scene's ``objects`` list; ``tspn region`` writes the same document."""
-    return {
-        "id": object_id,
-        "center_m": [region.center.x, region.center.y, region.center.z],
-        "shape": _shape_to_json(region),
-    }
-
-
-def scene_to_json(scene: Scene) -> str:
-    doc = {
-        "cube_edge_m": float(scene.cube_edge),
-        "d_min_m": float(scene.d_min_global),
-        "d_max_m": float(scene.d_max_global),
-        "objects": [object_to_json(obj.id, obj.region) for obj in scene.objects],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 # Per shape kind: its class and the JSON fields of its least and largest diameter.
 _KINDS = {
     "sphere": (Sphere, "diameter_m", "diameter_m"),
     "shell": (Shell, "inner_diameter_m", "outer_diameter_m"),
     "sampled": (Sampled, "d_min_m", "d_max_m"),
 }
+
+
+def _shape_from_json(obj, path: str):
+    """One entry's shape; its fields are read in document order, a sampled shape's points first."""
+    kind = _field(obj, "kind", path)
+    if type(kind) is not str or kind not in _KINDS:
+        raise ContractError(f"{path}kind: unknown shape kind {_echo(kind, repr)}")
+    cls, lo, hi = _KINDS[kind]
+    blocks = ("points_m", "normals") if cls is Sampled else ()
+    points = [_points(_list(obj, key, path), path + key) for key in blocks]
+    return cls(*points, *(_number(obj, key, path) for key in dict.fromkeys((lo, hi))))
 
 
 def _shape_columns(entries: list):
@@ -405,22 +357,68 @@ def check_spacing(d_min: float, far, r_out, name) -> None:
         )
 
 
-def tour_to_json(tour: Tour) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"`` of the trajectory document, to the byte.
+# Per shape class: an object as json.dumps(entry, indent=2) writes it at indent 0. The fields
+# are the id, the center's coordinates, a sampled shape's points and normals, and the least
+# and largest diameter.
+_CENTER = '{\n  "id": %s,\n  "center_m": [\n    %s,\n    %s,\n    %s\n  ],\n  "shape": {\n    "kind": '
+_OBJECT = {
+    Sphere: _CENTER + '"sphere",\n    "diameter_m": %.0s%s\n  }\n}',  # "%.0s": a sphere's d_min is its d_max
+    Shell: _CENTER + '"shell",\n    "inner_diameter_m": %s,\n    "outer_diameter_m": %s\n  }\n}',
+    Sampled: _CENTER + '"sampled",\n    "points_m": %s,\n    "normals": %s,\n'
+    '    "d_min_m": %s,\n    "d_max_m": %s\n  }\n}',
+}
 
-    Each distinct coordinate, told apart by its bits so that ``-0.0`` is not
-    ``0.0``, is formatted once by ``float.__repr__`` (what the json encoder
-    writes for a finite float), and each id by the encoder's own C string
-    escaper; the pure-Python encoder that ``indent`` selects is not used.
-    """
-    bits, inverse = np.unique(tour.waypoints.ravel().view(np.int64), return_inverse=True)
-    texts = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """``float.__repr__`` of each finite float, as the json encoder writes it; each bit pattern once."""
+    bits, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
+    return np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)[inverse].tolist()
+
+
+def _rows_json(points: np.ndarray, pad: str) -> str:
+    """A float (k, 3) array as ``json.dumps(points.tolist(), indent=2)`` writes it at indent ``pad``."""
+    if not len(points):
+        return "[]"
     # Each coordinate, then the separator after it; the last one closes the list.
-    block = [None] * (2 * len(inverse))
-    block[0::2] = texts[inverse].tolist()
-    block[1::2] = [",\n      ", ",\n      ", "\n    ],\n    [\n      "] * len(tour.waypoints)
-    if block:
-        block[-1] = "\n    ]\n  ]"
+    step, row = ",\n" + pad + "    ", "\n" + pad + "  ],\n" + pad + "  [\n" + pad + "    "
+    block = [None] * (2 * points.size)
+    block[0::2] = _float_texts(points)
+    block[1::2] = [step, step, row] * len(points)
+    block[-1] = "\n" + pad + "  ]\n" + pad + "]"
+    return "[\n" + pad + "  [\n" + pad + "    " + "".join(block)
+
+
+def objects_to_json(scene: Scene, pad: str = "") -> list[str]:
+    """Each object as ``json.dumps(entry, indent=2)`` writes it at indent ``pad``, from the columns.
+
+    Only a sampled object's region is read, for its points and normals.
+    """
+    n = len(scene)
+    templates = {kind: t.replace("\n", "\n" + pad) for kind, t in _OBJECT.items()}
+    flat = list(chain.from_iterable(scene.rows))
+    # A JSON integer coordinate stays an integer; a float, np.float64 too, is written as a float.
+    all_floats = {float}.issuperset(map(type, flat))
+    xyz = iter(_float_texts(scene.centers) if all_floats else map(json.dumps, flat))
+    diameters = _float_texts(np.concatenate([scene.d_min, scene.d_max]))
+    fields = list(zip(map(encode_basestring_ascii, scene.ids), xyz, xyz, xyz, diameters[:n], diameters[n:]))
+    for i in np.flatnonzero(~scene.exact).tolist():
+        s, inner = scene.region(i).shape, pad + "    "
+        blocks = _rows_json(s.points, inner), _rows_json(s.normals, inner)
+        fields[i] = fields[i][:4] + blocks + fields[i][4:]
+    return [templates[kind] % f for kind, f in zip(scene.kinds, fields)]
+
+
+def scene_to_json(scene: Scene) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` of the scene document, to the byte."""
+    objects = ",\n    ".join(objects_to_json(scene, "    "))
+    return '{\n  "cube_edge_m": %s,\n  "d_min_m": %s,\n  "d_max_m": %s,\n  "objects": %s\n}\n' % (
+        *(json.dumps(float(v)) for v in (scene.cube_edge, scene.d_min_global, scene.d_max_global)),
+        "[\n    " + objects + "\n  ]" if len(scene) else "[]",
+    )
+
+
+def tour_to_json(tour: Tour) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` of the trajectory document, to the byte."""
     visits = ",\n    ".join(
         '{\n      "object_id": %s,\n      "waypoint_index": %d\n    }'
         % (encode_basestring_ascii(v.object_id), v.waypoint_index)
@@ -428,7 +426,7 @@ def tour_to_json(tour: Tour) -> str:
     )
     return '{\n  "length_m": %s,\n  "waypoints_m": %s,\n  "visits": %s\n}\n' % (
         json.dumps(tour_length(tour)),
-        "[\n    [\n      " + "".join(block) if block else "[]",
+        _rows_json(tour.waypoints, "  "),
         "[\n    " + visits + "\n  ]" if visits else "[]",
     )
 

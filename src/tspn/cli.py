@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .bench import (
     SceneConfig,
     check_spacing,
     generate_scene,
-    object_to_json,
+    objects_to_json,
     report_aggregates_csv,
     report_rows_csv,
     run_comparison,
@@ -31,7 +32,7 @@ from .bench import (
     tour_to_json,
 )
 from .errors import TspnError
-from .geom import Point3
+from .geom import Point3, Scene, SceneObject
 from .planner import (
     DEFAULT_SAMPLES_PER_REGION,
     SimulationOracle,
@@ -197,21 +198,25 @@ def _cmd_baseline(args) -> int:
     return 0
 
 
+# One detection outcome as json.dumps(outcomes, indent=2) writes it in its list.
+_OUTCOME = (
+    '{\n    "object_id": %s,\n    "realized_diameter_m": %s,\n'
+    '    "detected_at_m": [\n      %s,\n      %s,\n      %s\n    ]\n  }'
+)
+
+
 def _cmd_online(args) -> int:
     scene, start = _scene_and_start(args)
     oracle = SimulationOracle(scene, realized_diameters(scene, np.random.default_rng(args.seed)))
     tour, outcomes = plan_online(start, scene, oracle)
     _write(args.out, tour_to_json(tour))
     if args.outcomes:
-        doc = [
-            {
-                "object_id": o.object_id,
-                "realized_diameter_m": o.realized_diameter,
-                "detected_at_m": o.detected_at.tolist(),
-            }
+        entries = ",\n  ".join(
+            _OUTCOME % (encode_basestring_ascii(o.object_id),
+                        *map(float.__repr__, [o.realized_diameter, *o.detected_at.tolist()]))
             for o in outcomes
-        ]
-        _write_json(args.outcomes, doc)
+        )
+        _write(args.outcomes, "[\n  " + entries + "\n]\n" if entries else "[]\n")
     return 0
 
 
@@ -257,7 +262,8 @@ def _cmd_region(args) -> int:
         region = region_from_profile(center, args.profile)
     else:
         raise TspnError("provide --scores or --profile")
-    _write_json(args.out, object_to_json("region-0", region))
+    scene = Scene([SceneObject("region-0", region)], region.d_min, region.d_max)
+    _write(args.out, objects_to_json(scene)[0] + "\n")
     return 0
 
 

@@ -553,9 +553,11 @@ class Scene:
     passes read: ``centers`` (n, 3), each shape's ``d_min`` and ``d_max``,
     ``r_in`` and ``r_out = d_max / 2``, ``tol = touch_tolerance(region,
     d_min_global)``, ``reach`` (the radius holding the region plus ``tol``),
-    ``exact`` (sphere or shell) and ``sphere``. ``objects``, ``get`` and
-    ``region`` build an object's ``SceneObject`` and ``Region`` from the
-    columns the first time they are asked for it.
+    ``exact`` (sphere or shell) and ``sphere``. The lists ``rows`` (each
+    center as given, so a JSON integer stays an integer) and ``kinds`` (each
+    shape class) are not to be modified. ``objects``, ``get`` and ``region``
+    build an object's ``SceneObject`` and ``Region`` from the columns the
+    first time they are asked for it.
     """
 
     def __init__(self, objects, d_min_global, d_max_global, cube_edge=100.0):
@@ -624,7 +626,7 @@ class Scene:
             )
         self.ids = tuple(ids)
         self._index = index
-        self._rows, self._kinds, self._built = rows, kinds, built
+        self.rows, self.kinds, self._built = rows, kinds, built
         self._objects = None
         sphere = np.array([k is Sphere for k in kinds], dtype=bool)
         exact = np.array([k is not Sampled for k in kinds], dtype=bool)
@@ -651,8 +653,8 @@ class Scene:
         obj = self._built[i]
         if obj is None:
             lo, hi = float(self.d_min[i]), float(self.d_max[i])
-            shape = Sphere(hi) if self._kinds[i] is Sphere else Shell(lo, hi)
-            obj = self._built[i] = SceneObject(self.ids[i], Region(Point3(*self._rows[i]), shape))
+            shape = Sphere(hi) if self.kinds[i] is Sphere else Shell(lo, hi)
+            obj = self._built[i] = SceneObject(self.ids[i], Region(Point3(*self.rows[i]), shape))
         return obj
 
     @property
@@ -674,8 +676,8 @@ class Scene:
         """The scene of objects ``rows`` (ascending indices), with the same bounds and cube."""
         return Scene.from_columns(
             [self.ids[i] for i in rows],
-            [self._rows[i] for i in rows],
-            [self._kinds[i] for i in rows],
+            [self.rows[i] for i in rows],
+            [self.kinds[i] for i in rows],
             self.d_min[rows].tolist(),
             self.d_max[rows].tolist(),
             [self._built[i] for i in rows],

@@ -14,7 +14,7 @@ import numpy as np
 
 from tspn.errors import CapacityError, ContractError, InvalidRegionError, SizeLimitError
 from tspn.geom import (
-    EPS_TOL, Sampled, Scene, SceneObject, Shell, Sphere, Tour, Visit,
+    EPS_TOL, Point3, Region, Sampled, Scene, SceneObject, Shell, Sphere, Tour, Visit,
     closest_point_on_region, contains, max_diameter_segment, regions_intersect, touch_tolerance,
 )
 from tspn.planner import (
@@ -386,6 +386,68 @@ def one_at_a_time_disjoint_centers(config) -> tuple[np.ndarray, list[np.ndarray]
                     placed=len(centers),
                 )
     return diameters, centers
+
+
+def object_built_scene(config) -> Scene:
+    """A ``SceneConfig``'s scene as ``Scene(objects=...)``, one ``SceneObject`` per draw.
+
+    Disjoint centers come from ``one_at_a_time_disjoint_centers``;
+    overlapping ones are drawn in ``generate_scene``'s order: the
+    diameters, the free centers, then each overlapping center within
+    ``d_min`` of an earlier one, redrawn until it lies in the cube.
+    """
+    if config.disjoint:
+        diameters, centers = one_at_a_time_disjoint_centers(config)
+    else:
+        rng = np.random.default_rng(config.seed)
+        n = config.n_objects
+        diameters = rng.uniform(config.d_min, config.d_max, size=n)
+        n_overlap = int(math.floor(config.overlap_rate * n)) if n > 1 else 0
+        centers = list(rng.uniform(0.0, config.cube_edge, size=(n - n_overlap, 3)))
+        for _ in range(n_overlap):
+            while True:
+                base = centers[int(rng.integers(0, len(centers)))]
+                u = rng.normal(size=3)
+                u /= np.linalg.norm(u)
+                c = base + u * (config.d_min * float(rng.uniform(0.25, 1.0)))
+                if np.all((c >= 0.0) & (c <= config.cube_edge)):
+                    break
+            centers.append(c)
+    objects = [
+        SceneObject(id=f"obj-{i:03d}", region=Region(center=Point3.from_array(c), shape=Sphere(float(d))))
+        for i, (c, d) in enumerate(zip(centers, diameters))
+    ]
+    return Scene(objects, config.d_min, config.d_max, config.cube_edge)
+
+
+def object_document(object_id: str, region) -> dict:
+    """One entry of a scene document, built field by field from the region, as ``tspn region`` writes it."""
+    s = region.shape
+    if isinstance(s, Sphere):
+        shape = {"kind": "sphere", "diameter_m": float(s.diameter)}
+    elif isinstance(s, Shell):
+        shape = {"kind": "shell", "inner_diameter_m": float(s.inner_diameter),
+                 "outer_diameter_m": float(s.outer_diameter)}
+    else:
+        shape = {
+            "kind": "sampled",
+            "points_m": [[float(v) for v in row] for row in s.points],
+            "normals": [[float(v) for v in row] for row in s.normals],
+            "d_min_m": float(s.d_min),
+            "d_max_m": float(s.d_max),
+        }
+    c = region.center
+    return {"id": object_id, "center_m": [c.x, c.y, c.z], "shape": shape}
+
+
+def scene_document(scene: Scene) -> dict:
+    """The scene document of ``scene``, built from its objects; ``json.dumps(doc, indent=2)`` writes it."""
+    return {
+        "cube_edge_m": float(scene.cube_edge),
+        "d_min_m": float(scene.d_min_global),
+        "d_max_m": float(scene.d_max_global),
+        "objects": [object_document(o.id, o.region) for o in scene.objects],
+    }
 
 
 def dense_closest_pair(points: np.ndarray) -> tuple[int, int, float]:

@@ -19,8 +19,12 @@ from tspn.planner import (
 )
 from tspn.cli import main
 from tspn.errors import ECHO_CHARS
-from tspn.viewscore import GrayImage, ObjectMask, viewing_score, write_pgm
+from tspn.viewscore import (
+    GrayImage, ObjectMask, build_region_from_scores, read_score_csv, region_from_profile, viewing_score,
+    write_pgm,
+)
 
+from oracles import object_document
 from test_coverage import KINDS, overlap_scene
 
 
@@ -172,6 +176,8 @@ def test_region_from_profile_and_scores(tmp_path):
     assert doc["shape"] == {
         "kind": "shell", "inner_diameter_m": 5.4, "outer_diameter_m": 8.2,
     }
+    region = region_from_profile(Point3(1.0, 2.0, 3.0), "car")
+    assert out.read_text() == json.dumps(object_document("region-0", region), indent=2) + "\n"
 
     scores = tmp_path / "scores.csv"
     rows = ["azimuth_rad,elevation_rad,distance_m,score"]
@@ -185,6 +191,8 @@ def test_region_from_profile_and_scores(tmp_path):
                 "--threshold", "0.3", "--out", str(out2)]) == 0
     doc2 = json.loads(out2.read_text())
     assert doc2["shape"]["kind"] == "sampled"
+    region = build_region_from_scores(Point3(0.0, 0.0, 0.0), read_score_csv(str(scores)), threshold=0.3)
+    assert out2.read_text() == json.dumps(object_document("region-0", region), indent=2) + "\n"
 
 
 def test_compare_command_csv_outputs(tmp_path):
@@ -806,6 +814,11 @@ def test_online_outcomes_on_a_loaded_scene_are_what_the_library_writes(tmp_path)
     doc = [{"object_id": o.object_id, "realized_diameter_m": o.realized_diameter,
             "detected_at_m": o.detected_at.tolist()} for o in detected]
     assert outcomes.read_text() == json.dumps(doc, indent=2) + "\n"
+    # An empty scene has no outcomes.
+    path.write_text(scene_to_json(Scene((), 5.4, 8.2)))
+    assert run(["online", "--scene", str(path), "--seed", "3", "--out", str(out),
+                "--outcomes", str(outcomes)]) == 0
+    assert outcomes.read_text() == json.dumps([], indent=2) + "\n"
 
 
 def _refused_in_a_short_line(capsys, argv, prefix):

@@ -5,24 +5,28 @@ one validating constructor. The loader checks ids, centers and shape fields
 as blocks and makes a ``Region`` only for sampled entries; the planner's
 hot paths read the columns. These tests hold the loaded scene to the
 library-built one, count the regions a plan request builds, and pin the
-messages of malformed shape blocks.
+messages of malformed shape blocks. ``generate_scene`` fills the columns
+too, and ``scene_to_json`` writes from them: these tests hold both to
+scenes built object by object and documents built field by field.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tspn.geom
-from tspn import Point3, Region, Sampled, Scene, Shell, Sphere
+from tspn import CapacityError, Point3, Region, Sampled, Scene, SceneObject, Shell, Sphere
 from tspn.bench import SceneConfig, generate_scene, scene_from_json, scene_to_json
 from tspn.cli import main
 from tspn.errors import TspnError
 from tspn.geom import closest_point_on_ball, closest_point_on_region
 from tspn.planner import center_visit, realized_diameters
 
+from oracles import object_built_scene, scene_document
 from test_coverage import KINDS, overlap_scene
 
 COLUMNS = ("centers", "d_min", "d_max", "r_in", "r_out", "tol", "reach", "exact", "sphere")
@@ -71,6 +75,95 @@ def test_loaded_scene_equals_the_library_built_one(seed, n, kinds, offset):
     _same_objects(subset, again)
 
 
+# How a scene's sphere and shell centers are given: as drawn (np.float64, whose %r is not a
+# float's), as Python floats, as JSON integers, or with the float-formatting edge values.
+CENTERS = {
+    "np.float64": tuple,
+    "float": lambda c: tuple(map(float, c)),
+    "int": lambda c: tuple(int(v) for v in np.round(c)),
+    "zeros": lambda c: (-0.0, 5e-324, float(c[2])),
+    "far": lambda c: (1e16, float(c[1]), float(c[2])),  # too far out to plan in: not loaded
+}
+# Object i's id: the characters the json encoder escapes, and some it does not.
+IDS = {
+    "plain": "o{}",
+    "quote": 'o{}"',
+    "backslash": "o{}\\",
+    "control": "o{}\x00\n\x1f\x7f",
+    "non-ascii": "o{}\u00e9\u6c34\U0001f600\u2028",
+}
+
+
+def _json_of(scene: Scene) -> str:
+    return json.dumps(scene_document(scene), indent=2) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12), kinds=st.sampled_from(KINDS),
+       centers=st.sampled_from(list(CENTERS)), ids=st.sampled_from(list(IDS)))
+@example(seed=1, n=0, kinds=KINDS[0], centers="float", ids="plain")
+@example(seed=1, n=8, kinds=KINDS[3], centers="int", ids="plain")
+@example(seed=2, n=8, kinds=KINDS[3], centers="np.float64", ids="plain")
+@example(seed=3, n=8, kinds=KINDS[1], centers="zeros", ids="plain")
+@example(seed=4, n=8, kinds=KINDS[0], centers="far", ids="plain")
+@example(seed=5, n=8, kinds=KINDS[3], centers="float", ids="quote")
+@example(seed=6, n=8, kinds=KINDS[3], centers="float", ids="backslash")
+@example(seed=7, n=8, kinds=KINDS[3], centers="float", ids="control")
+@example(seed=8, n=8, kinds=KINDS[3], centers="float", ids="non-ascii")
+def test_scene_json_equals_the_indented_json_encoder(seed, n, kinds, centers, ids):
+    drawn = overlap_scene(np.random.default_rng(seed), n, 0.0, kinds) if n else Scene((), 4.0, 8.0)
+    objects = [
+        # A sampled shape's points lie about its center, which is kept as drawn.
+        SceneObject(IDS[ids].format(i), o.region if not drawn.exact[i] else
+                    Region(Point3(*CENTERS[centers](drawn.centers[i])), o.region.shape))
+        for i, o in enumerate(drawn.objects)
+    ]
+    built = Scene(objects, drawn.d_min_global, drawn.d_max_global, drawn.cube_edge)
+    text = scene_to_json(built)
+    assert text == _json_of(built)
+    if centers != "far":
+        loaded = scene_from_json(text)
+        assert scene_to_json(loaded) == text == _json_of(loaded)
+
+
+def test_unbounded_scene_fields_are_written_as_the_encoder_writes_them():
+    # The library takes an infinite cube and bound, which no document loads; they are written as JSON does.
+    for scene in (Scene((), 1, 2, cube_edge=7), Scene((), 1.0, math.inf, cube_edge=math.inf)):
+        assert scene_to_json(scene) == _json_of(scene)
+
+
+GENERATED = {
+    "disjoint": SceneConfig(n_objects=150, d_min=5.4, d_max=8.2, cube_edge=80.0, seed=3),
+    "overlapping": SceneConfig(n_objects=150, d_min=5.4, d_max=8.2, cube_edge=60.0, disjoint=False,
+                               overlap_rate=0.35, seed=4),
+    "disjoint-0": SceneConfig(n_objects=0, d_min=5.4, d_max=8.2, seed=5),
+    "overlapping-0": SceneConfig(n_objects=0, d_min=5.4, d_max=8.2, disjoint=False, overlap_rate=0.5, seed=5),
+    "disjoint-1": SceneConfig(n_objects=1, d_min=5.4, d_max=8.2, seed=6),
+    "overlapping-1": SceneConfig(n_objects=1, d_min=5.4, d_max=8.2, disjoint=False, overlap_rate=1.0, seed=6),
+}
+
+
+@pytest.mark.parametrize("name", list(GENERATED))
+def test_a_generated_scene_is_the_object_built_scene_of_its_draws(name):
+    config = GENERATED[name]
+    generated, built = generate_scene(config), object_built_scene(config)
+    assert len(generated) == config.n_objects
+    _same_columns(generated, built)
+    assert (generated.d_min_global, generated.d_max_global, generated.cube_edge) == (
+        built.d_min_global, built.d_max_global, built.cube_edge)
+    assert scene_to_json(generated) == scene_to_json(built) == _json_of(built)
+    _same_objects(generated, built)
+
+
+def test_a_tight_cube_raises_the_capacity_error_of_the_object_built_sampler():
+    config = SceneConfig(n_objects=30, d_min=5.4, d_max=8.2, cube_edge=12.0, seed=2)
+    with pytest.raises(CapacityError) as want:
+        object_built_scene(config)
+    with pytest.raises(CapacityError) as got:
+        generate_scene(config)
+    assert (str(got.value), got.value.placed) == (str(want.value), want.value.placed)
+
+
 def test_integer_centers_are_rebuilt_as_the_document_gives_them():
     text = json.dumps({"cube_edge_m": 100.0, "d_min_m": 4.0, "d_max_m": 6.0, "objects": [
         {"id": "a", "center_m": [1, 2, 3], "shape": {"kind": "shell", "inner_diameter_m": 4,
@@ -100,6 +193,10 @@ def test_plan_and_validate_of_a_sphere_and_shell_scene_build_no_region(tmp_path,
     monkeypatch.setattr(tspn.geom, "_validate_region", lambda region: built.append(validate(region)))
     assert main(["plan", "--scene", str(path), "--seed", "1", "--out", str(traj)]) == 0
     assert main(["validate", "--scene", str(path), "--traj", str(traj), "--out", str(tmp_path / "r.json")]) == 0
+    # Drawing and writing a scene, and writing a loaded one, build none either.
+    assert main(["gen-scene", "--n", "60", "--dmin", "5.4", "--dmax", "8.2", "--seed", "3",
+                 "--out", str(tmp_path / "gen.json")]) == 0
+    assert scene_to_json(scene_from_json(path.read_text())) == json.dumps(doc, indent=2) + "\n"
     assert built == []
     # The counter sees regions that are built.
     assert len(scene_from_json(path.read_text()).objects) == len(built) == 60
@@ -214,6 +311,15 @@ def test_malformed_shape_blocks_name_the_first_fault_as_before(fault, earlier):
     with pytest.raises(TspnError) as err:
         scene_from_json(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", [[], {"kind": "sphere"}, None, 5, True, 1.5])
+def test_a_kind_that_is_no_string_is_an_unknown_kind(kind):
+    doc = _thousand()
+    doc["objects"][1]["shape"]["kind"] = kind
+    with pytest.raises(TspnError) as err:
+        scene_from_json(json.dumps(doc))
+    assert str(err.value) == f"objects[1].shape.kind: unknown shape kind {kind!r}"
 
 
 def test_the_thousand_object_scene_loads_through_the_columns(monkeypatch):
