@@ -34,17 +34,9 @@ from .geom import (
     earlier_within,
     tour_length,
 )
-from .planner import (
-    DEFAULT_SAMPLES_PER_REGION,
-    SimulationOracle,
-    alpha_fat_baseline,
-    missed_objects,
-    plan_nondisjoint_detailed,
-    plan_online,
-    realized_diameters,
-)
+from .planner import DEFAULT_SAMPLES_PER_REGION, PLANNERS, missed_objects
+from .tsp import TspConfig
 
-METHODS = ("center-visit", "alpha-fat", "online")
 REJECTION_LIMIT = 10_000
 # The largest |coordinate| plus outer radius planned in. Within it a coordinate
 # difference is at most twice it, so a sum of three squared differences, 12 times
@@ -291,35 +283,29 @@ def scene_from_json(text: str) -> Scene:
         centers = None
     columns = None if centers is None else _shape_columns(entries)
     if columns is None:
-        objects = []
+        # An entry that passes its own checks passes the block checks, so a failed block has
+        # a faulty entry: walk them field by field, to name the first fault in document order.
         for i, o in enumerate(entries):
             at = f"objects[{i}]."
             if centers is not None:
                 oid, center = ids[i], rows[i]
-            else:  # field by field, so that the first fault in document order is named
+            else:
                 oid = _typed(o, "id", at, str, "a string")
                 center = _point(_field(o, "center_m", at), at + "center_m")
-            shape = _shape_from_json(_field(o, "shape", at), at + "shape.")
-            objects.append(_scene_object(i, oid, center, shape))
-        scene = Scene(
-            objects=objects,
-            d_min_global=_number(doc, "d_min_m"),
-            d_max_global=_number(doc, "d_max_m"),
-            cube_edge=_number(doc, "cube_edge_m"),
-        )
-    else:
-        kinds, d_min, d_max = columns
-        built = [None] * len(entries)
-        for i in (i for i, k in enumerate(kinds) if k is Sampled):
-            shape = _shape_from_json(entries[i]["shape"], f"objects[{i}].shape.")
-            built[i] = _scene_object(i, ids[i], rows[i], shape)
-        scene = Scene.from_columns(
-            ids, rows, kinds, d_min, d_max, built,
-            d_min_global=_number(doc, "d_min_m"),
-            d_max_global=_number(doc, "d_max_m"),
-            cube_edge=_number(doc, "cube_edge_m"),
-            centers=centers,
-        )
+            _scene_object(i, oid, center, _shape_from_json(_field(o, "shape", at), at + "shape."))
+        raise AssertionError("a scene block check failed, but every entry passed its own")
+    kinds, d_min, d_max = columns
+    built = [None] * len(entries)
+    for i in (i for i, k in enumerate(kinds) if k is Sampled):
+        shape = _shape_from_json(entries[i]["shape"], f"objects[{i}].shape.")
+        built[i] = _scene_object(i, ids[i], rows[i], shape)
+    scene = Scene.from_columns(
+        ids, rows, kinds, d_min, d_max, built,
+        d_min_global=_number(doc, "d_min_m"),
+        d_max_global=_number(doc, "d_max_m"),
+        cube_edge=_number(doc, "cube_edge_m"),
+        centers=centers,
+    )
     far = np.abs(scene.centers).max(axis=1)
     for i in np.flatnonzero(~scene.exact).tolist():
         far[i] = max(far[i], np.abs(scene.region(i).shape.points).max())
@@ -491,15 +477,9 @@ class ComparisonReport:
 
 
 def _run_cell(scene: Scene, seed: int, method: str, samples_per_region: int) -> ComparisonRow:
-    start = Point3(0.0, 0.0, 0.0)
+    start, rng = Point3(0.0, 0.0, 0.0), np.random.default_rng(seed)
     t0 = time.perf_counter()
-    if method == "center-visit":
-        tour = plan_nondisjoint_detailed(start, scene).tour
-    elif method == "alpha-fat":
-        tour = alpha_fat_baseline(start, scene, samples_per_region=samples_per_region)
-    else:  # "online"; run_comparison rejects unknown methods
-        oracle = SimulationOracle(scene, realized_diameters(scene, np.random.default_rng(seed)))
-        tour, _ = plan_online(start, scene, oracle)
+    tour, _ = PLANNERS[method](start, scene, rng, TspConfig(), samples_per_region)
     runtime = time.perf_counter() - t0
     valid = missed_objects(tour, scene) == []
     return ComparisonRow(
@@ -520,17 +500,18 @@ def run_comparison(
 ) -> ComparisonReport:
     """Plan every (seed, method) cell from the origin and aggregate lengths/runtimes.
 
-    Scene seeds are ``config.seed + k`` for k in range(seeds); each seed's
-    scene is drawn once and planned by every method, untimed. Coverage is
+    Methods are ids of ``PLANNERS``. Scene seeds are ``config.seed + k`` for k
+    in range(seeds); each seed's scene is drawn once, untimed, and planned by
+    every method, which is handed ``np.random.default_rng(seed)``. Coverage is
     audited before a row is recorded; failures mark the row invalid. The
     ``online`` method is refused before any cell runs when the config is not
     disjoint.
     """
     if not methods:
-        raise ContractError(f"no method given; choose from {METHODS}")
+        raise ContractError(f"no method given; choose from {tuple(PLANNERS)}")
     for k, m in enumerate(methods):
-        if m not in METHODS:
-            raise ContractError(f"unknown method {m!r}; choose from {METHODS}")
+        if m not in PLANNERS:
+            raise ContractError(f"unknown method {m!r}; choose from {tuple(PLANNERS)}")
         if m in methods[:k]:
             raise ContractError(f"method {m!r} given twice")
     if seeds < 1:

@@ -3,9 +3,11 @@
 Subcommands cover scene generation, planning, the baseline, the online
 planner, independent-set extraction, detour construction, viewing scores,
 score-driven region construction, bound validation and the comparison
-harness. All randomized commands take a required --seed and are
-reproducible; exit status is 0 on success, 1 on contract errors and 2 on
-I/O errors.
+harness. gen-scene, plan, baseline, online and compare take a required
+--seed and are reproducible. plan and baseline draw nothing from theirs:
+it seeds the generator every planning method is handed, and stays required
+because the benchmark passes it. Exit status is 0 on success, 1 on
+contract errors and 2 on I/O errors.
 """
 
 from __future__ import annotations
@@ -33,17 +35,7 @@ from .bench import (
 )
 from .errors import TspnError
 from .geom import Point3, Scene, SceneObject
-from .planner import (
-    DEFAULT_SAMPLES_PER_REGION,
-    SimulationOracle,
-    alpha_fat_baseline,
-    build_detour,
-    maximal_independent_set,
-    plan_nondisjoint_detailed,
-    plan_online,
-    realized_diameters,
-    validate_bounds,
-)
+from .planner import DEFAULT_SAMPLES_PER_REGION, PLANNERS, build_detour, maximal_independent_set, validate_bounds
 from .tsp import TspConfig
 from .viewscore import (
     DIAMETER_PROFILES,
@@ -108,6 +100,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=["exact", "heuristic"], default="heuristic")
     p.add_argument("--seed", type=int, required=True, help="RNG seed")
     p.add_argument("--out", required=True, help="output trajectory JSON path")
+    p.set_defaults(method="center-visit", samples=DEFAULT_SAMPLES_PER_REGION, outcomes=None)
 
     p = sub.add_parser("baseline", help="surface-representative baseline tour")
     p.add_argument("--scene", required=True)
@@ -116,6 +109,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="boundary samples per region")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(method="alpha-fat", solver="heuristic", outcomes=None)
 
     p = sub.add_parser("online", help="online hollow-ball planning with a detection oracle")
     p.add_argument("--scene", required=True)
@@ -123,6 +117,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--outcomes", help="optional detection-outcomes JSON path")
+    p.set_defaults(method="online", solver="heuristic", samples=DEFAULT_SAMPLES_PER_REGION)
 
     p = sub.add_parser("mis", help="greedy maximal independent set of a scene")
     p.add_argument("--scene", required=True)
@@ -184,20 +179,6 @@ def _cmd_gen_scene(args) -> int:
     return 0
 
 
-def _cmd_plan(args) -> int:
-    scene, start = _scene_and_start(args)
-    detail = plan_nondisjoint_detailed(start, scene, TspConfig(solver=args.solver))
-    _write(args.out, tour_to_json(detail.tour))
-    return 0
-
-
-def _cmd_baseline(args) -> int:
-    scene, start = _scene_and_start(args)
-    tour = alpha_fat_baseline(start, scene, samples_per_region=args.samples)
-    _write(args.out, tour_to_json(tour))
-    return 0
-
-
 # One detection outcome as json.dumps(outcomes, indent=2) writes it in its list.
 _OUTCOME = (
     '{\n    "object_id": %s,\n    "realized_diameter_m": %s,\n'
@@ -205,10 +186,11 @@ _OUTCOME = (
 )
 
 
-def _cmd_online(args) -> int:
+def _cmd_planner(args) -> int:
+    """``plan``, ``baseline`` or ``online``: the method its parser binds, run from the table."""
     scene, start = _scene_and_start(args)
-    oracle = SimulationOracle(scene, realized_diameters(scene, np.random.default_rng(args.seed)))
-    tour, outcomes = plan_online(start, scene, oracle)
+    rng, tsp = np.random.default_rng(args.seed), TspConfig(solver=args.solver)
+    tour, outcomes = PLANNERS[args.method](start, scene, rng, tsp, args.samples)
     _write(args.out, tour_to_json(tour))
     if args.outcomes:
         entries = ",\n  ".join(
@@ -320,9 +302,9 @@ def _cmd_compare(args) -> int:
 
 _COMMANDS = {
     "gen-scene": _cmd_gen_scene,
-    "plan": _cmd_plan,
-    "baseline": _cmd_baseline,
-    "online": _cmd_online,
+    "plan": _cmd_planner,
+    "baseline": _cmd_planner,
+    "online": _cmd_planner,
     "mis": _cmd_mis,
     "detour": _cmd_detour,
     "score": _cmd_score,

@@ -745,6 +745,21 @@ def alpha_fat_baseline(
     return Tour(waypoints=waypoints, visits=tuple(visits))
 
 
+# --------------------------------------------------------------------------- method table
+
+# Method id -> planner(start, scene, rng, tsp, samples_per_region) -> (tour, outcomes), the one
+# list of methods that `tspn compare` and the plan, baseline and online commands run. Only the
+# online planner reads ``rng`` (its realized diameters) and reports outcomes. Each entry looks its
+# planner up by module-global name when called, so a patched module attribute is the one run.
+PLANNERS = {
+    "center-visit": lambda start, scene, rng, tsp, samples: (plan_nondisjoint_detailed(start, scene, tsp).tour, ()),
+    "alpha-fat": lambda start, scene, rng, tsp, samples: (alpha_fat_baseline(start, scene, samples), ()),
+    "online": lambda start, scene, rng, tsp, samples: plan_online(
+        start, scene, SimulationOracle(scene, realized_diameters(scene, rng))
+    ),
+}
+
+
 # --------------------------------------------------------------------------- bound validation
 
 

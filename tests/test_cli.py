@@ -5,16 +5,18 @@ import math
 import numpy as np
 import pytest
 
+import tspn.planner
 from tspn import (
     ContractError, Point3, Region, Scene, SceneObject, Sphere, TspConfig, center_visit,
     missed_objects,
 )
 from tspn import cli
 from tspn.bench import (
-    SceneConfig, generate_scene, scene_from_json, scene_to_json, tour_from_json, tour_to_json,
+    SceneConfig, generate_scene, run_comparison, scene_from_json, scene_to_json, tour_from_json,
+    tour_to_json,
 )
 from tspn.planner import (
-    SimulationOracle, alpha_fat_baseline, plan_nondisjoint_detailed, plan_online,
+    PLANNERS, SimulationOracle, alpha_fat_baseline, plan_nondisjoint_detailed, plan_online,
     realized_diameters, validate_bounds,
 )
 from tspn.cli import main
@@ -863,3 +865,51 @@ def test_a_score_csv_header_of_100000_characters_is_refused_in_one_short_line(tm
         + str([header])[:ECHO_CHARS] + "…\n",
     )
     assert not (tmp_path / "region.json").exists()
+
+
+# Per method of the planner table: the command that runs it, and the planner function it calls.
+METHOD_COMMANDS = {"center-visit": "plan", "alpha-fat": "baseline", "online": "online"}
+METHOD_FUNCTIONS = {"center-visit": "plan_nondisjoint_detailed", "alpha-fat": "alpha_fat_baseline",
+                    "online": "plan_online"}
+TABLE_SCENE = SceneConfig(n_objects=15, d_min=5.4, d_max=8.2, seed=4)
+
+
+@pytest.mark.parametrize("method", list(PLANNERS))
+def test_each_method_covers_a_disjoint_scene_from_its_start(method):
+    scene = generate_scene(TABLE_SCENE)
+    tour, outcomes = PLANNERS[method](Point3(3.0, -2.0, 1.0), scene, np.random.default_rng(4), TspConfig(), 108)
+    assert missed_objects(tour, scene) == []
+    assert tour.waypoints[0].tolist() == [3.0, -2.0, 1.0]
+    assert not outcomes or sorted(o.object_id for o in outcomes) == sorted(scene.ids)
+
+
+@pytest.mark.parametrize("method", list(PLANNERS))
+def test_each_method_calls_its_planner_by_its_module_name(monkeypatch, method):
+    """A tracer patches the planner module's attributes; an entry holding the function would skip it."""
+    name, calls = METHOD_FUNCTIONS[method], []
+    planner = getattr(tspn.planner, name)
+    monkeypatch.setattr(tspn.planner, name, lambda *args: calls.append(name) or planner(*args))
+    PLANNERS[method](Point3(0.0, 0.0, 0.0), generate_scene(TABLE_SCENE), np.random.default_rng(4), TspConfig(), 108)
+    assert calls == [name]
+
+
+@pytest.mark.parametrize("method", list(METHOD_COMMANDS))
+def test_a_compare_row_has_the_length_its_command_writes(tmp_path, method):
+    path, out = tmp_path / "scene.json", tmp_path / "out.json"
+    path.write_text(scene_to_json(generate_scene(TABLE_SCENE)))
+    argv = [METHOD_COMMANDS[method], "--scene", str(path), "--seed", str(TABLE_SCENE.seed), "--out", str(out)]
+    assert run(argv) == 0
+    (row,) = run_comparison(TABLE_SCENE, [method], seeds=1).rows
+    assert row.valid and json.loads(out.read_text())["length_m"] == row.length_m
+
+
+@pytest.mark.parametrize("command", list(METHOD_COMMANDS.values()))
+def test_a_negative_seed_is_refused_as_gen_scene_refuses_it(tmp_path, capsys, command):
+    """Every method is handed a generator seeded by --seed, so each command holds it to one rule."""
+    path, out = tmp_path / "scene.json", tmp_path / "out.json"
+    path.write_text(scene_to_json(generate_scene(TABLE_SCENE)))
+    assert run(["gen-scene", "--n", "3", "--dmin", "1", "--dmax", "2", "--seed", "-1", "--out", str(out)]) == 1
+    refusal = capsys.readouterr().err
+    assert run([command, "--scene", str(path), "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == refusal and refusal.startswith("error: ") and refusal.count("\n") == 1
+    assert not out.exists()

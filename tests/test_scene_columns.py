@@ -10,6 +10,7 @@ too, and ``scene_to_json`` writes from them: these tests hold both to
 scenes built object by object and documents built field by field.
 """
 
+import copy
 import json
 import math
 
@@ -352,3 +353,47 @@ def test_a_sampled_entry_is_built_at_load_and_its_faults_keep_their_order(monkey
     with pytest.raises(TspnError) as err:
         scene_from_json(json.dumps(doc))
     assert str(err.value) == "objects[5] ('o5'): sampled region needs >= 8 boundary points, got 3"
+
+
+# Values an edit writes over one field, row or entry of a scene document.
+JUNK = (None, True, 0, -1, 1e-320, 7.0, 1e300, math.inf, math.nan, 10**400, "", "x", "sphere",
+        "shell", "sampled", [], [0, 0], [0, 0, 0], [[1.0, 0.0, 0.0]] * 8, {}, {"kind": "cone"},
+        {"kind": "sphere", "diameter_m": 6.0}, {"kind": "shell", "inner_diameter_m": 6.0})
+
+
+def _edit(rng, doc) -> None:
+    """Overwrite, delete or repeat one value at a random depth of ``doc``, in place."""
+    node = doc
+    while True:
+        key = list(node)[rng.integers(len(node))] if isinstance(node, dict) else int(rng.integers(len(node)))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and rng.random() < 0.75:
+            node = child
+            continue
+        action = rng.integers(3)
+        if action == 0:
+            node[key] = copy.deepcopy(JUNK[rng.integers(len(JUNK))])
+        elif action == 1:
+            del node[key]
+        elif isinstance(node, list):
+            node.insert(key, copy.deepcopy(child))
+        else:
+            node[key] = copy.deepcopy(node)
+        return
+
+
+@pytest.mark.parametrize("kinds", KINDS)
+def test_an_edited_scene_document_loads_or_raises_a_tspn_error(kinds):
+    """The loader's block checks and its entry-by-entry walk refuse the same documents."""
+    rng = np.random.default_rng(25)
+    outcomes = set()
+    for _ in range(250):
+        doc = json.loads(scene_to_json(overlap_scene(rng, int(rng.integers(1, 9)), 0.0, kinds)))
+        for _ in range(rng.integers(1, 4)):
+            _edit(rng, doc)
+        try:
+            scene_from_json(json.dumps(doc))
+            outcomes.add("loaded")
+        except TspnError:
+            outcomes.add("refused")
+    assert outcomes == {"loaded", "refused"}
