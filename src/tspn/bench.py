@@ -503,9 +503,7 @@ def run_comparison(
     Methods are ids of ``PLANNERS``. Scene seeds are ``config.seed + k`` for k
     in range(seeds); each seed's scene is drawn once, untimed, and planned by
     every method, which is handed ``np.random.default_rng(seed)``. Coverage is
-    audited before a row is recorded; failures mark the row invalid. The
-    ``online`` method is refused before any cell runs when the config is not
-    disjoint.
+    audited before a row is recorded; failures mark the row invalid.
     """
     if not methods:
         raise ContractError(f"no method given; choose from {tuple(PLANNERS)}")
@@ -516,11 +514,6 @@ def run_comparison(
             raise ContractError(f"method {m!r} given twice")
     if seeds < 1:
         raise ContractError("seeds must be >= 1")
-    if "online" in methods and not config.disjoint:
-        raise ContractError(
-            "method 'online' plans only disjoint scenes (it assumes disjoint outer balls); "
-            "drop it or --nondisjoint"
-        )
 
     rows = []
     for seed in range(config.seed, config.seed + seeds):

@@ -94,30 +94,22 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True, help="RNG seed")
     p.add_argument("--out", required=True, help="output scene JSON path")
 
-    p = sub.add_parser("plan", help="plan a tour touching every region")
-    p.add_argument("--scene", required=True, help="scene JSON path")
-    p.add_argument("--start", default="0,0,0", help="start position x,y,z (m)")
-    p.add_argument("--solver", choices=["exact", "heuristic"], default="heuristic")
-    p.add_argument("--seed", type=int, required=True, help="RNG seed")
-    p.add_argument("--out", required=True, help="output trajectory JSON path")
-    p.set_defaults(method="center-visit", samples=DEFAULT_SAMPLES_PER_REGION, outcomes=None)
+    def planning(name, method, help_text):
+        """A planning command: the shared options, bound to ``method`` with every own option's default."""
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--scene", required=True, help="scene JSON path")
+        p.add_argument("--start", default="0,0,0", help="start position x,y,z (m)")
+        p.add_argument("--seed", type=int, required=True, help="RNG seed")
+        p.add_argument("--out", required=True, help="output trajectory JSON path")
+        p.set_defaults(method=method, solver="heuristic", samples=DEFAULT_SAMPLES_PER_REGION, outcomes=None)
+        return p
 
-    p = sub.add_parser("baseline", help="surface-representative baseline tour")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--start", default="0,0,0")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES_PER_REGION,
-                   help="boundary samples per region")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(method="alpha-fat", solver="heuristic", outcomes=None)
-
-    p = sub.add_parser("online", help="online hollow-ball planning with a detection oracle")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--start", default="0,0,0")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--outcomes", help="optional detection-outcomes JSON path")
-    p.set_defaults(method="online", solver="heuristic", samples=DEFAULT_SAMPLES_PER_REGION)
+    planning("plan", "center-visit", "plan a tour touching every region").add_argument(
+        "--solver", choices=["exact", "heuristic"])
+    planning("baseline", "alpha-fat", "surface-representative baseline tour").add_argument(
+        "--samples", type=int, help="boundary samples per region")
+    planning("online", "online", "online hollow-ball planning with a detection oracle").add_argument(
+        "--outcomes", help="optional detection-outcomes JSON path")
 
     p = sub.add_parser("mis", help="greedy maximal independent set of a scene")
     p.add_argument("--scene", required=True)
@@ -321,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 after printing a usage error
         return 1 if exc.code else 0
-    except (TspnError, ValueError, KeyError) as exc:
+    except (TspnError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -22,8 +22,8 @@ from tspn.planner import (
 from tspn.cli import main
 from tspn.errors import ECHO_CHARS
 from tspn.viewscore import (
-    GrayImage, ObjectMask, build_region_from_scores, read_score_csv, region_from_profile, viewing_score,
-    write_pgm,
+    DIAMETER_PROFILES, GrayImage, ObjectMask, build_region_from_scores, read_score_csv, region_from_profile,
+    viewing_score, write_pgm,
 )
 
 from oracles import object_document
@@ -467,20 +467,77 @@ def test_scene_far_from_the_origin_is_rejected_at_load(tmp_path, capsys):
         assert "too far from the origin" in err
 
 
-def test_compare_refuses_online_on_nondisjoint_scenes_before_planning(tmp_path, capsys):
-    rows_csv = tmp_path / "rows.csv"
-    _malformed_exits_1(capsys, ["compare", "--profile", "car", "--n", "30", "--seeds", "3",
-                                "--seed", "5", "--nondisjoint", "--overlap-rate", "0.3",
-                                "--methods", "center-visit,alpha-fat,online",
-                                "--out", str(rows_csv)],
-                       "method 'online' plans only disjoint scenes (it assumes disjoint outer "
-                       "balls); drop it or --nondisjoint")
+def test_compare_refuses_online_with_its_own_message_at_the_first_scene_it_cannot_plan(tmp_path, capsys):
+    """compare holds online to plan_online's own rule, so it refuses as ``tspn online`` does."""
+    car = DIAMETER_PROFILES["car"]
+    config = SceneConfig(n_objects=30, d_min=car.d_min, d_max=car.d_max, disjoint=False, overlap_rate=0.3, seed=5)
+    scene, rows_csv = tmp_path / "scene.json", tmp_path / "rows.csv"
+    scene.write_text(scene_to_json(generate_scene(config)))
+    assert run(["online", "--scene", str(scene), "--seed", "5", "--out", str(tmp_path / "t.json")]) == 1
+    refusal = capsys.readouterr().err
+    assert refusal.startswith("error: centers ") and refusal.count("\n") == 1
+    argv = ["compare", "--profile", "car", "--n", "30", "--seeds", "3", "--seed", "5", "--nondisjoint",
+            "--overlap-rate", "0.3", "--out", str(rows_csv)]
+    assert run([*argv, "--methods", "center-visit,alpha-fat,online"]) == 1
+    assert capsys.readouterr().err == refusal
     assert not rows_csv.exists()
-    assert run(["compare", "--profile", "car", "--n", "30", "--seeds", "3", "--seed", "5",
-                "--nondisjoint", "--overlap-rate", "0.3", "--methods", "center-visit,alpha-fat",
-                "--out", str(rows_csv)]) == 0
+    assert run([*argv, "--methods", "center-visit,alpha-fat"]) == 0
     with open(rows_csv) as f:
         assert len(list(csv.reader(f))) == 1 + 2 * 3
+
+
+def test_compare_plans_online_on_nondisjoint_scenes_that_plan_online_can_plan(tmp_path):
+    car = DIAMETER_PROFILES["car"]
+    rows_csv = tmp_path / "rows.csv"
+    assert run(["compare", "--profile", "car", "--n", "1", "--seeds", "2", "--seed", "1", "--nondisjoint",
+                "--methods", "online", "--out", str(rows_csv)]) == 0
+    with open(rows_csv) as f:
+        rows = list(csv.reader(f))[1:]
+    assert [r[:3] for r in rows] == [["online", "1", "1"], ["online", "1", "2"]]
+    for seed, row in zip((1, 2), rows):
+        config = SceneConfig(n_objects=1, d_min=car.d_min, d_max=car.d_max, disjoint=False, seed=seed)
+        scene, out = tmp_path / f"scene-{seed}.json", tmp_path / f"online-{seed}.json"
+        scene.write_text(scene_to_json(generate_scene(config)))
+        assert run(["online", "--scene", str(scene), "--seed", str(seed), "--out", str(out)]) == 0
+        assert repr(json.loads(out.read_text())["length_m"]) == row[3]
+
+
+def test_out_of_memory_is_refused_in_one_line(tmp_path, capsys, monkeypatch):
+    """The patched planner raises as numpy does; the table calls it by module name, so nothing is allocated."""
+    message = "Unable to allocate 71.1 PiB for an array with shape (10000000000000000,) and data type float64"
+
+    def alpha_fat_baseline(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(tspn.planner, "alpha_fat_baseline", alpha_fat_baseline)
+    scene, out = tmp_path / "scene.json", tmp_path / "out.json"
+    scene.write_text(scene_to_json(generate_scene(SceneConfig(n_objects=5, d_min=5.4, d_max=8.2, seed=1))))
+    _malformed_exits_1(capsys, ["baseline", "--scene", str(scene), "--seed", "1", "--out", str(out)], message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["online", "--solver", "exact"],
+    ["plan", "--samples", "32"],
+    ["plan", "--outcomes", "x.json"],
+    ["baseline", "--outcomes", "x.json"],
+])
+def test_a_planning_command_takes_only_its_own_option(tmp_path, capsys, argv):
+    code = run([*argv, "--scene", str(tmp_path / "scene.json"), "--seed", "1", "--out", str(tmp_path / "t.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("usage: tspn ")
+    assert err.endswith(f"tspn: error: unrecognized arguments: {' '.join(argv[1:])}\n")
+
+
+@pytest.mark.parametrize("command", ["plan", "baseline", "online"])
+def test_planning_commands_share_the_help_of_their_shared_options(capsys, command):
+    assert run([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    for option, text in [("--scene SCENE", "scene JSON path"), ("--start START", "start position x,y,z (m)"),
+                         ("--seed SEED", "RNG seed"), ("--out OUT", "output trajectory JSON path")]:
+        (line,) = [line for line in out.splitlines() if line.strip().startswith(option)]
+        assert line.split() == [*option.split(), *text.split()]
 
 
 @pytest.mark.parametrize("row, message", [
