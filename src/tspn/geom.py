@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ContractError, InvalidRegionError, _echo
 
-# Relative slack used by shape invariants (farthest-pair vs d_max, etc.).
+# Relative slack used by shape invariants (boundary radius vs d_max / 2, etc.).
 EPS_TOL = 1e-9
 
 # Touch tolerances: exact solids get a hair above float noise, sampled
@@ -117,13 +117,15 @@ Shape = Union[Sphere, Shell, Sampled]
 
 @dataclass(frozen=True, eq=False)
 class Region:
-    """A diameter-bounded detection region around a center point."""
+    """A diameter-bounded detection region around a center point. ``radial`` is a sampled
+    shape's table of boundary radii (k,) and unit directions (k, 3) from the center, else None."""
 
     center: Point3
     shape: Shape
+    radial: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        _validate_region(self)
+        object.__setattr__(self, "radial", _validate_region(self))
 
     @property
     def d_min(self) -> float:
@@ -134,18 +136,20 @@ class Region:
         return self.shape.d_max
 
 
-def _validate_region(region: Region) -> None:
+def _validate_region(region: Region) -> tuple[np.ndarray, np.ndarray] | None:
+    """Check the region and return a sampled shape's radial table, else None. Bounding
+    each sample's radius by ``d_max / 2`` bounds every pair: |p - q| <= r_p + r_q."""
     s = region.shape
     if isinstance(s, Sphere):
         if not (math.isfinite(s.diameter) and s.diameter > 0):
             raise InvalidRegionError(f"sphere diameter must be positive, got {s.diameter}")
-        return
+        return None
     if isinstance(s, Shell):
         if not (0 < s.inner_diameter <= s.outer_diameter) or not math.isfinite(s.outer_diameter):
             raise InvalidRegionError(
                 f"shell needs 0 < inner <= outer, got ({s.inner_diameter}, {s.outer_diameter})"
             )
-        return
+        return None
     if isinstance(s, Sampled):
         pts = s.points
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
@@ -167,14 +171,11 @@ def _validate_region(region: Region) -> None:
         if at_center.size:
             # The star model takes each point's direction from the center.
             raise InvalidRegionError(f"boundary point {at_center[0]} lies at the region center")
-        if np.any(radii > s.d_max / 2.0 * (1.0 + EPS_TOL) + EPS_TOL):
+        if np.any(radii > _reach(s.d_max / 2.0, 0.0)):
             raise InvalidRegionError("boundary point farther than d_max/2 from center")
-        far = farthest_pair_distance(pts)
-        if far > s.d_max * (1.0 + EPS_TOL) + EPS_TOL:
-            raise InvalidRegionError(
-                f"farthest boundary pair {far:.6g} exceeds d_max {s.d_max:.6g}"
-            )
-        return
+        units = (pts - c) / radii[:, None]
+        radii.flags.writeable = units.flags.writeable = False
+        return radii, units
     raise InvalidRegionError(f"unknown shape {type(s).__name__}")
 
 
@@ -197,7 +198,7 @@ def _farthest_pair(points: np.ndarray) -> tuple[float, int, int]:
 
 
 def farthest_pair_distance(points: np.ndarray) -> float:
-    """Max pairwise Euclidean distance."""
+    """Max pairwise Euclidean distance (no region path calls it; kept for the benchmark tracer)."""
     return math.sqrt(_farthest_pair(points)[0])
 
 
@@ -214,13 +215,10 @@ def touch_tolerance(region: Region, d_min_global: float) -> float:
     return EXACT_TOUCH_FRACTION * d_min_global
 
 
-def _boundary_radii(shape: Sampled, center: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """Radius of the boundary sample nearest in direction to each row of ``units`` (k, 3).
-
-    This is the star-shaped boundary's radius along each unit direction.
-    """
-    radii = distances(center, shape.points)
-    dirs = (shape.points - center) / radii[:, None]
+def _boundary_radii(region: Region, units: np.ndarray) -> np.ndarray:
+    """Radius of a sampled region's boundary sample nearest in direction to each row of
+    ``units`` (k, 3): the star-shaped boundary's radius along each unit direction."""
+    radii, dirs = region.radial
     return radii[np.argmax(dirs @ units.T, axis=0)]
 
 
@@ -271,12 +269,12 @@ def contains(region: Region, points: np.ndarray, tol: float) -> np.ndarray:
     s = region.shape
     if not isinstance(s, Sampled):
         return in_ball(r, s.r_in, s.d_max / 2.0, tol)
-    radii = distances(c, s.points)
+    radii = region.radial[0]
     inside = r <= radii.min() + tol
     radial = ~inside & (r <= radii.max() + tol)
     if radial.any():
         q = (points[radial] - c) / r[radial, None]
-        inside[radial] = r[radial] <= _boundary_radii(s, c, q) + tol
+        inside[radial] = r[radial] <= _boundary_radii(region, q) + tol
     return inside
 
 

@@ -630,7 +630,7 @@ def _surface_samples(scene: Scene, n: int) -> np.ndarray:
     centers = scene.centers
     samples = centers[:, None] + dirs * scene.r_out[:, None, None]
     for i in np.flatnonzero(~scene.exact).tolist():
-        radii = _boundary_radii(scene.region(i).shape, centers[i], dirs)
+        radii = _boundary_radii(scene.region(i), dirs)
         samples[i] = centers[i] + dirs * radii[:, None]
     return samples
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InsufficientCoverageError, _echo
-from .geom import Point3, Region, Sampled, Shell, farthest_pair_distance
+from .geom import Point3, Region, Sampled, Shell, _reach, distances
 
 ORIENTATION_BINS = 360
 DEFAULT_EDGE_FRACTION = 0.1
@@ -288,8 +288,8 @@ def build_region_from_scores(
 
     Samples scoring at least ``threshold`` become boundary points at their
     viewing distance about the object center, with outward radial normals.
-    d_max is the farthest surviving pair; d_min is twice the smallest
-    surviving radial distance.
+    d_max and d_min are twice the largest and the smallest surviving radial
+    distance (d_max widened if rounding put a point past its limit).
     """
     if threshold <= 0:
         raise ContractError("threshold must be positive")
@@ -304,14 +304,15 @@ def build_region_from_scores(
     dirs = np.array([_sample_direction(s) for s in kept])
     radii = np.array([s.distance for s in kept])
     pts = c + dirs * radii[:, None]
-    # d_max must also dominate twice the largest radial distance so the
-    # region invariants hold even for lopsided survivor sets; for
-    # well-spread survivors this equals the farthest pair.
-    d_max = max(farthest_pair_distance(pts), 2.0 * float(radii.max()))
-    d_min = 2.0 * float(radii.min())
+    # |p - q| <= r_p + r_q: twice the largest distance bounds every pair, unless
+    # rounding far from the origin put a point past it. Its own distance counts then.
+    d_max = 2.0 * float(radii.max())
+    far = float(distances(c, pts).max())
+    if far > _reach(d_max / 2.0, 0.0):
+        d_max = 2.0 * far
     return Region(
         center=center,
-        shape=Sampled(points=pts, normals=dirs, d_min=min(d_min, d_max), d_max=d_max),
+        shape=Sampled(points=pts, normals=dirs, d_min=2.0 * float(radii.min()), d_max=d_max),
     )
 
 

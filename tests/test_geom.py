@@ -20,10 +20,12 @@ from tspn import (
     regions_intersect,
     tour_length,
 )
+from tspn import geom
 from tspn.geom import (
     distances, farthest_pair_distance, polyline_length, sq_distances, touch_tolerance,
 )
 from tspn.planner import _ring_edges
+from tspn.viewscore import ViewSample, build_region_from_scores
 
 from oracles import (
     brute_closest_sample, brute_farthest_pair, fibonacci_directions, norm_diff_polyline_length,
@@ -130,6 +132,42 @@ def test_sampled_stores_read_only_copies():
     assert not shape.points.flags.writeable and not shape.normals.flags.writeable
     pts[0, 0] = 9.0
     assert shape.points[0, 0] == 1.0
+
+
+def test_sampled_region_keeps_its_radial_table():
+    rng = np.random.default_rng(12)
+    c = np.array([3.0, -1.0, 7.5])
+    region = random_star_region(rng, c, n=40)
+    radii, units = region.radial
+    assert np.array_equal(radii, np.linalg.norm(region.shape.points - c, axis=1))
+    assert np.allclose(units * radii[:, None], region.shape.points - c, rtol=0, atol=1e-12)
+    assert not radii.flags.writeable and not units.flags.writeable
+    assert sphere(0, 0, 0, 2).radial is None and shell_region(0, 0, 0, 1, 2).radial is None
+
+
+class PairScan(Exception):
+    pass
+
+
+def test_only_the_detour_axis_scans_boundary_pairs(monkeypatch):
+    """Validation and score folding bound every pair through the center; only the axis needs one."""
+    dirs = fibonacci_directions(64)
+    c = np.array([10.0, 10.0, 10.0])
+    radii = np.random.default_rng(4).uniform(2.0, 3.5, size=len(dirs))
+
+    def scan(points):
+        raise PairScan(len(points))
+
+    monkeypatch.setattr(geom, "_farthest_pair", scan)
+    pts = c + dirs * radii[:, None]
+    region = Region(Point3(*c), Sampled(pts, dirs, 2 * float(radii.min()), 2 * float(radii.max())))
+    samples = [
+        ViewSample(math.atan2(u[1], u[0]), math.asin(u[2]), r, 1.0) for u, r in zip(dirs.tolist(), radii)
+    ]
+    built = build_region_from_scores(Point3(*c), samples, threshold=0.5)
+    assert built.d_max == 2 * float(radii.max())
+    with pytest.raises(PairScan):
+        max_diameter_segment(region)
 
 
 # ---------------------------------------------------------------- intersection

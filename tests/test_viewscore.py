@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from tspn import InsufficientCoverageError, Point3
 from tspn.errors import ContractError
+from tspn.geom import EPS_TOL
 from tspn.viewscore import (
     DIAMETER_PROFILES,
     GrayImage,
@@ -405,6 +406,18 @@ def test_region_threshold_filters_band():
     assert not np.any((az >= 1e-9) & (az < math.pi / 2.0 - 1e-9))
     i, j, d = brute_farthest_pair(pts)
     assert math.isclose(region.d_max, d, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e8, 1e9])
+def test_region_from_antipodal_views_bounds_its_points_far_from_the_origin(offset):
+    """d_max is twice the largest view distance, unless rounding put a point past it."""
+    samples = [ViewSample(2 * math.pi * k / 16, 0.0, 4.0, 0.9) for k in range(16)]
+    region = build_region_from_scores(Point3(offset, 0, 0), samples, threshold=0.3)
+    far = float(region.radial[0].max())
+    if offset < 1e8:
+        assert region.d_max == 8.0
+    else:  # rounding put a point past 4 m by more than the validated slack
+        assert far > 4.0 * (1 + EPS_TOL) + EPS_TOL and region.d_max == 2 * far
 
 
 def test_region_requires_enough_survivors():
