@@ -306,11 +306,16 @@ def scene_from_json(text: str) -> Scene:
         cube_edge=_number(doc, "cube_edge_m"),
         centers=centers,
     )
+    check_scene_spacing(scene, lambda i: f"objects[{i}] ({_echo(scene.ids[i], repr)})")
+    return scene
+
+
+def check_scene_spacing(scene: Scene, name) -> None:
+    """``check_spacing`` on each object's center and, for a sampled region, boundary points."""
     far = np.abs(scene.centers).max(axis=1)
     for i in np.flatnonzero(~scene.exact).tolist():
         far[i] = max(far[i], np.abs(scene.region(i).shape.points).max())
-    check_spacing(scene.d_min_global, far, scene.r_out, lambda i: f"objects[{i}] ({_echo(scene.ids[i], repr)})")
-    return scene
+    check_spacing(scene.d_min_global, far, scene.r_out, name)
 
 
 def check_spacing(d_min: float, far, r_out, name) -> None:

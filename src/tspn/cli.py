@@ -22,6 +22,7 @@ import numpy as np
 
 from .bench import (
     SceneConfig,
+    check_scene_spacing,
     check_spacing,
     generate_scene,
     objects_to_json,
@@ -83,7 +84,13 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tspn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-scene", help="generate a seeded random scene")
+    def command(name, run, help_text):
+        """A subcommand's parser, which binds itself as ``parser`` and its handler as ``run``."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(parser=p, run=run)
+        return p
+
+    p = command("gen-scene", _cmd_gen_scene, "generate a seeded random scene")
     p.add_argument("--n", type=int, required=True, help="number of objects")
     p.add_argument("--cube-edge", type=float, default=100.0, help="cube edge length (m)")
     p.add_argument("--dmin", type=float, required=True, help="global minimum diameter (m)")
@@ -96,7 +103,7 @@ def _parser() -> argparse.ArgumentParser:
 
     def planning(name, method, help_text):
         """A planning command: the shared options, bound to ``method`` with every own option's default."""
-        p = sub.add_parser(name, help=help_text)
+        p = command(name, _cmd_planner, help_text)
         p.add_argument("--scene", required=True, help="scene JSON path")
         p.add_argument("--start", default="0,0,0", help="start position x,y,z (m)")
         p.add_argument("--seed", type=int, required=True, help="RNG seed")
@@ -111,21 +118,21 @@ def _parser() -> argparse.ArgumentParser:
     planning("online", "online", "online hollow-ball planning with a detection oracle").add_argument(
         "--outcomes", help="optional detection-outcomes JSON path")
 
-    p = sub.add_parser("mis", help="greedy maximal independent set of a scene")
+    p = command("mis", _cmd_mis, "greedy maximal independent set of a scene")
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("detour", help="perimeter-and-spike detour around one region")
+    p = command("detour", _cmd_detour, "perimeter-and-spike detour around one region")
     p.add_argument("--scene", required=True)
     p.add_argument("--object", required=True, help="object id owning the detour")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("score", help="viewing score of an image/mask pair")
+    p = command("score", _cmd_score, "viewing score of an image/mask pair")
     p.add_argument("--image", required=True, help="grayscale PGM (P5)")
     p.add_argument("--mask", required=True, help="object mask PGM (nonzero = object)")
     p.add_argument("--edge-fraction", type=float, default=0.1)
 
-    p = sub.add_parser("region", help="build a detection region from scored views")
+    p = command("region", _cmd_region, "build a detection region from scored views")
     p.add_argument("--center", required=True, help="object center x,y,z (m)")
     p.add_argument("--scores", help="view-score CSV (azimuth_rad,elevation_rad,distance_m,score)")
     p.add_argument("--threshold", type=float, default=0.3)
@@ -133,12 +140,12 @@ def _parser() -> argparse.ArgumentParser:
                    help="class defaults used when no score table is supplied")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("validate", help="evaluate analytic bounds for a planned tour")
+    p = command("validate", _cmd_validate, "evaluate analytic bounds for a planned tour")
     p.add_argument("--scene", required=True)
     p.add_argument("--traj", required=True)
     p.add_argument("--out", help="optional report JSON path (stdout otherwise)")
 
-    p = sub.add_parser("compare", help="run the method-comparison harness")
+    p = command("compare", _cmd_compare, "run the method-comparison harness")
     p.add_argument("--profile", choices=sorted(DIAMETER_PROFILES),
                    help="bind dmin/dmax from a class profile")
     p.add_argument("--dmin", type=float)
@@ -237,6 +244,7 @@ def _cmd_region(args) -> int:
     else:
         raise TspnError("provide --scores or --profile")
     scene = Scene([SceneObject("region-0", region)], region.d_min, region.d_max)
+    check_scene_spacing(scene, lambda _: "--center")  # what scene_from_json would refuse
     _write(args.out, objects_to_json(scene)[0] + "\n")
     return 0
 
@@ -292,24 +300,12 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gen-scene": _cmd_gen_scene,
-    "plan": _cmd_planner,
-    "baseline": _cmd_planner,
-    "online": _cmd_planner,
-    "mis": _cmd_mis,
-    "detour": _cmd_detour,
-    "score": _cmd_score,
-    "region": _cmd_region,
-    "validate": _cmd_validate,
-    "compare": _cmd_compare,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args, extra = _parser().parse_known_args(argv)
+        if extra:  # named by the subcommand, whose usage line shows what it takes
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args.run(args)
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 after printing a usage error
         return 1 if exc.code else 0

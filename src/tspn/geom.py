@@ -333,17 +333,23 @@ def regions_intersect(a: Region, b: Region, d_min_global: float) -> bool:
     Sphere/shell pairs are decided by ``balls_meet``. Any pair involving a
     sampled boundary is decided by testing boundary samples of one
     region for containment in the other, both ways, within the other's
-    ``touch_tolerance``.
+    ``touch_tolerance``. An exact solid can lie inside a sampled region,
+    clear of its samples, so a mixed pair also meets when the exact solid's
+    point nearest the sampled center (not its center: a shell's hole may
+    hold the sampled region) lies in the sampled region within its tolerance.
     """
     sa, sb = a.shape, b.shape
     if not isinstance(sa, Sampled) and not isinstance(sb, Sampled):
         dist = distances(a.center.as_array(), b.center.as_array())
         return bool(balls_meet(dist, sa.r_in, sa.d_max / 2.0, sb.r_in, sb.d_max / 2.0))
     for first, second in ((a, b), (b, a)):
-        if isinstance(first.shape, Sampled) and contains(
-            second, first.shape.points, touch_tolerance(second, d_min_global)
-        ).any():
+        if not isinstance(first.shape, Sampled):
+            continue
+        if contains(second, first.shape.points, touch_tolerance(second, d_min_global)).any():
             return True
+        if not isinstance(second.shape, Sampled):
+            near = closest_point_on_region(second, first.center.as_array())
+            return bool(contains(first, near[None], touch_tolerance(first, d_min_global))[0])
     return False
 
 

@@ -782,7 +782,7 @@ class BoundReport:
     count_bound_holds: bool | None
     detour_bounds: tuple[DetourBound, ...]
     online_lower_bound: float
-    online_lower_bound_holds: bool
+    online_lower_bound_holds: bool | None
     length_over_lower_bound: float | None
 
 
@@ -797,8 +797,9 @@ def validate_bounds(
 
     The achieved tour length stands in for the (unknown) optimum; the
     count bound is monotone in length, so the check remains valid. The
-    count bound only applies to pairwise-disjoint scenes; overlapping
-    scenes are flagged not-applicable rather than failed.
+    count bound, the online lower bound and the length over the inverted
+    count bound only apply to pairwise-disjoint scenes; on overlapping
+    scenes ``count_bound_applicable`` is False and the three verdicts are None.
     """
     n = len(scene)
     length = tour_length(tour)
@@ -821,7 +822,7 @@ def validate_bounds(
     lower_estimate = max(
         d_min * n / REGION_COUNT_COEFF - 2.0 * d_min, 0.0
     )  # inverted count bound
-    factor = (length / lower_estimate) if lower_estimate > 0 else None
+    factor = (length / lower_estimate) if disjoint and lower_estimate > 0 else None
     return BoundReport(
         n_objects=n,
         tour_length=length,
@@ -830,7 +831,7 @@ def validate_bounds(
         count_bound_holds=holds,
         detour_bounds=tuple(detour_rows),
         online_lower_bound=lb,
-        online_lower_bound_holds=length >= lb,
+        online_lower_bound_holds=(length >= lb) if disjoint else None,
         length_over_lower_bound=factor,
     )
 

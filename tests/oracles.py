@@ -52,6 +52,30 @@ def reach_of(region, d_min_global: float) -> float:
     return region.d_max / 2.0 * (1.0 + EPS_TOL) + EPS_TOL + touch_tolerance(region, d_min_global)
 
 
+def gap_mst_length(start, centers, reach) -> float:
+    """Dense-Prim minimum spanning tree length over the start and the region centers.
+
+    An edge weighs the gap ``max(0, |c_i - c_j| - reach_i - reach_j)``; the
+    start is a node of reach 0. Any path from the start touching every region
+    within ``reach`` of its center is at least this long, since it spans one
+    point of each region, and each of its edges is no shorter than its gap.
+    """
+    nodes = [tuple(map(float, start))] + [tuple(map(float, c)) for c in centers]
+    radius = [0.0] + [float(r) for r in reach]
+
+    def gap(i, j):
+        return max(0.0, math.dist(nodes[i], nodes[j]) - radius[i] - radius[j])
+
+    best = {j: gap(0, j) for j in range(1, len(nodes))}
+    total = 0.0
+    while best:
+        j = min(best, key=best.get)
+        total += best.pop(j)
+        for k in best:
+            best[k] = min(best[k], gap(j, k))
+    return total
+
+
 def drawn_diameters(scene: Scene, seed: int) -> list[float]:
     """Realized diameters for a ``SimulationOracle``: one uniform draw in the scene's
     [d_min_global, d_max_global] per object, in scene order."""
@@ -498,14 +522,31 @@ def per_direction_surface_samples(region, dirs: np.ndarray) -> np.ndarray:
 
 
 def loop_regions_intersect(a, b, d_min_global: float) -> bool:
-    """Sampled-pair intersection: boundary samples tested one at a time, both ways."""
+    """Sampled-pair intersection: boundary samples tested one at a time, both ways; for a
+    mixed pair, also the exact solid's point nearest the sampled center, in the sampled region."""
     for first, second in ((a, b), (b, a)):
         if not isinstance(first.shape, Sampled):
             continue
         tol = touch_tolerance(second, d_min_global)
         if any(scalar_region_contains(second, q, tol) for q in first.shape.points):
             return True
+        if not isinstance(second.shape, Sampled):
+            near = scalar_nearest_ball_point(second, first.center.as_array())
+            return scalar_region_contains(first, near, touch_tolerance(first, d_min_global))
     return False
+
+
+def scalar_nearest_ball_point(region, p: np.ndarray) -> np.ndarray:
+    """The sphere or shell solid's point nearest ``p``: ``p`` itself, or its radial
+    projection onto the outer or the inner sphere (+x from the center of the hole)."""
+    c = region.center.as_array()
+    r_in, r_out = ball_interval(region)
+    r = math.dist(p, c)
+    if r_in <= r <= r_out:
+        return np.asarray(p, dtype=float)
+    if r == 0.0:
+        return c + np.array([r_in, 0.0, 0.0])
+    return c + (p - c) * ((r_out if r > r_out else r_in) / r)
 
 
 def scalar_trace_perimeter(region, plane_point, axis_dir, perimeter_step, plane_basis):

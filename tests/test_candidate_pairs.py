@@ -27,6 +27,7 @@ from oracles import (
     cell_keys,
     dense_closest_pair,
     fibonacci_directions,
+    loop_regions_intersect,
     near_rows,
     per_point_closest_pair_within,
     per_point_intersecting_pairs,
@@ -200,7 +201,8 @@ def test_skewed_scene_in_one_cell_matches_brute_force_in_bounded_memory():
     rng = np.random.default_rng(3)
     lattice = np.stack(np.meshgrid(*[np.arange(13)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
     centers = 20.0 + 25.0 * lattice[rng.choice(len(lattice), size=2000, replace=False)]
-    # A few spheres sit on boundary samples of the large region, so it meets them.
+    # A few spheres sit on boundary samples of the large region; it meets them, and
+    # those inside it.
     centers[:5] = big_c + 190.0 * dirs[:5]
     regions = [big] + [Region(center=Point3(*c), shape=Sphere(float(d)))
                        for c, d in zip(centers, rng.uniform(0.5, 1.0, size=2000))]
@@ -214,7 +216,9 @@ def test_skewed_scene_in_one_cell_matches_brute_force_in_bounded_memory():
     assert gaps.min() > 2.0
     expected = [(0, j) for j in range(1, len(regions))
                 if regions_intersect(big, regions[j], scene.d_min_global)]
-    assert len(expected) == 5
+    assert expected == [(0, j) for j in range(1, len(regions))
+                        if loop_regions_intersect(big, regions[j], scene.d_min_global)]
+    assert len(expected) == 1627 and expected[:5] == [(0, j) for j in range(1, 6)]
     got, peak = traced_peak(intersecting_pairs, scene_of(regions))
     assert got == expected
     assert peak < PEAK_CAP

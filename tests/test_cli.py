@@ -197,6 +197,26 @@ def test_region_from_profile_and_scores(tmp_path):
     assert out2.read_text() == json.dumps(object_document("region-0", region), indent=2) + "\n"
 
 
+@pytest.mark.parametrize("source, center, far, tol, spacing", [
+    ("profile", "1e12,0,0", "1000000000000.0", "5.4e-06", "0.000122"),
+    ("profile", "1e300,0,0", "1e+300", "5.4e-06", "1.49e+284"),
+    ("scores", "1e12,0,0", "1000000000004.0", "8e-06", "0.000122"),
+])
+def test_region_writes_only_an_object_a_scene_can_load(tmp_path, capsys, source, center, far, tol, spacing):
+    scores, out = tmp_path / "scores.csv", tmp_path / "region.json"
+    scores.write_text("azimuth_rad,elevation_rad,distance_m,score\n"
+                      + "".join(f"{2 * math.pi * k / 16},0.0,4.0,0.9\n" for k in range(16)))
+    argv = ["region", "--out", str(out), *(["--profile", "car"] if source == "profile" else ["--scores", str(scores)])]
+    assert run(argv + ["--center", "1e9,0,0"]) == 0
+    doc = {"cube_edge_m": 100.0, "d_min_m": 5.4, "d_max_m": 8.2, "objects": [json.loads(out.read_text())]}
+    assert len(scene_from_json(json.dumps(doc))) == 1
+    out.unlink()
+    _malformed_exits_1(capsys, argv + ["--center", center],
+                       f"--center: |coordinate| {far} m is too far from the origin to plan in: its float "
+                       f"spacing {spacing} m is over a quarter of the touch tolerance {tol} m")
+    assert not out.exists()
+
+
 def test_compare_command_csv_outputs(tmp_path):
     rows_csv = tmp_path / "rows.csv"
     agg_csv = tmp_path / "agg.csv"
@@ -526,8 +546,8 @@ def test_a_planning_command_takes_only_its_own_option(tmp_path, capsys, argv):
     code = run([*argv, "--scene", str(tmp_path / "scene.json"), "--seed", "1", "--out", str(tmp_path / "t.json")])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("usage: tspn ")
-    assert err.endswith(f"tspn: error: unrecognized arguments: {' '.join(argv[1:])}\n")
+    assert err.startswith(f"usage: tspn {argv[0]} [-h] --scene SCENE ")
+    assert err.endswith(f"tspn {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}\n")
 
 
 @pytest.mark.parametrize("command", ["plan", "baseline", "online"])

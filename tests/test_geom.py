@@ -22,14 +22,15 @@ from tspn import (
 )
 from tspn import geom
 from tspn.geom import (
-    distances, farthest_pair_distance, polyline_length, sq_distances, touch_tolerance,
+    distances, farthest_pair_distance, intersecting_pairs, polyline_length, sq_distances,
+    touch_tolerance,
 )
-from tspn.planner import _ring_edges
+from tspn.planner import _ring_edges, validate_bounds
 from tspn.viewscore import ViewSample, build_region_from_scores
 
 from oracles import (
-    brute_closest_sample, brute_farthest_pair, fibonacci_directions, norm_diff_polyline_length,
-    voxel_overlap,
+    brute_closest_sample, brute_farthest_pair, fibonacci_directions, loop_regions_intersect,
+    norm_diff_polyline_length, scene_of, voxel_overlap,
 )
 
 
@@ -186,6 +187,22 @@ def test_sphere_inside_shell_hole_does_not_intersect():
     hole = shell_region(0, 0, 0, 6, 8)
     assert not regions_intersect(hole, sphere(0, 0, 0, 2), 2.0)
     assert regions_intersect(hole, sphere(3.0, 0, 0, 2), 2.0)
+
+
+def test_exact_region_inside_a_sampled_region_meets_it():
+    """No boundary sample lies in the sphere, but the sphere lies in the sampled region. A shell
+    whose hole holds the sampled region stays disjoint from it, though its center lies in it.
+    Outside, a sphere meets the region within the region's touch tolerance (0.35 m) of it."""
+    dirs = fibonacci_directions(32)
+    c = np.array([10.0, 10.0, 10.0])
+    blob = Region(Point3(*c), Sampled(c + 3.5 * dirs, dirs, 7.0, 7.0))
+    for other, meet in ((sphere(10.5, 10, 10, 2), True), (shell_region(10.5, 10, 10, 10, 12), False),
+                        (sphere(14.8, 10, 10, 2), True), (sphere(14.9, 10, 10, 2), False)):
+        assert regions_intersect(blob, other, 2.0) == regions_intersect(other, blob, 2.0) == meet
+        assert loop_regions_intersect(blob, other, 2.0) == loop_regions_intersect(other, blob, 2.0) == meet
+        scene = scene_of([blob, other])
+        assert intersecting_pairs(scene) == ([(0, 1)] if meet else [])
+        assert validate_bounds(scene, Tour(waypoints=[c])).count_bound_applicable is not meet
 
 
 def test_intersect_symmetry():

@@ -20,6 +20,7 @@ from tspn.planner import (
     maximal_independent_set,
     missed_objects,
     online_tour_lower_bound,
+    plan_nondisjoint_detailed,
     region_count_bound,
     scene_is_disjoint,
     validate_bounds,
@@ -209,6 +210,7 @@ def test_validate_bounds_on_disjoint_scene():
     assert isinstance(report, BoundReport)
     assert report.count_bound_applicable
     assert report.count_bound_holds is True
+    assert report.online_lower_bound_holds is True and report.length_over_lower_bound > 1.0
     assert report.n_objects == 10
     # recompute at high precision
     L = tour_length(tour)
@@ -224,6 +226,17 @@ def test_validate_bounds_flags_nondisjoint_not_applicable():
     report = validate_bounds(scene, tour)
     assert not report.count_bound_applicable
     assert report.count_bound_holds is None
+    assert report.online_lower_bound_holds is None and report.length_over_lower_bound is None
+
+
+def test_validate_bounds_reports_no_disjoint_only_verdict_on_co_centred_regions():
+    # The inverted count bound would read 0.694 here: a tour shorter than its "lower bound".
+    scene = make_scene([sphere_obj(f"o{i}", (0, 0, 0), 8.0) for i in range(20)], 8.0, 8.0)
+    plan = plan_nondisjoint_detailed(Point3(2, 0, 0), scene)
+    report = validate_bounds(scene, plan.tour, plan.detours)
+    assert math.isclose(report.tour_length, 71.1168497, rel_tol=1e-8)
+    assert report.tour_length < 8.0 * 20 / REGION_COUNT_COEFF - 2 * 8.0
+    assert report.count_bound_holds is report.online_lower_bound_holds is report.length_over_lower_bound is None
 
 
 def test_scene_disjoint_helper():
