@@ -444,17 +444,6 @@ def _reach(r_out, tol):
     return r_out * (1.0 + EPS_TOL) + EPS_TOL + tol
 
 
-def _later_pairs(points: np.ndarray, radius: float):
-    """``candidate_pairs`` of ``points`` with itself, restricted to j > i, with distances.
-
-    Yields (i, j, distance) array triples in ascending (i, j) order.
-    """
-    for i, j in candidate_pairs(points, points, radius):
-        later = j > i
-        i, j = i[later], j[later]
-        yield i, j, distances(points[i], points[j])
-
-
 def earlier_within(points: np.ndarray, start: int, radius: float):
     """Per row i >= ``start`` of ``points``, in order: (i, the rows j < i within ``radius``)."""
     # One candidate_pairs pass, read a block at a time. Every row is its own
@@ -471,14 +460,18 @@ def intersecting_pairs(scene: Scene) -> list[tuple[int, int]]:
     """Every index pair (i, j), i < j, of intersecting scene objects, ascending.
 
     Broad phase: ``candidate_pairs`` of the centers with cell edge twice
-    the largest reach, then the filter ``distance <= reach_i + reach_j``.
+    the largest reach, its pairs with j > i, then the filter
+    ``distance <= reach_i + reach_j``.
     Narrow phase: ``balls_meet`` on a block's sphere and shell pairs,
     ``regions_intersect`` on a pair with a sampled region.
     """
     if len(scene) < 2:
         return []
-    pairs: list[tuple[int, int]] = []
-    for i, j, dist in _later_pairs(scene.centers, 2.0 * float(scene.reach.max())):
+    c, pairs = scene.centers, []
+    for i, j in candidate_pairs(c, c, 2.0 * float(scene.reach.max())):
+        later = j > i
+        i, j = i[later], j[later]
+        dist = distances(c[i], c[j])
         near = dist <= scene.reach[i] + scene.reach[j]
         i, j, dist = i[near], j[near], dist[near]
         meet = balls_meet(dist, scene.r_in[i], scene.r_out[i], scene.r_in[j], scene.r_out[j])
@@ -509,23 +502,6 @@ def first_touch_indices(scene: Scene, points: np.ndarray) -> np.ndarray:
         touched, at = np.unique(q[hit], return_index=True)
         first[touched] = p[hit][at]
     return first
-
-
-def closest_pair_within(points: np.ndarray, radius: float) -> tuple[int, int] | None:
-    """Closest pair (i, j), i < j, of points at most ``radius`` apart, or None.
-
-    Ties on distance go to the smallest i, then the smallest j: the
-    row-major argmin of the dense distance matrix.
-    """
-    best: tuple[float, int, int] | None = None
-    for i, j, dist in _later_pairs(points, radius):
-        within = np.flatnonzero(dist <= radius)
-        if within.size:
-            k = within[np.argmin(dist[within])]
-            cand = (float(dist[k]), int(i[k]), int(j[k]))
-            if best is None or cand < best:
-                best = cand
-    return None if best is None else (best[1], best[2])
 
 
 def max_diameter_segment(region: Region) -> np.ndarray:

@@ -29,9 +29,9 @@ from .geom import (
     _norm,
     closest_point_on_ball,
     closest_point_on_region,
-    closest_pair_within,
     contains,
     distances,
+    earlier_within,
     first_touch_indices,
     intersecting_pairs,
     max_diameter_segment,
@@ -564,7 +564,9 @@ def plan_online(start: Point3, scene: Scene, oracle) -> tuple[Tour, list[Detecti
     each center is polled at step resolution ``d_min / 10`` (the oracle is
     called as ``oracle(object_id, position)`` with a (3,) array) and stops
     at the first detecting position. Raises if an oracle never fires
-    before its center is reached.
+    before its center is reached, and refuses a scene with two centers
+    within ``d_max`` (``earlier_within``, as scene generation draws),
+    naming the first such pair in row order.
 
     The oracle must fire only within ``d_max / 2 + d_min / 10`` of the
     center, as it does for any region whose diameter is at most ``d_max``.
@@ -575,7 +577,7 @@ def plan_online(start: Point3, scene: Scene, oracle) -> tuple[Tour, list[Detecti
     those of polling the whole lattice from the leg's start.
     """
     d_min, d_max = scene.d_min_global, scene.d_max_global
-    close = closest_pair_within(scene.centers, d_max)
+    close = next(((near[0], i) for i, near in earlier_within(scene.centers, 0, d_max) if near), None)
     if close is not None:
         i, j = (_echo(scene.ids[k], repr) for k in close)
         raise ContractError(

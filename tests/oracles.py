@@ -474,14 +474,6 @@ def scene_document(scene: Scene) -> dict:
     }
 
 
-def dense_closest_pair(points: np.ndarray) -> tuple[int, int, float]:
-    """Row-major argmin of the dense distance matrix with the diagonal masked."""
-    diff = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
-    diff[np.diag_indices(len(points))] = np.inf
-    i, j = np.unravel_index(int(np.argmin(diff)), diff.shape)
-    return int(i), int(j), float(diff[i, j])
-
-
 # --------------------------------------------------------------------------- scalar containment
 # The point-at-a-time containment paths that ``geom.contains`` replaced.
 # They take the distance to the center with numpy's 1-D norm and look up
@@ -1002,17 +994,6 @@ def per_point_first_touch_indices(regions, points: np.ndarray, d_min_global: flo
         if hit.size:
             first[i] = near[hit[0]]
     return first
-
-
-def per_point_closest_pair_within(points: np.ndarray, radius: float) -> tuple[int, int] | None:
-    """``closest_pair_within`` over ``per_point_near_pairs``."""
-    best: tuple[float, int, int] | None = None
-    for i, near, dist in per_point_near_pairs(points, radius):
-        k = int(np.argmin(dist))
-        cand = (float(dist[k]), i, int(near[k]))
-        if cand[0] <= radius and (best is None or cand < best):
-            best = cand
-    return None if best is None else (best[1], best[2])
 
 
 # --------------------------------------------------------------------------- sphere/shell if-chains

@@ -17,19 +17,14 @@ from hypothesis import strategies as st
 
 from tspn import Point3, Region, Sampled, Shell, Sphere
 from tspn import geom
-from tspn.geom import (
-    _later_pairs, candidate_pairs, closest_pair_within, intersecting_pairs,
-    regions_intersect,
-)
+from tspn.geom import candidate_pairs, earlier_within, intersecting_pairs, regions_intersect
 
 from oracles import (
     cell_edge,
     cell_keys,
-    dense_closest_pair,
     fibonacci_directions,
     loop_regions_intersect,
     near_rows,
-    per_point_closest_pair_within,
     per_point_intersecting_pairs,
     per_point_near_pairs,
     reach_of,
@@ -114,27 +109,24 @@ def test_candidates_are_the_27_cells_around_each_query(sets, block):
 
 
 @SETTINGS
-@given(point_sets(), st.sampled_from(BLOCKS))
-@example((np.zeros((2, 3)), None, 1.0), BLOCKS[0])
-@example((np.full((40, 3), -1e20), None, 0.5), BLOCKS[2])
-def test_later_pairs_and_distances_match_the_per_point_walk(sets, block):
+@given(point_sets(), st.integers(1, 40))
+@example((np.zeros((2, 3)), None, 1.0), 1)
+@example((np.full((40, 3), -1e20), None, 0.5), 25)
+@example((np.full((40, 3), 1e20), None, 2.0), 3)
+def test_earlier_within_matches_the_per_point_walk(sets, later_start):
     points, _, radius = sets
-    with block_size(block):
-        got = [(int(i), int(j), float(d)) for block in _later_pairs(points, radius)
-               for i, j, d in zip(*block)]
-        closest = closest_pair_within(points, radius)
-    want = [(i, int(j), float(d)) for i, near, dist in per_point_near_pairs(points, radius)
-            for j, d in zip(near, dist)]
-    if keys_below_2_53(points, radius):
-        assert got == want
-    else:
-        assert set(want) <= set(got)
-    # Every pair within the radius, with its distance, bit for bit.
-    assert [g for g in got if g[2] <= radius] == [w for w in want if w[2] <= radius]
-    assert closest == per_point_closest_pair_within(points, radius)
-    if len(points) >= 2:
-        i, j, d = dense_closest_pair(points)
-        assert closest == ((i, j) if d <= radius else None)
+    # Per row, its earlier rows within the radius, from the walk's pairs.
+    earlier = [[] for _ in points]
+    for i, near, dist in per_point_near_pairs(points, radius):
+        for j in near[dist <= radius].tolist():
+            earlier[j].append(i)
+    # Past 2**53 the candidates may be a superset; the distance filter
+    # makes the result exact there too.
+    for start in (0, min(later_start, len(points))):
+        for block in BLOCKS:
+            with block_size(block):
+                got = list(earlier_within(points, start, radius))
+            assert got == [(i, earlier[i]) for i in range(start, len(points))]
 
 
 # ------------------------------------------------------------------ intersecting pairs
@@ -237,9 +229,10 @@ def test_coincident_centers_match_brute_force_in_bounded_memory():
     apart = (outer[:, None] < inner[None, :]) | (outer[None, :] < inner[:, None])
     expected = [tuple(p) for p in np.argwhere(np.triu(~apart, 1)).tolist()]
     assert intersecting_pairs(scene_of(shells)) == expected == []
-    # The same 4M candidates under tracemalloc, through the broad phase
-    # that intersecting_pairs shares.
+    # The same 4M candidates under tracemalloc, through a full walk of
+    # earlier_within, which shares intersecting_pairs' broad phase.
     points = np.tile(center, (n, 1))
-    got, peak = traced_peak(closest_pair_within, points, 1.0)
-    assert got == (0, 1)
+    got, peak = traced_peak(lambda p, r: [len(near) for _, near in earlier_within(p, 0, r)],
+                            points, 1.0)
+    assert got == list(range(n))
     assert peak < PEAK_CAP

@@ -7,17 +7,19 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tspn import CapacityError, Point3, Region, Sampled, Scene, SceneObject, Shell, Sphere
+from tspn import (
+    CapacityError, ContractError, Point3, Region, Sampled, Scene, SceneObject, Shell, Sphere,
+)
 from tspn.bench import SceneConfig, generate_scene, scene_to_json
-from tspn.geom import closest_pair_within, intersecting_pairs, regions_intersect
-from tspn.planner import maximal_independent_set, scene_is_disjoint
+from tspn.geom import intersecting_pairs, regions_intersect
+from tspn.planner import maximal_independent_set, plan_online, scene_is_disjoint
 
 from oracles import (
     brute_intersecting_pairs,
-    dense_closest_pair,
     fibonacci_directions,
     greedy_mis,
     one_at_a_time_disjoint_centers,
+    per_point_near_pairs,
     reach_of,
     scene_of,
 )
@@ -199,13 +201,30 @@ def test_generate_scene_is_the_one_at_a_time_sampler(seed, n, packing):
         assert scene_to_json(generate_scene(config)) == reference_scene_json(config, diameters, centers)
 
 
-# ------------------------------------------------------------------ closest pair
+# ------------------------------------------------------------------ online's disjointness rule
 
 
 @SETTINGS
 @given(st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=2, max_size=30),
-       st.floats(0.5, 4.0))
-def test_closest_pair_within_matches_dense_argmin(cells, radius):
-    points = np.array(cells, dtype=float) * 1.25  # lattice: many distance ties
-    i, j, d = dense_closest_pair(points)
-    assert closest_pair_within(points, radius) == ((i, j) if d <= radius else None)
+       st.one_of(st.floats(0.5, 4.0), st.sampled_from((1.25, 2.5, 3.75))))
+def test_plan_online_refuses_exactly_centers_within_d_max(cells, d_max):
+    # Lattice: many distance ties, and at d_max a multiple of the spacing,
+    # pairs exactly d_max apart.
+    points = np.array(cells, dtype=float) * 1.25
+    shell = Shell(d_max / 2.0, d_max)
+    scene = Scene(
+        objects=tuple(SceneObject(id=f"o{k}", region=Region(center=Point3(*c), shape=shell))
+                      for k, c in enumerate(points)),
+        d_min_global=d_max / 2.0,
+        d_max_global=d_max,
+    )
+    # The first pair in row order: the lowest later row, then its lowest earlier row.
+    within = [(int(j), i) for i, near, dist in per_point_near_pairs(points, d_max)
+              for j in near[dist <= d_max]]
+    if not within:
+        plan_online(Point3(0, 0, 0), scene, lambda object_id, position: True)
+        return
+    j, i = min(within)
+    with pytest.raises(ContractError) as err:
+        plan_online(Point3(0, 0, 0), scene, lambda object_id, position: True)
+    assert str(err.value).startswith(f"centers 'o{i}' and 'o{j}' closer than d_max;")
