@@ -302,9 +302,15 @@ def _cmd_compare(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args, extra = _parser().parse_known_args(argv)
-        if extra:  # named by the subcommand, whose usage line shows what it takes
-            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        parser = _parser()
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # A token before the subcommand was given to tspn, which knows none;
+            # one after it to the subcommand, whose usage shows what it takes.
+            argv = sys.argv[1:] if argv is None else argv
+            before = argv[:argv.index(args.command)]
+            (parser if before else args.parser).error(
+                f"unrecognized arguments: {' '.join(before or extra)}")
         return args.run(args)
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 after printing a usage error

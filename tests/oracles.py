@@ -76,6 +76,19 @@ def gap_mst_length(start, centers, reach) -> float:
     return total
 
 
+def fixed_order_dual(start, centers, radii, u) -> float:
+    """Dual lower bound on a path from ``start`` touching balls B(c_k, r_k) in row order.
+
+    For any ``u`` (n, 3) with |u_k| <= 1, set u_{n+1} = 0 and
+    w_k = u_k - u_{k+1}: D(u) = -u_1 . s + sum_k (w_k . c_k - r_k |w_k|).
+    A leg is at least u_k . (p_k - p_{k-1}); summed by parts and with each
+    p_k at its worst point of the ball, that is D(u).
+    """
+    u = np.asarray(u, dtype=float)
+    w = u - np.vstack([u[1:], np.zeros((1, 3))])
+    return float(-u[0] @ start + np.sum(w * centers) - np.asarray(radii) @ np.linalg.norm(w, axis=1))
+
+
 def drawn_diameters(scene: Scene, seed: int) -> list[float]:
     """Realized diameters for a ``SimulationOracle``: one uniform draw in the scene's
     [d_min_global, d_max_global] per object, in scene order."""

@@ -111,6 +111,7 @@ def test_candidates_are_the_27_cells_around_each_query(sets, block):
 @SETTINGS
 @given(point_sets(), st.integers(1, 40))
 @example((np.zeros((2, 3)), None, 1.0), 1)
+@example((np.array([[0.0, 0.0, 0.0], [1.25, 0.0, 0.0], [3.0, 0.0, 0.0]]), None, 1.25), 2)
 @example((np.full((40, 3), -1e20), None, 0.5), 25)
 @example((np.full((40, 3), 1e20), None, 2.0), 3)
 def test_earlier_within_matches_the_per_point_walk(sets, later_start):

@@ -550,6 +550,17 @@ def test_a_planning_command_takes_only_its_own_option(tmp_path, capsys, argv):
     assert err.endswith(f"tspn {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}\n")
 
 
+@pytest.mark.parametrize("before", [True, False])
+def test_an_unknown_option_is_named_by_the_parser_it_was_given_to(tmp_path, capsys, before):
+    own = ["--scene", str(tmp_path / "scene.json"), "--seed", "1", "--out", str(tmp_path / "t.json")]
+    code = run(["--bogus", "plan", *own] if before else ["plan", *own, "--bogus"])
+    err = capsys.readouterr().err
+    assert code == 1
+    prog = "tspn" if before else "tspn plan"
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert err.endswith(f"{prog}: error: unrecognized arguments: --bogus\n")
+
+
 @pytest.mark.parametrize("command", ["plan", "baseline", "online"])
 def test_planning_commands_share_the_help_of_their_shared_options(capsys, command):
     assert run([command, "--help"]) == 0

@@ -207,6 +207,7 @@ def test_generate_scene_is_the_one_at_a_time_sampler(seed, n, packing):
 @SETTINGS
 @given(st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=2, max_size=30),
        st.one_of(st.floats(0.5, 4.0), st.sampled_from((1.25, 2.5, 3.75))))
+@example([(0, 0, 0), (4, 0, 0), (2, 0, 0), (3, 0, 0)], 2.5)
 def test_plan_online_refuses_exactly_centers_within_d_max(cells, d_max):
     # Lattice: many distance ties, and at d_max a multiple of the spacing,
     # pairs exactly d_max apart.

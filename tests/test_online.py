@@ -159,29 +159,21 @@ def test_online_deterministic_given_seed():
     assert a1[0].waypoints.tolist() == a2[0].waypoints.tolist()
 
 
-def test_close_centers_rejected_naming_the_first_pair_in_row_order():
-    # (b, c) are 3 m apart, (a, d) 3.5 m: both within d_max, and c is the
-    # first row with an earlier center within d_max.
-    scene = hollow_scene([("a", Point3(0, 0, 0)), ("b", Point3(20, 0, 0)),
-                          ("c", Point3(20, 3, 0)), ("d", Point3(0, 3.5, 0))], 2.0, 4.0)
+@pytest.mark.parametrize("centers, first", [
+    # (b, c) are 3 m apart, (a, d) 3.5 m: c is the first row with an
+    # earlier center within d_max.
+    ([(0, 0, 0), (20, 0, 0), (20, 3, 0), (0, 3.5, 0)], "'b' and 'c'"),
+    # (a, b) are 3.5 m apart, (c, d) 3 m: b is the first such row, though
+    # (c, d) is the closer pair.
+    ([(0, 0, 0), (3.5, 0, 0), (20, 0, 0), (20, 3, 0)], "'a' and 'b'"),
+])
+def test_close_centers_rejected_naming_the_first_pair_in_row_order(centers, first):
+    scene = hollow_scene([(oid, Point3(*c)) for oid, c in zip("abcd", centers)], 2.0, 4.0)
     oracle = SimulationOracle(scene, [4.0] * len(scene))
     with pytest.raises(ContractError) as err:
         plan_online(Point3(0, 0, 0), scene, oracle)
     assert str(err.value) == (
-        "centers 'b' and 'c' closer than d_max; online planning assumes disjoint outer balls"
-    )
-
-
-def test_close_centers_first_pair_in_row_order_named_over_a_closer_one():
-    # (a, b) are 3.5 m apart, (c, d) 3 m: b is the first row with an
-    # earlier center within d_max, though (c, d) is the closer pair.
-    scene = hollow_scene([("a", Point3(0, 0, 0)), ("b", Point3(3.5, 0, 0)),
-                          ("c", Point3(20, 0, 0)), ("d", Point3(20, 3, 0))], 2.0, 4.0)
-    oracle = SimulationOracle(scene, [4.0] * len(scene))
-    with pytest.raises(ContractError) as err:
-        plan_online(Point3(0, 0, 0), scene, oracle)
-    assert str(err.value) == (
-        "centers 'a' and 'b' closer than d_max; online planning assumes disjoint outer balls"
+        f"centers {first} closer than d_max; online planning assumes disjoint outer balls"
     )
 
 
