@@ -450,7 +450,9 @@ def earlier_within(points: np.ndarray, start: int, radius: float):
     # candidate, so a block holds all pairs of the rows it covers.
     for q, p in candidate_pairs(points[start:], points, radius):
         lo, hi = int(q[0]), int(q[-1]) + 1
-        close = (p < start + q) & (distances(points[start + q], points[p]) <= radius)
+        earlier = p < start + q
+        q, p = q[earlier], p[earlier]
+        close = distances(points[start + q], points[p]) <= radius
         near, ends = p[close].tolist(), np.searchsorted(q[close], np.arange(lo, hi + 1)).tolist()
         for i in range(lo, hi):
             yield start + i, near[ends[i - lo]:ends[i - lo + 1]]

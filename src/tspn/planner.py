@@ -637,31 +637,12 @@ def _surface_samples(scene: Scene, n: int) -> np.ndarray:
     return samples
 
 
-def _mst_adjacency(pts: np.ndarray, root: int) -> list[list[int]]:
-    """Prim minimum spanning tree; children listed in insertion order.
-
-    Distance rows are computed as each point joins the tree, so memory is O(n).
-    """
-    n = len(pts)
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[root] = True
-    best = distances(pts[root], pts)
-    parent = np.full(n, root)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for _ in range(n - 1):
-        masked = np.where(in_tree, np.inf, best)
-        j = int(np.argmin(masked))
-        adj[int(parent[j])].append(j)
-        in_tree[j] = True
-        row = distances(pts[j], pts)
-        update = (row < best) & ~in_tree
-        best[update] = row[update]
-        parent[update] = j
-    return adj
-
-
 def _doubled_tree_walk(adj: list[list[int]], root: int) -> list[int]:
-    """Depth-first walk traversing every tree edge out and back."""
+    """Depth-first walk traversing every tree edge out and back.
+
+    Each node's children are walked in ``adj`` order, which
+    ``alpha_fat_baseline`` fills in pick order.
+    """
     walk: list[int] = [root]
     stack: list[tuple[int, int]] = [(root, 0)]  # (node, next child slot)
     while stack:
@@ -695,8 +676,11 @@ def alpha_fat_baseline(
     traversal of their minimum spanning tree with every edge walked out
     and back, the constant-factor tour construction fat-region baselines
     use; backtracking through visited representatives is what makes this
-    baseline roughly twice as long as center-visit planning. Memory is
-    O(n * samples_per_region); the spanning tree needs O(n).
+    baseline roughly twice as long as center-visit planning. The greedy is
+    Prim's algorithm over the representatives, so it records that tree as
+    it goes: each region's parent is the pick that set its best distance,
+    and each pick joins its parent's children. Memory is
+    O(n * samples_per_region).
     """
     if samples_per_region < 4:
         raise ContractError("samples_per_region must be >= 4")
@@ -713,6 +697,15 @@ def alpha_fat_baseline(
     # and the lowest sample index that reaches it.
     best = np.full(n, np.inf)
     best_idx = np.zeros(n, dtype=np.intp)
+    # A representative is one of its region's samples, so each pick is also
+    # the representative nearest the tree: Prim's pick, with the lowest region
+    # index on a tie in both. The pick that last set a region's (best,
+    # best_idx) is the earliest tree node at the least distance from its final
+    # representative, the parent Prim keeps with its strict `<` update. The
+    # root, the first pick, is the representative nearest the start.
+    parent = np.zeros(n, dtype=np.intp)
+    children: list[list[int]] = [[] for _ in range(n)]
+    root = region
     is_open = np.ones(n, dtype=bool)
     rep_arr = np.empty((n, 3))
     for _ in range(n - 1):
@@ -730,12 +723,13 @@ def alpha_fat_baseline(
         better = (dj < best[near]) | ((dj == best[near]) & (j < best_idx[near]))
         best[near[better]] = dj[better]
         best_idx[near[better]] = j[better]
+        parent[near[better]] = region
         region = int(np.argmin(np.where(is_open, best, np.inf)))
         sample = best_idx[region]
+        children[parent[region]].append(region)
     rep_arr[region] = samples[region, sample]
 
-    root = int(np.argmin(distances(start_arr, rep_arr)))
-    walk = _doubled_tree_walk(_mst_adjacency(rep_arr, root), root)
+    walk = _doubled_tree_walk(children, root)
 
     visits = []
     seen: set[int] = set()

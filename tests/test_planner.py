@@ -2,6 +2,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,6 @@ from tspn.planner import (
     BoundReport,
     ONLINE_PACKING_ALPHA,
     REGION_COUNT_COEFF,
-    _mst_adjacency,
     alpha_fat_baseline,
     center_visit,
     maximal_independent_set,
@@ -26,7 +26,7 @@ from tspn.planner import (
     validate_bounds,
 )
 
-from oracles import dense_prim_adjacency, sampled_tspn_optimum, unpruned_alpha_fat_baseline
+from oracles import sampled_tspn_optimum, unpruned_alpha_fat_baseline
 
 
 def sphere_obj(oid, center, d):
@@ -392,14 +392,54 @@ def test_alpha_fat_prune_keeps_a_tie_that_rounding_hides():
     assert got.visits == want.visits
 
 
-def test_mst_adjacency_matches_dense_prim():
-    rng = np.random.default_rng(16)
-    for n in (1, 2, 3, 50, 250):
-        pts = rng.uniform(0, 50, size=(n, 3))
-        dup = np.concatenate([pts[: n // 2 + 1], pts[: n // 2 + 1]])  # every point twice
-        for p in (pts, dup, np.round(pts / 10.0)):
-            root = int(rng.integers(len(p)))
-            assert _mst_adjacency(p, root) == dense_prim_adjacency(p, root), (n, root)
+def tie_scene(rng, n: int, kind: str, offset: float) -> Scene:
+    """n regions whose boundary samples tie often.
+
+    "spheres" and "shells": equal outer diameters on a 2 m integer lattice
+    of 5**3 points, so centers repeat. "copies": every object copies one of
+    a few ``baseline_scene`` regions (spheres, shells and sampled regions
+    around shared centers), so whole sample sets repeat.
+    """
+    if kind == "copies":
+        pool = [o.region for o in baseline_scene(rng, max(1, n // 3), offset).objects]
+        regions = [pool[k] for k in rng.integers(len(pool), size=n)]
+    else:
+        centers = offset + 2.0 * rng.integers(-2, 3, size=(n, 3))
+        inner = rng.choice([2.0, 4.0], size=n)
+        regions = [Region(center=Point3(*c), shape=Sphere(4.0) if kind == "spheres" else Shell(float(d), 4.0))
+                   for c, d in zip(centers, inner)]
+    objs = tuple(SceneObject(id=f"o{i}", region=r) for i, r in enumerate(regions))
+    return Scene(objects=objs, d_min_global=min(r.d_min for r in regions),
+                 d_max_global=max(r.d_max for r in regions))
+
+
+@pytest.mark.parametrize("kind", ["spheres", "shells", "copies"])
+@pytest.mark.parametrize("offset", [0.0, 2.0**52])
+def test_alpha_fat_tree_matches_dense_prim_on_ties(kind, offset):
+    # The baseline walks the tree its greedy records; the reference runs a
+    # dense Prim over the final representatives. Repeated centers and sample
+    # sets put exact ties in the picks and in each region's parent.
+    rng = np.random.default_rng(18)
+    for _ in range(12):
+        n = int(rng.integers(2, 41))
+        scene = tie_scene(rng, n, kind, offset)
+        start = Point3(*(offset + 2.0 * rng.integers(-3, 4, size=3)))
+        for samples in (4, 12, 108):
+            got = alpha_fat_baseline(start, scene, samples_per_region=samples)
+            want = unpruned_alpha_fat_baseline(start, scene, samples_per_region=samples)
+            assert np.array_equal(got.waypoints, want.waypoints), (n, samples)
+            assert got.visits == want.visits, (n, samples)
+
+
+def test_alpha_fat_tree_matches_dense_prim_at_workload_size():
+    # 250 car-sized spheres in a 100 m cube with the default 108 samples.
+    scene = generate_scene(SceneConfig(n_objects=250, d_min=5.4, d_max=8.2, cube_edge=100.0,
+                                       disjoint=True, seed=1))
+    start = Point3(0, 0, 0)
+    got = alpha_fat_baseline(start, scene, samples_per_region=108)
+    want = unpruned_alpha_fat_baseline(start, scene, samples_per_region=108)
+    assert np.array_equal(got.waypoints, want.waypoints)
+    assert got.visits == want.visits
 
 
 def test_alpha_fat_memory_stays_below_dense_matrix():
