@@ -345,16 +345,13 @@ def build_detour(owner: Region, d_min_global: float, owner_id: str = "") -> Deto
     spike_cost = 2.0 * d  # out to one tip, across, and back to the anchor
     affordable = max(0, int(math.floor((budget - base) / spike_cost)))
     targets = [max(1, int(math.floor(L / d))) for L in ring_lens]
+    # In rounds: one more spike to each ring still short of its target.
     counts = [0] * len(rings)
-    remaining = affordable
-    progressing = True
-    while remaining > 0 and progressing:
-        progressing = False
-        for j in range(len(rings)):
-            if remaining > 0 and counts[j] < targets[j]:
+    for r in range(max(targets)):
+        for j, target in enumerate(targets):
+            if affordable > 0 and target > r:
                 counts[j] += 1
-                remaining -= 1
-                progressing = True
+                affordable -= 1
 
     # Each ring is walked from its first vertex and closed back to it; after
     # each anchor vertex p the path runs out to the spike's tips and back
@@ -366,8 +363,8 @@ def build_detour(owner: Region, d_min_global: float, owner_id: str = "") -> Deto
         spikes.append(poles[:1])
     c = owner.center.as_array()
     for j, ring in enumerate(rings):
-        anchors, rows = [], []
-        for k in _arc_positions(edges[j], counts[j]) if counts[j] > 0 else ():
+        done = 0
+        for k in _arc_positions(edges[j], counts[j]):
             p = ring[k]
             normal = _boundary_normal(owner, p)
             in_plane = normal - (normal @ axis_dir) * axis_dir
@@ -378,15 +375,10 @@ def build_detour(owner: Region, d_min_global: float, owner_id: str = "") -> Deto
                 if norm < 1e-12:
                     continue
             arm = 0.5 * d * (in_plane / norm)
-            anchors.append(k)
-            rows.append((p - arm, p + arm, p))
-        done = 0
-        if rows:
-            triples = np.array(rows)
-            for k, triple in zip(anchors, triples):
-                pieces += [ring[done : k + 1], triple]
-                done = k + 1
-            spikes.append(triples[:, :2])
+            triple = np.array((p - arm, p + arm, p))
+            pieces += [ring[done : k + 1], triple]
+            spikes.append(triple[None, :2])
+            done = k + 1
         pieces += [ring[done:], ring[:1]]
     if with_poles:
         pieces.append(poles[1])

@@ -171,13 +171,13 @@ def local_search(
     moves were made, every point is queued once more, so the result is a
     local optimum of both neighbourhoods. A move counts only if it
     shortens the tour by more than ``eps``. The tour is a list of point
-    indices plus its inverse, the position of each point.
+    indices plus its inverse, the position of each point; ``flip``, which
+    reverses a run of cyclic positions, is the only code that writes them.
+    A 2-opt move is one reversal, an Or-opt move two or three.
     """
     n = len(order)
     tour = list(order)
-    pos = [0] * n
-    for i, v in enumerate(tour):
-        pos[v] = i
+    pos = np.argsort(tour).tolist()
     # The next and previous position of each position, looked up rather
     # than computed with ``% n``.
     nxt = list(range(1, n)) + [0]
@@ -194,12 +194,10 @@ def local_search(
                 queued[v] = True
                 queue.append(v)
 
-    def reverse(i: int, j: int) -> None:
-        # Reverse cyclic positions i..j, or the complement if that is shorter:
-        # both leave the same cycle.
-        m = (j - i) % n + 1
-        if 2 * m > n:
-            i, j, m = nxt[j], prv[i], n - m
+    def flip(i: int, m: int) -> None:
+        # Reverse the m cyclic positions that start at position i: the one
+        # edit of the tour.
+        j = (i + m - 1) % n
         for _ in range(m // 2):
             u, v = tour[i], tour[j]
             tour[i] = v
@@ -208,6 +206,14 @@ def local_search(
             pos[u] = j
             i = nxt[i]
             j = prv[j]
+
+    def reverse(i: int, j: int) -> None:
+        # Reverse cyclic positions i..j, or the complement if that is shorter:
+        # both leave the same cycle.
+        m = (j - i) % n + 1
+        if 2 * m > n:
+            i, m = nxt[j], n - m
+        flip(i, m)
 
     def two_opt(a: int) -> bool:
         i = pos[a]
@@ -233,31 +239,22 @@ def local_search(
                     return True
         return False
 
-    def move_segment(s: int, seg: tuple[int, ...], u: int) -> None:
-        # Move the segment that starts at position s to just after point u,
-        # in the order ``seg``, shifting whichever side between them is shorter.
-        length = len(seg)
+    def move_segment(seg: tuple[int, ...], u: int, keep: bool) -> None:
+        # Move the run of points ``seg`` to just after point u: reverse it
+        # together with whichever side between them is shorter, then that
+        # side back. That leaves the run backwards; ``keep`` turns it round.
+        s, m = pos[seg[0]], len(seg)
         j = pos[u]
-        ahead = (j - s - length + 1) % n
-        behind = n - length - ahead
+        ahead = (j - s - m + 1) % n
+        behind = n - m - ahead
         if ahead <= behind:
-            for t in range(ahead):
-                v = tour[(s + length + t) % n]
-                k = (s + t) % n
-                tour[k] = v
-                pos[v] = k
-            base = s + ahead
+            flip(s, m + ahead)
+            flip(s, ahead)
         else:
-            for t in range(behind - 1, -1, -1):
-                v = tour[(j + 1 + t) % n]
-                k = (j + 1 + t + length) % n
-                tour[k] = v
-                pos[v] = k
-            base = j + 1
-        for t, v in enumerate(seg):
-            k = (base + t) % n
-            tour[k] = v
-            pos[v] = k
+            flip(nxt[j], behind + m)
+            flip(nxt[pos[seg[0]]], behind)
+        if keep:
+            flip(nxt[pos[u]], m)
 
     def or_opt(a: int) -> bool:
         # Segments of 1-3 points that start at a, reinserted next to a
@@ -292,9 +289,7 @@ def local_search(
                         if d_ec + dist(po, pdn) - dist(pc, pdn) - gain < -eps:
                             # Whichever of c and dn comes first is followed
                             # by its new neighbour in the segment.
-                            if (a == e) != (step is nxt):
-                                seg = seg[::-1]
-                            move_segment(i, seg, c if step is nxt else dn)
+                            move_segment(seg, c if step is nxt else dn, (a == e) == (step is nxt))
                             push(p, q, a, last, c, dn)
                             return True
         return False

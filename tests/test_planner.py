@@ -277,16 +277,37 @@ def test_alpha_fat_runtime_decreases_with_fewer_samples():
     scene = disjoint_sphere_scene(rng, 50, 5.4, 8.2)
     start = Point3(0, 0, 0)
 
-    # Best of 7 each, interleaved, so a slow spell of the machine hits both
-    # sample counts rather than one.
+    # Best of 15 each, interleaved, so a slow spell of the machine hits both
+    # sample counts rather than one, and no one spell decides either best.
     best = {108: float("inf"), 12: float("inf")}
-    for _ in range(7):
+    for _ in range(15):
         for samples in best:
             t0 = time.perf_counter()
             alpha_fat_baseline(start, scene, samples_per_region=samples)
             best[samples] = min(best[samples], time.perf_counter() - t0)
     dense, sparse = best[108], best[12]
     assert sparse < dense, f"12 samples {sparse:.4f}s not faster than 108 samples {dense:.4f}s"
+
+
+def test_alpha_fat_distance_rows_decrease_with_fewer_samples(monkeypatch):
+    # The work behind the runtime test, counted: the rows of points that
+    # alpha_fat_baseline measures distances to.
+    import tspn.planner as planner
+    from tspn.geom import distances
+
+    rng = np.random.default_rng(12)
+    scene = disjoint_sphere_scene(rng, 50, 5.4, 8.2)
+    rows = {}
+    for samples in (108, 12):
+        rows[samples] = 0
+
+        def counting(a, b, samples=samples):
+            rows[samples] += np.size(b) // 3
+            return distances(a, b)
+
+        monkeypatch.setattr(planner, "distances", counting)
+        alpha_fat_baseline(Point3(0, 0, 0), scene, samples_per_region=samples)
+    assert 0 < rows[12] < rows[108], rows
 
 
 def test_alpha_fat_touches_every_region():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -296,3 +297,34 @@ def test_solve_order_dispatch():
 def test_config_validation():
     with pytest.raises(Exception):
         TspConfig(solver="annealing")
+
+
+# SHA-256 of heuristic_order's output, as comma-separated indices, recorded
+# before Or-opt moves were applied as reversals. Between them the instances
+# apply Or-opt moves of 1-3 points on both sides of the segment, in both
+# orientations; n = 4, 5, 6 sit next to or-opt's size guard, and the grid
+# instance ties distances constantly.
+ORDER_PINS = {
+    "uniform-4": "f5d6a7e59f87f89176b7218781fca506e6037fc9bb6ad1ac584ca6f8a3fc0c7e",
+    "uniform-5": "fa6c43f6af13955f596a6ecb1fd16dc8b1cf95beb88ca68e59c6acde291e524e",
+    "uniform-6": "fd5bd691032d8a80531a40dfa68bcfd59a84f2a2291d515f4978c222a335d277",
+    "uniform-13": "54b8fa38262e4c67c76f2f0bce00ce0ce23d9f64daacc83a0197620cab07d900",
+    "uniform-33": "15d1a745d7c4b2ef01ebffd468f2498e61e385a9ad87ce80183d0d990103355c",
+    "uniform-200": "8f70b4e50fc5293cd60eaca9dfbce71cd4ff2c048ab4ac00e3dd94dc02409d5e",
+    "uniform-1000": "ed278b1af41ee501ed77d7fe6c26d4996dfa59ae8487b3b09680b12955829e0b",
+    "uniform-10000": "24a0b285be962f0be8d863db2bbf034a84ff9a7224607cce400ce436614af0da",
+    "grid-400": "d86ebf5c47e0417fd2a0a7edd06a4a5a797d63d69c1a3fda0fd459c17d30ced1",
+}
+
+
+def _pinned_instance(name):
+    kind, n = name.split("-")
+    if kind == "grid":
+        return np.round(np.random.default_rng(7).uniform(0.0, 200.0, size=(int(n), 3)) / 10.0) * 10.0
+    return np.random.default_rng(int(n)).uniform(0.0, 1000.0, size=(int(n), 3))
+
+
+@pytest.mark.parametrize("name", ORDER_PINS)
+def test_heuristic_order_pinned(name):
+    order = heuristic_order(_pinned_instance(name))
+    assert hashlib.sha256(",".join(map(str, order)).encode()).hexdigest() == ORDER_PINS[name]
