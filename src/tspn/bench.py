@@ -9,6 +9,7 @@ aggregates mean/std per method.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import math
@@ -483,9 +484,18 @@ class ComparisonReport:
 
 def _run_cell(scene: Scene, seed: int, method: str, samples_per_region: int) -> ComparisonRow:
     start, rng = Point3(0.0, 0.0, 0.0), np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    tour, _ = PLANNERS[method](start, scene, rng, TspConfig(), samples_per_region)
-    runtime = time.perf_counter() - t0
+    # As timeit does: a full collection of the caller's heap is no part of a
+    # planner's runtime, so collect before the clock starts and not under it.
+    gc.collect()
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        tour, _ = PLANNERS[method](start, scene, rng, TspConfig(), samples_per_region)
+        runtime = time.perf_counter() - t0
+    finally:
+        if gc_was_on:
+            gc.enable()
     valid = missed_objects(tour, scene) == []
     return ComparisonRow(
         method=method,
@@ -507,8 +517,9 @@ def run_comparison(
 
     Methods are ids of ``PLANNERS``. Scene seeds are ``config.seed + k`` for k
     in range(seeds); each seed's scene is drawn once, untimed, and planned by
-    every method, which is handed ``np.random.default_rng(seed)``. Coverage is
-    audited before a row is recorded; failures mark the row invalid.
+    every method, which is handed ``np.random.default_rng(seed)``. Each cell is
+    timed with the cyclic garbage collector off, after a full collection.
+    Coverage is audited before a row is recorded; failures mark the row invalid.
     """
     if not methods:
         raise ContractError(f"no method given; choose from {tuple(PLANNERS)}")
