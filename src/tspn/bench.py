@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import CapacityError, ContractError, InvalidRegionError, _echo
 from .geom import (
-    EXACT_TOUCH_FRACTION,
     Point3,
     Region,
     Sampled,
@@ -33,6 +32,7 @@ from .geom import (
     Tour,
     Visit,
     earlier_within,
+    touch_tolerance,
     tour_length,
 )
 from .planner import DEFAULT_SAMPLES_PER_REGION, PLANNERS, missed_objects
@@ -322,7 +322,7 @@ def check_scene_spacing(scene: Scene, name) -> None:
 def check_spacing(d_min: float, far, r_out, name) -> None:
     """Reject the first point i whose largest |coordinate| ``far[i]`` is too far out to plan in.
 
-    Where four float steps exceed ``EXACT_TOUCH_FRACTION * d_min``, a touch
+    Where four float steps exceed ``touch_tolerance(d_min)``, a touch
     point can round off the region it was projected onto, and the plan
     fails its own coverage check. Past ``FAR_LIMIT``, distances overflow:
     ``far[i]`` plus the outer radius ``r_out[i]`` of the region about the
@@ -330,7 +330,7 @@ def check_spacing(d_min: float, far, r_out, name) -> None:
     ``name(i)`` names point i in the message.
     """
     far, r_out = np.atleast_1d(far, r_out)
-    tol = EXACT_TOUCH_FRACTION * d_min
+    tol = touch_tolerance(d_min)
     # np.spacing is math.ulp for the non-negative floats here.
     bad = np.flatnonzero(4.0 * np.spacing(far) > tol)
     if bad.size:

@@ -8,9 +8,9 @@ Regions come in three shapes. ``Sphere`` and ``Shell`` are exact solids
 (a ball, and the solid between two concentric spheres). ``Sampled`` is a
 non-convex region represented by a boundary point cloud with outward
 normals; containment and closest-point queries on it are approximate at
-the sampling resolution, which is why sampled shapes carry a larger touch
-tolerance than exact ones. Every shape gives ``d_min``, ``d_max`` and
-``r_in``, the radius of the hole about its center (0 if it has none).
+the sampling resolution. Every shape gives ``d_min``, ``d_max`` and
+``r_in``, the radius of the hole about its center (0 if it has none), and
+every shape is touched within the one scene-wide ``touch_tolerance``.
 """
 
 from __future__ import annotations
@@ -26,10 +26,8 @@ from .errors import ContractError, InvalidRegionError, _echo
 # Relative slack used by shape invariants (boundary radius vs d_max / 2, etc.).
 EPS_TOL = 1e-9
 
-# Touch tolerances: exact solids get a hair above float noise, sampled
-# boundaries get a fraction of their minimum diameter (discretization).
-EXACT_TOUCH_FRACTION = 1e-6
-SAMPLED_TOUCH_FRACTION = 0.05
+# The touch tolerance, a hair above float noise, as a fraction of the scene's minimum diameter.
+TOUCH_FRACTION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -174,6 +172,15 @@ def _validate_region(region: Region) -> tuple[np.ndarray, np.ndarray] | None:
         if np.any(radii > _reach(s.d_max / 2.0, 0.0)):
             raise InvalidRegionError("boundary point farther than d_max/2 from center")
         units = (pts - c) / radii[:, None]
+        # One radius per direction: the nearest-direction lookup cannot tell apart two within
+        # about 1e-8 rad, so one of the two samples could lie outside the region.
+        key = np.rint(units * 1e8)
+        order = np.lexsort(key.T)
+        key = key[order]
+        twin = (key[1:] == key[:-1]).all(axis=1)
+        if twin.any():
+            j, i = min(zip(order[1:][twin].tolist(), order[:-1][twin].tolist()))
+            raise InvalidRegionError(f"boundary points {i} and {j} lie in one direction from the center")
         radii.flags.writeable = units.flags.writeable = False
         return radii, units
     raise InvalidRegionError(f"unknown shape {type(s).__name__}")
@@ -202,17 +209,11 @@ def farthest_pair_distance(points: np.ndarray) -> float:
     return math.sqrt(_farthest_pair(points)[0])
 
 
-def touch_tolerance(region: Region, d_min_global: float) -> float:
-    """Containment slack for a region in a scene of minimum diameter ``d_min_global``.
-
-    Exact shapes use a tiny fraction of the scene-wide minimum diameter;
-    sampled boundaries get a fraction of their d_min to absorb
-    discretization. ``Scene.tol`` holds this per object, taken from the
-    scene's columns by the same rule.
-    """
-    if isinstance(region.shape, Sampled):
-        return SAMPLED_TOUCH_FRACTION * region.d_min
-    return EXACT_TOUCH_FRACTION * d_min_global
+def touch_tolerance(d_min_global: float) -> float:
+    """The one containment slack of every region, of every shape, in a scene of minimum
+    diameter ``d_min_global``: ``Scene.tol``. A sampled region needs no more, since each
+    boundary sample lies in its own region at tolerance 0."""
+    return TOUCH_FRACTION * d_min_global
 
 
 def _boundary_radii(region: Region, units: np.ndarray) -> np.ndarray:
@@ -332,11 +333,11 @@ def regions_intersect(a: Region, b: Region, d_min_global: float) -> bool:
 
     Sphere/shell pairs are decided by ``balls_meet``. Any pair involving a
     sampled boundary is decided by testing boundary samples of one
-    region for containment in the other, both ways, within the other's
+    region for containment in the other, both ways, within the scene's
     ``touch_tolerance``. An exact solid can lie inside a sampled region,
     clear of its samples, so a mixed pair also meets when the exact solid's
     point nearest the sampled center (not its center: a shell's hole may
-    hold the sampled region) lies in the sampled region within its tolerance.
+    hold the sampled region) lies in the sampled region within that tolerance.
     """
     sa, sb = a.shape, b.shape
     if not isinstance(sa, Sampled) and not isinstance(sb, Sampled):
@@ -345,11 +346,11 @@ def regions_intersect(a: Region, b: Region, d_min_global: float) -> bool:
     for first, second in ((a, b), (b, a)):
         if not isinstance(first.shape, Sampled):
             continue
-        if contains(second, first.shape.points, touch_tolerance(second, d_min_global)).any():
+        if contains(second, first.shape.points, touch_tolerance(d_min_global)).any():
             return True
         if not isinstance(second.shape, Sampled):
             near = closest_point_on_region(second, first.center.as_array())
-            return bool(contains(first, near[None], touch_tolerance(first, d_min_global))[0])
+            return bool(contains(first, near[None], touch_tolerance(d_min_global))[0])
     return False
 
 
@@ -496,10 +497,10 @@ def first_touch_indices(scene: Scene, points: np.ndarray) -> np.ndarray:
         return first
     c, tol = scene.centers, scene.tol
     for q, p in candidate_pairs(c, points, float(scene.reach.max())):
-        hit = in_ball(distances(c[q], points[p]), scene.r_in[q], scene.r_out[q], tol[q])
+        hit = in_ball(distances(c[q], points[p]), scene.r_in[q], scene.r_out[q], tol)
         for i in np.unique(q[~scene.exact[q]]).tolist():
             lo, hi = q.searchsorted((i, i + 1))
-            hit[lo:hi] = contains(scene.region(i), points[p[lo:hi]], tol[i])
+            hit[lo:hi] = contains(scene.region(i), points[p[lo:hi]], tol)
         # Pairs are sorted by q, then p: the first hit of each q is its least row.
         touched, at = np.unique(q[hit], return_index=True)
         first[touched] = p[hit][at]
@@ -531,11 +532,11 @@ class SceneObject:
 class Scene:
     """A set of objects with global diameter bounds inside a cube.
 
-    Its state is ``ids`` and read-only per-object columns, which scene-wide
-    passes read: ``centers`` (n, 3), each shape's ``d_min`` and ``d_max``,
-    ``r_in`` and ``r_out = d_max / 2``, ``tol = touch_tolerance(region,
-    d_min_global)``, ``reach`` (the radius holding the region plus ``tol``),
-    ``exact`` (sphere or shell) and ``sphere``. The lists ``rows`` (each
+    Its state is ``ids``, the one float ``tol = touch_tolerance(d_min_global)``
+    and read-only per-object columns, which scene-wide passes read:
+    ``centers`` (n, 3), each shape's ``d_min`` and ``d_max``, ``r_in`` and
+    ``r_out = d_max / 2``, ``reach`` (the radius holding the region plus
+    ``tol``), ``exact`` (sphere or shell) and ``sphere``. The lists ``rows`` (each
     center as given, so a JSON integer stays an integer) and ``kinds`` (each
     shape class) are not to be modified. ``objects``, ``get`` and ``region``
     build an object's ``SceneObject`` and ``Region`` from the columns the
@@ -613,15 +614,14 @@ class Scene:
         sphere = np.array([k is Sphere for k in kinds], dtype=bool)
         exact = np.array([k is not Sampled for k in kinds], dtype=bool)
         r_out = d_hi / 2.0
-        tol = np.where(exact, EXACT_TOUCH_FRACTION * d_min_global, SAMPLED_TOUCH_FRACTION * d_lo)
+        self.tol = touch_tolerance(d_min_global)
         for name, col in (
             ("centers", np.array(rows, dtype=float).reshape(-1, 3) if centers is None else centers),
             ("d_min", d_lo),
             ("d_max", d_hi),
             ("r_in", np.where(exact & ~sphere, d_lo / 2.0, 0.0)),
             ("r_out", r_out),
-            ("tol", tol),
-            ("reach", _reach(r_out, tol)),
+            ("reach", _reach(r_out, self.tol)),
             ("exact", exact),
             ("sphere", sphere),
         ):

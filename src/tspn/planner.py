@@ -298,7 +298,7 @@ def build_detour(owner: Region, d_min_global: float, owner_id: str = "") -> Deto
     a, b = axis
     ab = b - a
     ab_len = _norm(ab)
-    if ab_len < touch_tolerance(owner, d_min_global):
+    if ab_len < touch_tolerance(d_min_global):
         return _point_detour(owner_id, axis, budget)
     axis_dir = ab / ab_len
 
@@ -482,7 +482,7 @@ def _patch_and_visit(
     for i in np.flatnonzero(first < 0).tolist():
         region = scene.region(i)
         # Rows inserted so far are spike tips or copies of rows already tested.
-        if tips and contains(region, np.array(tips), scene.tol[i]).any():
+        if tips and contains(region, np.array(tips), scene.tol).any():
             continue
         near = int(np.argmin(distances(scene.centers[i], arr)))
         q = closest_point_on_region(region, arr[near])

@@ -48,8 +48,8 @@ def ball_interval(region) -> tuple[float, float]:
 
 def reach_of(region, d_min_global: float) -> float:
     """Radius about the center holding the region (up to the validated ``d_max / 2 * (1 +
-    EPS_TOL) + EPS_TOL``) plus ``touch_tolerance(region, d_min_global)``."""
-    return region.d_max / 2.0 * (1.0 + EPS_TOL) + EPS_TOL + touch_tolerance(region, d_min_global)
+    EPS_TOL) + EPS_TOL``) plus ``touch_tolerance(d_min_global)``."""
+    return region.d_max / 2.0 * (1.0 + EPS_TOL) + EPS_TOL + touch_tolerance(d_min_global)
 
 
 def gap_mst_length(start, centers, reach) -> float:
@@ -532,13 +532,62 @@ def loop_regions_intersect(a, b, d_min_global: float) -> bool:
     for first, second in ((a, b), (b, a)):
         if not isinstance(first.shape, Sampled):
             continue
-        tol = touch_tolerance(second, d_min_global)
+        tol = touch_tolerance(d_min_global)
         if any(scalar_region_contains(second, q, tol) for q in first.shape.points):
             return True
         if not isinstance(second.shape, Sampled):
             near = scalar_nearest_ball_point(second, first.center.as_array())
-            return scalar_region_contains(first, near, touch_tolerance(first, d_min_global))
+            return scalar_region_contains(first, near, touch_tolerance(d_min_global))
     return False
+
+
+def dense_solid_points(region, toward, n_dirs: int = 256, n_radii: int = 12) -> np.ndarray:
+    """Points of the region solid along near-uniform directions, the axes, a sampled region's
+    own boundary directions and the direction to the point ``toward``, at ``n_radii`` radii
+    from the hole's (0 if none) out to the boundary's: ``d_max / 2`` for a sphere or shell,
+    the radius of the boundary sample nearest in direction for a sampled region."""
+    c = region.center.as_array()
+    v = np.asarray(toward, dtype=float) - c
+    dirs = [fibonacci_directions(n_dirs), np.eye(3), -np.eye(3)]
+    if np.any(v):
+        dirs.append(v[None] / np.linalg.norm(v))
+    s = region.shape
+    if isinstance(s, Sampled):
+        offsets = s.points - c
+        radii = np.linalg.norm(offsets, axis=1)
+        units = offsets / radii[:, None]
+        dirs = np.vstack(dirs + [units])
+        inner, outer = np.zeros(len(dirs)), radii[np.argmax(dirs @ units.T, axis=1)]
+    else:
+        dirs = np.vstack(dirs)
+        inner, outer = (np.full(len(dirs), r) for r in ball_interval(region))
+    r = inner[:, None] + (outer - inner)[:, None] * np.linspace(0.0, 1.0, n_radii)
+    return (c + dirs[:, None, :] * r[:, :, None]).reshape(-1, 3)
+
+
+def dense_inside(region, points: np.ndarray, tol: float) -> np.ndarray:
+    """Which rows of ``points`` lie in the region solid within ``tol``: each point's distance
+    from the center against the radius of the boundary sample nearest in direction, or the
+    sphere's or shell's radii; one dense direction table, no prefilter."""
+    c = region.center.as_array()
+    v = points - c
+    r = np.linalg.norm(v, axis=1)
+    s = region.shape
+    if not isinstance(s, Sampled):
+        r_in, r_out = ball_interval(region)
+        return (r >= r_in - tol) & (r <= r_out + tol)
+    offsets = s.points - c
+    radii = np.linalg.norm(offsets, axis=1)
+    u = v / np.where(r > 0.0, r, 1.0)[:, None]
+    return r <= radii[np.argmax(u @ (offsets / radii[:, None]).T, axis=1)] + tol
+
+
+def dense_regions_meet(a, b, tol: float) -> bool:
+    """Whether two region solids share a point within ``tol``, by dense sampling: some point of
+    either's ``dense_solid_points`` (directed at the other's center) lies in the other."""
+    pa = dense_solid_points(a, b.center.as_array())
+    pb = dense_solid_points(b, a.center.as_array())
+    return bool(dense_inside(b, pa, tol).any() or dense_inside(a, pb, tol).any())
 
 
 def scalar_nearest_ball_point(region, p: np.ndarray) -> np.ndarray:
@@ -828,7 +877,7 @@ def dense_patch_and_visit(arr: np.ndarray, scene) -> tuple[np.ndarray, tuple, li
     # budget-capped, so grazing contacts can slip through discretization).
     patched: list[str] = []
     for obj in scene.objects:
-        tol = touch_tolerance(obj.region, scene.d_min_global)
+        tol = touch_tolerance(scene.d_min_global)
         if contains(obj.region, arr, tol).any():
             continue
         c = obj.region.center.as_array()
@@ -839,7 +888,7 @@ def dense_patch_and_visit(arr: np.ndarray, scene) -> tuple[np.ndarray, tuple, li
 
     visits = []
     for obj in scene.objects:
-        tol = touch_tolerance(obj.region, scene.d_min_global)
+        tol = touch_tolerance(scene.d_min_global)
         hits = np.flatnonzero(contains(obj.region, arr, tol))
         if not hits.size:
             raise ContractError(f"object {obj.id!r} left untouched after patching")
@@ -897,7 +946,7 @@ def dense_missed_objects(tour: Tour, scene) -> list[str]:
     return [
         obj.id
         for obj in scene.objects
-        if not contains(obj.region, arr, touch_tolerance(obj.region, scene.d_min_global)).any()
+        if not contains(obj.region, arr, touch_tolerance(scene.d_min_global)).any()
     ]
 
 
@@ -990,7 +1039,7 @@ def per_point_first_touch_indices(regions, points: np.ndarray, d_min_global: flo
     """Per region, the index of the first row of ``points`` (W, 3) touching it, or -1.
 
     A row touches a region when ``contains`` accepts it within
-    ``touch_tolerance(region, d_min_global)``. With the largest reach as
+    ``touch_tolerance(d_min_global)``. With the largest reach as
     cell edge, only the rows near a region's center in cell keys can touch
     it; those are tested in index order.
     """
@@ -1003,7 +1052,7 @@ def per_point_first_touch_indices(regions, points: np.ndarray, d_min_global: flo
         near = near_rows(cell_keys(region.center.as_array()[None], radius)[0], keys)
         if not near:
             continue
-        hit = np.flatnonzero(contains(region, points[near], touch_tolerance(region, d_min_global)))
+        hit = np.flatnonzero(contains(region, points[near], touch_tolerance(d_min_global)))
         if hit.size:
             first[i] = near[hit[0]]
     return first
@@ -1156,7 +1205,7 @@ def row_list_build_detour(
     a, b = axis
     ab = b - a
     ab_len = float(np.linalg.norm(ab))
-    if ab_len < touch_tolerance(owner, d_min_global):
+    if ab_len < touch_tolerance(d_min_global):
         return _point_detour(owner_id, axis, budget)
     axis_dir = ab / ab_len
 

@@ -425,6 +425,17 @@ def test_score_csv_row_without_four_fields_names_its_line(tmp_path, capsys):
                        f"{scores}: line 3: expected 4 fields, got 3")
 
 
+def test_score_csv_views_in_one_direction_are_refused(tmp_path, capsys):
+    # Eight views around the equator, and a ninth farther out along the first one's
+    # direction: the star model gives a direction one radius, so the region is refused.
+    scores = tmp_path / "scores.csv"
+    rows = [f"{2 * math.pi * k / 8},0,3,0.9" for k in range(8)] + ["0,0,3.9,0.9"]
+    scores.write_text("azimuth_rad,elevation_rad,distance_m,score\n" + "\n".join(rows) + "\n")
+    _malformed_exits_1(capsys, ["region", "--center", "20,0,0", "--scores", str(scores),
+                                "--out", str(tmp_path / "r.json")],
+                       "boundary points 0 and 8 lie in one direction from the center")
+
+
 def test_visit_fields_of_the_wrong_type_are_named(tmp_path, capsys):
     scene, traj, _, good = _scene_and_trajectory(tmp_path)
     for key, value, expected in [

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from tspn import Point3, Region, Shell, Sphere
 from tspn.geom import (
-    EXACT_TOUCH_FRACTION, contains, first_touch_indices, intersecting_pairs, regions_intersect,
+    TOUCH_FRACTION, contains, first_touch_indices, intersecting_pairs, regions_intersect,
 )
 
 from oracles import (
@@ -76,7 +76,7 @@ def probe_points(rng, regions, tol: float) -> np.ndarray:
 
 def assert_block_decisions_match_the_chains(regions, points):
     scene = scene_of(regions)
-    tol = EXACT_TOUCH_FRACTION * scene.d_min_global
+    tol = TOUCH_FRACTION * scene.d_min_global
     want = brute_intersecting_pairs(regions, chain_regions_intersect)
     assert intersecting_pairs(scene) == want
     intersect = partial(regions_intersect, d_min_global=scene.d_min_global)
@@ -93,7 +93,7 @@ def assert_block_decisions_match_the_chains(regions, points):
 @given(ball_scenes(), st.integers(0, 2**32 - 1))
 def test_block_contacts_match_the_scalar_chains(regions, seed):
     rng = np.random.default_rng(seed)
-    tol = EXACT_TOUCH_FRACTION * min(r.d_min for r in regions)
+    tol = TOUCH_FRACTION * min(r.d_min for r in regions)
     assert_block_decisions_match_the_chains(regions, probe_points(rng, regions, tol))
 
 
@@ -133,5 +133,5 @@ def test_hand_built_edge_pairs(name, offset):
     d_min_global = min(a.d_min, b.d_min)
     assert regions_intersect(a, b, d_min_global) == regions_intersect(b, a, d_min_global) == meet
     rng = np.random.default_rng(len(name))
-    tol = EXACT_TOUCH_FRACTION * min(a.d_min, b.d_min)
+    tol = TOUCH_FRACTION * min(a.d_min, b.d_min)
     assert_block_decisions_match_the_chains([a, b], probe_points(rng, [a, b], tol))

@@ -1,12 +1,14 @@
 """The vectorized membership test ``geom.contains`` against the scalar references."""
 
+import re
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tspn import Point3, Region, Sampled, Shell, Sphere
+from tspn import InvalidRegionError, Point3, Region, Sampled, Shell, Sphere
 from tspn import planner
 from tspn.geom import contains, region_contains, regions_intersect, touch_tolerance
 from tspn.planner import _surface_samples, build_detour, fibonacci_sphere
@@ -76,7 +78,7 @@ def probe_points(rng, region: Region, tol: float) -> np.ndarray:
 def test_contains_matches_scalar_reference(seed, kind, k):
     rng = np.random.default_rng(seed)
     region = random_region(rng, kind)
-    tol = touch_tolerance(region, region.d_min)
+    tol = touch_tolerance(region.d_min)
     pts = probe_points(rng, region, tol)
     if k is not None:
         pts = pts[rng.permutation(len(pts))[:k]]
@@ -84,6 +86,30 @@ def test_contains_matches_scalar_reference(seed, kind, k):
     assert got.dtype == bool and got.shape == (len(pts),)
     assert got.tolist() == [scalar_region_contains(region, p, tol) for p in pts]
     assert [region_contains(region, Point3(*p), tol) for p in pts] == got.tolist()
+
+
+@SETTINGS
+@given(seed=SEEDS, offset=st.sampled_from((0.0, 37.5, 1e3, 1e4)), repeats=st.integers(0, 3))
+def test_every_boundary_sample_of_a_valid_sampled_region_lies_in_it(seed, offset, repeats):
+    """A valid sampled region holds each of its boundary samples at tolerance 0; one whose
+    samples repeat a direction at another radius is refused, naming the first repeat."""
+    rng = np.random.default_rng(seed)
+    c = offset + rng.uniform(-20.0, 20.0, size=3)
+    picks = rng.integers(13, size=repeats)
+    dirs = unit_rows(rng, 13)
+    dirs = np.vstack([dirs, dirs[picks]])
+    radii = rng.uniform(1.0, 5.0, size=len(dirs))
+    pts = c + dirs * radii[:, None]
+    shape = Sampled(pts, dirs, d_min=2.0 * float(radii.min()), d_max=2.0 * float(radii.max()))
+    if repeats:
+        with pytest.raises(InvalidRegionError) as err:
+            Region(center=Point3(*c), shape=shape)
+        named = re.fullmatch(r"boundary points (\d+) and (\d+) lie in one direction from the center",
+                             str(err.value))
+        assert named and tuple(map(int, named.groups())) == (int(picks[0]), 13)
+        return
+    region = Region(center=Point3(*c), shape=shape)
+    assert contains(region, pts, 0.0).all()
 
 
 @SETTINGS

@@ -8,6 +8,7 @@ walk that compares each waypoint's Python-integer cell keys with the
 center's (``cell_edge``, ``cell_keys``).
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from tspn import Point3, Region, Sampled, Scene, SceneObject, Shell, Sphere, Tour
 from tspn.bench import SceneConfig, generate_scene
-from tspn.errors import ContractError
+from tspn.errors import ContractError, InvalidRegionError
 from tspn.geom import (
     EPS_TOL, closest_point_on_region, contains, first_touch_indices, touch_tolerance,
 )
@@ -54,10 +55,12 @@ def overlap_scene(rng, n: int, offset: float, kinds) -> Scene:
             u /= np.linalg.norm(u, axis=1)[:, None]
             pts = c + u * (d * rng.uniform(0.3, 0.5, size=len(u)))[:, None]
             radii = np.linalg.norm(pts - c, axis=1)
-            # A coarse grid can round a point onto the center; keep the shell then.
-            if radii.min() > 0:
-                shape = Sampled(points=pts, normals=u, d_min=2 * float(radii.min()),
-                                d_max=2 * float(radii.max()))
+            # A coarse grid can round a point onto the center, or two onto one direction
+            # from it; keep the shell then.
+            sampled = Sampled(points=pts, normals=u, d_min=2 * float(radii.min()),
+                              d_max=2 * float(radii.max()))
+            with contextlib.suppress(InvalidRegionError):
+                shape = Region(center=Point3(*c), shape=sampled).shape
         objs.append(SceneObject(id=f"o{i}", region=Region(center=Point3(*c), shape=shape)))
     d_min = min(o.region.d_min for o in objs)
     d_max = max(o.region.d_max for o in objs)
@@ -67,7 +70,7 @@ def overlap_scene(rng, n: int, offset: float, kinds) -> Scene:
 def touch_distance(region, d_min_global) -> float:
     """Largest center distance ``contains`` accepts along the region's farthest extent."""
     s = region.shape
-    tol = touch_tolerance(region, d_min_global)
+    tol = touch_tolerance(d_min_global)
     if isinstance(s, Sampled):
         return float(np.linalg.norm(s.points - region.center.as_array(), axis=1).max()) + tol
     return region.d_max / 2.0 + tol
@@ -290,7 +293,7 @@ def test_waypoint_at_the_largest_reach_is_found():
     for axis in range(3):
         p = np.zeros(3)
         p[axis] = -reach
-        assert contains(far, p[None], touch_tolerance(far, scene.d_min_global))[0]
+        assert contains(far, p[None], touch_tolerance(scene.d_min_global))[0]
         beyond = p.copy()
         beyond[axis] = math.nextafter(-reach, -math.inf)
         for rows, missed in (([p], ["ball", "twin"]), ([beyond], ["far", "ball", "twin"])):
@@ -346,7 +349,7 @@ def test_plan_coincident_centers_and_twin_shells():
             for v in plan.tour.visits:
                 region = scene.get(v.object_id).region
                 row = plan.tour.waypoints[v.waypoint_index : v.waypoint_index + 1]
-                assert contains(region, row, touch_tolerance(region, scene.d_min_global))[0]
+                assert contains(region, row, touch_tolerance(scene.d_min_global))[0]
 
 
 def test_plan_overlapping_scene_with_patch_visits():

@@ -88,4 +88,4 @@ def test_a_straight_approach_meets_both_bounds():
     assert tour.waypoints.tolist() == [[0.0, 0.0, 0.0], [8.0, 0.0, 0.0]]
     # Each bound reaches past the sphere by its touch tolerance (and the 1e-9 validation slack).
     for bound in (gap_bound(start, scene), visit_order_dual(start, scene, tour, leg_directions(tour))):
-        assert 0.0 < tour.length - bound <= 1.001 * touch_tolerance(region, 4.0)
+        assert 0.0 < tour.length - bound <= 1.001 * touch_tolerance(4.0)

@@ -16,6 +16,7 @@ from tspn.planner import maximal_independent_set, plan_online, scene_is_disjoint
 
 from oracles import (
     brute_intersecting_pairs,
+    dense_regions_meet,
     fibonacci_directions,
     greedy_mis,
     one_at_a_time_disjoint_centers,
@@ -23,6 +24,7 @@ from oracles import (
     reach_of,
     scene_of,
 )
+from test_coverage import overlap_scene
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -113,6 +115,22 @@ def test_intersecting_pairs_on_generated_overlap_scene():
     pairs = intersecting_pairs(scene)
     assert pairs and pairs == brute_intersecting_pairs(
         regions, partial(regions_intersect, d_min_global=scene.d_min_global))
+
+
+@pytest.mark.parametrize("kinds", [("sampled",), ("sphere", "shell", "sampled")])
+def test_every_reported_pair_with_a_sampled_member_meets_by_dense_sampling(kinds):
+    # Sampled pairs are decided on their boundary samples; a pair reported as meeting
+    # must share a point within the scene's touch tolerance. Pairs the dense oracle sees
+    # meeting may still go unreported, where the overlap passes between samples.
+    confirmed = 0
+    for seed in range(10):
+        scene = overlap_scene(np.random.default_rng(seed), 16, 0.0, kinds)
+        for i, j in intersecting_pairs(scene):
+            a, b = scene.region(i), scene.region(j)
+            if isinstance(a.shape, Sampled) or isinstance(b.shape, Sampled):
+                assert dense_regions_meet(a, b, scene.tol), (seed, i, j)
+                confirmed += 1
+    assert confirmed > 100
 
 
 # ------------------------------------------------------------------ maximal independent set

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from tspn import (
     Point3, Region, Sampled, Scene, SceneObject, Shell, Sphere, Tour, TspConfig, tour_length,
 )
 from tspn.bench import SceneConfig, generate_scene
+from tspn.errors import InvalidRegionError
 from tspn.geom import contains, touch_tolerance
 from tspn.planner import (
     BoundReport,
@@ -103,7 +105,7 @@ def test_center_visit_degenerate_centers():
         for v in tour.visits:
             region = scene.get(v.object_id).region
             row = tour.waypoints[v.waypoint_index : v.waypoint_index + 1]
-            assert contains(region, row, touch_tolerance(region, scene.d_min_global))[0]
+            assert contains(region, row, touch_tolerance(scene.d_min_global))[0]
         assert missed_objects(tour, scene) == []
 
 
@@ -340,10 +342,12 @@ def baseline_scene(rng, n: int, offset: float) -> Scene:
             u /= np.linalg.norm(u, axis=1)[:, None]
             pts = c + u * (d * rng.uniform(0.3, 0.5, size=len(u)))[:, None]
             radii = np.linalg.norm(pts - c, axis=1)
-            # A coarse grid can round a point onto the center; keep the shell then.
-            if radii.min() > 0:
-                shape = Sampled(points=pts, normals=u, d_min=2 * float(radii.min()),
-                                d_max=2 * float(radii.max()))
+            # A coarse grid can round a point onto the center, or two onto one direction
+            # from it; keep the shell then.
+            sampled = Sampled(points=pts, normals=u, d_min=2 * float(radii.min()),
+                              d_max=2 * float(radii.max()))
+            with contextlib.suppress(InvalidRegionError):
+                shape = Region(center=Point3(*c), shape=sampled).shape
         objs.append(SceneObject(id=f"o{i}", region=Region(center=Point3(*c), shape=shape)))
     d_min = min((o.region.d_min for o in objs), default=1.0)
     d_max = max((o.region.d_max for o in objs), default=1.0)

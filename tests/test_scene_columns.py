@@ -24,17 +24,17 @@ from tspn import CapacityError, Point3, Region, Sampled, Scene, SceneObject, She
 from tspn.bench import SceneConfig, generate_scene, scene_from_json, scene_to_json
 from tspn.cli import main
 from tspn.errors import TspnError
-from tspn.geom import closest_point_on_ball, closest_point_on_region
+from tspn.geom import TOUCH_FRACTION, closest_point_on_ball, closest_point_on_region
 from tspn.planner import center_visit, realized_diameters
 
 from oracles import object_built_scene, scene_document
 from test_coverage import KINDS, overlap_scene
 
-COLUMNS = ("centers", "d_min", "d_max", "r_in", "r_out", "tol", "reach", "exact", "sphere")
+COLUMNS = ("centers", "d_min", "d_max", "r_in", "r_out", "reach", "exact", "sphere")
 
 
 def _same_columns(a: Scene, b: Scene) -> None:
-    assert a.ids == b.ids
+    assert a.ids == b.ids and a.tol == b.tol
     for name in COLUMNS:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
@@ -344,7 +344,7 @@ def test_a_sampled_entry_is_built_at_load_and_its_faults_keep_their_order(monkey
     validate = tspn.geom._validate_region
     monkeypatch.setattr(tspn.geom, "_validate_region", lambda region: built.append(validate(region)))
     scene = scene_from_json(json.dumps(doc))
-    assert len(built) == 1 and not scene.exact[5] and scene.tol[5] == 0.05 * sampled.d_min
+    assert len(built) == 1 and not scene.exact[5] and scene.tol == TOUCH_FRACTION * doc["d_min_m"]
     assert scene.region(5).shape.points.tobytes() == sampled.shape.points.tobytes() and len(built) == 1
     # A fault in the sampled entry is named before one read later in the document.
     shape = doc["objects"][5]["shape"]
