@@ -14,9 +14,9 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .geom import (
     Sphere,
     Tour,
     Visit,
+    _checked,
     earlier_within,
     touch_tolerance,
     tour_length,
@@ -45,32 +46,24 @@ REJECTION_LIMIT = 10_000
 FAR_LIMIT = math.sqrt(np.finfo(float).max / 12.0)
 
 
-@dataclass(frozen=True)
-class SceneConfig:
-    n_objects: int
-    d_min: float
-    d_max: float
-    cube_edge: float = 100.0
-    disjoint: bool = True
-    overlap_rate: float = 0.0
-    seed: int = 0
+class SceneConfig(_checked("SceneConfig", "n_objects d_min d_max cube_edge disjoint overlap_rate seed")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_objects < 0:
+    def __new__(
+        cls, n_objects: int, d_min: float, d_max: float, cube_edge: float = 100.0, disjoint: bool = True,
+        overlap_rate: float = 0.0, seed: int = 0,
+    ):
+        if n_objects < 0:
             raise ContractError("n_objects must be >= 0")
-        if not (0 < self.d_min <= self.d_max < self.cube_edge):
-            raise ContractError(
-                f"need 0 < d_min <= d_max < cube_edge, got "
-                f"({self.d_min}, {self.d_max}, {self.cube_edge})"
-            )
-        if not (0.0 <= self.overlap_rate <= 1.0):
+        if not (0 < d_min <= d_max < cube_edge):
+            raise ContractError(f"need 0 < d_min <= d_max < cube_edge, got ({d_min}, {d_max}, {cube_edge})")
+        if not (0.0 <= overlap_rate <= 1.0):
             raise ContractError("overlap_rate must be in [0, 1]")
-        if self.disjoint and self.overlap_rate > 0.0:
-            raise ContractError(
-                f"overlap_rate {self.overlap_rate} applies only to non-disjoint scenes"
-            )
+        if disjoint and overlap_rate > 0.0:
+            raise ContractError(f"overlap_rate {overlap_rate} applies only to non-disjoint scenes")
         # The worst case of what scene_from_json checks on any scene drawn from here.
-        check_spacing(self.d_min, self.cube_edge, self.d_max / 2.0, lambda _: "cube_edge")
+        check_spacing(d_min, cube_edge, d_max / 2.0, lambda _: "cube_edge")
+        return super().__new__(cls, n_objects, d_min, d_max, cube_edge, disjoint, overlap_rate, seed)
 
 
 def generate_scene(config: SceneConfig) -> Scene:
@@ -441,8 +434,7 @@ def tour_from_json(text: str) -> Tour:
 # ------------------------------------------------------------------ comparison harness
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     method: str
     n_objects: int
     seed: int
@@ -451,8 +443,7 @@ class ComparisonRow:
     valid: bool
 
 
-@dataclass(frozen=True)
-class Aggregate:
+class Aggregate(NamedTuple):
     method: str
     n_objects: int
     mean_length_m: float
@@ -460,8 +451,7 @@ class Aggregate:
     mean_runtime_s: float
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     rows: tuple[ComparisonRow, ...]
     aggregates: tuple[Aggregate, ...]
 
@@ -533,7 +523,7 @@ def run_comparison(
 
     rows = []
     for seed in range(config.seed, config.seed + seeds):
-        scene = generate_scene(replace(config, seed=seed))
+        scene = generate_scene(config._replace(seed=seed))
         rows += (_run_cell(scene, seed, method, samples_per_region) for method in methods)
 
     aggregates = []

@@ -16,8 +16,8 @@ every shape is touched within the one scene-wide ``touch_tolerance``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,19 +29,53 @@ EPS_TOL = 1e-9
 # The touch tolerance, a hair above float noise, as a fraction of the scene's minimum diameter.
 TOUCH_FRACTION = 1e-6
 
+# Offsets of the four twin grids (see _validate_region): each a quarter cell past the last,
+# all keeping a unit direction's cell indices, in cells of 1e-6, in [0, 2**21).
+_TWIN_OFFSETS = (1e6 + 1.0 + np.arange(4) / 4.0)[:, None, None]
 
-@dataclass(frozen=True)
-class Point3:
+
+class _Record:
+    """Base of the records that check or copy what they are given. ``__init__`` sets the
+    fields, named by ``__slots__``, once with ``_set``; after that they are read-only."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # copy and pickle give (None, {field: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+
+def _checked(typename: str, field_names: str):
+    """The namedtuple base of a record whose subclass checks in ``__new__``: its ``_make``,
+    and so ``_replace``, build through that check too."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class Point3(_checked("Point3", "x y z")):
     """A position in meters. Coordinates must be finite."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for v in (self.x, self.y, self.z):
+    def __new__(cls, x: float, y: float, z: float):
+        for v in (x, y, z):
             if not math.isfinite(v):
                 raise ContractError(f"non-finite coordinate in Point3: {v!r}")
+        return super().__new__(cls, x, y, z)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
@@ -51,8 +85,7 @@ class Point3:
         return Point3(float(a[0]), float(a[1]), float(a[2]))
 
 
-@dataclass(frozen=True)
-class Sphere:
+class Sphere(NamedTuple):
     """Solid ball given by its diameter."""
 
     diameter: float
@@ -65,8 +98,7 @@ class Sphere:
     d_max = d_min
 
 
-@dataclass(frozen=True)
-class Shell:
+class Shell(NamedTuple):
     """Solid between two concentric spheres (a hollow ball)."""
 
     inner_diameter: float
@@ -85,8 +117,7 @@ class Shell:
         return self.inner_diameter / 2.0
 
 
-@dataclass(frozen=True, eq=False)
-class Sampled:
+class Sampled(_Record):
     """Boundary point cloud with outward unit normals.
 
     ``points`` and ``normals`` are (n, 3) float arrays, stored as
@@ -95,34 +126,28 @@ class Sampled:
     test.
     """
 
-    points: np.ndarray
-    normals: np.ndarray
-    d_min: float
-    d_max: float
+    __slots__ = ("points", "normals", "d_min", "d_max")
     r_in = 0.0
 
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        nms = np.array(self.normals, dtype=float)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "normals", nms)
+    def __init__(self, points: np.ndarray, normals: np.ndarray, d_min: float, d_max: float):
+        pts = np.array(points, dtype=float)
+        nms = np.array(normals, dtype=float)
         pts.flags.writeable = False
         nms.flags.writeable = False
+        self._set(pts, nms, d_min, d_max)
 
 
-Shape = Union[Sphere, Shell, Sampled]
+Shape = Sphere | Shell | Sampled
 
 
-@dataclass(frozen=True, eq=False)
-class Region:
+class Region(_Record):
     """A diameter-bounded detection region around a center point. ``radial`` is a sampled
     shape's table of boundary radii (k,) and unit directions (k, 3) from the center, else None."""
 
-    center: Point3
-    shape: Shape
-    radial: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
+    __slots__ = ("center", "shape", "radial")
 
-    def __post_init__(self):
+    def __init__(self, center: Point3, shape: Shape):
+        self._set(center, shape)
         object.__setattr__(self, "radial", _validate_region(self))
 
     @property
@@ -173,13 +198,16 @@ def _validate_region(region: Region) -> tuple[np.ndarray, np.ndarray] | None:
             raise InvalidRegionError("boundary point farther than d_max/2 from center")
         units = (pts - c) / radii[:, None]
         # One radius per direction: the nearest-direction lookup cannot tell apart two within
-        # about 1e-8 rad, so one of the two samples could lie outside the region.
-        key = np.rint(units * 1e8)
-        order = np.lexsort(key.T)
-        key = key[order]
-        twin = (key[1:] == key[:-1]).all(axis=1)
-        if twin.any():
-            j, i = min(zip(order[1:][twin].tolist(), order[:-1][twin].tolist()))
+        # about 3e-8 rad, so one of the two samples could lie outside the region. Each direction
+        # gets an int64 key per grid of 1e-6 cells, four grids shifted a quarter cell along the
+        # diagonal: their walls lie a quarter cell apart on each axis, so a pair closer than
+        # 2.5e-7 on every axis is split by at most three grids and shares a cell of the fourth.
+        cell = np.floor(units * 1e6 + _TWIN_OFFSETS).astype(np.int64)
+        key = cell[..., 0] << 42 | cell[..., 1] << 21 | cell[..., 2]
+        if (np.diff(np.sort(key, axis=1)) == 0).any():
+            order = np.argsort(key, axis=1, kind="stable")
+            twin = np.diff(np.take_along_axis(key, order, axis=1)) == 0
+            j, i = min(zip(order[:, 1:][twin].tolist(), order[:, :-1][twin].tolist()))
             raise InvalidRegionError(f"boundary points {i} and {j} lie in one direction from the center")
         radii.flags.writeable = units.flags.writeable = False
         return radii, units
@@ -523,8 +551,7 @@ def max_diameter_segment(region: Region) -> np.ndarray:
     return s.points[[min(i, j), max(i, j)]]
 
 
-@dataclass(frozen=True)
-class SceneObject:
+class SceneObject(NamedTuple):
     id: str
     region: Region
 
@@ -670,14 +697,12 @@ class Scene:
         )
 
 
-@dataclass(frozen=True)
-class Visit:
+class Visit(NamedTuple):
     object_id: str
     waypoint_index: int
 
 
-@dataclass(frozen=True, eq=False)
-class Tour:
+class Tour(_Record):
     """An open trajectory: ordered waypoints with per-object visit annotations.
 
     ``waypoints`` is stored as a read-only float64 ``(k, 3)`` copy of what
@@ -685,18 +710,16 @@ class Tour:
     non-finite coordinate raises ``ContractError``.
     """
 
-    waypoints: np.ndarray
-    visits: tuple[Visit, ...] = field(default_factory=tuple)
+    __slots__ = ("waypoints", "visits")
 
-    def __post_init__(self):
-        w = np.array(self.waypoints, dtype=float)
+    def __init__(self, waypoints: np.ndarray, visits: tuple[Visit, ...] = ()):
+        w = np.array(waypoints, dtype=float)
         if w.ndim != 2 or w.shape[1] != 3:
             raise ContractError(f"waypoints must have shape (k, 3), got {w.shape}")
         if not np.isfinite(w).all():
             raise ContractError("non-finite waypoint coordinate")
         w.flags.writeable = False
-        object.__setattr__(self, "waypoints", w)
-        object.__setattr__(self, "visits", tuple(self.visits))
+        self._set(w, tuple(visits))
         n = len(w)
         for v in self.visits:
             if not (0 <= v.waypoint_index < n):

@@ -10,7 +10,7 @@ for the analytic length bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .geom import (
     Tour,
     Visit,
     _boundary_radii,
+    _Record,
     _norm,
     closest_point_on_ball,
     closest_point_on_region,
@@ -113,8 +114,7 @@ def center_visit(start: Point3, scene: Scene, tsp: TspConfig = TspConfig()) -> T
 # --------------------------------------------------------------------------- independent set
 
 
-@dataclass(frozen=True)
-class MisResult:
+class MisResult(NamedTuple):
     """Greedy independent set: kept ids plus removed-to-keeper assignment."""
 
     kept: tuple[str, ...]
@@ -154,8 +154,7 @@ def maximal_independent_set(scene: Scene) -> MisResult:
 # --------------------------------------------------------------------------- detour
 
 
-@dataclass(frozen=True, eq=False)
-class DetourPlan:
+class DetourPlan(_Record):
     """Perimeter curves plus spikes around one region, stitched into a path.
 
     Every point set is a read-only float64 array: ``axis`` (2, 3) holds the
@@ -166,17 +165,15 @@ class DetourPlan:
     path was built within (``detour_length_limit``).
     """
 
-    owner_id: str
-    axis: np.ndarray
-    perimeters: tuple[np.ndarray, ...]
-    spikes: np.ndarray
-    stitched: np.ndarray
-    length: float
-    limit: float
+    __slots__ = ("owner_id", "axis", "perimeters", "spikes", "stitched", "length", "limit")
 
-    def __post_init__(self):
-        for points in (self.axis, self.spikes, self.stitched, *self.perimeters):
+    def __init__(
+        self, owner_id: str, axis: np.ndarray, perimeters: tuple[np.ndarray, ...], spikes: np.ndarray,
+        stitched: np.ndarray, length: float, limit: float,
+    ):
+        for points in (axis, spikes, stitched, *perimeters):
             points.flags.writeable = False
+        self._set(owner_id, axis, perimeters, spikes, stitched, length, limit)
 
 
 def _plane_basis(axis_dir: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -412,14 +409,15 @@ def _point_detour(owner_id: str, axis: np.ndarray, limit: float) -> DetourPlan:
 # --------------------------------------------------------------------------- non-disjoint plan
 
 
-@dataclass(frozen=True, eq=False)
-class NondisjointPlan:
+class NondisjointPlan(_Record):
     """Tour plus the construction details behind it."""
 
-    tour: Tour
-    mis: MisResult
-    detours: tuple[DetourPlan, ...]
-    patched_ids: tuple[str, ...]
+    __slots__ = ("tour", "mis", "detours", "patched_ids")
+
+    def __init__(
+        self, tour: Tour, mis: MisResult, detours: tuple[DetourPlan, ...], patched_ids: tuple[str, ...]
+    ):
+        self._set(tour, mis, detours, patched_ids)
 
 
 def plan_nondisjoint_detailed(
@@ -512,13 +510,13 @@ def _patch_and_visit(
 # --------------------------------------------------------------------------- online planner
 
 
-@dataclass(frozen=True, eq=False)
-class DetectionOutcome:
+class DetectionOutcome(_Record):
     """Where an object was detected: ``detected_at`` is a (3,) position."""
 
-    object_id: str
-    realized_diameter: float
-    detected_at: np.ndarray
+    __slots__ = ("object_id", "realized_diameter", "detected_at")
+
+    def __init__(self, object_id: str, realized_diameter: float, detected_at: np.ndarray):
+        self._set(object_id, realized_diameter, detected_at)
 
 
 class SimulationOracle:
@@ -751,16 +749,14 @@ PLANNERS = {
 # --------------------------------------------------------------------------- bound validation
 
 
-@dataclass(frozen=True)
-class DetourBound:
+class DetourBound(NamedTuple):
     owner_id: str
     limit: float
     actual: float
     holds: bool
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Evaluated analytic bounds for a planned tour."""
 
     n_objects: int

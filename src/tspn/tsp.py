@@ -14,24 +14,23 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, SizeLimitError
-from .geom import distances, polyline_length, sq_distances
+from .geom import _checked, distances, polyline_length, sq_distances
 
 # Cap on the exact solver: its subset table has 2^n rows.
 EXACT_MAX_N = 12
 
 
-@dataclass(frozen=True)
-class TspConfig:
-    solver: str = "heuristic"
+class TspConfig(_checked("TspConfig", "solver")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.solver not in ("exact", "heuristic"):
-            raise ContractError(f"unknown solver {self.solver!r}")
+    def __new__(cls, solver: str = "heuristic"):
+        if solver not in ("exact", "heuristic"):
+            raise ContractError(f"unknown solver {solver!r}")
+        return super().__new__(cls, solver)
 
 
 def exact_order(points: np.ndarray) -> list[int]:

@@ -12,12 +12,12 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError, InsufficientCoverageError, _echo
-from .geom import Point3, Region, Sampled, Shell, _reach, distances
+from .geom import Point3, Region, Sampled, Shell, _checked, _reach, _Record, distances
 
 ORIENTATION_BINS = 360
 DEFAULT_EDGE_FRACTION = 0.1
@@ -29,8 +29,7 @@ _ALPHA = 2.0**-1000
 
 # Built-in per-class diameter defaults (meters): mean max / mean min region
 # diameter.
-@dataclass(frozen=True)
-class DiameterProfile:
+class DiameterProfile(NamedTuple):
     d_max: float
     d_min: float
 
@@ -45,18 +44,17 @@ DIAMETER_PROFILES: dict[str, DiameterProfile] = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class GrayImage:
+class GrayImage(_Record):
     """Row-major grayscale image with intensities in [0, 255].
 
     ``pixels`` is stored as a read-only copy of what is given: uint8 stays
     uint8, for exact integer gradients; any other dtype becomes float.
     """
 
-    pixels: np.ndarray  # (height, width) uint8 or float
+    __slots__ = ("pixels",)
 
-    def __post_init__(self):
-        src = np.asarray(self.pixels)
+    def __init__(self, pixels: np.ndarray):  # (height, width) uint8 or float
+        src = np.asarray(pixels)
         if src.ndim != 2:
             raise ContractError(f"pixel array must be 2-D, got shape {src.shape}")
         if min(src.shape) < 3:
@@ -65,47 +63,45 @@ class GrayImage:
         # uint8 already guarantees the range; NaN fails both comparisons.
         if arr.dtype != np.uint8 and not (arr.min() >= 0.0 and arr.max() <= 255.0):
             raise ContractError("intensities must lie in [0, 255]")
-        object.__setattr__(self, "pixels", arr)
         arr.flags.writeable = False
+        self._set(arr)
 
     @staticmethod
     def from_array(arr) -> "GrayImage":
         return GrayImage(arr)
 
 
-@dataclass(frozen=True, eq=False)
-class ObjectMask:
+class ObjectMask(_Record):
     """Per-pixel object membership, dimensions matching the paired image.
 
     ``bits`` is stored as a read-only bool copy of what is given.
     """
 
-    bits: np.ndarray  # (height, width) bool
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        arr = np.asarray(self.bits).astype(bool)
+    def __init__(self, bits: np.ndarray):  # (height, width) bool
+        arr = np.asarray(bits).astype(bool)
         if arr.ndim != 2:
             raise ContractError(f"mask array must be 2-D, got shape {arr.shape}")
-        object.__setattr__(self, "bits", arr)
         arr.flags.writeable = False
+        self._set(arr)
 
     @staticmethod
     def from_array(arr) -> "ObjectMask":
         return ObjectMask(arr)
 
 
-@dataclass(frozen=True, eq=False)
-class OrientationHistogram:
+class OrientationHistogram(_Record):
     """Edge-orientation counts over 360 one-degree bins."""
 
-    bins: np.ndarray  # (360,) int
+    __slots__ = ("bins",)
 
-    def __post_init__(self):
-        arr = np.asarray(self.bins, dtype=int)
+    def __init__(self, bins: np.ndarray):  # (360,) int
+        arr = np.asarray(bins, dtype=int)
         if arr.shape != (ORIENTATION_BINS,):
             raise ContractError("histogram needs exactly 360 bins")
-        object.__setattr__(self, "bins", arr)
         arr.flags.writeable = False
+        self._set(arr)
 
     @property
     def total_edge_pixels(self) -> int:
@@ -255,23 +251,21 @@ def viewing_score(
 # ------------------------------------------------------------------ view samples
 
 
-@dataclass(frozen=True)
-class ViewSample:
+class ViewSample(_checked("ViewSample", "azimuth elevation distance score")):
     """A scored view direction: spherical angles, range and score."""
 
-    azimuth: float
-    elevation: float
-    distance: float
-    score: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
+    def __new__(cls, azimuth: float, elevation: float, distance: float, score: float):
+        self = super().__new__(cls, azimuth, elevation, distance, score)
+        for name, value in zip(self._fields, self):
             if not math.isfinite(value):
                 raise ContractError(f"view sample {name} must be finite, got {value!r}")
-        if self.distance <= 0:
+        if distance <= 0:
             raise ContractError("view sample distance must be positive")
-        if self.score < 0:
+        if score < 0:
             raise ContractError("view sample score must be non-negative")
+        return self
 
 
 def _sample_direction(s: ViewSample) -> np.ndarray:

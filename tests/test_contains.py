@@ -112,6 +112,50 @@ def test_every_boundary_sample_of_a_valid_sampled_region_lies_in_it(seed, offset
     assert contains(region, pts, 0.0).all()
 
 
+def sampled_with_twin(rng, first: np.ndarray, second: np.ndarray, radii=(3.9, 3.0)):
+    """Center and shape of 9 samples: sample 3 along unit ``first``, sample 8 along unit
+    ``second``, at radii ``radii``, and 7 more in random directions."""
+    c = rng.uniform(-20.0, 20.0, size=3)
+    dirs = np.vstack([unit_rows(rng, 8), second])
+    dirs[3] = first
+    r = np.r_[rng.uniform(2.0, 4.0, size=8), radii[1]]
+    r[3] = radii[0]
+    pts = c + dirs * r[:, None]
+    return c, Sampled(pts, dirs, d_min=2.0 * float(r.min()), d_max=2.0 * float(r.max()))
+
+
+TWIN_MESSAGE = "boundary points 3 and 8 lie in one direction from the center"
+
+
+def test_a_twin_across_a_grid_line_is_refused():
+    """Directions 2e-9 rad apart on either side of a line of a 1e-8 rounding grid: the nearest-
+    direction lookup cannot tell them apart, so the 3.9 m sample would lie outside the region."""
+    first, second = (np.array([np.sqrt(1.0 - y * y), y, 0.0]) for y in (0.4e-8, 0.6e-8))
+    assert (np.rint(first * 1e8) != np.rint(second * 1e8)).any()
+    c, shape = sampled_with_twin(np.random.default_rng(5), first, second)
+    with pytest.raises(InvalidRegionError) as err:
+        Region(center=Point3(*c), shape=shape)
+    assert str(err.value) == TWIN_MESSAGE
+
+
+@SETTINGS
+@given(seed=SEEDS, angle=st.floats(0.0, 2.4e-7), far=st.floats(1.8e-6, 1e-4))
+def test_directions_within_2_4e_7_are_refused_and_1_8e_6_apart_kept(seed, angle, far):
+    """Every pair within 2.4e-7 rad is refused, whatever grid cells it falls in; a pair
+    1.8e-6 rad or more apart is kept, and each of its samples lies in the region at tolerance 0."""
+    rng = np.random.default_rng(seed)
+    first = unit_rows(rng, 1)[0]
+    turn = np.cross(first, unit_rows(rng, 1)[0])
+    turn /= np.linalg.norm(turn)
+    c, shape = sampled_with_twin(rng, first, first * np.cos(angle) + turn * np.sin(angle))
+    with pytest.raises(InvalidRegionError) as err:
+        Region(center=Point3(*c), shape=shape)
+    assert str(err.value) == TWIN_MESSAGE
+    radii = (3.9, 3.0)[:: rng.choice((1, -1))]
+    c, shape = sampled_with_twin(rng, first, first * np.cos(far) + turn * np.sin(far), radii)
+    assert contains(Region(center=Point3(*c), shape=shape), shape.points, 0.0).all()
+
+
 @SETTINGS
 @given(seed=SEEDS, other=KINDS, spread=st.floats(0.0, 1.3))
 def test_sampled_regions_intersect_matches_point_loop(seed, other, spread):
