@@ -285,25 +285,24 @@ def balls_meet(dist, in_a, out_a, in_b, out_b):
 
 
 def contains(region: Region, points: np.ndarray, tol: float) -> np.ndarray:
-    """Boolean mask of the rows of ``points`` (k, 3) inside the region solid within ``tol``.
+    """Boolean mask of the rows of finite ``points`` (k, 3) inside the region solid within ``tol``.
 
     A touch test passes the scene's ``touch_tolerance``. Spheres and shells
     test the distance to the center with ``in_ball``. Sampled regions
-    accept anything within the nearest boundary sample's radius, reject
-    anything beyond the farthest one's, and test the rest radially
-    against the boundary sample nearest in direction (star-shaped).
+    accept anything within the nearest boundary sample's radius, the
+    center among them, and test every other point radially against the
+    boundary sample nearest in direction (star-shaped).
     """
     c = region.center.as_array()
     r = distances(c, points)
     s = region.shape
     if not isinstance(s, Sampled):
         return in_ball(r, s.r_in, s.d_max / 2.0, tol)
-    radii = region.radial[0]
-    inside = r <= radii.min() + tol
-    radial = ~inside & (r <= radii.max() + tol)
-    if radial.any():
-        q = (points[radial] - c) / r[radial, None]
-        inside[radial] = r[radial] <= _boundary_radii(region, q) + tol
+    inside = r <= region.radial[0].min() + tol
+    rest = ~inside
+    if rest.any():
+        q = (points[rest] - c) / r[rest, None]
+        inside[rest] = r[rest] <= _boundary_radii(region, q) + tol
     return inside
 
 
@@ -568,6 +567,10 @@ class Scene:
     shape class) are not to be modified. ``objects``, ``get`` and ``region``
     build an object's ``SceneObject`` and ``Region`` from the columns the
     first time they are asked for it.
+
+    Construction refuses the first faulty object by the first of its faults in
+    the order: an id that is not a ``str`` instance (``numpy.str_`` is one), a
+    repeated id, diameters outside the global bounds.
     """
 
     def __init__(self, objects, d_min_global, d_max_global, cube_edge=100.0):
@@ -610,30 +613,20 @@ class Scene:
                 f"need 0 < d_min_global <= d_max_global, got ({d_min_global}, {d_max_global})"
             )
         self.d_min_global, self.d_max_global, self.cube_edge = d_min_global, d_max_global, cube_edge
-        n = len(ids)
         d_lo, d_hi = np.array(d_min, dtype=float), np.array(d_max, dtype=float)
-        # The first object with a fault, and of its faults the first in the order:
-        # id type, duplicate id, diameters outside the global bounds.
-        typed = n
-        if not {str}.issuperset(map(type, ids)):
-            typed = next(i for i, oid in enumerate(ids) if not isinstance(oid, str))
-        index = dict(zip(ids[:typed], range(typed)))
-        repeated = n
-        if len(index) < typed:
-            seen: set[str] = set()
-            repeated = next(i for i, oid in enumerate(ids) if oid in seen or seen.add(oid))
         lo, hi = d_min_global * (1.0 - EPS_TOL), d_max_global * (1.0 + EPS_TOL)
-        wide = np.flatnonzero((d_lo < lo) | (d_hi > hi))
-        i = min(typed, repeated, int(wide[0]) if wide.size else n)
-        if i == typed < n:
-            raise ContractError(f"object {i}: id must be a string, got {_echo(ids[i], repr)}")
-        if i == repeated < n:
-            raise ContractError(f"duplicate object id {_echo(ids[i], repr)}")
-        if i < n:
-            raise ContractError(
-                f"object {_echo(ids[i], repr)} diameters [{d_min[i]}, {d_max[i]}] outside global "
-                f"bounds [{d_min_global}, {d_max_global}]"
-            )
+        index: dict[str, int] = {}
+        for i, (oid, a, b) in enumerate(zip(ids, d_lo.tolist(), d_hi.tolist())):
+            if not isinstance(oid, str):
+                raise ContractError(f"object {i}: id must be a string, got {_echo(oid, repr)}")
+            if oid in index:
+                raise ContractError(f"duplicate object id {_echo(oid, repr)}")
+            if a < lo or b > hi:
+                raise ContractError(
+                    f"object {_echo(oid, repr)} diameters [{d_min[i]}, {d_max[i]}] outside global "
+                    f"bounds [{d_min_global}, {d_max_global}]"
+                )
+            index[oid] = i
         self.ids = tuple(ids)
         self._index = index
         self.rows, self.kinds, self._built = rows, kinds, built

@@ -119,14 +119,15 @@ def _sobel_gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (numpy takes hypot and arctan2 of int16 in float32) and takes the
     separable form, [1, 2, 1] across rows then [-1, 0, 1] along them for gx
     and the transpose for gy: integer sums are exact in any order. A float
-    image gets only the six non-zero taps of each kernel, in row-major tap
-    order, so every sum rounds as in a full 3x3 pass.
+    image sums each kernel's six non-zero taps left to right, in row-major
+    order (gy's first two swapped, which rounds the same), so every sum
+    rounds as in a full 3x3 pass.
     """
     h, w = img.shape
-    n = (h - 2) * w - 2  # the last interior pixel sits at n - 1
+    m = (h - 2) * w
+    n = m - 2  # the last interior pixel sits at n - 1
     if img.dtype == np.uint8:
         flat = img.reshape(-1).astype(np.int32)
-        m = n + 2
         gx, gy = np.zeros((2, m), np.int32)
         v = flat[:m] + flat[2 * w :]  # rows r and r + 2 at every column
         v += flat[w : w + m]
@@ -136,26 +137,14 @@ def _sobel_gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s += flat[1:-1]
         s += flat[1:-1]
         np.subtract(s[2 * w :], s[:n], out=gy[:n])
-        return gx.reshape(h - 2, w), gy.reshape(h - 2, w)
-    flat = img.reshape(-1)
-
-    def tap(dr: int, dc: int) -> np.ndarray:
-        k = dr * w + dc
-        return flat[k : k + n]
-
-    gx, gy = np.zeros((h - 2) * w), np.zeros((h - 2) * w)
-    x, y, twice = gx[:n], gy[:n], np.empty(n)
-    np.subtract(tap(0, 2), tap(0, 0), out=x)
-    x -= np.multiply(tap(1, 0), 2.0, out=twice)
-    x += np.multiply(tap(1, 2), 2.0, out=twice)
-    x -= tap(2, 0)
-    x += tap(2, 2)
-    np.multiply(tap(0, 1), -2.0, out=y)
-    y -= tap(0, 0)
-    y -= tap(0, 2)
-    y += tap(2, 0)
-    y += np.multiply(tap(2, 1), 2.0, out=twice)
-    y += tap(2, 2)
+    else:
+        flat = img.reshape(-1)  # t{dr}{dc}: every entry's window tap at row dr, column dc
+        t00, t01, t02, t10, t12, t20, t21, t22 = (
+            flat[k : k + n] for k in (0, 1, 2, w, w + 2, 2 * w, 2 * w + 1, 2 * w + 2)
+        )
+        gx, gy = np.zeros((2, m))
+        gx[:n] = t02 - t00 - 2.0 * t10 + 2.0 * t12 - t20 + t22
+        gy[:n] = -2.0 * t01 - t00 - t02 + t20 + 2.0 * t21 + t22
     return gx.reshape(h - 2, w), gy.reshape(h - 2, w)
 
 

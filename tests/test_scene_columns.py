@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 
 import tspn.geom
 from tspn import CapacityError, Point3, Region, Sampled, Scene, SceneObject, Shell, Sphere
-from tspn.bench import SceneConfig, generate_scene, scene_from_json, scene_to_json
+from tspn.bench import SceneConfig, generate_scene, scene_from_json, scene_to_json, tour_to_json
 from tspn.cli import main
-from tspn.errors import TspnError
+from tspn.errors import ContractError, TspnError
 from tspn.geom import TOUCH_FRACTION, closest_point_on_ball, closest_point_on_region
-from tspn.planner import center_visit, realized_diameters
+from tspn.planner import center_visit, plan_nondisjoint_detailed, realized_diameters
 
 from oracles import object_built_scene, scene_document
 from test_coverage import KINDS, overlap_scene
@@ -321,6 +321,38 @@ def test_a_kind_that_is_no_string_is_an_unknown_kind(kind):
     with pytest.raises(TspnError) as err:
         scene_from_json(json.dumps(doc))
     assert str(err.value) == f"objects[1].shape.kind: unknown shape kind {kind!r}"
+
+
+def test_numpy_string_ids_are_ids_like_any_str():
+    """A ``numpy.str_`` is a ``str`` instance: a scene of them builds through both
+    constructors, plans, and writes the bytes of the same scene with plain ids."""
+    scene = generate_scene(SceneConfig(n_objects=40, seed=3, d_min=5.4, d_max=8.2, disjoint=False,
+                                       overlap_rate=0.35))
+    ids = [np.str_(i) for i in scene.ids]
+    bounds = (scene.d_min_global, scene.d_max_global, scene.cube_edge)
+    by_objects = Scene([SceneObject(i, o.region) for i, o in zip(ids, scene.objects)], *bounds)
+    by_columns = Scene.from_columns(ids, scene.rows, scene.kinds, scene.d_min.tolist(), scene.d_max.tolist(),
+                                    [None] * len(scene), *bounds)
+    start = Point3(0.0, 0.0, 0.0)
+    want = plan_nondisjoint_detailed(start, scene)
+    assert want.detours
+    for twin in (by_objects, by_columns):
+        _same_columns(twin, scene)
+        assert all(type(i) is np.str_ for i in twin.ids) and twin.get("obj-005").id == "obj-005"
+        assert scene_to_json(twin) == scene_to_json(scene)
+        plan = plan_nondisjoint_detailed(start, twin)
+        assert tour_to_json(plan.tour) == tour_to_json(want.tour)
+        assert plan.patched_ids == want.patched_ids
+    region = scene.region(0)
+    with pytest.raises(ContractError, match="^duplicate object id "):
+        Scene([SceneObject(np.str_("a"), region), SceneObject(np.str_("a"), region)], *bounds)
+    # Of one object's faults, the repeated id is named before the diameters.
+    wide = Region(region.center, Sphere(9.0))
+    with pytest.raises(ContractError, match="^duplicate object id "):
+        Scene([SceneObject(np.str_("a"), region), SceneObject(np.str_("a"), wide)], *bounds)
+    with pytest.raises(ContractError, match="^object 'b' diameters "):
+        Scene([SceneObject(np.str_("a"), region), SceneObject("b", wide), SceneObject(np.str_("a"), region)],
+              *bounds)
 
 
 def test_the_thousand_object_scene_loads_through_the_columns(monkeypatch):

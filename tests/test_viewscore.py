@@ -257,6 +257,11 @@ _HALF_PEAK = np.array([[6, 4, 6], [4, 7, 1], [4, 3, 0], [5, 1, 4], [1, 0, 3]]) *
 # 0.5 the first one's m2, 1600, equals 0.25 * max(m2) exactly, so the
 # floored and ceiled integer cuts of the screen both land on it.
 _INT_ON_CUT = np.array([[0, 0, 10, 20]] * 3, dtype=np.uint8)
+# Tenths, found by search: of the 945 ways to add six terms (binary sum trees,
+# up to swapping the two operands of an addition), the kernel's left-to-right
+# sum of the six non-zero taps is the only one that gives the nine-tap gx on
+# all four interior pixels, and the only one that gives its gy.
+_REGROUPED = np.array([[54, 54, 26, 22], [91, 97, 9, 13], [52, 32, 46, 21], [11, 25, 68, 67]]) / 10.0
 
 
 @settings(max_examples=300, deadline=None)
@@ -271,6 +276,7 @@ _INT_ON_CUT = np.array([[0, 0, 10, 20]] * 3, dtype=np.uint8)
 )
 @example((GrayImage.from_array(_HALF_PEAK), ObjectMask.from_array(np.ones((5, 3), bool))), 0.5)
 @example((GrayImage.from_array(_INT_ON_CUT), ObjectMask.from_array(np.ones((3, 4), bool))), 0.5)
+@example((GrayImage.from_array(_REGROUPED), ObjectMask.from_array(np.ones((4, 4), bool))), 0.1)
 def test_kernel_bitwise_equal_to_nine_tap_reference(image_mask, edge_fraction):
     img, mask = image_mask
     gx, gy = _sobel_gradients(img.pixels)
