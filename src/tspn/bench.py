@@ -416,19 +416,32 @@ def tour_to_json(tour: Tour) -> str:
     )
 
 
+def _visits(entries: list) -> tuple[Visit, ...]:
+    """A JSON list of visit objects, checked as one block.
+
+    Every entry must be an object whose ``object_id`` is exactly a ``str``
+    and whose ``waypoint_index`` is exactly an ``int``. Only a block that
+    fails is walked entry by entry, by ``_typed``, whose error names the
+    first bad field ``visits[i].key``.
+    """
+    if {dict}.issuperset(map(type, entries)):
+        ids = [v.get("object_id") for v in entries]
+        indices = [v.get("waypoint_index") for v in entries]
+        if {str}.issuperset(map(type, ids)) and {int}.issuperset(map(type, indices)):
+            return tuple(map(Visit, ids, indices))
+    return tuple(
+        Visit(
+            object_id=_typed(v, "object_id", f"visits[{i}].", str, "a string"),
+            waypoint_index=_typed(v, "waypoint_index", f"visits[{i}].", int, "an integer"),
+        )
+        for i, v in enumerate(entries)
+    )
+
+
 def tour_from_json(text: str) -> Tour:
     """Parse a trajectory document; malformed fields raise ContractError naming their path."""
     doc = _parse(text)
-    return Tour(
-        waypoints=_points(_list(doc, "waypoints_m"), "waypoints_m"),
-        visits=tuple(
-            Visit(
-                object_id=_typed(v, "object_id", f"visits[{i}].", str, "a string"),
-                waypoint_index=_typed(v, "waypoint_index", f"visits[{i}].", int, "an integer"),
-            )
-            for i, v in enumerate(_list(doc, "visits"))
-        ),
-    )
+    return Tour(waypoints=_points(_list(doc, "waypoints_m"), "waypoints_m"), visits=_visits(_list(doc, "visits")))
 
 
 # ------------------------------------------------------------------ comparison harness

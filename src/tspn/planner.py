@@ -75,8 +75,8 @@ def _rotate_to_nearest(order: list[int], points: np.ndarray, start: Point3) -> l
     if not order:
         return order
     s = (start.x, start.y, start.z)
-    dists = [math.dist(s, points[i]) for i in order]
-    k = int(np.argmin(dists))
+    dists = [math.dist(s, p) for p in points[order].tolist()]
+    k = dists.index(min(dists))
     return order[k:] + order[:k]
 
 

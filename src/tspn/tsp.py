@@ -170,9 +170,13 @@ def local_search(
     moves were made, every point is queued once more, so the result is a
     local optimum of both neighbourhoods. A move counts only if it
     shortens the tour by more than ``eps``. The tour is a list of point
-    indices plus its inverse, the position of each point; ``flip``, which
-    reverses a run of cyclic positions, is the only code that writes them.
-    A 2-opt move is one reversal, an Or-opt move two or three.
+    indices plus its inverse, the position of each point, plus the length
+    of the tour edge from each position to the next. ``flip``, which
+    reverses a run of cyclic positions, is the only code that writes them:
+    it reverses the lengths inside the run with it and recomputes the two
+    at its ends. Move gains read every tour edge's length from there and
+    compute only the edges a move would add. A 2-opt move is one
+    reversal, an Or-opt move two or three.
     """
     n = len(order)
     tour = list(order)
@@ -184,6 +188,8 @@ def local_search(
     near = [list(zip(c, d)) for c, d in zip(cand.tolist(), cand_dist.tolist())]
     xyz = [tuple(p) for p in points.tolist()]
     dist = math.dist
+    # The length of the tour edge from each position to the next.
+    el = [dist(xyz[tour[i]], xyz[tour[nxt[i]]]) for i in range(n)]
     queue: deque[int] = deque()
     queued = [False] * n
 
@@ -195,16 +201,24 @@ def local_search(
 
     def flip(i: int, m: int) -> None:
         # Reverse the m cyclic positions that start at position i: the one
-        # edit of the tour.
+        # edit of the tour. The m - 1 edges inside the run keep their lengths
+        # in reverse order; only the two edges at its ends are new.
+        if m < 2:
+            return
         j = (i + m - 1) % n
+        h, t = prv[i], j
         for _ in range(m // 2):
             u, v = tour[i], tour[j]
             tour[i] = v
             pos[v] = i
             tour[j] = u
             pos[u] = j
+            k = prv[j]
+            el[i], el[k] = el[k], el[i]
             i = nxt[i]
-            j = prv[j]
+            j = k
+        el[h] = dist(xyz[tour[h]], xyz[tour[nxt[h]]])
+        el[t] = dist(xyz[tour[t]], xyz[tour[nxt[t]]])
 
     def reverse(i: int, j: int) -> None:
         # Reverse cyclic positions i..j, or the complement if that is shorter:
@@ -215,27 +229,39 @@ def local_search(
         flip(i, m)
 
     def two_opt(a: int) -> bool:
+        # Replace a-b and c-d by a-c and b-d, where b and d follow a and c
+        # in the tour, then where both precede them.
         i = pos[a]
-        pa = xyz[a]
-        for step in (nxt, prv):
-            b = tour[step[i]]
-            pb = xyz[b]
-            d_ab = dist(pa, pb)
-            for c, d_ac in near[a]:
-                if d_ac >= d_ab:
-                    break
-                j = pos[c]
-                d = tour[step[j]]
-                if c == b or d == a:
-                    continue
-                pd = xyz[d]
-                if d_ac + dist(pb, pd) - d_ab - dist(xyz[c], pd) < -eps:
-                    if step is nxt:
-                        reverse(nxt[i], j)  # b..c
-                    else:
-                        reverse(j, prv[i])  # c..b
-                    push(b, c, d)
-                    return True
+        b = tour[nxt[i]]
+        pb = xyz[b]
+        d_ab = el[i]
+        for c, d_ac in near[a]:
+            if d_ac >= d_ab:
+                break
+            j = pos[c]
+            d = tour[nxt[j]]
+            if c == b or d == a:
+                continue
+            if d_ac + dist(pb, xyz[d]) - d_ab - el[j] < -eps:
+                reverse(nxt[i], j)  # b..c
+                push(b, c, d)
+                return True
+        h = prv[i]
+        b = tour[h]
+        pb = xyz[b]
+        d_ab = el[h]
+        for c, d_ac in near[a]:
+            if d_ac >= d_ab:
+                break
+            j = pos[c]
+            k = prv[j]
+            d = tour[k]
+            if c == b or d == a:
+                continue
+            if d_ac + dist(pb, xyz[d]) - d_ab - el[k] < -eps:
+                reverse(j, h)  # c..b
+                push(b, c, d)
+                return True
         return False
 
     def move_segment(seg: tuple[int, ...], u: int, keep: bool) -> None:
@@ -261,16 +287,21 @@ def local_search(
         i = pos[a]
         i1 = nxt[i]
         i2 = nxt[i1]
-        p = tour[prv[i]]
+        h = prv[i]
+        p = tour[h]
         pp = xyz[p]
-        for seg, q in (((a,), tour[i1]), ((a, tour[i1]), tour[i2]), ((a, tour[i1], tour[i2]), tour[nxt[i2]])):
+        d_pa = el[h]
+        for seg, q, d_lq in (
+            ((a,), tour[i1], el[i]),
+            ((a, tour[i1]), tour[i2], el[i1]),
+            ((a, tour[i1], tour[i2]), tour[nxt[i2]], el[i2]),
+        ):
             if n < len(seg) + 3:
                 break
-            last = seg[-1]
-            pq = xyz[q]
-            gain = dist(pp, xyz[a]) + dist(xyz[last], pq) - dist(pp, pq)
+            gain = d_pa + d_lq - dist(pp, xyz[q])
             if gain <= eps:
                 continue
+            last = seg[-1]
             for e, other in ((a, last), (last, a)) if last != a else ((a, a),):
                 po = xyz[other]
                 for c, d_ec in near[e]:
@@ -278,19 +309,21 @@ def local_search(
                         break
                     if c in seg:
                         continue
+                    # Between c and the point dn after it, then before it:
+                    # whichever of the two comes first is followed by its
+                    # new neighbour in the segment.
                     j = pos[c]
-                    pc = xyz[c]
-                    for step in (nxt, prv):
-                        dn = tour[step[j]]
-                        if dn in seg:
-                            continue
-                        pdn = xyz[dn]
-                        if d_ec + dist(po, pdn) - dist(pc, pdn) - gain < -eps:
-                            # Whichever of c and dn comes first is followed
-                            # by its new neighbour in the segment.
-                            move_segment(seg, c if step is nxt else dn, (a == e) == (step is nxt))
-                            push(p, q, a, last, c, dn)
-                            return True
+                    dn = tour[nxt[j]]
+                    if dn not in seg and d_ec + dist(po, xyz[dn]) - el[j] - gain < -eps:
+                        move_segment(seg, c, a == e)
+                        push(p, q, a, last, c, dn)
+                        return True
+                    j = prv[j]
+                    dn = tour[j]
+                    if dn not in seg and d_ec + dist(po, xyz[dn]) - el[j] - gain < -eps:
+                        move_segment(seg, dn, a != e)
+                        push(p, q, a, last, c, dn)
+                        return True
         return False
 
     moved = True

@@ -216,6 +216,32 @@ def test_point_blocks_refuse_what_numpy_would_convert(row, echo):
         assert str(err.value) == f"objects[2].shape.{key}[7]: {echo}"
 
 
+def _visits_doc(faults: dict) -> str:
+    visits = [{"object_id": f"v{i}", "waypoint_index": i % 3} for i in range(6)]
+    for i, entry in faults.items():
+        visits[i] = entry
+    return json.dumps({"length_m": 0.0, "waypoints_m": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 2.0, 3.0]],
+                       "visits": visits})
+
+
+@pytest.mark.parametrize("faults, message", [
+    ({3: {"object_id": "c", "waypoint_index": "1"}}, 'visits[3].waypoint_index: expected an integer, got "1"'),
+    ({3: {"waypoint_index": 1}}, "visits[3].object_id: missing"),
+    ({5: ["v5", 2]}, "visits[5].object_id: missing"),
+    ({4: {"object_id": "e"}}, "visits[4].waypoint_index: missing"),
+    # The earliest faulty entry is named, and within it object_id first.
+    ({2: {"object_id": 7, "waypoint_index": 1.0}, 4: ["x"]}, "visits[2].object_id: expected a string, got 7"),
+    ({1: {"object_id": "b", "waypoint_index": True}, 3: {"object_id": None}},
+     "visits[1].waypoint_index: expected an integer, got true"),
+    ({5: {"object_id": None, "waypoint_index": 0}, 4: {"object_id": "e", "waypoint_index": None}},
+     "visits[4].waypoint_index: expected an integer, got null"),
+])
+def test_a_later_faulty_visit_is_named_as_the_walk_names_it(faults, message):
+    with pytest.raises(ContractError) as err:
+        tour_from_json(_visits_doc(faults))
+    assert str(err.value) == message
+
+
 def test_integer_coordinates_load_as_their_floats():
     # Integers within the float range are numbers; they load as float() gives them.
     tour = tour_from_json(_waypoints_doc([1, -(2**60) - 1, 0]))

@@ -314,14 +314,25 @@ ORDER_PINS = {
     "uniform-1000": "ed278b1af41ee501ed77d7fe6c26d4996dfa59ae8487b3b09680b12955829e0b",
     "uniform-10000": "24a0b285be962f0be8d863db2bbf034a84ff9a7224607cce400ce436614af0da",
     "grid-400": "d86ebf5c47e0417fd2a0a7edd06a4a5a797d63d69c1a3fda0fd459c17d30ced1",
+    # 100 distinct points, each about four times over: zero-length tour edges.
+    "repeat-400": "d193112b2b2a945f2c808a012af84d475bfa7d39249002964781ae5dec13c00e",
+    # One line in space: every move gain is a near-cancelling sum.
+    "line-300": "0bef5973416e0982ede166e16feacd9ca0363a72384ae617fff9018f62d43f61",
 }
 
 
 def _pinned_instance(name):
     kind, n = name.split("-")
+    n = int(n)
     if kind == "grid":
-        return np.round(np.random.default_rng(7).uniform(0.0, 200.0, size=(int(n), 3)) / 10.0) * 10.0
-    return np.random.default_rng(int(n)).uniform(0.0, 1000.0, size=(int(n), 3))
+        return np.round(np.random.default_rng(7).uniform(0.0, 200.0, size=(n, 3)) / 10.0) * 10.0
+    rng = np.random.default_rng(n)
+    if kind == "repeat":
+        base = rng.uniform(0.0, 1000.0, size=(n // 4, 3))
+        return base[rng.integers(0, n // 4, size=n)]
+    if kind == "line":
+        return np.array([3.0, -7.0, 11.0]) + rng.uniform(0.0, 1000.0, size=(n, 1)) * np.array([0.6, 0.3, -0.2])
+    return rng.uniform(0.0, 1000.0, size=(n, 3))
 
 
 @pytest.mark.parametrize("name", ORDER_PINS)
