@@ -32,6 +32,7 @@ from .geom import (
     Tour,
     Visit,
     _checked,
+    _norm,
     earlier_within,
     touch_tolerance,
     tour_length,
@@ -63,7 +64,15 @@ class SceneConfig(_checked("SceneConfig", "n_objects d_min d_max cube_edge disjo
             raise ContractError(f"overlap_rate {overlap_rate} applies only to non-disjoint scenes")
         # The worst case of what scene_from_json checks on any scene drawn from here.
         check_spacing(d_min, cube_edge, d_max / 2.0, lambda _: "cube_edge")
+        check_seed(seed)
         return super().__new__(cls, n_objects, d_min, d_max, cube_edge, disjoint, overlap_rate, seed)
+
+
+def check_seed(seed: int) -> int:
+    """``seed`` if it is a non-negative integer, as ``np.random.default_rng`` takes; else ContractError."""
+    if isinstance(seed, (int, np.integer)) and seed >= 0:
+        return seed
+    raise ContractError(f"seed: expected a non-negative integer, got {_echo(seed, str)}")
 
 
 def generate_scene(config: SceneConfig) -> Scene:
@@ -114,7 +123,7 @@ def generate_scene(config: SceneConfig) -> Scene:
             while True:
                 base = centers[int(rng.integers(0, len(centers)))]
                 u = rng.normal(size=3)
-                u /= np.linalg.norm(u)
+                u /= _norm(u)
                 r = config.d_min * float(rng.uniform(0.25, 1.0))
                 c = base + u * r
                 if np.all((c >= 0.0) & (c <= config.cube_edge)):
@@ -472,18 +481,6 @@ class ComparisonReport(NamedTuple):
     def has_invalid_rows(self) -> bool:
         return any(not r.valid for r in self.rows)
 
-    def _aggregate(self, method: str, n_objects: int) -> Aggregate:
-        for agg in self.aggregates:
-            if agg.method == method and agg.n_objects == n_objects:
-                return agg
-        raise KeyError((method, n_objects))
-
-    def mean_length(self, method: str, n_objects: int) -> float:
-        return self._aggregate(method, n_objects).mean_length_m
-
-    def mean_runtime(self, method: str, n_objects: int) -> float:
-        return self._aggregate(method, n_objects).mean_runtime_s
-
 
 def _run_cell(scene: Scene, seed: int, method: str, samples_per_region: int) -> ComparisonRow:
     start, rng = Point3(0.0, 0.0, 0.0), np.random.default_rng(seed)
@@ -499,15 +496,7 @@ def _run_cell(scene: Scene, seed: int, method: str, samples_per_region: int) -> 
     finally:
         if gc_was_on:
             gc.enable()
-    valid = missed_objects(tour, scene) == []
-    return ComparisonRow(
-        method=method,
-        n_objects=len(scene),
-        seed=seed,
-        length_m=tour_length(tour),
-        runtime_s=runtime,
-        valid=valid,
-    )
+    return ComparisonRow(method, len(scene), seed, tour_length(tour), runtime, missed_objects(tour, scene) == [])
 
 
 def run_comparison(
@@ -544,15 +533,8 @@ def run_comparison(
         lengths = np.array([r.length_m for r in rows if r.method == method])
         runtimes = np.array([r.runtime_s for r in rows if r.method == method])
         std = float(np.std(lengths, ddof=1)) if len(lengths) >= 2 else 0.0
-        aggregates.append(
-            Aggregate(
-                method=method,
-                n_objects=config.n_objects,
-                mean_length_m=float(np.mean(lengths)),
-                std_length_m=std,
-                mean_runtime_s=float(np.mean(runtimes)),
-            )
-        )
+        mean_length, mean_runtime = float(np.mean(lengths)), float(np.mean(runtimes))
+        aggregates.append(Aggregate(method, config.n_objects, mean_length, std, mean_runtime))
     return ComparisonReport(rows=tuple(rows), aggregates=tuple(aggregates))
 
 

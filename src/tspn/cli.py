@@ -23,6 +23,7 @@ import numpy as np
 from .bench import (
     SceneConfig,
     check_scene_spacing,
+    check_seed,
     check_spacing,
     generate_scene,
     objects_to_json,
@@ -164,16 +165,13 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _scene_config(args, d_min: float, d_max: float, disjoint: bool) -> SceneConfig:
+    """The scene config of ``--n``, ``--cube-edge``, ``--overlap-rate`` and ``--seed`` with these bounds."""
+    return SceneConfig(args.n, d_min, d_max, args.cube_edge, disjoint, args.overlap_rate, args.seed)
+
+
 def _cmd_gen_scene(args) -> int:
-    cfg = SceneConfig(
-        n_objects=args.n,
-        d_min=args.dmin,
-        d_max=args.dmax,
-        cube_edge=args.cube_edge,
-        disjoint=args.disjoint,
-        overlap_rate=args.overlap_rate,
-        seed=args.seed,
-    )
+    cfg = _scene_config(args, args.dmin, args.dmax, args.disjoint)
     _write(args.out, scene_to_json(generate_scene(cfg)))
     return 0
 
@@ -188,7 +186,7 @@ _OUTCOME = (
 def _cmd_planner(args) -> int:
     """``plan``, ``baseline`` or ``online``: the method its parser binds, run from the table."""
     scene, start = _scene_and_start(args)
-    rng, tsp = np.random.default_rng(args.seed), TspConfig(solver=args.solver)
+    rng, tsp = np.random.default_rng(check_seed(args.seed)), TspConfig(solver=args.solver)
     tour, outcomes = PLANNERS[args.method](start, scene, rng, tsp, args.samples)
     _write(args.out, tour_to_json(tour))
     if args.outcomes:
@@ -280,15 +278,7 @@ def _cmd_compare(args) -> int:
         d_max = prof.d_max if d_max is None else d_max
     if d_min is None or d_max is None:
         raise TspnError("provide --profile or both --dmin and --dmax")
-    cfg = SceneConfig(
-        n_objects=args.n,
-        d_min=d_min,
-        d_max=d_max,
-        cube_edge=args.cube_edge,
-        disjoint=not args.nondisjoint,
-        overlap_rate=args.overlap_rate,
-        seed=args.seed,
-    )
+    cfg = _scene_config(args, d_min, d_max, not args.nondisjoint)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     report = run_comparison(cfg, methods, seeds=args.seeds, samples_per_region=args.samples)
     _write(args.out, report_rows_csv(report))

@@ -342,6 +342,11 @@ def closest_point_on_ball(c: np.ndarray, r_in: float, r_out: float, p: np.ndarra
     return c + v * (r_in / r)
 
 
+def _nearest_sample(shape: Sampled, p: np.ndarray) -> int:
+    """Index of the boundary sample of ``shape`` nearest the point ``p`` (3,), the lowest on a tie."""
+    return int(np.argmin(sq_distances(p, shape.points)))
+
+
 def closest_point_on_region(region: Region, p: np.ndarray) -> np.ndarray:
     """Point (3,) of the region minimizing distance to the point ``p`` (3,).
 
@@ -351,7 +356,7 @@ def closest_point_on_region(region: Region, p: np.ndarray) -> np.ndarray:
     """
     s = region.shape
     if isinstance(s, Sampled):
-        return s.points[int(np.argmin(sq_distances(p, s.points)))]
+        return s.points[_nearest_sample(s, p)]
     return closest_point_on_ball(region.center.as_array(), s.r_in, s.d_max / 2.0, p)
 
 
@@ -630,7 +635,6 @@ class Scene:
         self.ids = tuple(ids)
         self._index = index
         self.rows, self.kinds, self._built = rows, kinds, built
-        self._objects = None
         sphere = np.array([k is Sphere for k in kinds], dtype=bool)
         exact = np.array([k is not Sampled for k in kinds], dtype=bool)
         r_out = d_hi / 2.0
@@ -661,9 +665,7 @@ class Scene:
 
     @property
     def objects(self) -> tuple[SceneObject, ...]:
-        if self._objects is None:
-            self._objects = tuple(map(self._object, range(len(self))))
-        return self._objects
+        return tuple(map(self._object, range(len(self))))
 
     def region(self, i: int) -> Region:
         """The region of object i."""
@@ -729,7 +731,7 @@ def polyline_length(points: np.ndarray, closed: bool = False) -> float:
         return 0.0
     total = float(np.sum(distances(points[:-1], points[1:])))
     if closed:
-        total += float(np.linalg.norm(points[-1] - points[0]))
+        total += _norm(points[-1] - points[0])
     return total
 
 

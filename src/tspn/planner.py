@@ -27,6 +27,7 @@ from .geom import (
     Visit,
     _boundary_radii,
     _Record,
+    _nearest_sample,
     _norm,
     closest_point_on_ball,
     closest_point_on_region,
@@ -37,7 +38,6 @@ from .geom import (
     intersecting_pairs,
     max_diameter_segment,
     polyline_length,
-    sq_distances,
     touch_tolerance,
     tour_length,
 )
@@ -240,7 +240,7 @@ def _boundary_normal(region: Region, p: np.ndarray) -> np.ndarray:
     c = region.center.as_array()
     shape = region.shape
     if isinstance(shape, Sampled):
-        n = shape.normals[int(np.argmin(sq_distances(p, shape.points)))].astype(float)
+        n = shape.normals[_nearest_sample(shape, p)].astype(float)
         nn = _norm(n)
         if nn > 1e-12:
             return n / nn
@@ -581,7 +581,7 @@ def plan_online(start: Point3, scene: Scene, oracle) -> tuple[Tour, list[Detecti
         oid = scene.ids[idx]
         c = scene.centers[idx]
         delta = c - pos
-        dist = float(np.linalg.norm(delta))
+        dist = _norm(delta)
         direction = delta / dist if dist > 0 else np.zeros(3)
         k = max(0, math.ceil((dist - d_max / 2.0) / step) - 1)
         while True:
@@ -597,7 +597,7 @@ def plan_online(start: Point3, scene: Scene, oracle) -> tuple[Tour, list[Detecti
         if hasattr(oracle, "realized_diameter"):
             realized = float(oracle.realized_diameter(oid))
         else:
-            realized = min(max(2.0 * float(np.linalg.norm(p - c)), d_min), d_max)
+            realized = min(max(2.0 * _norm(p - c), d_min), d_max)
         outcomes.append(DetectionOutcome(object_id=oid, realized_diameter=realized, detected_at=p))
         return p
 

@@ -47,8 +47,8 @@ def test_criterion_1_benchmark_ratio():
     cfg = SceneConfig(n_objects=100, cube_edge=100.0, disjoint=True, seed=1000, **CAR)
     report = run_comparison(cfg, ["center-visit", "alpha-fat"], seeds=10)
     elapsed = time.monotonic() - t0
-    cv = report.mean_length("center-visit", 100)
-    af = report.mean_length("alpha-fat", 100)
+    means = {a.method: a.mean_length_m for a in report.aggregates}
+    cv, af = means["center-visit"], means["alpha-fat"]
     assert not report.has_invalid_rows
     assert cv <= 0.70 * af, f"ratio {cv / af:.4f} exceeds 0.70"
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
@@ -61,8 +61,8 @@ def test_criterion_2_runtime_ordering():
     for n, seeds in ((100, 10), (250, 5)):
         cfg = SceneConfig(n_objects=n, cube_edge=100.0, disjoint=True, seed=5000 + n, **CAR)
         report = run_comparison(cfg, ["center-visit", "alpha-fat"], seeds=seeds)
-        cv = report.mean_runtime("center-visit", n)
-        af = report.mean_runtime("alpha-fat", n)
+        means = {a.method: a.mean_runtime_s for a in report.aggregates}
+        cv, af = means["center-visit"], means["alpha-fat"]
         assert cv < af, f"n={n}: center-visit {cv:.4f}s not faster than alpha-fat {af:.4f}s"
         results[n] = (cv, af)
     _report(2, "center-visit faster at both sizes: "

@@ -1004,11 +1004,17 @@ def test_a_compare_row_has_the_length_its_command_writes(tmp_path, method):
 
 @pytest.mark.parametrize("command", list(METHOD_COMMANDS.values()))
 def test_a_negative_seed_is_refused_as_gen_scene_refuses_it(tmp_path, capsys, command):
-    """Every method is handed a generator seeded by --seed, so each command holds it to one rule."""
+    """Every method is handed a generator seeded by --seed, so each command holds it to one rule,
+    and so does compare, which seeds both its scenes and its methods from it."""
     path, out = tmp_path / "scene.json", tmp_path / "out.json"
     path.write_text(scene_to_json(generate_scene(TABLE_SCENE)))
     assert run(["gen-scene", "--n", "3", "--dmin", "1", "--dmax", "2", "--seed", "-1", "--out", str(out)]) == 1
     refusal = capsys.readouterr().err
+    assert refusal == "error: seed: expected a non-negative integer, got -1\n"
     assert run([command, "--scene", str(path), "--seed", "-1", "--out", str(out)]) == 1
     assert capsys.readouterr().err == refusal and refusal.startswith("error: ") and refusal.count("\n") == 1
+    method = next(m for m, c in METHOD_COMMANDS.items() if c == command)
+    assert run(["compare", "--profile", "car", "--n", "3", "--seeds", "1", "--seed", "-1", "--methods", method,
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == refusal
     assert not out.exists()

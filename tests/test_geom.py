@@ -16,13 +16,12 @@ from tspn import (
     Tour,
     closest_point_on_region,
     max_diameter_segment,
-    region_contains,
     regions_intersect,
     tour_length,
 )
 from tspn import geom
 from tspn.geom import (
-    distances, farthest_pair_distance, intersecting_pairs, polyline_length, sq_distances,
+    distances, farthest_pair_distance, intersecting_pairs, polyline_length, region_contains, sq_distances,
     touch_tolerance,
 )
 from tspn.planner import _ring_edges, validate_bounds
@@ -356,6 +355,23 @@ def test_distances_is_bitwise_the_row_norm(a_shape, b_shape):
         got = distances(a, b)
         assert np.shape(got) == want.shape
         assert np.asarray(got).tobytes() == want.tobytes()
+
+
+def test_norm_is_bitwise_numpys_norm_of_one_vector():
+    """Every single-vector length goes through ``geom._norm``, so it must keep numpy's bits."""
+    rng = np.random.default_rng(61)
+    # Each vector at its own scale, and each component at its own scale too.
+    mixed = rng.normal(size=(20000, 3)) * 10.0 ** rng.uniform(-300.0, 145.0, size=(20000, 1))
+    mixed[::2] *= 10.0 ** rng.uniform(-8.0, 8.0, size=(10000, 3))
+    tiny = 5e-324 * rng.integers(-2**20, 2**20, size=(500, 3))  # subnormal components
+    huge = 1e153 * rng.uniform(-4.4, 4.4, size=(500, 3))  # squares near the float range's top
+    special = [
+        [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0], [-0.0, 3.0, -4.0],
+        [5e-324, -5e-324, 0.0], [2.2250738585072014e-308, -1e-310, 1e-320],
+        [1e153, -1e153, 1e153], [4.4e153, 4.4e153, -4.4e153], [1e153, 1e-300, -5e-324],
+    ]
+    for v in [*mixed, *tiny, *huge, *np.array(special)]:
+        assert geom._norm(v).hex() == float(np.linalg.norm(v)).hex(), v.tolist()
 
 
 # ---------------------------------------------------------------- tour length

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import signal
 import tracemalloc
 
 import numpy as np
@@ -335,7 +336,27 @@ def _pinned_instance(name):
     return rng.uniform(0.0, 1000.0, size=(n, 3))
 
 
+# The largest pin takes about a second. A search that keeps finding "improving"
+# moves, as it does when local_search's kept edge lengths go stale, fails at
+# this limit instead of stalling the suite.
+PIN_SECONDS = 60.0
+
+
+def _pin_timed_out(signum, frame):
+    raise TimeoutError
+
+
 @pytest.mark.parametrize("name", ORDER_PINS)
 def test_heuristic_order_pinned(name):
-    order = heuristic_order(_pinned_instance(name))
+    points, order = _pinned_instance(name), None
+    previous = signal.signal(signal.SIGALRM, _pin_timed_out)
+    signal.setitimer(signal.ITIMER_REAL, PIN_SECONDS)
+    try:
+        order = heuristic_order(points)
+    except TimeoutError:
+        pass  # failed below, clear of a traceback taken mid-search
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert order is not None, f"heuristic_order ran past {PIN_SECONDS:g} s"
     assert hashlib.sha256(",".join(map(str, order)).encode()).hexdigest() == ORDER_PINS[name]
