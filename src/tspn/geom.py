@@ -316,6 +316,12 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bitwise ``a[i].dot(b[i])`` of each row pair of ``a`` and ``b`` (..., 3): stacked ``matmul``
+    takes the same BLAS dot per row, so ``np.sqrt(_dots(v, v))`` is ``_norm`` of each row."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def closest_point_on_ball(c: np.ndarray, r_in: float, r_out: float, p: np.ndarray) -> np.ndarray:
     """Point (3,) of a sphere or shell solid closest to the point ``p`` (3,).
 
@@ -342,9 +348,9 @@ def closest_point_on_ball(c: np.ndarray, r_in: float, r_out: float, p: np.ndarra
     return c + v * (r_in / r)
 
 
-def _nearest_sample(shape: Sampled, p: np.ndarray) -> int:
-    """Index of the boundary sample of ``shape`` nearest the point ``p`` (3,), the lowest on a tie."""
-    return int(np.argmin(sq_distances(p, shape.points)))
+def _nearest_sample(shape: Sampled, p: np.ndarray):
+    """Index of the boundary sample of ``shape`` nearest each point ``p`` (..., 3), the lowest on a tie."""
+    return np.argmin(sq_distances(p[..., None, :], shape.points), axis=-1)
 
 
 def closest_point_on_region(region: Region, p: np.ndarray) -> np.ndarray:

@@ -21,12 +21,11 @@ from .geom import (
     Region,
     Sampled,
     Scene,
-    Shell,
-    Sphere,
     Tour,
     Visit,
     _boundary_radii,
     _Record,
+    _dots,
     _nearest_sample,
     _norm,
     closest_point_on_ball,
@@ -37,7 +36,6 @@ from .geom import (
     first_touch_indices,
     intersecting_pairs,
     max_diameter_segment,
-    polyline_length,
     touch_tolerance,
     tour_length,
 )
@@ -177,88 +175,99 @@ class DetourPlan(_Record):
 
 
 def _plane_basis(axis_dir: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal basis of the plane perpendicular to the axis.
+    """Deterministic orthonormal basis of the plane perpendicular to each unit axis (..., 3).
 
     ``e1`` is the unit axis with the least ``|axis_dir|`` component (the
     first on a tie) crossed with the axis; ``e2`` is the axis crossed with
     ``e1``. Both cross products take ``np.cross``'s products and
-    differences in its order, on Python floats, so they are bitwise its.
+    differences in its order, so they are bitwise its.
     """
-    x, y, z = axis_dir.tolist()
-    mags = [abs(x), abs(y), abs(z)]
-    ref = [0.0, 0.0, 0.0]
-    ref[mags.index(min(mags))] = 1.0
-    r0, r1, r2 = ref
-    e1 = np.array([r1 * z - r2 * y, r2 * x - r0 * z, r0 * y - r1 * x])
-    e1 /= _norm(e1)
-    u0, u1, u2 = e1.tolist()
-    return e1, np.array([y * u2 - z * u1, z * u0 - x * u2, x * u1 - y * u0])
+    x, y, z = np.moveaxis(axis_dir, -1, 0)
+    r0, r1, r2 = np.moveaxis(np.eye(3)[np.argmin(np.abs(axis_dir), axis=-1)], -1, 0)
+    e1 = np.stack([r1 * z - r2 * y, r2 * x - r0 * z, r0 * y - r1 * x], axis=-1)
+    e1 /= np.sqrt(_dots(e1, e1))[..., None]
+    u0, u1, u2 = np.moveaxis(e1, -1, 0)
+    return e1, np.stack([y * u2 - z * u1, z * u0 - x * u2, x * u1 - y * u0], axis=-1)
 
 
-def _trace_perimeter(
-    region: Region, plane_point: np.ndarray, axis_dir: np.ndarray, perimeter_step: float
-) -> np.ndarray | None:
-    """Closed polyline where the cutting plane meets the region boundary."""
-    c = region.center.as_array()
-    e1, e2 = _plane_basis(axis_dir)
-    h_vec = plane_point - c
-    h_axial = float(h_vec @ axis_dir)
-    exact = isinstance(region.shape, (Sphere, Shell))
-    if exact:
-        rad = region.d_max / 2.0
-        rho_sq = rad * rad - h_axial * h_axial
-        if rho_sq <= 0.0:
-            return None
-        rho = math.sqrt(rho_sq)
-        n_seg = max(8, int(math.ceil(2.0 * math.pi * rho / perimeter_step)))
-    else:
-        d_hi = region.d_max / 2.0
-        n_seg = max(16, int(math.ceil(2.0 * math.pi * d_hi / perimeter_step)))
-    # np.linspace(0, 2 pi, n_seg, endpoint=False), by its own arithmetic.
-    thetas = np.arange(n_seg) * (2.0 * math.pi / n_seg)
-    rays = np.cos(thetas)[:, None] * e1 + np.sin(thetas)[:, None] * e2
-    base = c + h_axial * axis_dir
-    if exact:
-        return base + rho * rays
-    # Sampled boundary: bisect the in-plane radius along every angle at
-    # once (star-shaped assumption). A ray whose final ``lo`` is still 0
-    # never entered the region.
-    lo = np.zeros(n_seg)
-    hi = np.full(n_seg, d_hi * 1.5)
+def _bisect_radii(region: Region, base: np.ndarray, rays: np.ndarray) -> np.ndarray:
+    """How far each unit ray (k, 3) from ``base`` (3,) stays in a sampled region, by 48 bisection
+    steps on every ray at once (star-shaped assumption); 0 for a ray that never entered it."""
+    lo = np.zeros(len(rays))
+    hi = np.full(len(rays), region.d_max / 2.0 * 1.5)
     for _ in range(48):
         mid = 0.5 * (lo + hi)
         inside = contains(region, base + mid[:, None] * rays, tol=0.0)
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
-    hit = lo > 0.0
-    if np.count_nonzero(hit) < 3:
-        return None
-    return base + lo[hit, None] * rays[hit]
+    return lo
 
 
-def _boundary_normal(region: Region, p: np.ndarray) -> np.ndarray:
-    c = region.center.as_array()
-    shape = region.shape
-    if isinstance(shape, Sampled):
-        n = shape.normals[_nearest_sample(shape, p)].astype(float)
-        nn = _norm(n)
-        if nn > 1e-12:
-            return n / nn
-    v = p - c
-    r = _norm(v)
-    if r < 1e-12:
-        return np.array([1.0, 0.0, 0.0])
-    return v / r
+def _rings(c, u, e1, e2, rad, regions, own, plane_points, d):
+    """Where cutting plane i, through ``plane_points[i]`` across the axis of owner ``own[i]``, meets
+    that owner's boundary: (ring points (k, 3), each ring's owner, each ring's point count).
 
-
-def _ring_edges(ring: np.ndarray) -> tuple[np.ndarray, float]:
-    """Edge lengths of a closed (k, 3) ring, edge ``i`` leaving vertex ``i``, and its length.
-
-    The length is bitwise ``polyline_length(ring, closed=True)``: the sum of
-    the same open edges, plus the closing edge as a 1-D norm.
+    Owner j has center ``c[j]``, unit axis ``u[j]`` with in-plane basis ``e1[j]``, ``e2[j]``, outer
+    radius ``rad[j]``, and ``regions[j]`` if it is sampled. A sphere or shell ring is the circle of
+    in-plane radius rho in max(8, ceil(32 pi rho / d)) points; a plane past the sphere has none. A
+    sampled ring takes max(16, ceil(32 pi rad / d)) rays from the plane's axis point and keeps
+    those ``_bisect_radii`` finds entering the region, if there are three.
     """
-    edges = distances(ring, np.concatenate([ring[1:], ring[:1]]))
-    return edges, float(np.sum(edges[:-1])) + _norm(ring[-1] - ring[0])
+    h = _dots(plane_points - c[own], u[own])
+    base = c[own] + h[:, None] * u[own]
+    rho_sq = rad[own] * rad[own] - h * h
+    rho = np.sqrt(np.maximum(rho_sq, 0.0))
+    exact = np.array([regions[j] is None for j in own.tolist()], dtype=bool)
+    n_seg = np.where(exact, np.maximum(8, np.ceil(2.0 * math.pi * rho / (d / 16.0))),
+                     np.maximum(16, np.ceil(2.0 * math.pi * rad[own] / (d / 16.0)))).astype(np.intp)
+    n_seg[exact & (rho_sq <= 0.0)] = 0
+    plane = np.repeat(np.arange(len(own)), n_seg)
+    first = np.cumsum(n_seg) - n_seg
+    # np.linspace(0, 2 pi, n_seg, endpoint=False) of each plane, by its own arithmetic.
+    thetas = (np.arange(len(plane)) - first[plane]) * (2.0 * math.pi / n_seg[plane])
+    rays = np.cos(thetas)[:, None] * e1[own[plane]] + np.sin(thetas)[:, None] * e2[own[plane]]
+    radius = rho[plane]
+    for i in np.flatnonzero(~exact).tolist():
+        at = slice(first[i], first[i] + n_seg[i])
+        radius[at] = _bisect_radii(regions[own[i]], base[i], rays[at])
+    hit = radius > 0.0
+    count = np.bincount(plane[hit], minlength=len(own))
+    hit &= (count >= 3)[plane]
+    return base[plane[hit]] + radius[hit, None] * rays[hit], own[count >= 3], count[count >= 3]
+
+
+def _boundary_normals(p: np.ndarray, c: np.ndarray, own: np.ndarray, regions) -> np.ndarray:
+    """Outward unit normal at each point ``p[i]`` (k, 3) of owner ``own[i]``'s boundary, about center ``c[i]``.
+
+    A sampled owner (``regions[own[i]]`` its region) gives the normal of its boundary sample
+    nearest the point. The unit radial direction, +x at the center, stands in for a zero normal
+    and serves every sphere or shell.
+    """
+    v = p - c
+    r = np.sqrt(_dots(v, v))[:, None]
+    normals = np.where(r >= 1e-12, v / np.where(r >= 1e-12, r, 1.0), [1.0, 0.0, 0.0])
+    for j in {j for j in own.tolist() if regions[j] is not None}:
+        rows = np.flatnonzero(own == j)
+        n = regions[j].shape.normals[_nearest_sample(regions[j].shape, p[rows])]
+        nn = np.sqrt(_dots(n, n))[:, None]
+        normals[rows] = np.where(nn > 1e-12, n / np.where(nn > 1e-12, nn, 1.0), normals[rows])
+    return normals
+
+
+def _ring_edges(points: np.ndarray, start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Edge lengths of closed rings held in ``points`` (k, 3), ring r ``count[r]`` rows from row
+    ``start[r]`` and edge ``i`` leaving row ``i``, and each ring's length.
+
+    Each length is bitwise ``polyline_length(ring, closed=True)``: the sum of
+    the same open edges, plus the closing edge as a one-vector norm.
+    """
+    last = start + count - 1
+    nxt = np.arange(1, len(points) + 1)
+    nxt[last] = start
+    edges = distances(points, points[nxt])
+    close = points[last] - points[start]
+    close = np.sqrt(_dots(close, close)).tolist()
+    return edges, [float(np.sum(edges[s:e])) + cl for s, e, cl in zip(start.tolist(), last.tolist(), close)]
 
 
 def _arc_positions(edges: np.ndarray, count: int) -> list[int]:
@@ -288,122 +297,145 @@ def build_detour(owner: Region, d_min_global: float, owner_id: str = "") -> Deto
     """
     if d_min_global <= 0:
         raise ContractError("d_min_global must be positive")
+    region = owner if isinstance(owner.shape, Sampled) else None
+    center, d_max = owner.center.as_array()[None], np.array([owner.d_max], dtype=float)
+    return _detours(center, d_max, [region], d_min_global, [owner_id])[0]
 
-    d = d_min_global
-    budget = detour_length_limit(owner.d_max, d)
-    axis = max_diameter_segment(owner)
-    a, b = axis
-    ab = b - a
-    ab_len = _norm(ab)
-    if ab_len < touch_tolerance(d_min_global):
-        return _point_detour(owner_id, axis, budget)
-    axis_dir = ab / ab_len
 
-    n_planes = max(1, int(math.ceil(ab_len / d)) - 1)
-    if n_planes == 1:
-        plane_points = [a + 0.5 * ab]  # a single plane always cuts the midpoint
-    else:
-        plane_points = [a + (i * d) * axis_dir for i in range(1, n_planes + 1)]
+def _detours(centers: np.ndarray, d_max: np.ndarray, regions, d: float, ids) -> list[DetourPlan]:
+    """``build_detour`` of every owner at spacing ``d``, in whole-array passes over the owners.
 
-    rings: list[np.ndarray] = []
-    for pp in plane_points:
-        ring = _trace_perimeter(owner, pp, axis_dir, d / 16.0)
-        if ring is not None:
-            rings.append(ring)
-    if not rings:
-        mid = _trace_perimeter(owner, a + 0.5 * ab, axis_dir, d / 16.0)
-        rings = [mid] if mid is not None else []
-    if not rings:
-        return _point_detour(owner_id, axis, budget)
+    Owner j has center ``centers[j]`` (3,), diameter ``d_max[j]`` and id
+    ``ids[j]``; ``regions[j]`` is its region if it is sampled, and None for
+    a sphere or shell, which needs only those columns. Sums whose order
+    sets their bits (ring and path lengths, arc positions and the spike
+    budget) run per ring or per owner.
+    """
+    limits = [detour_length_limit(x, d) for x in d_max.tolist()]
+    off = np.zeros_like(centers)
+    off[:, 0] = d_max / 2.0
+    axes = np.stack([centers - off, centers + off], axis=1)  # a sphere's axis lies along +x
+    for j in [j for j, region in enumerate(regions) if region is not None]:
+        axes[j] = max_diameter_segment(regions[j])
+    ab = axes[:, 1] - axes[:, 0]
+    ab_len = np.sqrt(_dots(ab, ab))
+    live = np.flatnonzero(ab_len >= touch_tolerance(d))
+    c, ends, ab, u, m = centers[live], axes[live], ab[live], ab[live] / ab_len[live, None], len(live)
+    regions = [regions[j] for j in live.tolist()]
 
-    edges, ring_lens = zip(*(_ring_edges(r) for r in rings))
+    # Planes d apart from a, or one through the midpoint, which is also the
+    # plane an owner whose planes all miss it is traced at.
+    n_planes = np.maximum(1, np.ceil(ab_len[live] / d).astype(np.intp) - 1)
+    own = np.repeat(np.arange(m), n_planes)
+    i = np.arange(1, len(own) + 1) - np.repeat(np.cumsum(n_planes) - n_planes, n_planes)
+    mid = ends[:, 0] + 0.5 * ab
+    planes = np.where((n_planes == 1)[own, None], mid[own], ends[own, 0] + (i * d)[:, None] * u[own])
+    shared = c, u, *_plane_basis(u), d_max[live] / 2.0, regions
+    pts, ring_own, ring_n = _rings(*shared, own, planes, d)
+    lost = np.setdiff1d(np.flatnonzero(n_planes > 1), ring_own)
+    if lost.size:
+        more = _rings(*shared, lost, mid[lost], d)
+        pts, ring_own, ring_n = (np.concatenate(pair) for pair in zip((pts, ring_own, ring_n), more))
+    order = np.argsort(ring_own, kind="stable")
+    ring_own, ring_n, start = ring_own[order], ring_n[order], (np.cumsum(ring_n) - ring_n)[order]
+    edges, ring_lens = _ring_edges(pts, start, ring_n)
+    bounds = np.searchsorted(ring_own, np.arange(m + 1)).tolist()
 
     # Endpoint spikes along the boundary normals at a and b give the
     # stitched path polar reach; include them when the budget allows.
-    a_arm = 0.5 * d * _boundary_normal(owner, a)
-    b_arm = 0.5 * d * _boundary_normal(owner, b)
-    poles = np.array([[a - a_arm, a + a_arm], [b - b_arm, b + b_arm]])  # (inner, outer) tips
-    a_in, b_in = poles[:, 0]
+    arms = 0.5 * d * _boundary_normals(ends.reshape(-1, 3), c.repeat(2, 0), np.arange(m).repeat(2), regions)
+    poles = np.stack([ends - arms.reshape(-1, 2, 3), ends + arms.reshape(-1, 2, 3)], axis=2)  # (inner, outer)
 
     # The rings are joined first vertex to first vertex. With poles, the
     # path also traverses each endpoint spike once and runs from a's inner
     # tip to the first ring and from the last ring to b's.
-    links = [_norm(r[0] - s[0]) for r, s in zip(rings, rings[1:])]
-    pole_cost = (
-        2.0 * d
-        + _norm(a_in - rings[0][0])
-        + _norm(rings[-1][0] - b_in)
-    )
-    base_no_poles = sum(ring_lens) + sum(links)
-    base_with_poles = sum(ring_lens) + sum(links, pole_cost)
-    with_poles = base_with_poles <= budget
-    base = base_with_poles if with_poles else base_no_poles
+    first = pts[start]
+    gaps = np.concatenate([first[:-1] - first[1:], poles[ring_own, 0, 0] - first, first - poles[ring_own, 1, 0]])
+    gaps = np.sqrt(_dots(gaps, gaps)).tolist()
+    n = len(first)
+    links, to_a, to_b = gaps[: n - 1], gaps[n - 1 : 2 * n - 1], gaps[2 * n - 1 :]
+    start, ring_n = start.tolist(), ring_n.tolist()
+    with_poles, anchors, ring_anchors = [], [], []
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if lo == hi:
+            with_poles.append(None)
+            continue
+        lens = ring_lens[lo:hi]
+        base_no_poles = sum(lens) + sum(links[lo : hi - 1])
+        base_with_poles = sum(lens) + sum(links[lo : hi - 1], 2.0 * d + to_a[lo] + to_b[hi - 1])
+        limit = limits[live[j]]
+        with_poles.append(base_with_poles <= limit)
+        base = base_with_poles if with_poles[-1] else base_no_poles
+        # A spike runs out to one tip, across, and back to its anchor: 2 d.
+        affordable = max(0, int(math.floor((limit - base) / (2.0 * d))))
+        targets = [max(1, int(math.floor(L / d))) for L in lens]
+        # In rounds: one more spike to each ring still short of its target.
+        counts = [0] * len(lens)
+        for r in range(max(targets)):
+            for k, target in enumerate(targets):
+                if affordable > 0 and target > r:
+                    counts[k] += 1
+                    affordable -= 1
+        for r, count in zip(range(lo, hi), counts):
+            ks = _arc_positions(edges[start[r] : start[r] + ring_n[r]], count) if count else []
+            anchors += [start[r] + k for k in ks]
+            ring_anchors.append(len(ks))
 
-    spike_cost = 2.0 * d  # out to one tip, across, and back to the anchor
-    affordable = max(0, int(math.floor((budget - base) / spike_cost)))
-    targets = [max(1, int(math.floor(L / d))) for L in ring_lens]
-    # In rounds: one more spike to each ring still short of its target.
-    counts = [0] * len(rings)
-    for r in range(max(targets)):
-        for j, target in enumerate(targets):
-            if affordable > 0 and target > r:
-                counts[j] += 1
-                affordable -= 1
+    # Each anchor p spikes along its boundary normal projected into its
+    # plane, or away from the axis where that projection vanishes.
+    o = ring_own[np.repeat(np.arange(n), ring_anchors)]
+    p, po, uo = pts[anchors], c[o], u[o]
+    in_plane = _boundary_normals(p, po, o, regions)
+    in_plane -= _dots(in_plane, uo)[:, None] * uo
+    norm = np.sqrt(_dots(in_plane, in_plane))
+    flat = norm < 1e-12
+    in_plane[flat] = p[flat] - (po[flat] + _dots(p[flat] - po[flat], uo[flat])[:, None] * uo[flat])
+    norm[flat] = np.sqrt(_dots(in_plane[flat], in_plane[flat]))
+    kept = norm >= 1e-12
+    arm = 0.5 * d * (in_plane / np.where(kept, norm, 1.0)[:, None])
+    triples = np.stack([p - arm, p + arm, p], axis=1)
 
     # Each ring is walked from its first vertex and closed back to it; after
     # each anchor vertex p the path runs out to the spike's tips and back
     # to p: ring[..k], (c_in, c_out, p), ring[k + 1..], ..., ring[0].
-    pieces: list[np.ndarray] = []
-    spikes: list[np.ndarray] = []
-    if with_poles:
-        pieces.append(poles[0, ::-1])
-        spikes.append(poles[:1])
-    c = owner.center.as_array()
-    for j, ring in enumerate(rings):
-        done = 0
-        for k in _arc_positions(edges[j], counts[j]):
-            p = ring[k]
-            normal = _boundary_normal(owner, p)
-            in_plane = normal - (normal @ axis_dir) * axis_dir
-            norm = _norm(in_plane)
-            if norm < 1e-12:
-                in_plane = p - (c + ((p - c) @ axis_dir) * axis_dir)
-                norm = _norm(in_plane)
-                if norm < 1e-12:
-                    continue
-            arm = 0.5 * d * (in_plane / norm)
-            triple = np.array((p - arm, p + arm, p))
-            pieces += [ring[done : k + 1], triple]
-            spikes.append(triple[None, :2])
-            done = k + 1
-        pieces += [ring[done:], ring[:1]]
-    if with_poles:
-        pieces.append(poles[1])
-        spikes.append(poles[1:])
+    pieces, made, t, keep = [], {}, 0, kept.tolist()
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if with_poles[j] is None:
+            continue
+        t0, piece0 = t, len(pieces)
+        pieces += [poles[j, 0, ::-1]] if with_poles[j] else []
+        for s, count, many in zip(start[lo:hi], ring_n[lo:hi], ring_anchors[lo:hi]):
+            done = s
+            for k in anchors[t : t + many]:
+                if keep[t]:
+                    pieces += [pts[done : k + 1], triples[t]]
+                    done = k + 1
+                t += 1
+            pieces += [pts[done : s + count], pts[s : s + 1]]
+        spikes = triples[t0:t][kept[t0:t], :2]
+        if with_poles[j]:
+            pieces.append(poles[j, 1])
+            spikes = np.concatenate([poles[j, :1], spikes, poles[j, 1:]])
+        rings = tuple(pts[s : s + count] for s, count in zip(start[lo:hi], ring_n[lo:hi]))
+        made[live[j]] = rings, spikes, piece0, len(pieces)
 
-    path = np.concatenate(pieces)
-    return DetourPlan(
-        owner_id=owner_id,
-        axis=axis,
-        perimeters=tuple(rings),
-        spikes=np.concatenate(spikes) if spikes else np.empty((0, 2, 3)),
-        stitched=path,
-        length=polyline_length(path),
-        limit=budget,
-    )
+    path = np.concatenate(pieces) if pieces else np.empty((0, 3))
+    rows = np.cumsum([0] + [len(x) for x in pieces]).tolist()
+    seg = distances(path[:-1], path[1:])
+    out = []
+    for w, (oid, axis, limit) in enumerate(zip(ids, axes, limits)):
+        if w not in made:
+            out.append(_point_detour(oid, axis, limit))
+            continue
+        rings, spikes, r0, r1 = made[w]
+        r0, r1 = rows[r0], rows[r1]
+        out.append(DetourPlan(oid, axis, rings, spikes, path[r0:r1], float(np.sum(seg[r0 : r1 - 1])), limit))
+    return out
 
 
 def _point_detour(owner_id: str, axis: np.ndarray, limit: float) -> DetourPlan:
     """The detour of a region with no perimeter to walk: its first axis endpoint."""
-    return DetourPlan(
-        owner_id=owner_id,
-        axis=axis,
-        perimeters=(),
-        spikes=np.empty((0, 2, 3)),
-        stitched=axis[:1],
-        length=0.0,
-        limit=limit,
-    )
+    return DetourPlan(owner_id, axis, (), np.empty((0, 2, 3)), axis[:1], 0.0, limit)
 
 
 # --------------------------------------------------------------------------- non-disjoint plan
@@ -440,20 +472,21 @@ def plan_nondisjoint_detailed(
     kept = set(mis.kept)
     base = center_visit(start, scene.subset([i for i, oid in enumerate(scene.ids) if oid in kept]), tsp)
     owners = set(mis.assignment.values())
-    blocks: list[np.ndarray] = [base.waypoints[:1]]
-    detours: list[DetourPlan] = []
-    for visit in base.visits:
-        touch = base.waypoints[visit.waypoint_index]
-        blocks.append(touch[None])
-        if visit.object_id not in owners:
-            continue
-        owner = scene.get(visit.object_id).region
-        plan = build_detour(owner, scene.d_min_global, owner_id=visit.object_id)
-        detours.append(plan)
-        stitched = plan.stitched
-        if _norm(stitched[-1] - touch) < _norm(stitched[0] - touch):
-            stitched = stitched[::-1]
-        blocks.append(stitched)
+    row = {oid: i for i, oid in enumerate(scene.ids) if oid in owners}
+    owned = [v for v in base.visits if v.object_id in row]
+    rows, at = [row[v.object_id] for v in owned], [v.waypoint_index for v in owned]
+    regions = [None if scene.exact[i] else scene.region(i) for i in rows]
+    ids = [v.object_id for v in owned]
+    detours = _detours(scene.centers[rows], scene.d_max[rows], regions, scene.d_min_global, ids)
+    # Each detour is entered at its stitched end nearer the touch point, its first on a tie.
+    ends = np.array([(plan.stitched[-1], plan.stitched[0]) for plan in detours]) - base.waypoints[at][:, None]
+    gap = np.sqrt(_dots(ends, ends))
+    blocks: list[np.ndarray] = []
+    done = 0
+    for w, plan, flip in zip(at, detours, (gap[:, 0] < gap[:, 1]).tolist()):
+        blocks += [base.waypoints[done : w + 1], plan.stitched[::-1] if flip else plan.stitched]
+        done = w + 1
+    blocks.append(base.waypoints[done:])
 
     arr, visits, patched = _patch_and_visit(np.concatenate(blocks), scene)
     tour = Tour(waypoints=arr, visits=visits)

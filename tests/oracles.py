@@ -18,7 +18,7 @@ from tspn.geom import (
     closest_point_on_region, contains, max_diameter_segment, regions_intersect, touch_tolerance,
 )
 from tspn.planner import (
-    DetectionOutcome, DetourPlan, NondisjointPlan, _boundary_normal, _doubled_tree_walk,
+    DetectionOutcome, DetourPlan, NondisjointPlan, _doubled_tree_walk,
     _point_detour, _rotate_to_nearest, build_detour, center_visit, detour_length_limit,
     maximal_independent_set,
 )
@@ -603,37 +603,28 @@ def scalar_nearest_ball_point(region, p: np.ndarray) -> np.ndarray:
     return c + (p - c) * ((r_out if r > r_out else r_in) / r)
 
 
-def scalar_trace_perimeter(region, plane_point, axis_dir, perimeter_step, plane_basis):
-    """Sampled-boundary ring of one cutting plane, bisected one angle at a time."""
+def scalar_bisect_radii(region, base, rays) -> np.ndarray:
+    """How far each unit ray (k, 3) from ``base`` (3,) stays in a sampled region, bisected one
+    ray at a time; 0 for a ray that never entered it."""
     c = region.center.as_array()
-    e1, e2 = plane_basis(axis_dir)
-    h_axial = float((plane_point - c) @ axis_dir)
     d_hi = region.d_max / 2.0
-    n_seg = max(16, int(math.ceil(2.0 * math.pi * d_hi / perimeter_step)))
-    base = c + h_axial * axis_dir
-    pts = []
-    for th in np.linspace(0.0, 2.0 * math.pi, n_seg, endpoint=False):
-        w = math.cos(th) * e1 + math.sin(th) * e2
+    radii = []
+    for w in rays:
         lo, hi = 0.0, d_hi * 1.5
-        hit = None
+        hit = False
         for _ in range(48):
             mid = 0.5 * (lo + hi)
-            p = base + mid * w
-            v = p - c
+            v = base + mid * w - c
             r = float(np.linalg.norm(v))
             if r < 1e-12:
                 lo = mid
                 continue
             if r <= scalar_boundary_radius(region.shape, c, v / r):
-                lo = mid
-                hit = p
+                lo, hit = mid, True
             else:
                 hi = mid
-        if hit is not None:
-            pts.append(hit)
-    if len(pts) < 3:
-        return None
-    return np.array(pts)
+        radii.append(lo if hit else 0.0)
+    return np.array(radii)
 
 
 # --------------------------------------------------------------------------- dense TSP heuristic
@@ -1169,6 +1160,25 @@ def np_cross_trace_perimeter(
     return base + lo[hit, None] * rays[hit]
 
 
+def row_boundary_normal(region, p: np.ndarray) -> np.ndarray:
+    """Outward unit normal at one boundary point ``p`` (3,): a sampled region's nearest
+    sample's normal (lowest index on a tie) unless it is zero, else the radial direction."""
+    c = region.center.as_array()
+    shape = region.shape
+    if isinstance(shape, Sampled):
+        x, y, z = p.tolist()
+        d2 = [(x - qx) * (x - qx) + (y - qy) * (y - qy) + (z - qz) * (z - qz) for qx, qy, qz in shape.points.tolist()]
+        n = shape.normals[d2.index(min(d2))].astype(float)
+        nn = float(np.linalg.norm(n))
+        if nn > 1e-12:
+            return n / nn
+    v = p - c
+    r = float(np.linalg.norm(v))
+    if r < 1e-12:
+        return np.array([1.0, 0.0, 0.0])
+    return v / r
+
+
 def per_target_arc_positions(ring: np.ndarray, count: int) -> list[int]:
     """Indices of ``count`` ring vertices evenly spaced by arc length."""
     n = len(ring)
@@ -1230,8 +1240,8 @@ def row_list_build_detour(
 
     # Endpoint spikes along the boundary normals at a and b give the
     # stitched path polar reach; include them when the budget allows.
-    na = _boundary_normal(owner, a)
-    nb = _boundary_normal(owner, b)
+    na = row_boundary_normal(owner, a)
+    nb = row_boundary_normal(owner, b)
     a_in, a_out = a - 0.5 * d * na, a + 0.5 * d * na
     b_in, b_out = b - 0.5 * d * nb, b + 0.5 * d * nb
 
@@ -1275,7 +1285,7 @@ def row_list_build_detour(
             p = ring[k]
             stitched.append(p)
             if k in anchor_idx:
-                normal = _boundary_normal(owner, p)
+                normal = row_boundary_normal(owner, p)
                 in_plane = normal - (normal @ axis_dir) * axis_dir
                 norm = np.linalg.norm(in_plane)
                 if norm < 1e-12:

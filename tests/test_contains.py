@@ -17,7 +17,7 @@ from oracles import (
     loop_regions_intersect,
     per_direction_surface_samples,
     scalar_region_contains,
-    scalar_trace_perimeter,
+    scalar_bisect_radii,
     scene_of,
 )
 
@@ -189,10 +189,7 @@ def test_sampled_detour_matches_scalar_bisection(seed):
     d_min_global = region.d_min * rng.uniform(0.5, 1.0)
     got = build_detour(region, d_min_global, owner_id="o")
 
-    def scalar(owner, plane_point, axis_dir, step):
-        return scalar_trace_perimeter(owner, plane_point, axis_dir, step, planner._plane_basis)
-
-    with mock.patch.object(planner, "_trace_perimeter", scalar):
+    with mock.patch.object(planner, "_bisect_radii", scalar_bisect_radii):
         want = build_detour(region, d_min_global, owner_id="o")
     got_p, got_s, got_w = _detour_arrays(got)
     want_p, want_s, want_w = _detour_arrays(want)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from tspn import Point3, Region, Sampled, Scene, SceneObject, Shell, Sphere, TspConfig, tour_length
 from tspn.geom import max_diameter_segment
 from tspn.planner import (
-    _boundary_normal,
+    _detours,
     _plane_basis,
     build_detour,
     center_visit,
@@ -18,7 +18,7 @@ from tspn.planner import (
     validate_bounds,
 )
 
-from oracles import np_cross_plane_basis, row_list_build_detour
+from oracles import np_cross_plane_basis, row_boundary_normal, row_list_build_detour
 
 
 def poly_min_dist(pts: np.ndarray, c: np.ndarray) -> float:
@@ -202,6 +202,21 @@ def test_nondisjoint_detour_entered_at_nearest_endpoint():
     assert contains_block(joined, fwd) or contains_block(joined, rev)
 
 
+def test_detour_with_equally_far_ends_is_entered_as_built():
+    # The touch point lies on the owner's mid plane x = 30, as do the centers
+    # of its ring; its poles lie at x = 26 and 34, so both stitched ends are
+    # equally far from it and the detour keeps its built direction.
+    a = sphere_obj("a", (30, 0, 0), 4.0)
+    scene = make_scene([a, sphere_obj("b", (30, 0, 1.5), 4.0)], 4.0, 4.0)
+    detail = plan_nondisjoint_detailed(Point3(30, -20, 0), scene, TspConfig())
+    (plan,) = detail.detours
+    stitched, waypoints = plan.stitched, detail.tour.waypoints
+    assert waypoints[1].tolist() == [30.0, -2.0, 0.0]
+    assert np.linalg.norm(stitched[0] - waypoints[1]) == np.linalg.norm(stitched[-1] - waypoints[1])
+    assert stitched.tolist() != stitched[::-1].tolist()
+    assert waypoints[2 : 2 + len(stitched)].tolist() == stitched.tolist()
+
+
 def test_detour_without_owner_id_is_held_to_the_budget_it_was_built_within():
     # The bound is the plan's own budget, so an unnamed owner is not held
     # to a budget of zero.
@@ -275,15 +290,15 @@ def detour_case(seed, kind, long_axis, ratio):
     return owner, same_detour(owner, owner.d_max / ratio, owner_id=f"{kind}-{seed}")
 
 
-def horned_ball() -> Region:
-    """A unit ball of samples with two horns 20 m out at +-50 degrees in the xy-plane.
+def horned_ball(degrees: float = 50.0, samples: int = 64) -> Region:
+    """A unit ball of samples with two horns 20 m out at +-``degrees`` in the xy-plane.
 
     The farthest pair is the two horn tips, so most cutting planes along it
     miss the ball and meet too few samples to trace a ring.
     """
-    a = math.radians(50.0)
+    a = math.radians(degrees)
     horns = 20.0 * np.array([[math.cos(a), math.sin(a), 0.0], [math.cos(a), -math.sin(a), 0.0]])
-    points = np.vstack([fibonacci_sphere(64), horns])
+    points = np.vstack([fibonacci_sphere(samples), horns])
     normals = points / np.linalg.norm(points, axis=1)[:, None]
     return Region(center=Point3(0.0, 0.0, 0.0),
                   shape=Sampled(points=points, normals=normals, d_min=2.0, d_max=40.0))
@@ -311,7 +326,7 @@ def detour_branches(owner, d, plan) -> set:
     axis_dir = plan.axis[1] - plan.axis[0]
     axis_len = float(np.linalg.norm(axis_dir))
     u = axis_dir / axis_len
-    normals = [_boundary_normal(owner, p) for p in anchors]
+    normals = [row_boundary_normal(owner, p) for p in anchors]
     return {
         ("poles", poles),
         ("anchors", len(anchors) > 0),
@@ -357,6 +372,37 @@ def test_detour_oracle_sweep_reaches_every_branch():
     assert {("poles", True), ("poles", False), ("anchors", True), ("anchors", False),
             ("rings", 1), ("rings", 2), ("zeros", 0), ("zeros", 2),
             ("sampled ring dropped", True), ("axial normal", True)} <= seen
+
+
+def test_detour_core_is_the_row_list_oracle_owner_by_owner():
+    # One call of the core over a mixed owner list at one spacing: spheres,
+    # shells and sampled owners, multi-plane owners, a point detour and both
+    # hand-built owners. Every plane at 5 m misses the 36-degree horned ball,
+    # so its one ring comes from the midpoint plane.
+    d = 5.0
+    rng = np.random.default_rng(36)
+    owners = [
+        sphere_region((0, 0, 0), 2.0), sphere_region((3, -2, 1), 4.0), sphere_region((9, 9, -9), 13.0),
+        sphere_region((1, 1, 1), 1e-9), Region(center=Point3(5, 5, 5), shape=Shell(6.0, 40.0)),
+        *(detour_owner(rng, kind, axis) for kind, axis in (("shell", None), ("sampled", None), ("sampled", 0),
+                                                            ("sampled", 1), ("sampled", 2))),
+        horned_ball(), horned_ball(36.0, 256), axial_normal_ellipsoid(),
+    ]
+    ids = [f"o{k}" for k in range(len(owners))]
+    plans = _detours(np.array([o.center.as_array() for o in owners]), np.array([o.d_max for o in owners]),
+                     [o if isinstance(o.shape, Sampled) else None for o in owners], d, ids)
+    assert len(plans) == len(owners)
+    seen = set()
+    for owner, oid, plan in zip(owners, ids, plans):
+        assert_same_detour(plan, row_list_build_detour(owner, d, owner_id=oid))
+        seen |= detour_branches(owner, d, plan)
+    assert {"point", ("poles", True), ("poles", False), ("anchors", True), ("anchors", False), ("rings", 1),
+            ("rings", 2), ("zeros", 0), ("zeros", 2), ("sampled ring dropped", True),
+            ("axial normal", True)} <= seen
+    (ring,) = plans[-2].perimeters
+    a, b = plans[-2].axis
+    assert math.ceil(np.linalg.norm(b - a) / d) - 1 > 1
+    assert np.abs((ring - 0.5 * (a + b)) @ (b - a)).max() < 1e-9 * np.linalg.norm(b - a) ** 2
 
 
 @given(v=st.lists(st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3e-9)) | st.floats(-10, 10),

@@ -357,8 +357,8 @@ def test_distances_is_bitwise_the_row_norm(a_shape, b_shape):
         assert np.asarray(got).tobytes() == want.tobytes()
 
 
-def test_norm_is_bitwise_numpys_norm_of_one_vector():
-    """Every single-vector length goes through ``geom._norm``, so it must keep numpy's bits."""
+def _vector_families() -> np.ndarray:
+    """(21 009, 3) vectors: mixed scales, subnormal and huge components, and hand-picked ones."""
     rng = np.random.default_rng(61)
     # Each vector at its own scale, and each component at its own scale too.
     mixed = rng.normal(size=(20000, 3)) * 10.0 ** rng.uniform(-300.0, 145.0, size=(20000, 1))
@@ -370,8 +370,27 @@ def test_norm_is_bitwise_numpys_norm_of_one_vector():
         [5e-324, -5e-324, 0.0], [2.2250738585072014e-308, -1e-310, 1e-320],
         [1e153, -1e153, 1e153], [4.4e153, 4.4e153, -4.4e153], [1e153, 1e-300, -5e-324],
     ]
-    for v in [*mixed, *tiny, *huge, *np.array(special)]:
+    return np.concatenate([mixed, tiny, huge, special])
+
+
+def test_norm_is_bitwise_numpys_norm_of_one_vector():
+    """Every single-vector length goes through ``geom._norm``, so it must keep numpy's bits."""
+    for v in _vector_families():
         assert geom._norm(v).hex() == float(np.linalg.norm(v)).hex(), v.tolist()
+
+
+def test_stacked_dots_are_bitwise_one_vector_dots():
+    """Batched one-vector lengths and dots go through ``geom._dots``: each row keeps the bits of
+    ``_norm`` and of ``a.dot(b)``, which the elementwise kernel does not."""
+    v = _vector_families()
+    w = v[::-1] * 10.0 ** np.random.default_rng(62).uniform(-5.0, 5.0, size=(len(v), 1))
+    norms = np.sqrt(geom._dots(v, v))
+    for k, x in enumerate(v):
+        assert norms[k].hex() == geom._norm(x).hex(), x.tolist()
+    dots = geom._dots(v, w)
+    for k, (x, y) in enumerate(zip(v, w)):
+        assert dots[k].hex() == x.dot(y).hex(), (x.tolist(), y.tolist())
+    assert np.count_nonzero(np.sqrt(np.sum(v * v, axis=1)) != norms) > 1000
 
 
 # ---------------------------------------------------------------- tour length
@@ -403,12 +422,16 @@ def test_polyline_length_is_bitwise_the_norm_diff_sum(k, seed, scale):
 def test_ring_edges_give_the_closed_polyline_length_bitwise():
     # A 1-D norm and a row norm differ in the last bit on about one row in
     # ten, so 2 000 rings all but surely include closing edges where they do.
+    # The rings are taken in one call, as the detour core holds them: each
+    # ring's rows follow the last's.
     rng = np.random.default_rng(14)
-    for _ in range(2000):
-        ring = rng.normal(size=(int(rng.integers(2, 70)), 3)) * rng.choice([1e-3, 1.0, 1e5])
-        edges, length = _ring_edges(ring)
+    rings = [rng.normal(size=(int(rng.integers(2, 70)), 3)) * rng.choice([1e-3, 1.0, 1e5]) for _ in range(2000)]
+    count = np.array([len(ring) for ring in rings])
+    start = np.cumsum(count) - count
+    edges, lengths = _ring_edges(np.concatenate(rings), start, count)
+    for ring, s, length in zip(rings, start, lengths):
         assert length == polyline_length(ring, closed=True)
-        assert edges.tobytes() == np.linalg.norm(np.roll(ring, -1, 0) - ring, axis=1).tobytes()
+        assert edges[s : s + len(ring)].tobytes() == np.linalg.norm(np.roll(ring, -1, 0) - ring, axis=1).tobytes()
 
 
 def test_tour_length_degenerate():
